@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import fuzz as fuzz_mod
 from . import gamefile, minimax, mixed, normalform, sequential, simultaneous
-from .core import QuantifierKind
 from .errors import BudgetExceededError, GameFileError, HogError, StructuralError
 
 EXIT_OK = 0
@@ -187,13 +186,10 @@ def _solve_pure(args, document, tol, budget) -> int:
 
 def _solve_mixed(args, document, tol, budget) -> int:
     game = _as_simultaneous(document)
-    support_eligible = (
-        game.num_players == 2
-        and all(q.kind is QuantifierKind.MAX for q in game.quantifiers)
-    )
+    support_eligible = mixed.support_enumeration_applies(game)
     if support_eligible:
         solver = "support_enumeration"
-        profiles = mixed.solve_support_enumeration_2p(game, tol)
+        profiles = mixed.solve_support_enumeration_2p(game, tol, budget)
     else:
         solver = "grid"
         depth = args.grid_depth or int(document.params.get("grid_depth", 3))
@@ -251,11 +247,8 @@ def _solve_bbc(args, document, tol, budget) -> int:
     elif (document.kind == "simultaneous" and document.game.num_players == 2
           and document.game.single_outcome_space and document.selections):
         g = document.game
-        profiles = list(g.profiles())
-        tensor = [g.outcome(0, p) for p in profiles]
-        stage = minimax.TwoPlayerStage.from_tensor(
-            g.move_counts, tensor, g.quantifiers, document.selections,
-            moves=g.moves)
+        stage = minimax.TwoPlayerStage(g.moves, g.payoffs[0], g.quantifiers,
+                                       document.selections)
     else:
         raise GameFileError(
             "mode bbc requires a two-player stage (or a 2-player "
@@ -263,14 +256,15 @@ def _solve_bbc(args, document, tol, budget) -> int:
     if not stage.single_valued():
         print("warning: a quantifier is not single-valued; the reply-"
               "robustness guarantee does not apply", file=sys.stderr)
-    pair = minimax.bbc(stage)
+    comparison = minimax.compare_bbc_vs_product(stage)
+    pair = tuple(comparison["bbc"]["pair"])
     report = {
         "mode": "bbc",
         "pair": list(pair),
-        "moves": [stage.moves[0][pair[0]], stage.moves[1][pair[1]]],
-        "outcome": stage.payoff[pair[0]][pair[1]],
+        "moves": comparison["bbc"]["moves"],
+        "outcome": comparison["bbc"]["outcome"],
         "reply_robust": minimax.is_psi_phi_profile(stage, pair, tol, budget),
-        "comparison": minimax.compare_bbc_vs_product(stage),
+        "comparison": comparison,
     }
     path = _write_artifact(args, report, "bbc.json")
     if path:

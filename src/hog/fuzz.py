@@ -9,8 +9,11 @@ counterexample to a theorem (the latter should never happen).
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from . import minimax, normalform, sequential
 from .budget import resolve_budget
@@ -42,11 +45,8 @@ def random_sequential_game(rng: random.Random, max_rounds: int = 4,
                            kinds=_SEQ_KINDS) -> SequentialGame:
     n = rng.randint(1, max_rounds)
     counts = [rng.randint(min_moves, max_moves) for _ in range(n)]
-    size = 1
-    for c in counts:
-        size *= c
     lo, hi = payoff_range
-    tensor = [rng.randint(lo, hi) for _ in range(size)]
+    tensor = [rng.randint(lo, hi) for _ in range(math.prod(counts))]
     quantifiers, selections = [], []
     for _ in range(n):
         phi, eps = _round_pair(rng.choice(kinds))
@@ -60,9 +60,7 @@ def random_max_game(rng: random.Random, players: int = 2, max_moves: int = 4,
                     payoff_range: tuple[int, int] = (-9, 9)) -> SimultaneousGame:
     """Random finite game with max quantifiers and integer payoffs."""
     counts = [rng.randint(min_moves, max_moves) for _ in range(players)]
-    size = 1
-    for c in counts:
-        size *= c
+    size = math.prod(counts)
     lo, hi = payoff_range
     tensors = [[rng.randint(lo, hi) for _ in range(size)] for _ in range(players)]
     return SimultaneousGame.from_tensors(
@@ -137,16 +135,10 @@ def shrink_sequential(g: SequentialGame, failing, budget=None) -> SequentialGame
         if changed:
             continue
         # Zero payoff entries.
-        counts = current.move_counts
-        tensor = [current.outcome(p) for p in sequential.histories(counts)]
-        for idx, value in enumerate(tensor):
-            if value == 0:
-                continue
-            cand_tensor = list(tensor)
-            cand_tensor[idx] = 0
-            cand = SequentialGame.from_tensor(
-                counts, cand_tensor, current.quantifiers, current.selections
-            )
+        for idx in np.flatnonzero(current.payoffs):
+            cand_tensor = current.payoffs.copy()
+            cand_tensor.flat[idx] = 0
+            cand = replace(current, payoffs=cand_tensor)
             if failing(cand):
                 current, changed = cand, True
                 break
@@ -154,26 +146,19 @@ def shrink_sequential(g: SequentialGame, failing, budget=None) -> SequentialGame
 
 
 def _drop_round(g: SequentialGame, r: int) -> SequentialGame:
-    counts = g.move_counts
-    new_counts = counts[:r] + counts[r + 1:]
-    tensor = []
-    for play in sequential.histories(new_counts):
-        full = play[:r] + (0,) + play[r:]
-        tensor.append(g.outcome(full))
-    return SequentialGame.from_tensor(
-        new_counts, tensor,
+    """Pin round r to its first move."""
+    return SequentialGame(
+        g.moves[:r] + g.moves[r + 1:], g.payoffs.take(0, axis=r),
         g.quantifiers[:r] + g.quantifiers[r + 1:],
         g.selections[:r] + g.selections[r + 1:],
     )
 
 
 def _drop_move(g: SequentialGame, r: int) -> SequentialGame:
-    counts = g.move_counts
-    new_counts = counts[:r] + (counts[r] - 1,) + counts[r + 1:]
-    tensor = [g.outcome(play) for play in sequential.histories(new_counts)]
-    return SequentialGame.from_tensor(
-        new_counts, tensor, g.quantifiers, g.selections
-    )
+    """Drop round r's last move."""
+    moves = g.moves[:r] + (g.moves[r][:-1],) + g.moves[r + 1:]
+    return replace(g, moves=moves, payoffs=g.payoffs.take(
+        range(g.move_counts[r] - 1), axis=r))
 
 
 def shrink_stage(stage: TwoPlayerStage, failing) -> TwoPlayerStage:
@@ -183,36 +168,29 @@ def shrink_stage(stage: TwoPlayerStage, failing) -> TwoPlayerStage:
         changed = False
         nx, ny = current.shape
         if nx > 1:
-            cand = _stage_from_grid(current, [row for row in current.payoff[:-1]])
+            cand = _stage_from_grid(current, current.payoff[:-1])
             if failing(cand):
                 current, changed = cand, True
                 continue
         if ny > 1:
-            cand = _stage_from_grid(current, [row[:-1] for row in current.payoff])
+            cand = _stage_from_grid(current, current.payoff[:, :-1])
             if failing(cand):
                 current, changed = cand, True
                 continue
-        for x in range(current.shape[0]):
-            for y in range(current.shape[1]):
-                if current.payoff[x][y] == 0:
-                    continue
-                grid = [list(row) for row in current.payoff]
-                grid[x][y] = 0
-                cand = _stage_from_grid(current, grid)
-                if failing(cand):
-                    current, changed = cand, True
-                    break
-            if changed:
+        for idx in np.flatnonzero(current.payoff):
+            grid = current.payoff.copy()
+            grid.flat[idx] = 0
+            cand = _stage_from_grid(current, grid)
+            if failing(cand):
+                current, changed = cand, True
                 break
     return current
 
 
-def _stage_from_grid(stage: TwoPlayerStage, grid) -> TwoPlayerStage:
-    nx, ny = len(grid), len(grid[0])
-    flat = [v for row in grid for v in row]
-    return TwoPlayerStage.from_tensor(
-        (nx, ny), flat, stage.quantifiers, stage.selections
-    )
+def _stage_from_grid(stage: TwoPlayerStage, grid: np.ndarray) -> TwoPlayerStage:
+    nx, ny = grid.shape[:2]
+    return replace(stage, moves=(stage.moves[0][:nx], stage.moves[1][:ny]),
+                   payoff=grid)
 
 
 @dataclass

@@ -13,7 +13,8 @@ descriptors; "selections" is optional. Sequential games use "rounds" for
 per-round move labels, a single payoff tensor over plays, and per-round
 quantifier and selection descriptors. Two-player stages are the simultaneous
 layout restricted to 2 players with a single shared tensor and required
-selections.
+selections. Parsed games hold each tensor as one read-only float64 array;
+serializing flattens those arrays back to row-major lists.
 
 Quantifier descriptors: {"kind": "max"}, {"kind": "min"},
 {"kind": "fixed_point"}, {"kind": "average"},
@@ -25,8 +26,8 @@ fixed_point_witness, nearest_mean, and {"kind": "constant", "move": 0}.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -167,9 +168,7 @@ def parse_game(doc: dict) -> GameDocument:
 def _parse_simultaneous(doc: dict) -> GameDocument:
     moves = _parse_move_labels(_get(doc, "moves", list), "moves")
     counts = [len(ms) for ms in moves]
-    size = 1
-    for c in counts:
-        size *= c
+    size = math.prod(counts)
     single = _get(doc, "single_outcome_space", bool, required=False, default=False)
     payoffs_raw = _get(doc, "payoffs", list)
     if single:
@@ -210,10 +209,8 @@ def _parse_optional_selections(doc: dict, n: int):
 def _parse_sequential(doc: dict) -> GameDocument:
     rounds = _parse_move_labels(_get(doc, "rounds", list), "rounds")
     counts = [len(ms) for ms in rounds]
-    size = 1
-    for c in counts:
-        size *= c
-    tensor = _check_tensor(_get(doc, "payoffs", list), size, "payoffs")
+    tensor = _check_tensor(_get(doc, "payoffs", list), math.prod(counts),
+                           "payoffs")
     q_raw = _get(doc, "quantifiers", list)
     _expect(len(q_raw) == len(rounds), "one quantifier per round", "quantifiers")
     quantifiers = [
@@ -266,34 +263,36 @@ def load_game(path) -> GameDocument:
     return parse_game(doc)
 
 
+def _flat(tensor: np.ndarray, axes: int) -> list:
+    """A payoff array as the file's row-major list over its first ``axes``
+    axes (vector outcomes stay lists)."""
+    return tensor.reshape(-1, *tensor.shape[axes:]).tolist()
+
+
 def serialize_game(document: GameDocument) -> dict:
     """Reconstruct the JSON document for a parsed game; payoff tensors are
-    rebuilt by evaluating the outcome functions over the full profile space."""
+    the games' stored arrays, flattened row-major."""
     game = document.game
     out: dict = {"version": FORMAT_VERSION, "kind": document.kind}
     if document.kind == "sequential":
         out["rounds"] = [list(ms) for ms in game.moves]
-        plays = itertools.product(*(range(c) for c in game.move_counts))
-        out["payoffs"] = [game.outcome(p) for p in plays]
+        out["payoffs"] = game.play_outcomes()
         out["quantifiers"] = [_serialize_quantifier(q) for q in game.quantifiers]
         out["selections"] = [_serialize_selection(s) for s in game.selections]
     elif document.kind == "two_player_stage":
         out["moves"] = [list(ms) for ms in game.moves]
-        out["payoffs"] = [v for row in game.payoff for v in row]
+        out["payoffs"] = _flat(game.payoff, 2)
         out["quantifiers"] = [_serialize_quantifier(q) for q in game.quantifiers]
         out["selections"] = [_serialize_selection(s) for s in game.selections]
     else:
         out["moves"] = [list(ms) for ms in game.moves]
         out["players"] = list(game.players)
         out["single_outcome_space"] = game.single_outcome_space
-        profiles = list(game.profiles())
+        n = game.num_players
         if game.single_outcome_space:
-            out["payoffs"] = [game.outcome(0, p) for p in profiles]
+            out["payoffs"] = _flat(game.payoffs[0], n)
         else:
-            out["payoffs"] = [
-                [game.outcome(i, p) for p in profiles]
-                for i in range(game.num_players)
-            ]
+            out["payoffs"] = [_flat(tensor, n) for tensor in game.payoffs]
         out["quantifiers"] = [_serialize_quantifier(q) for q in game.quantifiers]
         if document.selections is not None:
             out["selections"] = [

@@ -5,32 +5,39 @@ functions but computes both coordinates independently: each player's move is
 chosen against the opponent's pointwise replies. For total single-valued
 quantifiers the resulting pair is a reply-robust profile: each move is
 acceptable against every reply function the opponent's quantifier admits
-(with max/min this is the classical minimax strategy).
+(with max/min this is the classical minimax strategy). A stage stores its
+outcomes as one read-only float64 array of shape ``(nx, ny)``; the loops
+here index a single Python-list copy of it per call.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .budget import check_budget
 from .core import OutcomeTable, Quantifier, SelectionFunction, as_outcome
 from .errors import StructuralError
 from .sequential import selection_product
-from .simultaneous import SimultaneousGame, default_move_labels
+from .simultaneous import (SimultaneousGame, default_move_labels, flat_tensor,
+                           payoff_array)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoPlayerStage:
-    """A 2-player single-outcome-space game given by an outcome grid
-    ``payoff[x][y]``, quantifiers (phi for the first player, psi for the
-    second), and selections attaining them. The reply-robustness theorem
-    needs both quantifiers single-valued; the verifier itself accepts
-    multi-valued ones."""
+    """A 2-player single-outcome-space game given by a read-only outcome
+    array ``payoff[x][y]`` (a trailing axis holds vector outcomes),
+    quantifiers (phi for the first player, psi for the second), and
+    selections attaining them. The reply-robustness theorem needs both
+    quantifiers single-valued; the verifier itself accepts multi-valued
+    ones."""
 
     moves: tuple[tuple[str, ...], tuple[str, ...]]
-    payoff: tuple[tuple[float, ...], ...]
+    payoff: np.ndarray
     quantifiers: tuple[Quantifier, Quantifier]
     selections: tuple[SelectionFunction, SelectionFunction]
 
@@ -38,22 +45,15 @@ class TwoPlayerStage:
         nx, ny = len(self.moves[0]), len(self.moves[1])
         if nx == 0 or ny == 0:
             raise StructuralError("stage move sets must be nonempty")
-        if len(self.payoff) != nx or any(len(row) != ny for row in self.payoff):
-            raise StructuralError(
-                f"payoff grid must be {nx}x{ny}"
-            )
+        object.__setattr__(self, "payoff", payoff_array(
+            self.payoff, (nx, ny), "payoff grid"))
 
     @classmethod
     def from_tensor(cls, move_counts: Sequence[int], payoffs: Sequence[float],
                     quantifiers, selections,
                     moves: Sequence[Sequence[str]] | None = None) -> "TwoPlayerStage":
         nx, ny = (int(c) for c in move_counts)
-        flat = [as_outcome(v) for v in payoffs]
-        if len(flat) != nx * ny:
-            raise StructuralError(
-                f"payoff tensor has {len(flat)} entries, expected {nx * ny}"
-            )
-        grid = tuple(tuple(flat[x * ny + y] for y in range(ny)) for x in range(nx))
+        grid = flat_tensor(payoffs, (nx, ny), "payoff tensor")
         if moves is None:
             moves = (default_move_labels(nx), default_move_labels(ny))
         else:
@@ -65,26 +65,15 @@ class TwoPlayerStage:
     def shape(self) -> tuple[int, int]:
         return len(self.moves[0]), len(self.moves[1])
 
-    def row_table(self, x: int) -> OutcomeTable:
-        """Outcomes over the second player's moves with the first fixed at x."""
-        return OutcomeTable(self.payoff[x])
-
-    def col_table(self, y: int) -> OutcomeTable:
-        """Outcomes over the first player's moves with the second fixed at y."""
-        return OutcomeTable([row[y] for row in self.payoff])
-
     def single_valued(self) -> bool:
         return all(phi.single_valued for phi in self.quantifiers)
 
     def to_simultaneous(self) -> SimultaneousGame:
-        grid = self.payoff
-
-        def outcome(profile):
-            return grid[profile[0]][profile[1]]
-
+        """The same game as a simultaneous one; both players read this
+        stage's array through a zero-copy broadcast."""
         return SimultaneousGame(
             moves=self.moves,
-            outcome_fns=(outcome, outcome),
+            payoffs=np.broadcast_to(self.payoff, (2, *self.payoff.shape)),
             quantifiers=self.quantifiers,
             single_outcome_space=True,
         )
@@ -95,14 +84,14 @@ def bbc(stage: TwoPlayerStage) -> tuple[int, int]:
     pointwise replies and b against the first's, each computed independently
     (unlike the product, whose second coordinate is the reply to a)."""
     eps, delta = stage.selections
-    nx, ny = stage.shape
-    replies_to_x = [delta.select(stage.row_table(x)) for x in range(nx)]
+    q = stage.payoff.tolist()
+    replies_to_x = [delta.select(OutcomeTable(row)) for row in q]
     a = eps.select(OutcomeTable(
-        [stage.payoff[x][replies_to_x[x]] for x in range(nx)]
+        [row[y] for row, y in zip(q, replies_to_x)]
     ))
-    replies_to_y = [eps.select(stage.col_table(y)) for y in range(ny)]
+    replies_to_y = [eps.select(OutcomeTable(col)) for col in zip(*q)]
     b = delta.select(OutcomeTable(
-        [stage.payoff[replies_to_y[y]][y] for y in range(ny)]
+        [q[x][y] for y, x in enumerate(replies_to_y)]
     ))
     return a, b
 
@@ -120,30 +109,21 @@ def is_psi_phi_profile(stage: TwoPlayerStage, pair: tuple[int, int],
     if not (0 <= a < nx and 0 <= b < ny):
         raise StructuralError(f"pair {pair} outside {nx}x{ny} stage")
     phi, psi = stage.quantifiers
-    q = stage.payoff
+    q = stage.payoff.tolist()
 
-    row_tables = [stage.row_table(x) for x in range(nx)]
+    row_tables = [OutcomeTable(row) for row in q]
     a_choices = [
         [y for y in range(ny) if psi.contains(row_tables[x], q[x][y], tol)]
         for x in range(nx)
     ]
-    col_tables = [stage.col_table(y) for y in range(ny)]
+    col_tables = [OutcomeTable(col) for col in zip(*q)]
     b_choices = [
         [x for x in range(nx) if phi.contains(col_tables[y], q[x][y], tol)]
         for y in range(ny)
     ]
 
-    total = 0
-    if all(a_choices):
-        count = 1
-        for c in a_choices:
-            count *= len(c)
-        total += count
-    if all(b_choices):
-        count = 1
-        for c in b_choices:
-            count *= len(c)
-        total += count
+    total = sum(math.prod(len(c) for c in choices)
+                for choices in (a_choices, b_choices) if all(choices))
     check_budget(total, budget, "reply functions")
 
     if all(a_choices):
@@ -163,19 +143,19 @@ def compare_bbc_vs_product(stage: TwoPlayerStage) -> dict:
     """Exploratory comparison of the independent-coordinates pair with the
     product-of-selections pair on the same stage; no relationship is
     asserted beyond what the report shows."""
+    q = stage.payoff.tolist()
     pair_bbc = bbc(stage)
-    pair_prod = selection_product(stage.selections[0], stage.selections[1],
-                                  stage.payoff)
+    pair_prod = selection_product(stage.selections[0], stage.selections[1], q)
+
+    def describe(pair):
+        return {
+            "pair": list(pair),
+            "moves": [stage.moves[0][pair[0]], stage.moves[1][pair[1]]],
+            "outcome": as_outcome(q[pair[0]][pair[1]]),
+        }
+
     return {
-        "bbc": {
-            "pair": list(pair_bbc),
-            "moves": [stage.moves[0][pair_bbc[0]], stage.moves[1][pair_bbc[1]]],
-            "outcome": stage.payoff[pair_bbc[0]][pair_bbc[1]],
-        },
-        "product": {
-            "pair": list(pair_prod),
-            "moves": [stage.moves[0][pair_prod[0]], stage.moves[1][pair_prod[1]]],
-            "outcome": stage.payoff[pair_prod[0]][pair_prod[1]],
-        },
+        "bbc": describe(pair_bbc),
+        "product": describe(pair_prod),
         "coincide": pair_bbc == pair_prod,
     }

@@ -7,7 +7,8 @@ consults outcomes at the pure-strategy vertices, which keeps membership
 finite and exact for arbitrary quantifiers. The two solvers are desk-scale
 stand-ins for the existence theorem: support enumeration (2-player, max
 quantifiers) and a certified grid search; every returned profile passes
-is_mixed_nash.
+is_mixed_nash. Expected outcomes and deviation tables are einsum
+contractions of the game's payoff tensor with the strategies.
 """
 
 from __future__ import annotations
@@ -81,23 +82,28 @@ def vertex_profile(g: SimultaneousGame, pure) -> MixedProfile:
     return tuple(vertex(c, m) for c, m in zip(g.move_counts, pure))
 
 
+def _contract(g: SimultaneousGame, i: int, profile: MixedProfile,
+              keep: int | None = None) -> np.ndarray:
+    """One einsum of player i's payoff tensor with every player's strategy
+    except player ``keep``'s, whose axis stays in the result, as does the
+    trailing axis of vector outcomes."""
+    axes = list(range(g.payoffs.ndim - 1))
+    n = g.num_players
+    operands = [g.payoffs[i], axes]
+    for j, strat in enumerate(profile):
+        if j != keep:
+            operands += [strat, [j]]
+    kept = [] if keep is None else [keep]
+    return np.einsum(*operands, kept + axes[n:])
+
+
 def expected_outcome(g: SimultaneousGame, i: int, profile: MixedProfile):
     """Probability-weighted sum of player i's outcomes over all pure
-    profiles, accumulated in lexicographic order so results are
-    bit-reproducible."""
+    profiles, as one einsum contraction of the payoff tensor with the
+    strategies. The result is deterministic (the same inputs give the same
+    bits), but it is not a sum in lexicographic profile order."""
     profile = mixed_profile(g, profile)
-    acc = None
-    for pure in g.profiles():
-        weight = 1.0
-        for strat, move in zip(profile, pure):
-            weight *= strat[move]
-        value = as_outcome(g.outcome(i, pure))
-        if isinstance(value, float):
-            acc = weight * value if acc is None else acc + weight * value
-        else:
-            term = tuple(weight * v for v in value)
-            acc = term if acc is None else tuple(x + y for x, y in zip(acc, term))
-    return acc
+    return as_outcome(_contract(g, i, profile).tolist())
 
 
 def mixed_unilateral_table(g: SimultaneousGame, i: int,
@@ -106,11 +112,7 @@ def mixed_unilateral_table(g: SimultaneousGame, i: int,
     the other strategies fixed. This vertex restriction is exactly what
     lifted-quantifier membership consults."""
     profile = mixed_profile(g, profile)
-    entries = []
-    for x in range(g.move_counts[i]):
-        deviated = profile[:i] + (vertex(g.move_counts[i], x),) + profile[i + 1:]
-        entries.append(expected_outcome(g, i, deviated))
-    return OutcomeTable(entries)
+    return OutcomeTable(_contract(g, i, profile, keep=i).tolist())
 
 
 def is_mixed_nash(g: SimultaneousGame, profile: MixedProfile,
@@ -144,19 +146,11 @@ def lift_selection(eps: SelectionFunction) -> LiftedSelection:
     return LiftedSelection(eps)
 
 
-def _payoff_matrices(g: SimultaneousGame) -> tuple[np.ndarray, np.ndarray]:
-    m0, m1 = g.move_counts
-    a = np.empty((m0, m1))
-    b = np.empty((m0, m1))
-    for i in range(m0):
-        for j in range(m1):
-            va = as_outcome(g.outcome(0, (i, j)))
-            vb = as_outcome(g.outcome(1, (i, j)))
-            if not isinstance(va, float) or not isinstance(vb, float):
-                raise StructuralError("support enumeration requires scalar outcomes")
-            a[i, j] = va
-            b[i, j] = vb
-    return a, b
+def support_enumeration_applies(g: SimultaneousGame) -> bool:
+    """Whether solve_support_enumeration_2p accepts the game's shape: two
+    players, both with max quantifiers."""
+    return (g.num_players == 2
+            and all(phi.kind is QuantifierKind.MAX for phi in g.quantifiers))
 
 
 def _indifference_solve(payoff: np.ndarray, own: tuple[int, ...],
@@ -208,25 +202,26 @@ def _dedupe_sorted(profiles: list[MixedProfile], tol: float) -> list[MixedProfil
     return kept
 
 
-def solve_support_enumeration_2p(g: SimultaneousGame,
-                                 tol: float = 1e-9) -> list[MixedProfile]:
+def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
+                                 budget: int | None = None) -> list[MixedProfile]:
     """All mixed equilibria of a 2-player max-quantifier game found by
     enumerating support pairs and solving the indifference systems. Every
     returned profile is certified by is_mixed_nash; supports whose systems
     are unsolvable or yield negative probabilities are skipped. An empty
     result contradicts the existence theorem for such games and is logged as
-    a distinguished warning.
+    a distinguished warning. The (2^m0 - 1)(2^m1 - 1) support pairs are
+    checked against the budget before any is enumerated.
     """
-    if g.num_players != 2:
-        raise StructuralError("support enumeration requires exactly 2 players")
-    for i, phi in enumerate(g.quantifiers):
-        if phi.kind is not QuantifierKind.MAX:
-            raise StructuralError(
-                f"support enumeration requires max quantifiers, player {i} has "
-                f"{phi.kind.value}; use solve_generic"
-            )
-    a, b = _payoff_matrices(g)
+    if not support_enumeration_applies(g):
+        raise StructuralError(
+            "support enumeration requires exactly 2 players with max "
+            "quantifiers; use solve_generic"
+        )
+    if g.payoffs.ndim != 3:
+        raise StructuralError("support enumeration requires scalar outcomes")
     m0, m1 = g.move_counts
+    check_budget((2 ** m0 - 1) * (2 ** m1 - 1), budget, "support pairs")
+    a, b = g.payoffs
     found: list[MixedProfile] = []
     for s0_size in range(1, m0 + 1):
         for s1_size in range(1, m1 + 1):
@@ -305,10 +300,7 @@ def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
     per_player_counts = [
         math.comb(grid_depth + c - 1, c - 1) for c in g.move_counts
     ]
-    total = 1
-    for c in per_player_counts:
-        total *= c
-    check_budget(total, budget, "grid profiles")
+    check_budget(math.prod(per_player_counts), budget, "grid profiles")
     all_max = all(phi.kind is QuantifierKind.MAX for phi in g.quantifiers)
     found = []
     near_misses = []
@@ -344,7 +336,7 @@ def _snap_support(g: SimultaneousGame, profile: MixedProfile,
                   tol: float, support_tol: float = 1e-3) -> MixedProfile | None:
     """Re-solve the indifference system on the supports suggested by a
     near-equilibrium profile (2-player max games only)."""
-    a, b = _payoff_matrices(g)
+    a, b = g.payoffs
     s0 = tuple(i for i, p in enumerate(profile[0]) if p > support_tol)
     s1 = tuple(j for j, p in enumerate(profile[1]) if p > support_tol)
     if not s0 or not s1:

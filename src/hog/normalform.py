@@ -3,19 +3,26 @@
 Each round becomes a player whose moves are contingent strategies (dense
 history -> move tables), the outcome function evaluates the original game on
 the strategic play, and each round's quantifier is lifted so that membership
-only consults the outcomes of constant contingent strategies. Optimal
+only consults the outcomes of constant contingent strategies. The normal
+form is materialised as one dense outcome tensor over contingent-strategy
+profiles only by to_normal_form; check_soundness reads the sequential
+tensor directly. Optimal
 strategies of the sequential game are equilibria of its normal form; the
 converse fails (equilibria may rest on non-credible off-path behaviour).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .budget import resolve_budget
 from .core import OutcomeTable, Quantifier
 from .errors import BudgetExceededError, StructuralError
-from .sequential import SeqStrategy, SequentialGame, extend_with_strategy
+from .sequential import (SeqStrategy, SequentialGame, deviation_table,
+                         extend_with_strategy, histories)
 from .simultaneous import SimultaneousGame
 
 
@@ -115,7 +122,6 @@ def contingent_label(cms: ContingentMoveSet, g: SequentialGame, index: int) -> s
     if i == 0:
         listing = g.moves[0][table[0]]
     else:
-        from .sequential import histories
         parts = []
         for hist, move in zip(histories(g.move_counts[:i]), table):
             hist_txt = "".join(g.moves[j][h] for j, h in enumerate(hist))
@@ -124,35 +130,42 @@ def contingent_label(cms: ContingentMoveSet, g: SequentialGame, index: int) -> s
     return f"{index}:{listing}"
 
 
-def to_normal_form(g: SequentialGame, budget: int | None = None) -> SimultaneousGame:
-    """The simultaneous game whose players are the rounds and whose moves are
-    contingent strategies, with a single shared outcome function. Refuses
-    when the summed move-set sizes or the profile space exceed the budget."""
-    sets = contingent_move_sets(g)
+def _check_budget(sets: list[ContingentMoveSet], budget: int | None) -> None:
+    """Refuse when the summed move-set sizes or the profile space exceed the
+    budget."""
     limit = resolve_budget(budget)
     total_moves = sum(c.size for c in sets)
     if total_moves > limit:
         raise BudgetExceededError(total_moves, limit, "contingent moves")
-    profile_space = 1
-    for c in sets:
-        profile_space *= c.size
+    profile_space = math.prod(c.size for c in sets)
     if profile_space > limit:
         raise BudgetExceededError(profile_space, limit, "normal-form profiles")
 
-    # Materialise every contingent strategy up front so moves have decidable
-    # equality and a fixed enumeration order.
-    decoded = [c.all_tables() for c in sets]
 
-    def outcome(profile):
-        strategy = tuple(decoded[i][k] for i, k in enumerate(profile))
-        return g.outcome(extend_with_strategy(g, strategy, ()))
-
+def to_normal_form(g: SequentialGame, budget: int | None = None) -> SimultaneousGame:
+    """The simultaneous game whose players are the rounds and whose moves are
+    contingent strategies, with a single shared outcome tensor. Refuses
+    when the summed move-set sizes or the profile space exceed the budget."""
+    sets = contingent_move_sets(g)
+    _check_budget(sets, budget)
+    # Play the strategic play of every profile at once: ``play`` is, per
+    # profile, the mixed-radix index of the history so far, and round i's
+    # move is the digit of its contingent index at that history (first
+    # history most significant).
+    grid = np.ix_(*(np.arange(c.size) for c in sets))
+    play = np.zeros((1,) * len(sets), dtype=np.int64)
+    for c, index in zip(sets, grid):
+        digit = c.history_count - 1 - play
+        play = play * c.base_move_count + (
+            index // c.base_move_count ** digit) % c.base_move_count
+    outcomes = g.payoffs.reshape(-1, *g.payoffs.shape[g.rounds:])[play]
+    outcomes.setflags(write=False)
     labels = tuple(
         tuple(contingent_label(c, g, k) for k in range(c.size)) for c in sets
     )
     return SimultaneousGame(
         moves=labels,
-        outcome_fns=tuple(outcome for _ in sets),
+        payoffs=np.broadcast_to(outcomes, (len(sets), *outcomes.shape)),
         quantifiers=tuple(
             lift_round_quantifier(g.quantifiers[i], c)
             for i, c in enumerate(sets)
@@ -181,8 +194,19 @@ def check_soundness(g: SequentialGame, strategy: SeqStrategy, tol: float = 0.0,
                     budget: int | None = None) -> bool:
     """Whether the strategy, reinterpreted as a pure profile of the normal
     form, is a generalised Nash equilibrium there. Implied by optimality of
-    the strategy; not conversely."""
-    from .simultaneous import is_generalised_nash
+    the strategy; not conversely.
 
-    nf = to_normal_form(g, budget)
-    return is_generalised_nash(nf, strategy_to_profile(g, strategy), tol)
+    The normal form is not built. Each round's lifted quantifier reads only
+    the constant contingent strategies, and deviating to the constant x
+    replays the strategy's on-path history up to that round, then x, then
+    the strategy: the one-round deviation table at the on-path history. The
+    budget refusal is that of to_normal_form."""
+    _check_budget(contingent_move_sets(g), budget)
+    strategy = g.validate_strategy(strategy)
+    play = extend_with_strategy(g, strategy, ())
+    outcomes = g.play_outcomes()
+    for i in range(g.rounds):
+        table = deviation_table(g, strategy, play[:i], outcomes)
+        if not g.quantifiers[i].contains(table, table[play[i]], tol):
+            return False
+    return True

@@ -7,19 +7,24 @@ round's selection at every history yields a strategy that is optimal after
 every history (the subgame-perfect analogue).
 
 History tables are dense arrays in mixed-radix order over the preceding move
-sets, first round most significant.
+sets, first round most significant. The outcome function is stored as one
+read-only float64 array ``payoffs`` of shape ``move_counts``, with a trailing
+axis for vector outcomes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .budget import check_budget
-from .core import OutcomeTable, Quantifier, SelectionFunction
+from .core import OutcomeTable, Quantifier, SelectionFunction, as_outcome
 from .errors import StructuralError
-from .simultaneous import default_move_labels
+from .simultaneous import default_move_labels, flat_tensor, payoff_array
 
 Play = tuple[int, ...]
 # Strategy: per round, a dense move table indexed by history (mixed-radix).
@@ -40,14 +45,14 @@ def histories(sizes: Sequence[int]):
     return itertools.product(*(range(s) for s in sizes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequentialGame:
-    """n rounds, per-round move sets, a single outcome function on full
+    """n rounds, per-round move sets, a single outcome tensor over full
     plays, and per-round quantifier/selection pairs (each selection is
     expected to attain its quantifier)."""
 
     moves: tuple[tuple[str, ...], ...]
-    outcome_fn: Callable
+    payoffs: np.ndarray
     quantifiers: tuple[Quantifier, ...]
     selections: tuple[SelectionFunction, ...]
 
@@ -62,6 +67,8 @@ class SequentialGame:
             raise StructuralError(
                 "quantifiers and selections must have one entry per round"
             )
+        object.__setattr__(self, "payoffs", payoff_array(
+            self.payoffs, self.move_counts, "payoffs"))
 
     @classmethod
     def from_tensor(cls, move_counts: Sequence[int], payoffs: Sequence[float],
@@ -70,18 +77,7 @@ class SequentialGame:
                     moves: Sequence[Sequence[str]] | None = None) -> "SequentialGame":
         """Build from a dense row-major payoff tensor over plays."""
         counts = tuple(int(c) for c in move_counts)
-        size = 1
-        for c in counts:
-            size *= c
-        flat = tuple(payoffs)
-        if len(flat) != size:
-            raise StructuralError(
-                f"payoff tensor has {len(flat)} entries, expected {size}"
-            )
-
-        def fn(play: Play):
-            return flat[history_index(counts, play)]
-
+        tensor = flat_tensor(payoffs, counts, "payoff tensor")
         if moves is None:
             moves = tuple(default_move_labels(c) for c in counts)
         else:
@@ -89,7 +85,7 @@ class SequentialGame:
             for ms, c in zip(moves, counts):
                 if len(ms) != c:
                     raise StructuralError("move labels must match move counts")
-        return cls(moves=moves, outcome_fn=fn,
+        return cls(moves=moves, payoffs=tensor,
                    quantifiers=tuple(quantifiers), selections=tuple(selections))
 
     @property
@@ -102,16 +98,18 @@ class SequentialGame:
 
     def history_count(self, i: int) -> int:
         """Number of histories before round i."""
-        n = 1
-        for c in self.move_counts[:i]:
-            n *= c
-        return n
+        return math.prod(self.move_counts[:i])
 
     def play_count(self) -> int:
         return self.history_count(self.rounds)
 
     def outcome(self, play: Play):
-        return self.outcome_fn(tuple(play))
+        return as_outcome(self.payoffs[tuple(play)])
+
+    def play_outcomes(self) -> list:
+        """Outcomes of all plays in mixed-radix play order, as a Python list
+        that hot loops index by ``history_index``."""
+        return self.payoffs.reshape(-1, *self.payoffs.shape[self.rounds:]).tolist()
 
     def validate_strategy(self, strategy: Sequence[Sequence[int]]) -> SeqStrategy:
         strategy = tuple(tuple(t) for t in strategy)
@@ -158,6 +156,18 @@ def strategic_play(g: SequentialGame, strategy: Sequence[Sequence[int]]) -> Play
     return extend_with_strategy(g, strategy, ())
 
 
+def deviation_table(g: SequentialGame, strategy: SeqStrategy,
+                    prefix: Sequence[int], outcomes: list) -> OutcomeTable:
+    """Outcomes of the one-round deviations at the history ``prefix``, each
+    continued by the strategy; ``outcomes`` is ``g.play_outcomes()``."""
+    sizes = g.move_counts
+    return OutcomeTable([
+        outcomes[history_index(
+            sizes, extend_with_strategy(g, strategy, tuple(prefix) + (x,)))]
+        for x in range(sizes[len(prefix)])
+    ])
+
+
 def is_optimal_strategy(g: SequentialGame, strategy: Sequence[Sequence[int]],
                         tol: float = 0.0, budget: int | None = None) -> bool:
     """True iff after every partial history, the outcome of following the
@@ -167,15 +177,12 @@ def is_optimal_strategy(g: SequentialGame, strategy: Sequence[Sequence[int]],
     sizes = g.move_counts
     total = sum(g.history_count(i) * sizes[i] for i in range(g.rounds))
     check_budget(total, budget, "optimality checks")
+    outcomes = g.play_outcomes()
     for i in range(g.rounds):
         phi = g.quantifiers[i]
-        for prefix in histories(sizes[:i]):
-            value = g.outcome(extend_with_strategy(g, strategy, prefix))
-            entries = [
-                g.outcome(extend_with_strategy(g, strategy, prefix + (x,)))
-                for x in range(sizes[i])
-            ]
-            if not phi.contains(OutcomeTable(entries), value, tol):
+        for h, prefix in enumerate(histories(sizes[:i])):
+            table = deviation_table(g, strategy, prefix, outcomes)
+            if not phi.contains(table, table[strategy[i][h]], tol):
                 return False
     return True
 
@@ -201,14 +208,17 @@ def compute_optimal_play(g: SequentialGame, budget: int | None = None) -> Play:
     """The play computed by the right-nested iterated product of the
     per-round selections applied to the outcome function."""
     check_budget(g.play_count(), budget, "plays")
+    sizes = g.move_counts
+    outcomes = g.play_outcomes()
 
     def solve(prefix: Play) -> Play:
         i = len(prefix)
         if i == g.rounds:
             return ()
-        tails = [solve(prefix + (x,)) for x in range(g.move_counts[i])]
+        tails = [solve(prefix + (x,)) for x in range(sizes[i])]
         table = OutcomeTable([
-            g.outcome(prefix + (x,) + tail) for x, tail in enumerate(tails)
+            outcomes[history_index(sizes, prefix + (x,) + tail)]
+            for x, tail in enumerate(tails)
         ])
         a = g.selections[i].select(table)
         return (a,) + tails[a]
@@ -224,6 +234,7 @@ def compute_optimal_strategy(g: SequentialGame,
     sizes = g.move_counts
     total = sum(g.history_count(i) * sizes[i] for i in range(g.rounds))
     check_budget(total, budget, "histories")
+    outcomes = g.play_outcomes()
     tables: list[tuple[int, ...]] = [()] * g.rounds
     partial: list[tuple[int, ...]] = [()] * g.rounds
 
@@ -237,7 +248,8 @@ def compute_optimal_strategy(g: SequentialGame,
         choices = []
         for prefix in histories(sizes[:i]):
             table = OutcomeTable([
-                g.outcome(continuation(prefix + (x,))) for x in range(sizes[i])
+                outcomes[history_index(sizes, continuation(prefix + (x,)))]
+                for x in range(sizes[i])
             ])
             choices.append(g.selections[i].select(table))
         tables[i] = tuple(choices)

@@ -5,16 +5,23 @@ profiles, and a quantifier over their own moves. A profile is an equilibrium
 when every player's realized outcome is acceptable to their quantifier on the
 table of their unilateral deviations. With max quantifiers and scalar
 outcomes this is exactly the classical Nash condition.
+
+Outcome functions are stored as one read-only float64 array ``payoffs`` of
+shape ``(players, *move_counts)``, with a trailing axis for vector outcomes;
+``payoffs[i][profile]`` is player i's outcome at ``profile``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .budget import check_budget
-from .core import Outcome, OutcomeTable, Quantifier
+from .core import Outcome, OutcomeTable, Quantifier, as_outcome
 from .errors import StructuralError
 
 PureProfile = tuple[int, ...]
@@ -28,14 +35,43 @@ def default_move_labels(count: int) -> tuple[str, ...]:
     return tuple(f"m{i}" for i in range(count))
 
 
-@dataclass(frozen=True)
+def payoff_array(values, counts: tuple[int, ...], what: str) -> np.ndarray:
+    """``values`` as a read-only float64 array of shape ``counts`` plus at
+    most one trailing axis of vector outcomes. Read-only arrays are shared,
+    anything else is copied."""
+    arr = np.asarray(values, dtype=float)
+    k = len(counts)
+    if arr.shape[:k] != counts or arr.ndim > k + 1 or 0 in arr.shape[k:]:
+        raise StructuralError(f"{what} has shape {arr.shape}, expected "
+                              f"{counts} plus an optional outcome axis")
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
+def flat_tensor(tensor, counts: tuple[int, ...], what: str) -> np.ndarray:
+    """A copy of a dense row-major tensor (first coordinate most significant)
+    reshaped to ``counts``; vector outcomes keep a trailing axis."""
+    size = math.prod(counts)
+    if len(tensor) != size:
+        raise StructuralError(f"{what} has {len(tensor)} entries, expected {size}")
+    try:
+        arr = np.array(tensor, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"{what}: {exc}")
+    return arr.reshape(counts + arr.shape[1:])
+
+
+@dataclass(frozen=True, eq=False)
 class SimultaneousGame:
-    """Finite simultaneous game with per-player outcome functions and
-    quantifiers. ``single_outcome_space`` flags that all outcome functions
-    coincide (as normal forms of sequential games do)."""
+    """Finite simultaneous game with per-player payoff tensors and
+    quantifiers. ``single_outcome_space`` flags that all players share one
+    outcome tensor (as normal forms of sequential games do); ``payoffs`` is
+    then a zero-copy broadcast of it."""
 
     moves: tuple[tuple[str, ...], ...]
-    outcome_fns: tuple[Callable, ...]
+    payoffs: np.ndarray
     quantifiers: tuple[Quantifier, ...]
     players: tuple[str, ...] = ()
     single_outcome_space: bool = False
@@ -47,10 +83,12 @@ class SimultaneousGame:
             if not ms:
                 raise StructuralError(f"player {i} has an empty move set")
         n = len(self.moves)
-        if len(self.outcome_fns) != n or len(self.quantifiers) != n:
+        if len(self.quantifiers) != n:
             raise StructuralError(
-                "moves, outcome_fns and quantifiers must have one entry per player"
+                "moves and quantifiers must have one entry per player"
             )
+        object.__setattr__(self, "payoffs", payoff_array(
+            self.payoffs, (n, *self.move_counts), "payoffs"))
         if not self.players:
             object.__setattr__(self, "players", _default_players(n))
         elif len(self.players) != n:
@@ -66,20 +104,20 @@ class SimultaneousGame:
         """Build a game from dense row-major payoff tensors, one per player
         (the first player's move varies slowest)."""
         counts = tuple(int(c) for c in move_counts)
-        size = 1
-        for c in counts:
-            size *= c
-        fns = []
-        for i, tensor in enumerate(payoffs):
-            flat = tuple(tensor)
-            if len(flat) != size:
-                raise StructuralError(
-                    f"payoff tensor for player {i} has {len(flat)} entries, "
-                    f"expected {size}"
-                )
-            fns.append(_tensor_fn(flat, counts))
-        if len(fns) != len(counts):
+        if len(payoffs) != len(counts):
             raise StructuralError("need one payoff tensor per player")
+        tensors = [
+            flat_tensor(t, counts, f"payoff tensor for player {i}")
+            for i, t in enumerate(payoffs)
+        ]
+        if single_outcome_space:
+            if any(not np.array_equal(t, tensors[0], equal_nan=True)
+                   for t in tensors[1:]):
+                raise StructuralError(
+                    "a single outcome space needs identical payoff tensors")
+            stacked = np.broadcast_to(tensors[0], (len(counts), *tensors[0].shape))
+        else:
+            stacked = np.stack(tensors)
         if moves is None:
             moves = tuple(default_move_labels(c) for c in counts)
         else:
@@ -87,7 +125,7 @@ class SimultaneousGame:
             for ms, c in zip(moves, counts):
                 if len(ms) != c:
                     raise StructuralError("move labels must match move counts")
-        return cls(moves=moves, outcome_fns=tuple(fns),
+        return cls(moves=moves, payoffs=stacked,
                    quantifiers=tuple(quantifiers),
                    players=tuple(players) if players else (),
                    single_outcome_space=single_outcome_space)
@@ -101,17 +139,14 @@ class SimultaneousGame:
         return tuple(len(ms) for ms in self.moves)
 
     def profile_count(self) -> int:
-        n = 1
-        for c in self.move_counts:
-            n *= c
-        return n
+        return math.prod(self.move_counts)
 
     def profiles(self):
         """All pure profiles in lexicographic order."""
         return itertools.product(*(range(c) for c in self.move_counts))
 
     def outcome(self, i: int, profile: PureProfile) -> Outcome:
-        return self.outcome_fns[i](tuple(profile))
+        return as_outcome(self.payoffs[(i, *profile)])
 
     def validate_profile(self, profile: Sequence[int]) -> PureProfile:
         profile = tuple(profile)
@@ -125,32 +160,12 @@ class SimultaneousGame:
         return profile
 
 
-def _tensor_fn(flat: tuple, counts: tuple[int, ...]) -> Callable:
-    strides = []
-    acc = 1
-    for c in reversed(counts):
-        strides.append(acc)
-        acc *= c
-    strides = tuple(reversed(strides))
-
-    def fn(profile: PureProfile):
-        idx = 0
-        for m, s in zip(profile, strides):
-            idx += m * s
-        return flat[idx]
-
-    return fn
-
-
 def unilateral_map(g: SimultaneousGame, i: int, profile: PureProfile) -> OutcomeTable:
     """Table of player i's outcomes under unilateral deviations from
     ``profile``; the entry at the profile's own move is the realized outcome."""
     profile = g.validate_profile(profile)
-    entries = []
-    for x in range(g.move_counts[i]):
-        deviated = profile[:i] + (x,) + profile[i + 1:]
-        entries.append(g.outcome(i, deviated))
-    return OutcomeTable(entries)
+    return OutcomeTable(g.payoffs[(i, *profile[:i], slice(None),
+                                   *profile[i + 1:])].tolist())
 
 
 def is_generalised_nash(g: SimultaneousGame, profile: PureProfile,

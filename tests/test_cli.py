@@ -90,7 +90,7 @@ def test_solve_mixed_matching_pennies(capsys, games_dir, tmp_path):
 
 def test_solve_mixed_exit_5_when_theorem_contradicted(capsys, games_dir, monkeypatch):
     monkeypatch.setattr(hog.mixed, "solve_support_enumeration_2p",
-                        lambda g, tol: [])
+                        lambda g, tol, budget=None: [])
     code, _, err = run(capsys, [
         "solve", str(games_dir / "matching_pennies.json"), "--mode", "mixed",
     ])
@@ -162,6 +162,17 @@ def test_budget_exit_4(capsys, games_dir):
     ])
     assert code == 4
     assert "exceeds budget" in err
+
+
+def test_support_enumeration_budget_exit_4(capsys, games_dir):
+    # Matching pennies has (2^2 - 1)(2^2 - 1) = 9 support pairs.
+    code, out, err = run(capsys, [
+        "solve", str(games_dir / "matching_pennies.json"), "--mode", "mixed",
+        "--budget", "1",
+    ])
+    assert code == 4
+    assert "exceeds budget" in err
+    assert out == ""
 
 
 def test_fuzz_small_run_passes_and_writes_corpus(capsys, tmp_path):

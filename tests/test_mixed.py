@@ -6,8 +6,9 @@ import pytest
 from hog.core import (argmax_selection, argmin_selection,
                       constant_selection, eps_ball_quantifier, max_quantifier,
                       min_quantifier, nearest_mean_selection,
-                      average_quantifier, OutcomeTable)
-from hog.errors import StructuralError
+                      average_quantifier, OutcomeTable, as_outcome,
+                      outcome_distance)
+from hog.errors import BudgetExceededError, StructuralError
 from hog.fuzz import random_max_game
 from hog.mixed import (expected_outcome, is_mixed_nash, lift_selection,
                        mixed_profile, mixed_strategy, mixed_unilateral_table,
@@ -133,6 +134,51 @@ def _random_simplex(rng, n):
     return np.array(parts)
 
 
+def _reference_expected_outcome(g, i, profile):
+    """Slow oracle: the probability-weighted sum over every pure profile,
+    accumulated one profile at a time in lexicographic order."""
+    acc = None
+    for pure in g.profiles():
+        weight = 1.0
+        for strat, move in zip(profile, pure):
+            weight *= strat[move]
+        value = as_outcome(g.outcome(i, pure))
+        if isinstance(value, float):
+            acc = weight * value if acc is None else acc + weight * value
+        else:
+            term = tuple(weight * v for v in value)
+            acc = term if acc is None else tuple(x + y for x, y in zip(acc, term))
+    return acc
+
+
+def test_expected_outcome_and_deviation_table_match_reference_loop():
+    rng = random.Random(4711)
+    games = [
+        random_max_game(rng, players=rng.randint(1, 3), max_moves=3,
+                        min_moves=1)
+        for _ in range(30)
+    ]
+    vectors = [[(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(6)]
+               for _ in range(2)]
+    games.append(SimultaneousGame.from_tensors(
+        [2, 3], vectors, [eps_ball_quantifier(0, 1.0)] * 2))
+    for g in games:
+        for _ in range(3):
+            prof = mixed_profile(
+                g, [_random_simplex(rng, c) for c in g.move_counts])
+            for i in range(g.num_players):
+                assert outcome_distance(
+                    expected_outcome(g, i, prof),
+                    _reference_expected_outcome(g, i, prof)) <= 1e-12
+                table = mixed_unilateral_table(g, i, prof)
+                for x in range(g.move_counts[i]):
+                    deviated = (prof[:i] + (vertex(g.move_counts[i], x),)
+                                + prof[i + 1:])
+                    assert outcome_distance(
+                        table[x],
+                        _reference_expected_outcome(g, i, deviated)) <= 1e-12
+
+
 def test_is_mixed_nash_matching_pennies():
     g = matching_pennies()
     assert is_mixed_nash(g, mixed_profile(g, [[0.5, 0.5], [0.5, 0.5]]), 1e-9)
@@ -204,6 +250,15 @@ def test_support_enumeration_requires_max_quantifiers():
     )
     with pytest.raises(StructuralError):
         solve_support_enumeration_2p(g)
+
+
+def test_support_enumeration_budget_counts_support_pairs():
+    # 3x3: (2^3 - 1)(2^3 - 1) = 49 support pairs.
+    g = rock_paper_scissors()
+    with pytest.raises(BudgetExceededError) as err:
+        solve_support_enumeration_2p(g, budget=48)
+    assert err.value.count == 49
+    assert len(solve_support_enumeration_2p(g, budget=49)) == 1
 
 
 def test_solver_outputs_certified():

@@ -105,6 +105,35 @@ def test_soundness_on_random_games():
         assert check_soundness(g, strategy)
 
 
+def test_direct_soundness_matches_normal_form_oracle():
+    # Oracle: materialise the normal form and check the strategy's profile
+    # there. 3 rounds of 3 moves need 3 * 27 * 19683 profiles.
+    budget = 2_000_000
+    rng = random.Random(1729)
+    games = [random_sequential_game(rng, max_rounds=3, max_moves=3)
+             for _ in range(25)]
+    games.append(SequentialGame.from_tensor(
+        [3, 3, 3], [rng.randint(-9, 9) for _ in range(27)],
+        [max_quantifier()] * 3, [argmax_selection()] * 3))
+    rejected = 0
+    for g in games:
+        nf = to_normal_form(g, budget)
+        strategies = [compute_optimal_strategy(g)] + [
+            tuple(
+                tuple(rng.randrange(g.move_counts[i])
+                      for _ in range(g.history_count(i)))
+                for i in range(g.rounds)
+            )
+            for _ in range(4)
+        ]
+        for strategy in strategies:
+            direct = check_soundness(g, strategy, budget=budget)
+            assert direct == is_generalised_nash(
+                nf, strategy_to_profile(g, strategy))
+            rejected += not direct
+    assert rejected > 0
+
+
 def test_converse_failure_witness(games_dir):
     document = load_game(games_dir / "threat_game.json")
     g = document.game

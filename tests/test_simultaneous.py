@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hog.core import eps_ball_quantifier, max_quantifier
@@ -174,11 +175,10 @@ def test_vector_outcomes_with_eps_ball():
     # Outcome vectors compare by max-abs distance; the ball around the
     # outcome at move 0 accepts the realized pair iff every coordinate is
     # within the radius.
-    outcomes = {(0,): (1.0, 2.0), (1,): (1.3, 2.4), (2,): (5.0, 2.0)}
-    g = SimultaneousGame(
-        moves=(("a", "b", "c"),),
-        outcome_fns=(lambda pi: outcomes[pi],),
-        quantifiers=(eps_ball_quantifier(0, 0.5),),
+    outcomes = [(1.0, 2.0), (1.3, 2.4), (5.0, 2.0)]
+    g = SimultaneousGame.from_tensors(
+        [3], [outcomes], [eps_ball_quantifier(0, 0.5)],
+        moves=[("a", "b", "c")],
     )
     assert is_generalised_nash(g, (0,))
     assert is_generalised_nash(g, (1,))
@@ -189,7 +189,7 @@ def test_validation_errors():
     with pytest.raises(StructuralError):
         SimultaneousGame.from_tensors([2, 2], [[1, 2, 3]], [max_quantifier()] * 2)
     with pytest.raises(StructuralError):
-        SimultaneousGame(moves=(), outcome_fns=(), quantifiers=())
+        SimultaneousGame(moves=(), payoffs=np.zeros(0), quantifiers=())
     g = matching_pennies()
     with pytest.raises(StructuralError):
         is_generalised_nash(g, (0, 2))
