@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, StructuralError
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -22,7 +22,10 @@ def resolve_budget(budget: int | None = None) -> int:
         return int(budget)
     env = os.environ.get(ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise StructuralError(f"{ENV_VAR} must be an integer, got {env!r}")
     return DEFAULT_BUDGET
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -352,6 +353,26 @@ def _failure_document(failure) -> dict:
     return _game_document(failure.family, failure.game)
 
 
+def _finite_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not an integer >= 1: {raw!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hog",
@@ -362,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, game_arg: bool = True):
         if game_arg:
             p.add_argument("game", help="path to a game file (JSON)")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_finite_float, default=None,
                        help="membership tolerance (default from file, else 1e-9)")
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration budget (default 10^6 or HOG_BUDGET)")
@@ -382,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_solve)
     p_solve.add_argument("--mode", required=True,
                          choices=["pure", "mixed", "seq", "bbc", "normal-form"])
-    p_solve.add_argument("--grid-depth", type=int, default=None,
+    p_solve.add_argument("--grid-depth", type=_positive_int, default=None,
                          help="simplex grid denominator for the generic solver")
     p_solve.set_defaults(fn=cmd_solve)
 

@@ -14,6 +14,8 @@ threads.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
@@ -273,9 +275,11 @@ def eps_ball_quantifier(center_move: MoveId, radius: float) -> Quantifier:
     """Acceptable outcomes are those within ``radius`` of the outcome at
     ``center_move`` (closed ball; membership at tolerance tol widens the
     radius by tol)."""
-    if radius <= 0:
-        raise StructuralError("eps_ball radius must be > 0")
-    if center_move < 0:
+    if (isinstance(radius, bool) or not isinstance(radius, numbers.Real)
+            or not math.isfinite(radius) or radius <= 0):
+        raise StructuralError("eps_ball radius must be a finite number > 0")
+    if (isinstance(center_move, bool)
+            or not isinstance(center_move, numbers.Integral) or center_move < 0):
         raise StructuralError("eps_ball center must be a valid move id")
 
     def contains(p: OutcomeTable, r, tol: float) -> bool:

@@ -128,8 +128,18 @@ def _check_tensor(tensor, size: int, fieldname: str) -> list[float]:
     for v in tensor:
         _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
                 "tensor entries must be numbers", fieldname)
+        _expect(_finite(v), "tensor entries must be finite", fieldname)
         out.append(float(v))
     return out
+
+
+def _finite(v: int | float) -> bool:
+    """Whether a parsed JSON number is a finite float: Python's json reads
+    NaN, Infinity and -Infinity, and integers too large for a float."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _parse_move_labels(raw, fieldname: str) -> tuple[tuple[str, ...], ...]:
@@ -147,6 +157,14 @@ def _parse_params(doc: dict) -> dict:
     params = _get(doc, "params", dict, required=False, default={})
     unknown = set(params) - _PARAM_KEYS
     _expect(not unknown, f"unknown solver parameters {sorted(unknown)}", "params")
+    for key, value in params.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if key == "tol":
+            _expect(number and _finite(value), "must be a finite number",
+                    f"params.{key}")
+        else:
+            _expect(number and _finite(value) and float(value).is_integer(),
+                    "must be an integer", f"params.{key}")
     return dict(params)
 
 

@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .budget import check_budget
-from .core import OutcomeTable, Quantifier, SelectionFunction, as_outcome
+from .core import (OutcomeTable, Quantifier, QuantifierKind,
+                   SelectionFunction, as_outcome)
 from .errors import StructuralError
 from .sequential import selection_product
 from .simultaneous import (SimultaneousGame, default_move_labels, flat_tensor,
@@ -96,13 +97,25 @@ def bbc(stage: TwoPlayerStage) -> tuple[int, int]:
     return a, b
 
 
+# Outer quantifier kind -> (choice at the checked move, choice elsewhere)
+# of the worst reply function.
+_WORST_CASE = {QuantifierKind.MAX: (min, max), QuantifierKind.MIN: (max, min)}
+
+
 def is_psi_phi_profile(stage: TwoPlayerStage, pair: tuple[int, int],
                        tol: float = 0.0, budget: int | None = None) -> bool:
     """Verify reply-robustness of (a, b): a's outcome must be acceptable to
     the first quantifier against every reply function admitted pointwise by
     the second quantifier, and symmetrically for b. Admissibility is
-    pointwise, so reply functions are enumerated as a product of per-move
-    acceptable sets (vacuously true when some move has no acceptable reply).
+    pointwise, so the reply functions form a product of per-move acceptable
+    sets (vacuously true when some move has no acceptable reply).
+
+    When the outer quantifier is max or min and outcomes are scalar, the
+    worst reply function of that product decides: for max, the checked
+    move's coordinate takes its lowest acceptable outcome and every other
+    coordinate its highest (min is the mirror image). Rounding is monotone,
+    so this is exact. Other outer quantifiers enumerate the product, and
+    only what is enumerated counts against the budget.
     """
     a, b = pair
     nx, ny = stage.shape
@@ -110,31 +123,35 @@ def is_psi_phi_profile(stage: TwoPlayerStage, pair: tuple[int, int],
         raise StructuralError(f"pair {pair} outside {nx}x{ny} stage")
     phi, psi = stage.quantifiers
     q = stage.payoff.tolist()
+    cols = [list(col) for col in zip(*q)]
 
-    row_tables = [OutcomeTable(row) for row in q]
-    a_choices = [
-        [y for y in range(ny) if psi.contains(row_tables[x], q[x][y], tol)]
-        for x in range(nx)
-    ]
-    col_tables = [OutcomeTable(col) for col in zip(*q)]
-    b_choices = [
-        [x for x in range(nx) if phi.contains(col_tables[y], q[x][y], tol)]
-        for y in range(ny)
-    ]
+    # The outcomes each reply function may put at each coordinate of the
+    # composed table: a's check composes with psi's replies along rows,
+    # b's with phi's replies along columns.
+    scalar = stage.payoff.ndim == 2
+    sides = []
+    for outer, inner, lines, move in ((phi, psi, q, a), (psi, phi, cols, b)):
+        values = []
+        for line in lines:
+            table = OutcomeTable(line)
+            values.append([r for r in line if inner.contains(table, r, tol)])
+        if all(values):
+            worst = scalar and outer.kind in _WORST_CASE
+            sides.append((outer, values, move, worst))
 
-    total = sum(math.prod(len(c) for c in choices)
-                for choices in (a_choices, b_choices) if all(choices))
-    check_budget(total, budget, "reply functions")
+    check_budget(sum(math.prod(map(len, values))
+                     for _, values, _, worst in sides if not worst),
+                 budget, "reply functions")
 
-    if all(a_choices):
-        for f in itertools.product(*a_choices):
-            table = OutcomeTable([q[x][f[x]] for x in range(nx)])
-            if not phi.contains(table, q[a][f[a]], tol):
-                return False
-    if all(b_choices):
-        for gfun in itertools.product(*b_choices):
-            table = OutcomeTable([q[gfun[y]][y] for y in range(ny)])
-            if not psi.contains(table, q[gfun[b]][b], tol):
+    for outer, values, move, worst in sides:
+        if worst:
+            own, rest = _WORST_CASE[outer.kind]
+            tables = [[own(v) if x == move else rest(v)
+                       for x, v in enumerate(values)]]
+        else:
+            tables = itertools.product(*values)
+        for table in tables:
+            if not outer.contains(OutcomeTable(table), table[move], tol):
                 return False
     return True
 

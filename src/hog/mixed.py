@@ -9,6 +9,15 @@ stand-ins for the existence theorem: support enumeration (2-player, max
 quantifiers) and a certified grid search; every returned profile passes
 is_mixed_nash. Expected outcomes and deviation tables are einsum
 contractions of the game's payoff tensor with the strategies.
+
+Support enumeration solves the indifference systems of one support shape
+in stacks, not one system at a time: square shapes by one batched exact
+solve (pair by pair when a stack holds a singular system), rectangular
+shapes by a stacked least-squares screen of the overdetermined side, so
+that only pairs that may be consistent are solved pair by pair. A
+vectorised regret screen drops candidates that are clearly not equilibria.
+The screens only discard; every profile returned is still built by
+mixed_profile and certified by is_mixed_nash, in enumeration order.
 """
 
 from __future__ import annotations
@@ -153,6 +162,37 @@ def support_enumeration_applies(g: SimultaneousGame) -> bool:
             and all(phi.kind is QuantifierKind.MAX for phi in g.quantifiers))
 
 
+_RESIDUAL_TOL = 1e-7
+# Systems per stacked linear-algebra call: bounds memory whatever the budget.
+_STACK = 1 << 15
+# Margin by which the stacked least-squares screen widens the residual and
+# probability thresholds, far above the rounding gap between its QR and
+# pseudo-inverse and the per-pair lstsq that decides.
+_SCREEN_MARGIN = 1e-6
+
+
+def _indifference_systems(payoff: np.ndarray, own: np.ndarray,
+                          other: np.ndarray) -> np.ndarray:
+    """The indifference systems of a stack of support pairs: ``own`` is an
+    (N, k) and ``other`` an (N, l) array of move ids. Row j of system n
+    reads sum_i p_i * payoff[own[n, i], other[n, j]] - v = 0; the last row
+    is sum_i p_i = 1. The right-hand side is the last unit vector."""
+    n, k = own.shape
+    l = other.shape[1]
+    mats = np.zeros((n, l + 1, k + 1))
+    mats[:, :l, :k] = payoff[own[:, None, :], other[:, :, None]]
+    mats[:, :l, k] = -1.0
+    mats[:, l, :k] = 1.0
+    return mats
+
+
+def _residual(mats: np.ndarray, sols: np.ndarray) -> np.ndarray:
+    """max |mats[n] @ sols[n] - e_last| for every system of a stack."""
+    res = np.matmul(mats, sols[..., None])[..., 0]
+    res[:, -1] -= 1.0
+    return np.abs(res).max(axis=1)
+
+
 def _indifference_solve(payoff: np.ndarray, own: tuple[int, ...],
                         other: tuple[int, ...]) -> np.ndarray | None:
     """Solve for the probabilities on ``own`` that equalize the opponent's
@@ -166,16 +206,11 @@ def _indifference_solve(payoff: np.ndarray, own: tuple[int, ...],
     Square systems use an exact solve; rectangular or singular ones fall back
     to least squares and are accepted only when the residual vanishes.
     """
-    k, l = len(own), len(other)
-    mat = np.zeros((l + 1, k + 1))
-    rhs = np.zeros(l + 1)
-    for row, j in enumerate(other):
-        for col, i in enumerate(own):
-            mat[row, col] = payoff[i, j]
-        mat[row, k] = -1.0
-    mat[l, :k] = 1.0
-    rhs[l] = 1.0
-    if k == l:
+    k = len(own)
+    mat = _indifference_systems(payoff, np.array([own]), np.array([other]))[0]
+    rhs = np.zeros(len(mat))
+    rhs[-1] = 1.0
+    if mat.shape[0] == mat.shape[1]:
         try:
             sol = np.linalg.solve(mat, rhs)
         except np.linalg.LinAlgError:
@@ -183,11 +218,101 @@ def _indifference_solve(payoff: np.ndarray, own: tuple[int, ...],
             sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     else:
         sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    if np.max(np.abs(mat @ sol - rhs)) > 1e-7:
+    if np.max(np.abs(mat @ sol - rhs)) > _RESIDUAL_TOL:
         logger.debug("inconsistent indifference system for support %s/%s, "
                      "skipped", own, other)
         return None
     return sol[:k]
+
+
+def _pair_by_pair(payoff: np.ndarray, own: np.ndarray,
+                  other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_indifference_solve on each pair of a stack: the probabilities
+    (N, k) and a mask of the solvable pairs."""
+    probs = np.zeros(own.shape)
+    ok = np.zeros(len(own), dtype=bool)
+    for n, (o, t) in enumerate(zip(own.tolist(), other.tolist())):
+        sol = _indifference_solve(payoff, tuple(o), tuple(t))
+        if sol is not None:
+            probs[n] = sol
+            ok[n] = True
+    return probs, ok
+
+
+def _solve_square(payoff: np.ndarray, own: np.ndarray,
+                  other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every square system of a stack in one batched solve, which gives the
+    same bits as one solve per system. A stack holding a singular system is
+    solved pair by pair instead, with _indifference_solve's least-squares
+    fallback."""
+    mats = _indifference_systems(payoff, own, other)
+    rhs = np.zeros(mats.shape[:2] + (1,))
+    rhs[:, -1] = 1.0
+    try:
+        sols = np.linalg.solve(mats, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        logger.debug("singular system in a stack of %d; solving pair by pair",
+                     len(mats))
+        return _pair_by_pair(payoff, own, other)
+    return sols[:, :-1], _residual(mats, sols) <= _RESIDUAL_TOL
+
+
+def _may_be_consistent(payoff: np.ndarray, own: np.ndarray,
+                       other: np.ndarray, tol: float) -> np.ndarray:
+    """Stacked least-squares screen of overdetermined systems (more
+    equations than unknowns): False for pairs whose system is inconsistent
+    or forces a negative probability, with a margin that leaves the
+    decision on every other pair to _indifference_solve."""
+    mats = _indifference_systems(payoff, own, other)
+    # The span of a QR factor's Q contains the column space, rank-deficient
+    # or not, so this residual of the right-hand side (the last unit vector)
+    # never exceeds the least-squares one, whose max-norm
+    # _indifference_solve bounds by _RESIDUAL_TOL.
+    q = np.linalg.qr(mats)[0]
+    res = -np.matmul(q, q[:, -1, :, None])[..., 0]
+    res[:, -1] += 1.0
+    keep = (np.linalg.norm(res, axis=1)
+            <= math.sqrt(mats.shape[1]) * _RESIDUAL_TOL + _SCREEN_MARGIN)
+    # Probabilities of the few consistent systems: the minimum-norm
+    # solution is the pseudo-inverse's last column, with singular values cut
+    # where lstsq(rcond=None) cuts them.
+    idx = np.flatnonzero(keep)
+    sols = np.linalg.pinv(mats[idx], rtol=None)[..., -1]
+    keep[idx] = ~(sols[:, :-1] < -(tol + _SCREEN_MARGIN)).any(axis=1)
+    return keep
+
+
+def _support_pair_stacks(m0: int, m1: int, k: int, l: int):
+    """The support pairs of shape (k, l) in enumeration order (row support
+    outer, column support inner), as move-id arrays (N, k) and (N, l) in
+    stacks of at most _STACK pairs."""
+    rows = np.array(list(itertools.combinations(range(m0), k)))
+    cols = np.array(list(itertools.combinations(range(m1), l)))
+    total = len(rows) * len(cols)
+    for start in range(0, total, _STACK):
+        flat = np.arange(start, min(start + _STACK, total))
+        yield rows[flat // len(cols)], cols[flat % len(cols)]
+
+
+def _scatter(support: np.ndarray, probs: np.ndarray, moves: int) -> np.ndarray:
+    """Full-length strategies with the clipped probabilities on each
+    support."""
+    out = np.zeros((len(support), moves))
+    np.put_along_axis(out, support, np.clip(probs, 0.0, None), axis=1)
+    return out
+
+
+def _regret_screen(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
+                   cols: np.ndarray, bound: float) -> np.ndarray:
+    """Both players' regrets for a stack of candidate profiles in one pass:
+    False where one exceeds ``bound``."""
+    rows = rows / rows.sum(axis=1, keepdims=True)
+    cols = cols / cols.sum(axis=1, keepdims=True)
+    dev0 = cols @ a.T
+    dev1 = rows @ b
+    regret0 = dev0.max(axis=1) - (dev0 * rows).sum(axis=1)
+    regret1 = dev1.max(axis=1) - (dev1 * cols).sum(axis=1)
+    return ~((regret0 > bound) | (regret1 > bound))
 
 
 def _dedupe_sorted(profiles: list[MixedProfile], tol: float) -> list[MixedProfile]:
@@ -211,6 +336,13 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
     result contradicts the existence theorem for such games and is logged as
     a distinguished warning. The (2^m0 - 1)(2^m1 - 1) support pairs are
     checked against the budget before any is enumerated.
+
+    Each support shape (k, l) is solved in stacks: square shapes by one
+    batched exact solve per stack; rectangular shapes by a stacked
+    least-squares screen of the overdetermined side, after which only the
+    surviving pairs are solved, pair by pair. A vectorised regret screen
+    then drops candidates that are clearly not equilibria; the rest are
+    certified one by one, in enumeration order.
     """
     if not support_enumeration_applies(g):
         raise StructuralError(
@@ -219,26 +351,35 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
         )
     if g.payoffs.ndim != 3:
         raise StructuralError("support enumeration requires scalar outcomes")
+    if not np.isfinite(g.payoffs).all():
+        raise StructuralError("support enumeration requires finite payoffs")
     m0, m1 = g.move_counts
     check_budget((2 ** m0 - 1) * (2 ** m1 - 1), budget, "support pairs")
     a, b = g.payoffs
+    # Regret above this cannot pass is_mixed_nash at ``tol``: the slack is
+    # far above the rounding gap between the screen and the certificate.
+    regret_bound = tol + 1e-9 * (1.0 + np.abs(g.payoffs).max())
     found: list[MixedProfile] = []
-    for s0_size in range(1, m0 + 1):
-        for s1_size in range(1, m1 + 1):
-            for s0 in itertools.combinations(range(m0), s0_size):
-                for s1 in itertools.combinations(range(m1), s1_size):
-                    p = _indifference_solve(b, s0, s1)
-                    q = _indifference_solve(a.T, s1, s0)
-                    if p is None or q is None:
-                        continue
-                    if np.any(p < -tol) or np.any(q < -tol):
-                        continue
-                    row = np.zeros(m0)
-                    row[list(s0)] = np.clip(p, 0.0, None)
-                    col = np.zeros(m1)
-                    col[list(s1)] = np.clip(q, 0.0, None)
+    for k in range(1, m0 + 1):
+        for l in range(1, m1 + 1):
+            for s0, s1 in _support_pair_stacks(m0, m1, k, l):
+                if k == l:
+                    p, ok_p = _solve_square(b, s0, s1)
+                    q, ok_q = _solve_square(a.T, s1, s0)
+                else:
+                    over = (b, s0, s1) if l > k else (a.T, s1, s0)
+                    keep = _may_be_consistent(*over, tol)
+                    s0, s1 = s0[keep], s1[keep]
+                    p, ok_p = _pair_by_pair(b, s0, s1)
+                    q, ok_q = _pair_by_pair(a.T, s1, s0)
+                ok = (ok_p & ok_q & ~(p < -tol).any(axis=1)
+                      & ~(q < -tol).any(axis=1))
+                rows = _scatter(s0[ok], p[ok], m0)
+                cols = _scatter(s1[ok], q[ok], m1)
+                screen = _regret_screen(a, b, rows, cols, regret_bound)
+                for n in np.flatnonzero(screen):
                     try:
-                        profile = mixed_profile(g, (row, col))
+                        profile = mixed_profile(g, (rows[n], cols[n]))
                     except StructuralError:
                         continue
                     if is_mixed_nash(g, profile, tol):

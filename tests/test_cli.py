@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import hog.cli
 import hog.fuzz
 import hog.mixed
@@ -283,3 +285,57 @@ def test_exit_codes_are_stable_contract():
     assert (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_NOT_EQUILIBRIUM,
             cli.EXIT_BUDGET, cli.EXIT_NO_SOLUTION, cli.EXIT_FUZZ_FAILED) == \
         (0, 2, 3, 4, 5, 6)
+
+
+PENNIES = {
+    "version": 1, "kind": "simultaneous",
+    "moves": [["H", "T"], ["H", "T"]],
+    "payoffs": [[1, -1, -1, 1], [-1, 1, 1, -1]],
+    "quantifiers": [{"kind": "max"}, {"kind": "max"}],
+}
+
+
+def test_non_finite_payoff_exits_2(capsys, tmp_path):
+    # Python's json reads NaN and Infinity; the mixed solver used to crash
+    # on them with a LinAlgError traceback.
+    for bad in (float("nan"), float("inf")):
+        doc = json.loads(json.dumps(PENNIES))
+        doc["payoffs"][0][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["solve", str(path), "--mode", "mixed"])
+        assert code == 2
+        assert "payoffs[0]" in err and "finite" in err
+        assert out == ""
+
+
+def test_eps_ball_nan_radius_exits_2(capsys, tmp_path):
+    doc = dict(PENNIES, quantifiers=[
+        {"kind": "eps_ball", "center": 0, "radius": float("nan")},
+        {"kind": "max"}])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["solve", str(path), "--mode", "mixed"])
+    assert code == 2
+    assert "radius" in err
+
+
+def test_malformed_env_var_budget_exits_2(capsys, games_dir, monkeypatch):
+    monkeypatch.setenv("HOG_BUDGET", "abc")
+    code, out, err = run(capsys, [
+        "solve", str(games_dir / "matching_pennies.json"), "--mode", "pure",
+    ])
+    assert code == 2
+    assert "HOG_BUDGET" in err
+    assert out == ""
+
+
+def test_invalid_flag_values_exit_2(capsys, games_dir):
+    # --grid-depth 0 used to be replaced by the default depth 3, and
+    # --tol nan made every membership test false.
+    game = str(games_dir / "eps_ball_demo.json")
+    for flag, value in (("--grid-depth", "0"), ("--tol", "nan")):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", game, "--mode", "mixed", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err

@@ -94,6 +94,34 @@ def test_bad_tensor_length():
     assert "payoffs[0]" in str(err.value)
 
 
+def test_non_finite_numbers_rejected():
+    base = {
+        "version": 1,
+        "kind": "simultaneous",
+        "moves": [["a", "b"], ["a", "b"]],
+        "payoffs": [[1, 2, 3, 4], [1, 2, 3, 4]],
+        "quantifiers": [{"kind": "max"}, {"kind": "max"}],
+    }
+    bad_docs = [
+        dict(base, payoffs=[[1, 2, float("nan"), 4], [1, 2, 3, 4]]),
+        dict(base, payoffs=[[1, 2, 3, 4], [float("-inf"), 2, 3, 4]]),
+        dict(base, payoffs=[[10 ** 400, 2, 3, 4], [1, 2, 3, 4]]),
+        dict(base, quantifiers=[
+            {"kind": "eps_ball", "center": 0, "radius": float("nan")},
+            {"kind": "max"}]),
+        dict(base, quantifiers=[
+            {"kind": "eps_ball", "center": 0, "radius": float("inf")},
+            {"kind": "max"}]),
+        dict(base, params={"tol": float("nan")}),
+        dict(base, params={"budget": "abc"}),
+        dict(base, params={"grid_depth": 2.5}),
+    ]
+    for doc in bad_docs:
+        with pytest.raises(GameFileError):
+            parse_game(doc)
+    assert parse_game(dict(base, params={"budget": 1e6, "tol": 0})).params
+
+
 def test_unknown_version_and_kind():
     with pytest.raises(GameFileError):
         parse_game({"version": 2, "kind": "simultaneous"})

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from hog.core import (OutcomeTable, argmax_selection, argmin_selection,
                       constant_selection, eps_ball_quantifier, max_quantifier,
                       min_quantifier)
-from hog.errors import StructuralError
+from hog.errors import BudgetExceededError, StructuralError
 from hog.fuzz import random_stage
 from hog.minimax import (TwoPlayerStage, bbc, compare_bbc_vs_product,
                          is_psi_phi_profile)
@@ -154,3 +155,69 @@ def test_stage_validation():
     stage = stage_from(MP, 2, 2)
     with pytest.raises(StructuralError):
         is_psi_phi_profile(stage, (2, 0))
+
+
+def _reference_is_psi_phi_profile(stage, pair, tol):
+    """Slow oracle: enumerate every admissible reply function on both
+    sides."""
+    a, b = pair
+    nx, ny = stage.shape
+    phi, psi = stage.quantifiers
+    q = stage.payoff.tolist()
+    row_tables = [OutcomeTable(row) for row in q]
+    a_choices = [
+        [y for y in range(ny) if psi.contains(row_tables[x], q[x][y], tol)]
+        for x in range(nx)
+    ]
+    col_tables = [OutcomeTable(col) for col in zip(*q)]
+    b_choices = [
+        [x for x in range(nx) if phi.contains(col_tables[y], q[x][y], tol)]
+        for y in range(ny)
+    ]
+    if all(a_choices):
+        for f in itertools.product(*a_choices):
+            table = OutcomeTable([q[x][f[x]] for x in range(nx)])
+            if not phi.contains(table, q[a][f[a]], tol):
+                return False
+    if all(b_choices):
+        for gfun in itertools.product(*b_choices):
+            table = OutcomeTable([q[gfun[y]][y] for y in range(ny)])
+            if not psi.contains(table, q[gfun[b]][b], tol):
+                return False
+    return True
+
+
+def test_worst_case_matches_reply_function_enumeration():
+    rng = random.Random(4242)
+    quantifiers = {"max": max_quantifier(), "min": min_quantifier(),
+                   "ball": eps_ball_quantifier(0, 1.0)}
+    kinds = [("max", "min"), ("min", "max"), ("max", "max"),
+             ("max", "ball"), ("ball", "min")]
+    verdicts = set()
+    for _ in range(150):
+        nx, ny = rng.randint(1, 4), rng.randint(1, 4)
+        values = rng.choice([2, 3, 5])
+        tensor = [rng.randrange(values) * rng.choice([1, 0.5])
+                  for _ in range(nx * ny)]
+        first, second = rng.choice(kinds)
+        stage = stage_from(tensor, nx, ny, quantifiers=(
+            quantifiers[first], quantifiers[second]))
+        for tol in (0.0, 0.5, 1.0):
+            for pair in itertools.product(range(nx), range(ny)):
+                want = _reference_is_psi_phi_profile(stage, pair, tol)
+                assert is_psi_phi_profile(stage, pair, tol) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_worst_case_answers_where_enumeration_exceeds_budget():
+    # A constant 8x8 max/min stage admits 8^8 reply functions per side; the
+    # worst case needs none of them. An eps-ball outer quantifier still
+    # enumerates, and is still refused.
+    flat = stage_from([0] * 64, 8, 8)
+    assert is_psi_phi_profile(flat, (3, 5), 0.0, budget=1)
+    ball = stage_from([0] * 64, 8, 8, quantifiers=(
+        eps_ball_quantifier(0, 1.0), min_quantifier()))
+    with pytest.raises(BudgetExceededError) as err:
+        is_psi_phi_profile(ball, (0, 0), 0.0, budget=1)
+    assert err.value.count == math.prod([8] * 8)

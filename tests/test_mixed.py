@@ -1,8 +1,11 @@
+import itertools
+import logging
 import random
 
 import numpy as np
 import pytest
 
+import hog.mixed
 from hog.core import (argmax_selection, argmin_selection,
                       constant_selection, eps_ball_quantifier, max_quantifier,
                       min_quantifier, nearest_mean_selection,
@@ -10,10 +13,10 @@ from hog.core import (argmax_selection, argmin_selection,
                       outcome_distance)
 from hog.errors import BudgetExceededError, StructuralError
 from hog.fuzz import random_max_game
-from hog.mixed import (expected_outcome, is_mixed_nash, lift_selection,
-                       mixed_profile, mixed_strategy, mixed_unilateral_table,
-                       solve_generic, solve_support_enumeration_2p, vertex,
-                       vertex_profile)
+from hog.mixed import (_dedupe_sorted, expected_outcome, is_mixed_nash,
+                       lift_selection, mixed_profile, mixed_strategy,
+                       mixed_unilateral_table, solve_generic,
+                       solve_support_enumeration_2p, vertex, vertex_profile)
 from hog.simultaneous import SimultaneousGame, is_generalised_nash
 
 MP = [[1, -1, -1, 1], [-1, 1, 1, -1]]
@@ -261,12 +264,136 @@ def test_support_enumeration_budget_counts_support_pairs():
     assert len(solve_support_enumeration_2p(g, budget=49)) == 1
 
 
+def test_support_enumeration_rejects_non_finite_payoffs():
+    for bad in (float("nan"), float("inf")):
+        g = SimultaneousGame.from_tensors([2, 2], [[1, bad, -1, 1], MP[1]],
+                                          [max_quantifier()] * 2)
+        with pytest.raises(StructuralError):
+            solve_support_enumeration_2p(g)
+
+
 def test_solver_outputs_certified():
     rng = random.Random(13)
     for _ in range(25):
         g = random_max_game(rng, players=2, max_moves=3)
         for prof in solve_support_enumeration_2p(g):
             assert is_mixed_nash(g, prof, 1e-9)
+
+
+def _reference_indifference_solve(payoff, own, other):
+    """Slow oracle: one indifference system, built entry by entry and solved
+    on its own (exact solve when square, lstsq when rectangular or
+    singular)."""
+    k, l = len(own), len(other)
+    mat = np.zeros((l + 1, k + 1))
+    rhs = np.zeros(l + 1)
+    for row, j in enumerate(other):
+        for col, i in enumerate(own):
+            mat[row, col] = payoff[i, j]
+        mat[row, k] = -1.0
+    mat[l, :k] = 1.0
+    rhs[l] = 1.0
+    if k == l:
+        try:
+            sol = np.linalg.solve(mat, rhs)
+        except np.linalg.LinAlgError:
+            sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    else:
+        sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    if np.max(np.abs(mat @ sol - rhs)) > 1e-7:
+        return None
+    return sol[:k]
+
+
+def _reference_support_enumeration(g, tol=1e-9):
+    """Slow oracle: both indifference systems of every support pair, one
+    pair at a time in enumeration order, each candidate certified."""
+    m0, m1 = g.move_counts
+    a, b = g.payoffs
+    found = []
+    for s0_size in range(1, m0 + 1):
+        for s1_size in range(1, m1 + 1):
+            for s0 in itertools.combinations(range(m0), s0_size):
+                for s1 in itertools.combinations(range(m1), s1_size):
+                    p = _reference_indifference_solve(b, s0, s1)
+                    q = _reference_indifference_solve(a.T, s1, s0)
+                    if p is None or q is None:
+                        continue
+                    if np.any(p < -tol) or np.any(q < -tol):
+                        continue
+                    row = np.zeros(m0)
+                    row[list(s0)] = np.clip(p, 0.0, None)
+                    col = np.zeros(m1)
+                    col[list(s1)] = np.clip(q, 0.0, None)
+                    try:
+                        profile = mixed_profile(g, (row, col))
+                    except StructuralError:
+                        continue
+                    if is_mixed_nash(g, profile, tol):
+                        found.append(profile)
+    return _dedupe_sorted(found, max(tol, 1e-9))
+
+
+def _assert_same_profiles(got, want):
+    assert len(got) == len(want)
+    for prof, ref in zip(got, want):
+        for strat, ref_strat in zip(prof, ref):
+            assert np.max(np.abs(strat - ref_strat)) <= 1e-12
+
+
+def _continuous_game(rng, m0, m1):
+    return SimultaneousGame.from_tensors(
+        [m0, m1], [rng.uniform(-1, 1, m0 * m1) for _ in range(2)],
+        [max_quantifier()] * 2)
+
+
+def test_support_enumeration_matches_reference_on_continuous_games():
+    rng = np.random.default_rng(2024)
+    shapes = [(1, 1), (1, 4), (4, 1), (2, 2), (2, 3), (3, 3), (3, 5), (5, 3),
+              (4, 4), (2, 6), (5, 5), (6, 6)]
+    for m0, m1 in shapes:
+        for _ in range(2 if m0 * m1 < 25 else 1):
+            g = _continuous_game(rng, m0, m1)
+            want = _reference_support_enumeration(g)
+            assert want
+            _assert_same_profiles(solve_support_enumeration_2p(g), want)
+
+
+def test_support_enumeration_matches_reference_on_degenerate_games():
+    # Small integer payoffs tie often: singular square systems and
+    # consistent overdetermined ones, where the pair-by-pair path decides.
+    rng = random.Random(99)
+    for n in range(60):
+        g = random_max_game(rng, players=2, max_moves=4, min_moves=1,
+                            payoff_range=(-2, 2) if n % 2 else (-9, 9))
+        for tol in (1e-9, 1e-6):
+            _assert_same_profiles(solve_support_enumeration_2p(g, tol),
+                                  _reference_support_enumeration(g, tol))
+
+
+def test_support_enumeration_small_stacks_match_reference(monkeypatch):
+    # Stacks of 5 pairs split every support shape of a 4x5 game at many
+    # boundaries; the answer must not depend on the stack size.
+    monkeypatch.setattr(hog.mixed, "_STACK", 5)
+    rng = np.random.default_rng(77)
+    for _ in range(3):
+        g = _continuous_game(rng, 4, 5)
+        _assert_same_profiles(solve_support_enumeration_2p(g),
+                              _reference_support_enumeration(g))
+
+
+def test_support_enumeration_singular_stack_falls_back(caplog):
+    # Rows 0 and 1 are duplicates for both players, so every square system
+    # whose row support holds both is singular.
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-1, 1, (2, 3, 4))
+    a[1], b[1] = a[0], b[0]
+    g = SimultaneousGame.from_tensors([3, 4], [a.ravel(), b.ravel()],
+                                      [max_quantifier()] * 2)
+    with caplog.at_level(logging.DEBUG, logger="hog.mixed"):
+        got = solve_support_enumeration_2p(g)
+    assert "solving pair by pair" in caplog.text
+    _assert_same_profiles(got, _reference_support_enumeration(g))
 
 
 def test_solve_generic_finds_pure_equilibrium_at_depth_1():
