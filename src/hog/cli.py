@@ -3,7 +3,7 @@
 Subcommands: check-eq, solve, normal-form, bbc, fuzz. Exit codes:
 
     0   success (check-eq: the profile is an equilibrium)
-    2   parse or shape error
+    2   parse or shape error, or a file that cannot be read or written
     3   check-eq: not an equilibrium
     4   enumeration budget exceeded
     5   solver found nothing where the existence theorem guarantees one
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import fuzz as fuzz_mod
 from . import gamefile, minimax, mixed, normalform, sequential, simultaneous
-from .errors import BudgetExceededError, GameFileError, HogError, StructuralError
+from .errors import BudgetExceededError, GameFileError, HogError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -63,7 +63,12 @@ def _load(path: str) -> gamefile.GameDocument:
 def _read_profile_arg(raw: str):
     """A profile argument is inline JSON or a path to a JSON file."""
     candidate = Path(raw)
-    if candidate.exists():
+    try:
+        is_file = candidate.exists()
+    except OSError:
+        # Inline JSON can be too long to be a path (ENAMETOOLONG).
+        is_file = False
+    if is_file:
         raw = candidate.read_text()
     try:
         return json.loads(raw)
@@ -442,10 +447,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GameFileError, StructuralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except HogError as exc:
+    except (HogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

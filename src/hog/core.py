@@ -14,8 +14,8 @@ threads.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
@@ -275,8 +275,10 @@ def eps_ball_quantifier(center_move: MoveId, radius: float) -> Quantifier:
     """Acceptable outcomes are those within ``radius`` of the outcome at
     ``center_move`` (closed ball; membership at tolerance tol widens the
     radius by tol)."""
+    # The chained comparison is False for NaN and for numbers too large for
+    # a float, such as a JSON integer of 400 digits.
     if (isinstance(radius, bool) or not isinstance(radius, numbers.Real)
-            or not math.isfinite(radius) or radius <= 0):
+            or not 0 < radius <= sys.float_info.max):
         raise StructuralError("eps_ball radius must be a finite number > 0")
     if (isinstance(center_move, bool)
             or not isinstance(center_move, numbers.Integral) or center_move < 0):
@@ -351,7 +353,8 @@ def fixed_point_witness(tol: float = 0.0) -> SelectionFunction:
 
 
 def constant_selection(move: MoveId) -> SelectionFunction:
-    if move < 0:
+    if (isinstance(move, bool) or not isinstance(move, numbers.Integral)
+            or move < 0):
         raise StructuralError("constant selection move must be a valid move id")
 
     def select(p: OutcomeTable) -> MoveId:

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import minimax, normalform, sequential
-from .budget import resolve_budget
-from .errors import BudgetExceededError
 from .core import (argmax_selection, argmin_selection, average_quantifier,
                    max_quantifier, min_quantifier, nearest_mean_selection)
 from .minimax import TwoPlayerStage
@@ -216,36 +214,15 @@ class FuzzResult:
         return not self.failures
 
 
-_NF_WORST_CAP = 10_000_000
-
-
-def _normal_form_worst_case(max_rounds: int, max_moves: int) -> int:
-    """Largest normal-form profile space the shape can produce."""
-    histories = sum(max_moves ** i for i in range(max_rounds))
-    return max_moves ** histories
-
-
 def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
              max_moves: int = 3, payoff_range: tuple[int, int] = (-9, 9),
              budget: int | None = None, stop_on_failure: bool = True) -> FuzzResult:
     """Certify ``count`` random games per family. Failing games are shrunk
-    before being recorded.
-
-    The normal-form family caps rounds at 3 and, when no budget is given,
-    raises the enumeration budget to its worst-case profile space (refusing
-    shapes past an absolute cap), so that the advertised shape never trips
-    the default guard mid-run.
+    before being recorded. The normal-form family caps rounds at 3.
     """
     families = tuple(families)
     result = FuzzResult(seed, count, families)
     nf_rounds = min(max_rounds, 3)
-    nf_budget = budget
-    if "normal-form" in families and budget is None:
-        worst = _normal_form_worst_case(nf_rounds, max_moves)
-        if worst > _NF_WORST_CAP:
-            raise BudgetExceededError(worst, _NF_WORST_CAP,
-                                      "worst-case normal-form profiles")
-        nf_budget = max(resolve_budget(None), worst)
     for family in families:
         # Hashing strings is salted per process; derive integer seeds.
         rng = random.Random(seed * 7919 + FAMILIES.index(family))
@@ -262,8 +239,8 @@ def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
                     rng, max_rounds=nf_rounds, max_moves=max_moves,
                     payoff_range=payoff_range)
                 check = certify_normal_form
-                ok = check(game, nf_budget)
-                shrinker, check_budget_arg = shrink_sequential, nf_budget
+                ok = check(game, budget)
+                shrinker, check_budget_arg = shrink_sequential, budget
             elif family == "bbc":
                 game = random_stage(rng, max_moves=max_moves,
                                     payoff_range=payoff_range)

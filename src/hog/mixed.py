@@ -4,11 +4,17 @@ Mixed strategies are points of standard simplices, outcomes extend
 multilinearly, and quantifier membership is evaluated exclusively through the
 vertex restriction of the deviation table: the lifted quantifier only
 consults outcomes at the pure-strategy vertices, which keeps membership
-finite and exact for arbitrary quantifiers. The two solvers are desk-scale
-stand-ins for the existence theorem: support enumeration (2-player, max
-quantifiers) and a certified grid search; every returned profile passes
-is_mixed_nash. Expected outcomes and deviation tables are einsum
-contractions of the game's payoff tensor with the strategies.
+finite and exact for arbitrary quantifiers. Expected outcomes and deviation
+tables are einsum contractions of the game's payoff tensor with the
+strategies.
+
+Every profile that either solver returns passes is_mixed_nash. Support
+enumeration handles 2-player max-quantifier games, where it finds every
+equilibrium with a solvable support pair; the existence theorem promises
+one, so an empty result signals a bug. Every other game goes to the grid
+search, which certifies the points of a simplex grid and nothing else: the
+existence theorem does not promise a grid point (three-player equilibria can
+be irrational), so an empty grid result is an answer, not a contradiction.
 
 Support enumeration solves the indifference systems of one support shape
 in stacks, not one system at a time: square shapes by one batched exact
@@ -407,93 +413,23 @@ def _simplex_grid(moves: int, depth: int):
         yield np.array(numerators, dtype=float) / depth
 
 
-def _best_response_refine(g: SimultaneousGame, profile: MixedProfile,
-                          iterations: int = 120) -> MixedProfile:
-    """Damped best-response iteration from a starting profile (max
-    quantifiers, scalar outcomes). A heuristic: the endpoint is only kept if
-    it certifies."""
-    current = [np.array(s) for s in profile]
-    for t in range(iterations):
-        step = 1.0 / (t + 2)
-        responses = []
-        for i in range(g.num_players):
-            table = mixed_unilateral_table(g, i, tuple(current))
-            best = max(range(len(table)), key=lambda x: table[x])
-            responses.append(vertex(g.move_counts[i], best))
-        for i in range(g.num_players):
-            current[i] = (1 - step) * current[i] + step * responses[i]
-    return tuple(mixed_strategy(s) for s in current)
-
-
-_REFINE_STARTS = 64
-
-
 def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
-                  budget: int | None = None,
-                  refine: bool = True) -> list[MixedProfile]:
-    """Certified grid search over simplex profiles with denominators
-    ``grid_depth``. For max-quantifier games the lowest-regret grid points
-    are additionally refined by damped best-response iteration (and, for 2
-    players, a support re-solve). Completeness is not promised: only profiles
-    that pass is_mixed_nash are returned."""
+                  budget: int | None = None) -> list[MixedProfile]:
+    """Every profile of the simplex grid with denominators ``grid_depth``
+    that passes is_mixed_nash, deduplicated and sorted. Only grid points
+    are certified, so completeness is not promised: an equilibrium off the
+    grid (three-player equilibria can be irrational) is not found. For
+    2-player max-quantifier games use solve_support_enumeration_2p."""
     if grid_depth < 1:
         raise StructuralError("grid_depth must be >= 1")
     per_player_counts = [
         math.comb(grid_depth + c - 1, c - 1) for c in g.move_counts
     ]
     check_budget(math.prod(per_player_counts), budget, "grid profiles")
-    all_max = all(phi.kind is QuantifierKind.MAX for phi in g.quantifiers)
     found = []
-    near_misses = []
     grids = [list(_simplex_grid(c, grid_depth)) for c in g.move_counts]
     for combo in itertools.product(*grids):
         profile = mixed_profile(g, combo)
-        if all_max:
-            regret = 0.0
-            for i in range(g.num_players):
-                table = mixed_unilateral_table(g, i, profile)
-                value = expected_outcome(g, i, profile)
-                regret = max(regret, max(table.entries) - value)
-            if regret <= tol:
-                found.append(profile)
-            elif refine:
-                key = tuple(float(x) for x in np.concatenate(profile))
-                near_misses.append((regret, key, profile))
-        elif is_mixed_nash(g, profile, tol):
+        if is_mixed_nash(g, profile, tol):
             found.append(profile)
-    near_misses.sort(key=lambda item: item[:2])
-    for _, _, start in near_misses[:_REFINE_STARTS]:
-        refined = _best_response_refine(g, start)
-        if is_mixed_nash(g, refined, tol):
-            found.append(refined)
-        elif g.num_players == 2:
-            snapped = _snap_support(g, refined, tol)
-            if snapped is not None:
-                found.append(snapped)
     return _dedupe_sorted(found, max(tol, 1e-9))
-
-
-def _snap_support(g: SimultaneousGame, profile: MixedProfile,
-                  tol: float, support_tol: float = 1e-3) -> MixedProfile | None:
-    """Re-solve the indifference system on the supports suggested by a
-    near-equilibrium profile (2-player max games only)."""
-    a, b = g.payoffs
-    s0 = tuple(i for i, p in enumerate(profile[0]) if p > support_tol)
-    s1 = tuple(j for j, p in enumerate(profile[1]) if p > support_tol)
-    if not s0 or not s1:
-        return None
-    p = _indifference_solve(b, s0, s1)
-    q = _indifference_solve(a.T, s1, s0)
-    if p is None or q is None or np.any(p < -tol) or np.any(q < -tol):
-        return None
-    row = np.zeros(g.move_counts[0])
-    row[list(s0)] = np.clip(p, 0.0, None)
-    col = np.zeros(g.move_counts[1])
-    col[list(s1)] = np.clip(q, 0.0, None)
-    try:
-        candidate = mixed_profile(g, (row, col))
-    except StructuralError:
-        return None
-    if is_mixed_nash(g, candidate, tol):
-        return candidate
-    return None

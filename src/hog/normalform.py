@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import resolve_budget
+from .budget import check_budget
 from .core import OutcomeTable, Quantifier
-from .errors import BudgetExceededError, StructuralError
+from .errors import StructuralError
 from .sequential import (SeqStrategy, SequentialGame, deviation_table,
                          extend_with_strategy, histories)
 from .simultaneous import SimultaneousGame
@@ -130,24 +130,13 @@ def contingent_label(cms: ContingentMoveSet, g: SequentialGame, index: int) -> s
     return f"{index}:{listing}"
 
 
-def _check_budget(sets: list[ContingentMoveSet], budget: int | None) -> None:
-    """Refuse when the summed move-set sizes or the profile space exceed the
-    budget."""
-    limit = resolve_budget(budget)
-    total_moves = sum(c.size for c in sets)
-    if total_moves > limit:
-        raise BudgetExceededError(total_moves, limit, "contingent moves")
-    profile_space = math.prod(c.size for c in sets)
-    if profile_space > limit:
-        raise BudgetExceededError(profile_space, limit, "normal-form profiles")
-
-
 def to_normal_form(g: SequentialGame, budget: int | None = None) -> SimultaneousGame:
     """The simultaneous game whose players are the rounds and whose moves are
     contingent strategies, with a single shared outcome tensor. Refuses
     when the summed move-set sizes or the profile space exceed the budget."""
     sets = contingent_move_sets(g)
-    _check_budget(sets, budget)
+    check_budget(sum(c.size for c in sets), budget, "contingent moves")
+    check_budget(math.prod(c.size for c in sets), budget, "normal-form profiles")
     # Play the strategic play of every profile at once: ``play`` is, per
     # profile, the mixed-radix index of the history so far, and round i's
     # move is the digit of its contingent index at that history (first
@@ -200,8 +189,8 @@ def check_soundness(g: SequentialGame, strategy: SeqStrategy, tol: float = 0.0,
     the constant contingent strategies, and deviating to the constant x
     replays the strategy's on-path history up to that round, then x, then
     the strategy: the one-round deviation table at the on-path history. The
-    budget refusal is that of to_normal_form."""
-    _check_budget(contingent_move_sets(g), budget)
+    budget counts the plays whose outcomes it reads."""
+    check_budget(g.play_count(), budget, "plays")
     strategy = g.validate_strategy(strategy)
     play = extend_with_strategy(g, strategy, ())
     outcomes = g.play_outcomes()

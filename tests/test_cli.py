@@ -200,10 +200,14 @@ def test_fuzz_small_run_passes_and_writes_corpus(capsys, tmp_path):
 
 
 def test_fuzz_shape_exceeding_budget_exits_4(capsys):
-    code, _, err = run(capsys, [
-        "fuzz", "--seed", "1", "--count", "1", "--family", "normal-form",
-        "--max-moves", "5",
-    ])
+    # The normal-form family is budgeted by what it reads, not by the
+    # worst-case normal form of its shape (5^31 profiles here).
+    argv = ["fuzz", "--seed", "1", "--count", "1", "--family", "normal-form",
+            "--max-moves", "5", "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["checked"] == 1
+    code, _, err = run(capsys, argv + ["--budget", "1"])
     assert code == 4
     assert "exceeds budget" in err
 
@@ -310,14 +314,52 @@ def test_non_finite_payoff_exits_2(capsys, tmp_path):
 
 
 def test_eps_ball_nan_radius_exits_2(capsys, tmp_path):
-    doc = dict(PENNIES, quantifiers=[
-        {"kind": "eps_ball", "center": 0, "radius": float("nan")},
-        {"kind": "max"}])
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, ["solve", str(path), "--mode", "mixed"])
+    # A 400-digit radius used to raise OverflowError from math.isfinite.
+    for radius in (float("nan"), 10 ** 400):
+        doc = dict(PENNIES, quantifiers=[
+            {"kind": "eps_ball", "center": 0, "radius": radius},
+            {"kind": "max"}])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["solve", str(path), "--mode", "mixed"])
+        assert code == 2
+        assert "radius" in err
+
+
+def test_constant_selection_non_integer_move_exits_2(capsys, games_dir,
+                                                     tmp_path):
+    # A string move used to end in a TypeError traceback from move < 0.
+    doc = json.loads((games_dir / "stage_matching_pennies.json").read_text())
+    for move in ("x", 1.5, True):
+        doc["selections"][1] = {"kind": "constant", "move": move}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["bbc", str(path)])
+        assert code == 2
+        assert "selections" in err
+        assert out == ""
+
+
+def test_inline_profile_longer_than_a_file_name(capsys, games_dir):
+    # Path(raw).exists() raises ENAMETOOLONG past 255 characters; such an
+    # argument is inline JSON.
+    half = "0.5" + "0" * 300
+    code, out, _ = run(capsys, [
+        "check-eq", str(games_dir / "matching_pennies.json"),
+        "--profile", f"[[{half},{half}],[{half},{half}]]", "--json",
+    ])
+    assert code == 0
+    assert json.loads(out)["equilibrium"] is True
+
+
+def test_out_in_missing_directory_exits_2(capsys, games_dir, tmp_path):
+    code, out, err = run(capsys, [
+        "solve", str(games_dir / "coordination.json"), "--mode", "pure",
+        "--out", str(tmp_path / "missing" / "x.json"),
+    ])
     assert code == 2
-    assert "radius" in err
+    assert err.startswith("error: ")
+    assert out == ""
 
 
 def test_malformed_env_var_budget_exits_2(capsys, games_dir, monkeypatch):

@@ -1,0 +1,94 @@
+"""Seeded sweep of malformed game documents through the CLI.
+
+Each mutant replaces one leaf of a valid document with a value of the wrong
+type or range, or deletes it, and runs the subcommands that apply to the
+document's kind. Every run must end in a documented exit code; no exception
+may escape hog.cli.main.
+"""
+
+import json
+import random
+
+import pytest
+
+from hog.cli import main
+
+BAD_VALUES = ("x", -1, 10 ** 400, 1.5, None, [], {}, True, float("nan"))
+DELETE = object()
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
+SAMPLE = 250
+
+
+def _bases(games_dir):
+    bases = {}
+    for path in sorted(games_dir.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "kind" in doc:
+            bases[path.name] = doc
+    stage = json.loads((games_dir / "stage_matching_pennies.json").read_text())
+    stage["selections"][1] = {"kind": "constant", "move": 0}
+    stage["params"] = {"tol": 1e-9, "budget": 1000, "grid_depth": 2}
+    bases["constant_stage"] = stage
+    return bases
+
+
+def _leaves(node, path=()):
+    """Paths to every scalar and every empty container of a JSON value."""
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = list(enumerate(node))
+    else:
+        children = []
+    if not children:
+        yield path
+    for key, child in children:
+        yield from _leaves(child, path + (key,))
+
+
+def _mutate(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _commands(doc):
+    """The subcommands that apply to the base document's kind."""
+    if doc["kind"] == "sequential":
+        return [["solve", "--mode", "seq"], ["normal-form"]]
+    profile = json.dumps([0] * len(doc["moves"]))
+    return [["check-eq", "--profile", profile], ["solve", "--mode", "pure"],
+            ["solve", "--mode", "mixed"], ["bbc"]]
+
+
+def test_malformed_documents_exit_with_documented_codes(capsys, games_dir,
+                                                        tmp_path):
+    bases = _bases(games_dir)
+    population = [
+        (name, path, value)
+        for name, doc in bases.items()
+        for path in _leaves(doc)
+        for value in BAD_VALUES + (DELETE,)
+    ]
+    sample = random.Random(2026).sample(population, SAMPLE)
+    game = tmp_path / "game.json"
+    for n, (name, path, value) in enumerate(sample):
+        doc = bases[name]
+        game.write_text(json.dumps(_mutate(doc, path, value)))
+        for command in _commands(doc):
+            argv = [command[0], str(game), *command[1:]]
+            if n % 2:
+                argv.append("--json")
+            try:
+                code = main(argv)
+            except Exception as exc:  # report the mutant, then fail
+                pytest.fail(f"{name} {list(path)} <- {value!r}: {argv[0]} "
+                            f"raised {exc!r}")
+            capsys.readouterr()
+            assert code in DOCUMENTED_EXITS, (name, path, value, argv)

@@ -400,7 +400,7 @@ def test_solve_generic_finds_pure_equilibrium_at_depth_1():
     g = SimultaneousGame.from_tensors(
         [2, 2], [[3, 0, 5, 1], [3, 5, 0, 1]], [max_quantifier()] * 2
     )
-    sols = solve_generic(g, 1, refine=False)
+    sols = solve_generic(g, 1)
     assert any(
         list(p[0]) == [0.0, 1.0] and list(p[1]) == [0.0, 1.0] for p in sols
     )
@@ -414,6 +414,23 @@ def test_solve_generic_matching_pennies_depth_2():
     )
 
 
+def test_solve_generic_returns_only_certified_grid_points():
+    # Every returned profile must pass is_mixed_nash at the tolerance it
+    # was solved at, tol 0 included. The 216th 3-player game drawn from
+    # random.Random(0) has grid points whose best deviation beats the
+    # expected outcome by a rounding error; tol 0 must reject them.
+    rng = random.Random(0)
+    for _ in range(216):
+        witness = random_max_game(rng, players=3, max_moves=3)
+    rng = random.Random(17)
+    games = [random_max_game(rng, players=3, max_moves=2) for _ in range(12)]
+    for g in games + [witness]:
+        for depth in (1, 2, 3):
+            for tol in (0.0, 1e-9):
+                for prof in solve_generic(g, depth, tol):
+                    assert is_mixed_nash(g, prof, tol)
+
+
 def test_solve_generic_eps_ball_max_conditions():
     # The anchored player accepts outcomes within 0.5 of deviating to move 0;
     # the other maximizes. Each returned profile must satisfy the two
@@ -423,7 +440,7 @@ def test_solve_generic_eps_ball_max_conditions():
     g = SimultaneousGame.from_tensors(
         [2, 2], [q0, q1], [eps_ball_quantifier(0, 0.5), max_quantifier()]
     )
-    sols = solve_generic(g, 2, refine=False)
+    sols = solve_generic(g, 2)
     assert sols
     for prof in sols:
         value0 = expected_outcome(g, 0, prof)

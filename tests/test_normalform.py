@@ -105,6 +105,18 @@ def test_soundness_on_random_games():
         assert check_soundness(g, strategy)
 
 
+def test_soundness_budget_counts_plays_not_normal_form():
+    # 3 rounds of 3 moves: 27 plays, but 3 * 27 * 19683 normal-form
+    # profiles, beyond the default budget.
+    g = SequentialGame.from_tensor(
+        [3, 3, 3], list(range(27)), [max_quantifier()] * 3,
+        [argmax_selection()] * 3)
+    assert check_soundness(g, compute_optimal_strategy(g))
+    with pytest.raises(BudgetExceededError) as err:
+        check_soundness(g, compute_optimal_strategy(g), budget=26)
+    assert err.value.count == 27
+
+
 def test_direct_soundness_matches_normal_form_oracle():
     # Oracle: materialise the normal form and check the strategy's profile
     # there. 3 rounds of 3 moves need 3 * 27 * 19683 profiles.
