@@ -310,6 +310,9 @@ def cmd_bbc(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.payoff_min > args.payoff_max:
+        args.parser.error("argument --payoff-max: must be >= --payoff-min "
+                          f"({args.payoff_min})")
     families = fuzz_mod.FAMILIES if args.family == "all" else (args.family,)
     result = fuzz_mod.run_fuzz(
         seed=args.seed, count=args.count, families=families,
@@ -368,14 +371,20 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not an integer >= 1: {raw!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers >= ``low``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"not an integer >= {low}: {raw!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_solve)
     p_solve.add_argument("--mode", required=True,
                          choices=["pure", "mixed", "seq", "bbc", "normal-form"])
-    p_solve.add_argument("--grid-depth", type=_positive_int, default=None,
+    p_solve.add_argument("--grid-depth", type=_int_at_least(1), default=None,
                          help="simplex grid denominator for the generic solver")
     p_solve.set_defaults(fn=cmd_solve)
 
@@ -423,18 +432,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser("fuzz", help="certify random games against the checkers")
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--count", type=int, default=50)
+    p_fuzz.add_argument("--count", type=_int_at_least(0), default=50)
     p_fuzz.add_argument("--family", default="all",
                         choices=["all", *fuzz_mod.FAMILIES])
-    p_fuzz.add_argument("--max-rounds", type=int, default=4)
-    p_fuzz.add_argument("--max-moves", type=int, default=3)
+    p_fuzz.add_argument("--max-rounds", type=_int_at_least(1), default=4)
+    # The random games give every player or round at least 2 moves.
+    p_fuzz.add_argument("--max-moves", type=_int_at_least(2), default=3)
     p_fuzz.add_argument("--payoff-min", type=int, default=-9)
     p_fuzz.add_argument("--payoff-max", type=int, default=9)
     p_fuzz.add_argument("--budget", type=int, default=None)
     p_fuzz.add_argument("--json", action="store_true")
     p_fuzz.add_argument("--out", default=None,
                         help="directory or file for failing games")
-    p_fuzz.set_defaults(fn=cmd_fuzz)
+    p_fuzz.set_defaults(fn=cmd_fuzz, parser=p_fuzz)
 
     return parser
 

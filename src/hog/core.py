@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .budget import check_budget
 from .errors import NoFixedPointError, StructuralError
 
@@ -149,6 +151,18 @@ class Quantifier:
     exhaustive attainment checks to skip tables outside the domain).
     ``descriptor`` is the tagged record used by the game file format; custom
     quantifiers without one cannot be serialized.
+
+    ``contains_stacked(tables, values, tol)``, when present, is ``contains``
+    over a stack: ``tables`` of shape ``(N, m)`` (``(N, m, d)`` for vector
+    outcomes) and ``values`` of shape ``(N,)`` (``(N, d)``) give a bool
+    array of shape ``(N,)``. It evaluates the same float expressions as
+    ``contains``, so on the same finite tables row n of the result equals
+    ``contains(OutcomeTable(tables[n]), values[n], tol)``, and it raises
+    the same StructuralError for tables ``contains`` refuses. The max, min,
+    eps_ball and fixed_point quantifiers have one. The average quantifier
+    has none: its exact tie test on the mean does not stay conservative when
+    the tables carry rounding errors, as screens rely on. Custom quantifiers
+    have none.
     """
 
     kind: QuantifierKind
@@ -156,6 +170,7 @@ class Quantifier:
     canonical: Callable | None = None
     in_domain: Callable | None = None
     descriptor: Mapping | None = None
+    contains_stacked: Callable | None = None
 
     @property
     def single_valued(self) -> bool:
@@ -186,6 +201,23 @@ class DiagonalPoint:
 def _require_scalar(p: OutcomeTable, what: str) -> None:
     if not p.scalar:
         raise StructuralError(f"{what} requires scalar outcomes, got dimension {p.dim}")
+
+
+def _stacked(tables, values, what: str, scalar: bool):
+    """``tables`` and ``values`` as float arrays whose shapes match, as the
+    stacked membership tests take them; ``scalar`` demands scalar
+    outcomes."""
+    tables = np.asarray(tables, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if (tables.ndim not in (2, 3)
+            or values.shape != tables.shape[:1] + tables.shape[2:]):
+        raise StructuralError(
+            f"{what}: tables of shape {tables.shape} and values of shape "
+            f"{values.shape} do not stack")
+    if scalar and tables.ndim == 3:
+        raise StructuralError(
+            f"{what} requires scalar outcomes, got dimension {tables.shape[2]}")
+    return tables, values
 
 
 def _argmax(p: OutcomeTable) -> MoveId:
@@ -230,8 +262,13 @@ def max_quantifier() -> Quantifier:
     def contains(p: OutcomeTable, r, tol: float) -> bool:
         return outcome_distance(as_outcome(r), canonical(p)) <= tol
 
+    def contains_stacked(tables, values, tol: float) -> np.ndarray:
+        tables, values = _stacked(tables, values, "max", scalar=True)
+        return np.abs(values - tables.max(axis=1)) <= tol
+
     return Quantifier(QuantifierKind.MAX, contains, canonical,
-                      descriptor={"kind": "max"})
+                      descriptor={"kind": "max"},
+                      contains_stacked=contains_stacked)
 
 
 def min_quantifier() -> Quantifier:
@@ -244,8 +281,13 @@ def min_quantifier() -> Quantifier:
     def contains(p: OutcomeTable, r, tol: float) -> bool:
         return outcome_distance(as_outcome(r), canonical(p)) <= tol
 
+    def contains_stacked(tables, values, tol: float) -> np.ndarray:
+        tables, values = _stacked(tables, values, "min", scalar=True)
+        return np.abs(values - tables.min(axis=1)) <= tol
+
     return Quantifier(QuantifierKind.MIN, contains, canonical,
-                      descriptor={"kind": "min"})
+                      descriptor={"kind": "min"},
+                      contains_stacked=contains_stacked)
 
 
 def fixed_point_quantifier() -> Quantifier:
@@ -263,12 +305,19 @@ def fixed_point_quantifier() -> Quantifier:
             abs(p[m] - m) <= tol and abs(r - m) <= tol for m in range(len(p))
         )
 
+    def contains_stacked(tables, values, tol: float) -> np.ndarray:
+        tables, values = _stacked(tables, values, "fixed_point", scalar=True)
+        moves = np.arange(tables.shape[1], dtype=float)
+        return ((np.abs(tables - moves) <= tol)
+                & (np.abs(values[:, None] - moves) <= tol)).any(axis=1)
+
     def in_domain(p: OutcomeTable, tol: float) -> bool:
         _require_scalar(p, "fixed_point")
         return any(abs(p[m] - m) <= tol for m in range(len(p)))
 
     return Quantifier(QuantifierKind.FIXED_POINT, contains, None, in_domain,
-                      descriptor={"kind": "fixed_point"})
+                      descriptor={"kind": "fixed_point"},
+                      contains_stacked=contains_stacked)
 
 
 def eps_ball_quantifier(center_move: MoveId, radius: float) -> Quantifier:
@@ -284,17 +333,29 @@ def eps_ball_quantifier(center_move: MoveId, radius: float) -> Quantifier:
             or not isinstance(center_move, numbers.Integral) or center_move < 0):
         raise StructuralError("eps_ball center must be a valid move id")
 
-    def contains(p: OutcomeTable, r, tol: float) -> bool:
-        if center_move >= len(p):
+    def check_center(size: int) -> None:
+        if center_move >= size:
             raise StructuralError(
-                f"eps_ball center {center_move} outside table of size {len(p)}"
+                f"eps_ball center {center_move} outside table of size {size}"
             )
+
+    def contains(p: OutcomeTable, r, tol: float) -> bool:
+        check_center(len(p))
         return outcome_distance(as_outcome(r), p[center_move]) <= radius + tol
+
+    def contains_stacked(tables, values, tol: float) -> np.ndarray:
+        tables, values = _stacked(tables, values, "eps_ball", scalar=False)
+        check_center(tables.shape[1])
+        dist = np.abs(values - tables[:, center_move])
+        if dist.ndim == 2:
+            dist = dist.max(axis=1)
+        return dist <= radius + tol
 
     return Quantifier(QuantifierKind.EPS_BALL, contains,
                       descriptor={"kind": "eps_ball",
                                   "center": int(center_move),
-                                  "radius": float(radius)})
+                                  "radius": float(radius)},
+                      contains_stacked=contains_stacked)
 
 
 def average_quantifier() -> Quantifier:

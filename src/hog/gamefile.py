@@ -360,6 +360,8 @@ def parse_mixed_profile(document: GameDocument, raw) -> MixedProfile:
         _expect(isinstance(vec, list) and
                 all(isinstance(v, (int, float)) for v in vec),
                 "mixed strategies are lists of probabilities", f"profile[{i}]")
+        _expect(all(_finite(v) for v in vec), "probabilities must be finite",
+                f"profile[{i}]")
     try:
         return mixed_profile(game, [np.asarray(v, dtype=float) for v in raw])
     except StructuralError as exc:

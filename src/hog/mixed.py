@@ -16,6 +16,15 @@ search, which certifies the points of a simplex grid and nothing else: the
 existence theorem does not promise a grid point (three-player equilibria can
 be irrational), so an empty grid result is an answer, not a contradiction.
 
+The grid search screens, then certifies. For each player, one contraction
+per other player gives the deviation tables at every grid combination of
+the others, and one more gives the values; the quantifier's contains_stacked
+tests them all at once, with slack for rounding. Only the longest prefix of
+players whose quantifier has a stacked test that applies to the game is
+screened, so the scalar membership tests of every later player happen, and
+raise, exactly where a per-point loop would meet them. Every survivor is
+certified by is_mixed_nash in grid order.
+
 Support enumeration solves the indifference systems of one support shape
 in stacks, not one system at a time: square shapes by one batched exact
 solve (pair by pair when a stack holds a singular system), rectangular
@@ -321,6 +330,14 @@ def _regret_screen(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     return ~((regret0 > bound) | (regret1 > bound))
 
 
+def _screen_bound(g: SimultaneousGame, tol: float) -> float:
+    """The tolerance of the vectorised screens. A profile that misses it
+    cannot pass is_mixed_nash at ``tol``: the slack is far above the
+    rounding gap between a screen's stacked contractions and the
+    certificate's own."""
+    return tol + 1e-9 * (1.0 + np.abs(g.payoffs).max())
+
+
 def _dedupe_sorted(profiles: list[MixedProfile], tol: float) -> list[MixedProfile]:
     kept: list[MixedProfile] = []
     for cand in profiles:
@@ -362,9 +379,7 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
     m0, m1 = g.move_counts
     check_budget((2 ** m0 - 1) * (2 ** m1 - 1), budget, "support pairs")
     a, b = g.payoffs
-    # Regret above this cannot pass is_mixed_nash at ``tol``: the slack is
-    # far above the rounding gap between the screen and the certificate.
-    regret_bound = tol + 1e-9 * (1.0 + np.abs(g.payoffs).max())
+    regret_bound = _screen_bound(g, tol)
     found: list[MixedProfile] = []
     for k in range(1, m0 + 1):
         for l in range(1, m1 + 1):
@@ -400,9 +415,10 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
     return result
 
 
-def _simplex_grid(moves: int, depth: int):
+def _simplex_grid(moves: int, depth: int) -> np.ndarray:
     """All probability vectors with denominators ``depth`` over ``moves``
-    coordinates, lexicographic by numerator tuple."""
+    coordinates, one per row, lexicographic by numerator tuple."""
+    rows = []
     for combo in itertools.combinations(range(depth + moves - 1), moves - 1):
         numerators = []
         prev = -1
@@ -410,7 +426,88 @@ def _simplex_grid(moves: int, depth: int):
             numerators.append(cut - prev - 1)
             prev = cut
         numerators.append(depth + moves - 2 - prev)
-        yield np.array(numerators, dtype=float) / depth
+        rows.append(np.array(numerators, dtype=float) / depth)
+    return np.array(rows)
+
+
+def _screened_players(g: SimultaneousGame) -> int:
+    """Length of the longest prefix of players whose quantifier has a
+    stacked membership test that applies to this game. The stock stacked
+    tests raise exactly where their scalar tests would, for every table of
+    a given shape, so one zero table of the player's shape decides. Games
+    with a non-finite payoff are not screened: the screen's slack would not
+    be finite."""
+    if not np.isfinite(g.payoffs).all():
+        return 0
+    outcome = g.payoffs.shape[g.num_players + 1:]
+    for i, phi in enumerate(g.quantifiers):
+        if phi.contains_stacked is None:
+            return i
+        try:
+            phi.contains_stacked(np.zeros((1, g.move_counts[i], *outcome)),
+                                 np.zeros((1, *outcome)), 0.0)
+        except StructuralError:
+            return i
+    return g.num_players
+
+
+def _contract_grid(t: np.ndarray, labels: list[int], grid: np.ndarray,
+                   move: int, grid_label: int) -> tuple[np.ndarray, list[int]]:
+    """Contract the move axis labelled ``move`` of ``t`` with a grid matrix
+    (one strategy per row); the grid axis takes the move axis's place."""
+    out = [grid_label if label == move else label for label in labels]
+    return np.einsum(t, labels, grid, [grid_label, move], out), out
+
+
+def _grid_survivors(g: SimultaneousGame, grids: list[np.ndarray],
+                    screened: int, bound: float):
+    """Index tuples of the grid profiles, in itertools.product order, that
+    pass the stacked membership test of each of the first ``screened``
+    players at tolerance ``bound``.
+
+    Player i's deviation tables at every combination of the other players'
+    grid points are einsum contractions of its payoff tensor with their grid
+    matrices; one more contraction with its own grid matrix gives the
+    values. The grid is swept in blocks along player 0's axis, so that a
+    block holds about _STACK profiles, or one row of player 0 when the
+    other players' grids are larger than that."""
+    n = g.num_players
+    sizes = [len(grid) for grid in grids]
+    if not screened:
+        yield from itertools.product(*map(range, sizes))
+        return
+    # Labels: move axes 0..n-1, grid axes n..2n-1, the outcome axis 2n.
+    axes = list(range(n)) + ([2 * n] if g.payoffs.ndim > n + 1 else [])
+    out = [n + j for j in range(n)] + axes[n:]
+    partial = []
+    for i in range(screened):
+        t, labels = g.payoffs[i], axes
+        for j in range(1, n):
+            if j != i:
+                t, labels = _contract_grid(t, labels, grids[j], j, n + j)
+        partial.append((t, labels))
+    inner = math.prod(sizes[1:])
+    block = max(1, _STACK // inner)
+    for start in range(0, sizes[0], block):
+        rows = grids[0][start:start + block]
+        shape = (len(rows), *sizes[1:])
+        mask = np.ones(shape, dtype=bool)
+        for i, (t, labels) in enumerate(partial):
+            if not mask.any():
+                break
+            if i:
+                t, labels = _contract_grid(t, labels, rows, 0, n)
+            own = rows if i == 0 else grids[i]
+            values = np.einsum(t, labels, own, [n + i, i], out)
+            # Move axis last, then the player's own grid axis broadcast in.
+            tables = np.expand_dims(np.moveaxis(t, i, n - 1), i)
+            tables = np.broadcast_to(tables, shape + tables.shape[n:])
+            mask &= g.quantifiers[i].contains_stacked(
+                tables.reshape(-1, *tables.shape[n:]),
+                values.reshape(-1, *values.shape[n:]), bound).reshape(shape)
+        for idx in np.argwhere(mask):
+            idx[0] += start
+            yield tuple(idx.tolist())
 
 
 def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
@@ -419,17 +516,29 @@ def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
     that passes is_mixed_nash, deduplicated and sorted. Only grid points
     are certified, so completeness is not promised: an equilibrium off the
     grid (three-player equilibria can be irrational) is not found. For
-    2-player max-quantifier games use solve_support_enumeration_2p."""
+    2-player max-quantifier games use solve_support_enumeration_2p.
+
+    The grid is screened, then certified. The screen tests every grid
+    profile at once for the longest prefix of players whose quantifier has
+    a contains_stacked that applies to the game, with the support
+    enumeration's slack; it only discards profiles that is_mixed_nash would
+    reject at one of those players. Every survivor is then certified by
+    is_mixed_nash, in itertools.product order. A player after the prefix is
+    never screened, so each scalar membership test outside the prefix, and
+    each error one raises, happens at the grid point where the per-point
+    loop would meet it.
+    """
     if grid_depth < 1:
         raise StructuralError("grid_depth must be >= 1")
     per_player_counts = [
         math.comb(grid_depth + c - 1, c - 1) for c in g.move_counts
     ]
     check_budget(math.prod(per_player_counts), budget, "grid profiles")
+    grids = [_simplex_grid(c, grid_depth) for c in g.move_counts]
     found = []
-    grids = [list(_simplex_grid(c, grid_depth)) for c in g.move_counts]
-    for combo in itertools.product(*grids):
-        profile = mixed_profile(g, combo)
+    for idx in _grid_survivors(g, grids, _screened_players(g),
+                               _screen_bound(g, tol)):
+        profile = mixed_profile(g, [grid[k] for grid, k in zip(grids, idx)])
         if is_mixed_nash(g, profile, tol):
             found.append(profile)
     return _dedupe_sorted(found, max(tol, 1e-9))

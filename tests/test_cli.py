@@ -381,3 +381,33 @@ def test_invalid_flag_values_exit_2(capsys, games_dir):
             main(["solve", game, "--mode", "mixed", flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--max-rounds", "0"], "--max-rounds: not an integer >= 1"),
+    (["--max-moves", "1"], "--max-moves: not an integer >= 2"),
+    (["--payoff-min", "5", "--payoff-max", "1"], "must be >= --payoff-min"),
+    (["--count", "-1"], "--count: not an integer >= 0"),
+])
+def test_fuzz_rejects_empty_ranges(capsys, flags, message):
+    # The first three ended in a ValueError traceback from randrange, and
+    # --count -1 exited 0 having checked nothing.
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--count", "2", *flags])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "hog fuzz: error:" in out.err and message in out.err
+    assert "Traceback" not in out.err
+
+
+def test_mixed_profile_with_oversized_integer_exits_2(capsys, games_dir):
+    # float(10**400) overflows: this was an OverflowError traceback.
+    profile = json.dumps([[10 ** 400, 0], [1, 0]])
+    code, out, err = run(capsys, [
+        "check-eq", str(games_dir / "matching_pennies.json"),
+        "--profile", profile,
+    ])
+    assert code == 2
+    assert out == ""
+    assert "profile[0]" in err and "finite" in err

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from hog.core import (OutcomeTable, argmax_selection, argmin_selection,
@@ -188,3 +189,53 @@ def test_single_valued_flag():
     assert not eps_ball_quantifier(0, 1.0).single_valued
     assert not fixed_point_quantifier().single_valued
     assert not average_quantifier().single_valued
+
+
+def _stacks(rng, m, d=None):
+    """Random and heavily tied tables of m moves, with values that hit
+    table entries, sit exactly one tolerance step away, or fall anywhere."""
+    shape = (60, m) if d is None else (60, m, d)
+    tables = [rng.uniform(-2, 2, shape), rng.integers(0, 3, shape) * 1.0,
+              rng.integers(0, m, shape) + rng.choice([0.0, 1e-9, -0.5], shape)]
+    for t in tables:
+        rows = np.arange(len(t))
+        hit = t[rows, rng.integers(0, m, len(t))]
+        step = rng.choice([0.0, 1e-9, -1e-9, 0.5, -0.5, 1.0],
+                          hit.shape)
+        yield t, np.where(rng.random(hit.shape) < 0.2,
+                          rng.uniform(-2, 2, hit.shape), hit + step)
+
+
+def test_contains_stacked_matches_contains_row_by_row():
+    rng = np.random.default_rng(606)
+    scalar = [max_quantifier(), min_quantifier(), fixed_point_quantifier(),
+              eps_ball_quantifier(0, 0.5), eps_ball_quantifier(2, 1)]
+    vector = [eps_ball_quantifier(1, 0.5), eps_ball_quantifier(0, 1)]
+    for phis, d in ((scalar, None), (vector, 2)):
+        for phi in phis:
+            for m in range(3, 6):
+                for tables, values in _stacks(rng, m, d):
+                    for tol in (0.0, 1e-9, 0.5):
+                        got = phi.contains_stacked(tables, values, tol)
+                        assert got.shape == (len(tables),)
+                        want = [phi.contains(OutcomeTable(t.tolist()),
+                                             v.tolist(), tol)
+                                for t, v in zip(tables, values)]
+                        assert got.tolist() == want, (phi.kind, m, tol)
+
+
+def test_contains_stacked_raises_where_contains_raises():
+    vector = np.zeros((4, 3, 2))
+    for phi in (max_quantifier(), min_quantifier(), fixed_point_quantifier()):
+        with pytest.raises(StructuralError) as scalar_err:
+            phi.contains(OutcomeTable(vector[0].tolist()), (0.0, 0.0), 0.0)
+        with pytest.raises(StructuralError) as stacked_err:
+            phi.contains_stacked(vector, np.zeros((4, 2)), 0.0)
+        assert str(stacked_err.value) == str(scalar_err.value)
+    phi = eps_ball_quantifier(3, 0.5)
+    with pytest.raises(StructuralError) as scalar_err:
+        phi.contains(OutcomeTable([0.0, 0.0, 0.0]), 0.0, 0.0)
+    with pytest.raises(StructuralError) as stacked_err:
+        phi.contains_stacked(np.zeros((4, 3)), np.zeros(4), 0.0)
+    assert str(stacked_err.value) == str(scalar_err.value)
+    assert average_quantifier().contains_stacked is None

@@ -1,9 +1,11 @@
-"""Seeded sweep of malformed game documents through the CLI.
+"""Seeded sweeps of malformed game documents and profile arguments through
+the CLI.
 
 Each mutant replaces one leaf of a valid document with a value of the wrong
 type or range, or deletes it, and runs the subcommands that apply to the
-document's kind. Every run must end in a documented exit code; no exception
-may escape hog.cli.main.
+document's kind. Profile mutants do the same to a valid pure or mixed
+``check-eq --profile`` argument. Every run must end in a documented exit
+code; no exception may escape hog.cli.main.
 """
 
 import json
@@ -17,6 +19,7 @@ BAD_VALUES = ("x", -1, 10 ** 400, 1.5, None, [], {}, True, float("nan"))
 DELETE = object()
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
 SAMPLE = 250
+PROFILE_SAMPLE = 80
 
 
 def _bases(games_dir):
@@ -92,3 +95,35 @@ def test_malformed_documents_exit_with_documented_codes(capsys, games_dir,
                             f"raised {exc!r}")
             capsys.readouterr()
             assert code in DOCUMENTED_EXITS, (name, path, value, argv)
+
+
+def _profiles(games_dir):
+    """A valid pure and a valid uniform mixed profile for every shipped
+    simultaneous game and stage."""
+    for path in sorted(games_dir.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if doc.get("kind") in ("simultaneous", "two_player_stage"):
+            counts = [len(moves) for moves in doc["moves"]]
+            yield path, [0] * len(counts)
+            yield path, [[1 / c] * c for c in counts]
+
+
+def test_malformed_profiles_exit_with_documented_codes(capsys, games_dir):
+    population = [
+        (path, profile, leaf, value)
+        for path, profile in _profiles(games_dir)
+        for leaf in _leaves(profile)
+        for value in BAD_VALUES + (DELETE,)
+    ]
+    sample = random.Random(2027).sample(population, PROFILE_SAMPLE)
+    for n, (path, profile, leaf, value) in enumerate(sample):
+        argv = ["check-eq", str(path), "--profile",
+                json.dumps(_mutate(profile, leaf, value))]
+        if n % 2:
+            argv.append("--json")
+        try:
+            code = main(argv)
+        except Exception as exc:  # report the mutant, then fail
+            pytest.fail(f"{path.name} {list(leaf)} <- {value!r}: raised {exc!r}")
+        capsys.readouterr()
+        assert code in DOCUMENTED_EXITS, (path.name, leaf, value)

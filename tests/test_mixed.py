@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 import random
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 import hog.mixed
 from hog.core import (argmax_selection, argmin_selection,
-                      constant_selection, eps_ball_quantifier, max_quantifier,
-                      min_quantifier, nearest_mean_selection,
+                      constant_selection, custom_quantifier,
+                      eps_ball_quantifier, fixed_point_quantifier,
+                      max_quantifier, min_quantifier, nearest_mean_selection,
                       average_quantifier, OutcomeTable, as_outcome,
                       outcome_distance)
 from hog.errors import BudgetExceededError, StructuralError
@@ -476,3 +478,192 @@ def test_profile_shape_mismatch():
         expected_outcome(g, 0, mixed_profile(g, [[0.5, 0.5], [0.5, 0.5]])[:1])
     with pytest.raises(StructuralError):
         mixed_profile(g, [[1.0], [0.5, 0.5]])
+
+
+def _reference_grid(moves, depth):
+    """Slow oracle: the simplex grid as numerator tuples summing to
+    ``depth``, in lexicographic order."""
+    return [np.array(numerators, dtype=float) / depth
+            for numerators in itertools.product(range(depth + 1), repeat=moves)
+            if sum(numerators) == depth]
+
+
+def _reference_solve_generic(g, grid_depth=3, tol=1e-9):
+    """Slow oracle: every grid profile certified by is_mixed_nash, one at a
+    time in itertools.product order."""
+    grids = [_reference_grid(c, grid_depth) for c in g.move_counts]
+    found = []
+    for combo in itertools.product(*grids):
+        profile = mixed_profile(g, combo)
+        if is_mixed_nash(g, profile, tol):
+            found.append(profile)
+    return _dedupe_sorted(found, max(tol, 1e-9))
+
+
+def _result_or_error(solve, *args):
+    try:
+        return solve(*args)
+    except StructuralError as exc:
+        return f"StructuralError: {exc}"
+
+
+def _assert_identical(got, want):
+    """The same profiles, bit for bit and in order, or the same error."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for prof, ref in zip(got, want):
+        assert all(np.array_equal(s, r) for s, r in zip(prof, ref))
+
+
+def _recording_quantifier(calls, vector):
+    """A custom quantifier that logs every membership test it is asked."""
+
+    def contains(table, value, tol):
+        calls.append((table.entries, value))
+        if vector:
+            return outcome_distance(value, table[0]) <= 1.0 + tol
+        return value >= sum(table.entries) / len(table) - tol
+
+    return custom_quantifier(contains)
+
+
+# Quantifier mixes of the oracle comparison; "custom" records its calls.
+_SCALAR_MIXES = [
+    ("max", "max"), ("max", "max", "max"), ("min", "max", "max"),
+    ("eps_ball", "max", "min"), ("fixed_point", "max"),
+    ("fixed_point", "fixed_point", "min"), ("max", "average", "max"),
+    ("average", "max"), ("custom", "max", "max"), ("max", "custom", "max"),
+    ("eps_ball", "custom", "min", "max"), ("max", "min", "max", "max"),
+]
+_VECTOR_MIXES = [
+    ("eps_ball", "eps_ball"), ("eps_ball", "custom", "eps_ball"),
+    ("custom", "eps_ball"), ("eps_ball", "max"), ("eps_ball", "eps_ball", "min"),
+]
+
+
+def _mixed_kind_game(rng, kinds, vector, calls, depth):
+    """A game with one quantifier per entry of ``kinds`` and 2-4 moves per
+    player, trimmed until its grid at ``depth`` has at most 120 profiles
+    (or 2 moves each). A fixed_point player's outcome is often its own move
+    id, so that its deviation tables hold fixed points up to rounding."""
+    counts = [int(rng.integers(2, 5)) for _ in kinds]
+    while max(counts) > 2 and _grid_size(counts, depth) > 120:
+        counts[counts.index(max(counts))] -= 1
+    shape = (len(kinds), *counts) + ((2,) if vector else ())
+    if rng.random() < 0.5:
+        payoffs = rng.integers(0, 4, shape) * 1.0
+    else:
+        payoffs = rng.uniform(-1, 1, shape)
+    quantifiers = []
+    for i, (kind, c) in enumerate(zip(kinds, counts)):
+        if kind == "custom":
+            quantifiers.append(_recording_quantifier(calls, vector))
+        elif kind == "eps_ball":
+            quantifiers.append(eps_ball_quantifier(int(rng.integers(0, c)),
+                                                   float(rng.choice([0.25, 1.0]))))
+        else:
+            quantifiers.append({"max": max_quantifier, "min": min_quantifier,
+                                "fixed_point": fixed_point_quantifier,
+                                "average": average_quantifier}[kind]())
+        if kind == "fixed_point" and rng.random() < 0.5:
+            own = np.arange(c).reshape([-1 if j == i else 1
+                                        for j in range(len(kinds))])
+            payoffs[i] = np.broadcast_to(own, counts)
+    moves = tuple(tuple(f"m{x}" for x in range(c)) for c in counts)
+    return SimultaneousGame(moves, payoffs, tuple(quantifiers))
+
+
+def _grid_size(counts, depth):
+    return math.prod(math.comb(depth + c - 1, c - 1) for c in counts)
+
+
+def test_solve_generic_matches_reference_loop():
+    # Same profiles bit for bit, the same errors, and the same calls to
+    # every quantifier the screen does not cover, in the same order.
+    rng = np.random.default_rng(2718)
+    mixes = ([(kinds, False) for kinds in _SCALAR_MIXES]
+             + [(kinds, True) for kinds in _VECTOR_MIXES])
+    for n, (kinds, vector) in enumerate(mixes * 2):
+        calls = []
+        # Depths 1-4 in turn; four players go to depth 3 at most.
+        depth = 1 + n % (4 if len(kinds) < 4 else 3)
+        g = _mixed_kind_game(rng, kinds, vector, calls, depth)
+        for tol in (0.0, 1e-9, 1e-3):
+            want = _result_or_error(_reference_solve_generic, g, depth, tol)
+            want_calls = list(calls)
+            calls.clear()
+            got = _result_or_error(solve_generic, g, depth, tol)
+            _assert_identical(got, want)
+            assert calls == want_calls, (kinds, depth, tol)
+            calls.clear()
+
+
+def test_solve_generic_screen_blocks_match_reference(monkeypatch):
+    # Blocks of 5 profiles split player 0's grid axis at many boundaries;
+    # a block of one row is larger than 5 when the others' grids are.
+    monkeypatch.setattr(hog.mixed, "_STACK", 5)
+    rng = random.Random(41)
+    for players in (1, 2, 3):
+        g = random_max_game(rng, players=players, max_moves=3,
+                            payoff_range=(0, 2))
+        for depth in (2, 3):
+            for tol in (0.0, 1e-9):
+                _assert_identical(solve_generic(g, depth, tol),
+                                  _reference_solve_generic(g, depth, tol))
+
+
+def test_solve_generic_screen_slack_keeps_rounding_ties():
+    # With constant payoffs every grid point is an equilibrium, but at tol 0
+    # is_mixed_nash accepts only those whose rounding happens to tie; the
+    # screen's own rounding differs, and its slack must keep them all.
+    g = SimultaneousGame.from_tensors([2, 2, 2], [[0.1] * 8] * 3,
+                                      [max_quantifier()] * 3)
+    want = _reference_solve_generic(g, 5, 0.0)
+    assert 0 < len(want) < 6 ** 3
+    _assert_identical(solve_generic(g, 5, 0.0), want)
+
+
+def test_solve_generic_certifies_only_screen_survivors(monkeypatch):
+    # A 3x3x3 game at depth 6 has 21 952 grid profiles; the screen leaves
+    # a handful for is_mixed_nash.
+    certified = []
+
+    def counting(g, profile, tol=1e-9):
+        certified.append(profile)
+        return is_mixed_nash(g, profile, tol)
+
+    monkeypatch.setattr(hog.mixed, "is_mixed_nash", counting)
+    rng = np.random.default_rng(0)
+    g = SimultaneousGame.from_tensors(
+        [3, 3, 3], [rng.uniform(-1, 1, 27) for _ in range(3)],
+        [max_quantifier()] * 3)
+    found = solve_generic(g, 6)
+    assert len(found) <= len(certified) <= 50
+
+
+def test_solve_generic_raises_only_where_reference_raises():
+    # Vector outcomes reach a max quantifier, and an eps_ball centre lies
+    # outside a player's moves: the error is the per-point loop's. When no
+    # grid point passes the players before, nothing is raised.
+    vectors = np.arange(16.0).reshape(2, 2, 2, 2) % 3
+    moves = (("a", "b"),) * 2
+    raising = [
+        SimultaneousGame(moves, vectors,
+                         (eps_ball_quantifier(0, 5.0), max_quantifier())),
+        SimultaneousGame(moves, vectors,
+                         (max_quantifier(), eps_ball_quantifier(0, 5.0))),
+        SimultaneousGame(moves, vectors[..., 0],
+                         (max_quantifier(), eps_ball_quantifier(3, 1.0))),
+    ]
+    # Player 0's outcome is always 0.5, never a move id: no fixed point.
+    silent = [
+        SimultaneousGame(moves, np.full((2, 2, 2), 0.5),
+                         (fixed_point_quantifier(), eps_ball_quantifier(3, 1.0))),
+    ]
+    for g in raising + silent:
+        for depth in (1, 2):
+            want = _result_or_error(_reference_solve_generic, g, depth)
+            assert isinstance(want, str) == (g in raising)
+            _assert_identical(_result_or_error(solve_generic, g, depth), want)
