@@ -14,7 +14,7 @@ from .core import (DiagonalPoint, OutcomeTable, Quantifier, QuantifierKind,
                    outcome_distance)
 from .errors import (BudgetExceededError, GameFileError, HogError,
                      NoFixedPointError, StructuralError)
-from .minimax import TwoPlayerStage, bbc, compare_bbc_vs_product, is_psi_phi_profile
+from .minimax import bbc, compare_bbc_vs_product, is_psi_phi_profile
 from .mixed import (expected_outcome, is_mixed_nash, lift_selection,
                     mixed_profile, mixed_strategy, mixed_unilateral_table,
                     solve_generic, solve_support_enumeration_2p, vertex,

@@ -56,10 +56,6 @@ def _text_lines(report: dict, indent: int = 0):
             yield f"{pad}{key}: {value}"
 
 
-def _load(path: str) -> gamefile.GameDocument:
-    return gamefile.load_game(path)
-
-
 def _read_profile_arg(raw: str):
     """A profile argument is inline JSON or a path to a JSON file."""
     candidate = Path(raw)
@@ -96,23 +92,20 @@ def _membership_report(game, profile, mixed_mode: bool, tol: float) -> dict:
 
 
 def cmd_check_eq(args) -> int:
-    document = _load(args.game)
+    document = gamefile.load_game(args.game)
     if document.kind == "sequential":
         raise GameFileError(
             "check-eq verifies simultaneous games; use 'solve --mode seq' "
             "for sequential games", "kind")
     game = document.game
-    if document.kind == "two_player_stage":
-        game = game.to_simultaneous()
     raw = _read_profile_arg(args.profile)
     if not isinstance(raw, list) or not raw:
         raise GameFileError("profile must be a nonempty JSON list", "profile")
-    doc_for_parse = gamefile.GameDocument(document.kind, game, document.params)
     mixed_mode = all(isinstance(v, list) for v in raw)
     if mixed_mode:
-        profile = gamefile.parse_mixed_profile(doc_for_parse, raw)
+        profile = gamefile.parse_mixed_profile(document, raw)
     else:
-        profile = gamefile.parse_pure_profile(doc_for_parse, raw)
+        profile = gamefile.parse_pure_profile(document, raw)
     tol = _tol(args, document)
     report = _membership_report(game, profile, mixed_mode, tol)
     if mixed_mode:
@@ -149,7 +142,7 @@ def _write_artifact(args, payload: dict, default_name: str) -> str | None:
 
 
 def cmd_solve(args) -> int:
-    document = _load(args.game)
+    document = gamefile.load_game(args.game)
     mode = args.mode
     tol = _tol(args, document)
     budget = _budget(args, document)
@@ -167,9 +160,7 @@ def cmd_solve(args) -> int:
 
 
 def _as_simultaneous(document) -> simultaneous.SimultaneousGame:
-    if document.kind == "two_player_stage":
-        return document.game.to_simultaneous()
-    if document.kind != "simultaneous":
+    if document.kind == "sequential":
         raise GameFileError(
             f"mode incompatible with {document.kind} games", "mode")
     return document.game
@@ -248,18 +239,9 @@ def _solve_seq(args, document, tol, budget) -> int:
 
 
 def _solve_bbc(args, document, tol, budget) -> int:
-    if document.kind == "two_player_stage":
-        stage = document.game
-    elif (document.kind == "simultaneous" and document.game.num_players == 2
-          and document.game.single_outcome_space and document.selections):
-        g = document.game
-        stage = minimax.TwoPlayerStage(g.moves, g.payoffs[0], g.quantifiers,
-                                       document.selections)
-    else:
-        raise GameFileError(
-            "mode bbc requires a two-player stage (or a 2-player "
-            "single-outcome simultaneous game with selections)", "mode")
-    if not stage.single_valued():
+    stage = document.game
+    minimax.stage_outcomes(stage, True)  # refuses a game that is no stage
+    if not all(phi.single_valued for phi in stage.quantifiers):
         print("warning: a quantifier is not single-valued; the reply-"
               "robustness guarantee does not apply", file=sys.stderr)
     comparison = minimax.compare_bbc_vs_product(stage)
@@ -299,12 +281,12 @@ def _solve_normal_form(args, document, budget) -> int:
 
 
 def cmd_normal_form(args) -> int:
-    document = _load(args.game)
+    document = gamefile.load_game(args.game)
     return _solve_normal_form(args, document, _budget(args, document))
 
 
 def cmd_bbc(args) -> int:
-    document = _load(args.game)
+    document = gamefile.load_game(args.game)
     return _solve_bbc(args, document, _tol(args, document),
                       _budget(args, document))
 
@@ -338,7 +320,7 @@ def cmd_fuzz(args) -> int:
         report["corpus_dir"] = str(corpus_dir)
         report["corpus_size"] = len(result.corpus)
     for failure in result.failures:
-        doc = _failure_document(failure)
+        doc = _game_document(failure.family, failure.game)
         out = Path(args.out) if args.out else Path("fuzz_failure.json")
         if out.is_dir():
             out = out / f"fuzz_failure_{failure.family}_{failure.index}.json"
@@ -357,17 +339,13 @@ def _game_document(family: str, game) -> dict:
     return gamefile.serialize_game(gamefile.GameDocument(kind, game))
 
 
-def _failure_document(failure) -> dict:
-    return _game_document(failure.family, failure.game)
-
-
-def _finite_float(raw: str) -> float:
+def _tolerance(raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"not a finite number >= 0: {raw!r}")
     return value
 
 
@@ -397,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, game_arg: bool = True):
         if game_arg:
             p.add_argument("game", help="path to a game file (JSON)")
-        p.add_argument("--tol", type=_finite_float, default=None,
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="membership tolerance (default from file, else 1e-9)")
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration budget (default 10^6 or HOG_BUDGET)")

@@ -12,15 +12,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import minimax, normalform, sequential
 from .core import (argmax_selection, argmin_selection, average_quantifier,
                    max_quantifier, min_quantifier, nearest_mean_selection)
-from .minimax import TwoPlayerStage
 from .sequential import SequentialGame
-from .simultaneous import SimultaneousGame
+from .simultaneous import SimultaneousGame, default_move_labels
 
 FAMILIES = ("seq", "normal-form", "bbc")
 
@@ -67,16 +67,19 @@ def random_max_game(rng: random.Random, players: int = 2, max_moves: int = 4,
 
 
 def random_stage(rng: random.Random, max_moves: int = 4, min_moves: int = 2,
-                 payoff_range: tuple[int, int] = (-9, 9)) -> TwoPlayerStage:
+                 payoff_range: tuple[int, int] = (-9, 9)) -> SimultaneousGame:
     """Random stage with max/min quantifiers and argmax/argmin selections."""
     nx = rng.randint(min_moves, max_moves)
     ny = rng.randint(min_moves, max_moves)
     lo, hi = payoff_range
     tensor = [rng.randint(lo, hi) for _ in range(nx * ny)]
-    return TwoPlayerStage.from_tensor(
-        (nx, ny), tensor,
-        (max_quantifier(), min_quantifier()),
-        (argmax_selection(), argmin_selection()),
+    grid = np.array(tensor, dtype=float).reshape(nx, ny)
+    return SimultaneousGame(
+        moves=(default_move_labels(nx), default_move_labels(ny)),
+        payoffs=np.broadcast_to(grid, (2, nx, ny)),
+        quantifiers=(max_quantifier(), min_quantifier()),
+        single_outcome_space=True,
+        selections=(argmax_selection(), argmin_selection()),
     )
 
 
@@ -97,7 +100,7 @@ def certify_normal_form(g: SequentialGame, budget: int | None = None) -> bool:
     return normalform.check_soundness(g, strategy, 0.0, budget)
 
 
-def certify_stage(stage: TwoPlayerStage, budget: int | None = None) -> bool:
+def certify_stage(stage: SimultaneousGame, budget: int | None = None) -> bool:
     """The independently-computed pair is reply-robust at tolerance 0."""
     pair = minimax.bbc(stage)
     return minimax.is_psi_phi_profile(stage, pair, 0.0, budget)
@@ -159,24 +162,25 @@ def _drop_move(g: SequentialGame, r: int) -> SequentialGame:
         range(g.move_counts[r] - 1), axis=r))
 
 
-def shrink_stage(stage: TwoPlayerStage, failing) -> TwoPlayerStage:
+def shrink_stage(stage: SimultaneousGame, failing) -> SimultaneousGame:
     current = stage
     changed = True
     while changed:
         changed = False
-        nx, ny = current.shape
+        nx, ny = current.move_counts
+        outcomes = current.payoffs[0]
         if nx > 1:
-            cand = _stage_from_grid(current, current.payoff[:-1])
+            cand = _stage_from_grid(current, outcomes[:-1])
             if failing(cand):
                 current, changed = cand, True
                 continue
         if ny > 1:
-            cand = _stage_from_grid(current, current.payoff[:, :-1])
+            cand = _stage_from_grid(current, outcomes[:, :-1])
             if failing(cand):
                 current, changed = cand, True
                 continue
-        for idx in np.flatnonzero(current.payoff):
-            grid = current.payoff.copy()
+        for idx in np.flatnonzero(outcomes):
+            grid = outcomes.copy()
             grid.flat[idx] = 0
             cand = _stage_from_grid(current, grid)
             if failing(cand):
@@ -185,10 +189,11 @@ def shrink_stage(stage: TwoPlayerStage, failing) -> TwoPlayerStage:
     return current
 
 
-def _stage_from_grid(stage: TwoPlayerStage, grid: np.ndarray) -> TwoPlayerStage:
+def _stage_from_grid(stage: SimultaneousGame,
+                     grid: np.ndarray) -> SimultaneousGame:
     nx, ny = grid.shape[:2]
     return replace(stage, moves=(stage.moves[0][:nx], stage.moves[1][:ny]),
-                   payoff=grid)
+                   payoffs=np.broadcast_to(grid, (2, *grid.shape)))
 
 
 @dataclass
@@ -196,7 +201,7 @@ class FuzzFailure:
     family: str
     index: int
     seed: int
-    game: SequentialGame | TwoPlayerStage
+    game: SequentialGame | SimultaneousGame
 
 
 @dataclass
@@ -222,42 +227,34 @@ def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
     """
     families = tuple(families)
     result = FuzzResult(seed, count, families)
-    nf_rounds = min(max_rounds, 3)
+    # Family -> (draw, certify, shrink).
+    plan = {
+        "seq": (partial(random_sequential_game, max_rounds=max_rounds,
+                        max_moves=max_moves, payoff_range=payoff_range),
+                certify_sequential, shrink_sequential),
+        "normal-form": (partial(random_sequential_game,
+                                max_rounds=min(max_rounds, 3),
+                                max_moves=max_moves,
+                                payoff_range=payoff_range),
+                        certify_normal_form, shrink_sequential),
+        "bbc": (partial(random_stage, max_moves=max_moves,
+                        payoff_range=payoff_range),
+                certify_stage, shrink_stage),
+    }
     for family in families:
+        if family not in plan:
+            raise ValueError(f"unknown family {family!r}")
+        draw, check, shrink = plan[family]
         # Hashing strings is salted per process; derive integer seeds.
         rng = random.Random(seed * 7919 + FAMILIES.index(family))
         for index in range(count):
-            if family == "seq":
-                game = random_sequential_game(
-                    rng, max_rounds=max_rounds, max_moves=max_moves,
-                    payoff_range=payoff_range)
-                check = certify_sequential
-                ok = check(game, budget)
-                shrinker, check_budget_arg = shrink_sequential, budget
-            elif family == "normal-form":
-                game = random_sequential_game(
-                    rng, max_rounds=nf_rounds, max_moves=max_moves,
-                    payoff_range=payoff_range)
-                check = certify_normal_form
-                ok = check(game, budget)
-                shrinker, check_budget_arg = shrink_sequential, budget
-            elif family == "bbc":
-                game = random_stage(rng, max_moves=max_moves,
-                                    payoff_range=payoff_range)
-                check = certify_stage
-                ok = check(game, budget)
-                shrinker, check_budget_arg = shrink_stage, budget
-            else:
-                raise ValueError(f"unknown family {family!r}")
+            game = draw(rng)
+            ok = check(game, budget)
             result.corpus.append((family, index, game))
             result.checked += 1
             if ok:
                 continue
-
-            def failing(g, _check=check, _budget=check_budget_arg):
-                return not _check(g, _budget)
-
-            small = shrinker(game, failing)
+            small = shrink(game, lambda g: not check(g, budget))
             result.failures.append(FuzzFailure(family, index, seed, small))
             if stop_on_failure:
                 return result

@@ -13,8 +13,9 @@ descriptors; "selections" is optional. Sequential games use "rounds" for
 per-round move labels, a single payoff tensor over plays, and per-round
 quantifier and selection descriptors. Two-player stages are the simultaneous
 layout restricted to 2 players with a single shared tensor and required
-selections. Parsed games hold each tensor as one read-only float64 array;
-serializing flattens those arrays back to row-major lists.
+selections; they parse to a 2-player single-outcome ``SimultaneousGame``
+with selections. Parsed games hold each tensor as one read-only float64
+array; serializing flattens those arrays back to row-major lists.
 
 Quantifier descriptors: {"kind": "max"}, {"kind": "min"},
 {"kind": "fixed_point"}, {"kind": "average"},
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -37,10 +38,9 @@ import numpy as np
 from .core import (Quantifier, SelectionFunction, make_standard_quantifier,
                    make_standard_selection)
 from .errors import GameFileError, StructuralError
-from .minimax import TwoPlayerStage
 from .normalform import ContingentMoveSet, lift_round_quantifier
 from .sequential import SequentialGame
-from .simultaneous import SimultaneousGame
+from .simultaneous import SimultaneousGame, flat_tensor
 from .mixed import MixedProfile, mixed_profile
 
 FORMAT_VERSION = 1
@@ -53,9 +53,8 @@ class GameDocument:
     """A parsed game file: the game value plus solver parameters."""
 
     kind: str
-    game: SimultaneousGame | SequentialGame | TwoPlayerStage
+    game: SimultaneousGame | SequentialGame
     params: dict = field(default_factory=dict)
-    selections: tuple[SelectionFunction, ...] | None = None
 
 
 def _expect(cond: bool, message: str, fieldname: str | None = None) -> None:
@@ -160,8 +159,8 @@ def _parse_params(doc: dict) -> dict:
     for key, value in params.items():
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if key == "tol":
-            _expect(number and _finite(value), "must be a finite number",
-                    f"params.{key}")
+            _expect(number and _finite(value) and value >= 0,
+                    "must be a finite number >= 0", f"params.{key}")
         else:
             _expect(number and _finite(value) and float(value).is_integer(),
                     "must be an integer", f"params.{key}")
@@ -211,7 +210,9 @@ def _parse_simultaneous(doc: dict) -> GameDocument:
         players=[str(p) for p in players] if players else None,
         single_outcome_space=bool(single),
     )
-    return GameDocument("simultaneous", game, _parse_params(doc), selections)
+    if selections is not None:
+        game = replace(game, selections=selections)
+    return GameDocument("simultaneous", game, _parse_params(doc))
 
 
 def _parse_optional_selections(doc: dict, n: int):
@@ -259,12 +260,12 @@ def _parse_stage(doc: dict) -> GameDocument:
     selections = [
         parse_selection(d, f"selections[{i}]") for i, d in enumerate(s_raw)
     ]
-    stage = TwoPlayerStage.from_tensor(
-        (len(moves[0]), len(moves[1])), tensor, quantifiers, selections,
-        moves=moves,
-    )
-    return GameDocument("two_player_stage", stage, _parse_params(doc),
-                        tuple(selections))
+    grid = flat_tensor(tensor, (len(moves[0]), len(moves[1])), "payoffs")
+    stage = SimultaneousGame(
+        moves=moves, payoffs=np.broadcast_to(grid, (2, *grid.shape)),
+        quantifiers=tuple(quantifiers), single_outcome_space=True,
+        selections=tuple(selections))
+    return GameDocument("two_player_stage", stage, _parse_params(doc))
 
 
 def load_game(path) -> GameDocument:
@@ -297,24 +298,20 @@ def serialize_game(document: GameDocument) -> dict:
         out["payoffs"] = game.play_outcomes()
         out["quantifiers"] = [_serialize_quantifier(q) for q in game.quantifiers]
         out["selections"] = [_serialize_selection(s) for s in game.selections]
-    elif document.kind == "two_player_stage":
-        out["moves"] = [list(ms) for ms in game.moves]
-        out["payoffs"] = _flat(game.payoff, 2)
-        out["quantifiers"] = [_serialize_quantifier(q) for q in game.quantifiers]
-        out["selections"] = [_serialize_selection(s) for s in game.selections]
     else:
         out["moves"] = [list(ms) for ms in game.moves]
-        out["players"] = list(game.players)
-        out["single_outcome_space"] = game.single_outcome_space
+        if document.kind == "simultaneous":
+            out["players"] = list(game.players)
+            out["single_outcome_space"] = game.single_outcome_space
         n = game.num_players
         if game.single_outcome_space:
             out["payoffs"] = _flat(game.payoffs[0], n)
         else:
             out["payoffs"] = [_flat(tensor, n) for tensor in game.payoffs]
         out["quantifiers"] = [_serialize_quantifier(q) for q in game.quantifiers]
-        if document.selections is not None:
+        if game.selections is not None:
             out["selections"] = [
-                _serialize_selection(s) for s in document.selections
+                _serialize_selection(s) for s in game.selections
             ]
     if document.params:
         out["params"] = dict(document.params)

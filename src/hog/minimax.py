@@ -1,91 +1,52 @@
 """Two-player stages and the binary Berardi-Bezem-Coquand functional.
 
-The BBC functional has the same type as the binary product of selection
-functions but computes both coordinates independently: each player's move is
-chosen against the opponent's pointwise replies. For total single-valued
+A stage is a 2-player ``SimultaneousGame`` with a single outcome space and
+selections: the quantifiers and selections are phi and epsilon for the
+first player, psi and delta for the second, and the outcomes are the one
+read-only float64 array ``payoffs[0]`` of shape ``(nx, ny)``. The BBC
+functional has the same type as the binary product of selection functions
+but computes both coordinates independently: each player's move is chosen
+against the opponent's pointwise replies. For total single-valued
 quantifiers the resulting pair is a reply-robust profile: each move is
 acceptable against every reply function the opponent's quantifier admits
-(with max/min this is the classical minimax strategy). A stage stores its
-outcomes as one read-only float64 array of shape ``(nx, ny)``; the loops
-here index a single Python-list copy of it per call.
+(with max/min this is the classical minimax strategy). The loops here index
+a single Python-list copy of the outcome array per call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .budget import check_budget
-from .core import (OutcomeTable, Quantifier, QuantifierKind,
-                   SelectionFunction, as_outcome)
-from .errors import StructuralError
+from .core import OutcomeTable, QuantifierKind, as_outcome
+from .errors import GameFileError, StructuralError
 from .sequential import selection_product
-from .simultaneous import (SimultaneousGame, default_move_labels, flat_tensor,
-                           payoff_array)
+from .simultaneous import SimultaneousGame
 
 
-@dataclass(frozen=True, eq=False)
-class TwoPlayerStage:
-    """A 2-player single-outcome-space game given by a read-only outcome
-    array ``payoff[x][y]`` (a trailing axis holds vector outcomes),
-    quantifiers (phi for the first player, psi for the second), and
-    selections attaining them. The reply-robustness theorem needs both
-    quantifiers single-valued; the verifier itself accepts multi-valued
-    ones."""
-
-    moves: tuple[tuple[str, ...], tuple[str, ...]]
-    payoff: np.ndarray
-    quantifiers: tuple[Quantifier, Quantifier]
-    selections: tuple[SelectionFunction, SelectionFunction]
-
-    def __post_init__(self):
-        nx, ny = len(self.moves[0]), len(self.moves[1])
-        if nx == 0 or ny == 0:
-            raise StructuralError("stage move sets must be nonempty")
-        object.__setattr__(self, "payoff", payoff_array(
-            self.payoff, (nx, ny), "payoff grid"))
-
-    @classmethod
-    def from_tensor(cls, move_counts: Sequence[int], payoffs: Sequence[float],
-                    quantifiers, selections,
-                    moves: Sequence[Sequence[str]] | None = None) -> "TwoPlayerStage":
-        nx, ny = (int(c) for c in move_counts)
-        grid = flat_tensor(payoffs, (nx, ny), "payoff tensor")
-        if moves is None:
-            moves = (default_move_labels(nx), default_move_labels(ny))
-        else:
-            moves = tuple(tuple(ms) for ms in moves)
-        return cls(moves=moves, payoff=grid, quantifiers=tuple(quantifiers),
-                   selections=tuple(selections))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.moves[0]), len(self.moves[1])
-
-    def single_valued(self) -> bool:
-        return all(phi.single_valued for phi in self.quantifiers)
-
-    def to_simultaneous(self) -> SimultaneousGame:
-        """The same game as a simultaneous one; both players read this
-        stage's array through a zero-copy broadcast."""
-        return SimultaneousGame(
-            moves=self.moves,
-            payoffs=np.broadcast_to(self.payoff, (2, *self.payoff.shape)),
-            quantifiers=self.quantifiers,
-            single_outcome_space=True,
-        )
+def stage_outcomes(g: SimultaneousGame, need_selections: bool) -> np.ndarray:
+    """The outcome array of a stage. Raises unless ``g`` is a 2-player
+    single-outcome simultaneous game that, if ``need_selections``, has
+    selections; the error names the CLI's ``mode`` field, which the CLI
+    reports as it is."""
+    if not (isinstance(g, SimultaneousGame) and g.num_players == 2
+            and g.single_outcome_space
+            and (g.selections is not None or not need_selections)):
+        raise GameFileError(
+            "mode bbc requires a two-player stage (or a 2-player "
+            "single-outcome simultaneous game with selections)", "mode")
+    return g.payoffs[0]
 
 
-def bbc(stage: TwoPlayerStage) -> tuple[int, int]:
+def bbc(g: SimultaneousGame) -> tuple[int, int]:
     """The pair (a, b) where a is chosen against the second selection's
     pointwise replies and b against the first's, each computed independently
     (unlike the product, whose second coordinate is the reply to a)."""
-    eps, delta = stage.selections
-    q = stage.payoff.tolist()
+    q = stage_outcomes(g, True).tolist()
+    eps, delta = g.selections
     replies_to_x = [delta.select(OutcomeTable(row)) for row in q]
     a = eps.select(OutcomeTable(
         [row[y] for row, y in zip(q, replies_to_x)]
@@ -102,7 +63,7 @@ def bbc(stage: TwoPlayerStage) -> tuple[int, int]:
 _WORST_CASE = {QuantifierKind.MAX: (min, max), QuantifierKind.MIN: (max, min)}
 
 
-def is_psi_phi_profile(stage: TwoPlayerStage, pair: tuple[int, int],
+def is_psi_phi_profile(g: SimultaneousGame, pair: tuple[int, int],
                        tol: float = 0.0, budget: int | None = None) -> bool:
     """Verify reply-robustness of (a, b): a's outcome must be acceptable to
     the first quantifier against every reply function admitted pointwise by
@@ -117,18 +78,19 @@ def is_psi_phi_profile(stage: TwoPlayerStage, pair: tuple[int, int],
     so this is exact. Other outer quantifiers enumerate the product, and
     only what is enumerated counts against the budget.
     """
+    outcomes = stage_outcomes(g, False)
     a, b = pair
-    nx, ny = stage.shape
+    nx, ny = g.move_counts
     if not (0 <= a < nx and 0 <= b < ny):
         raise StructuralError(f"pair {pair} outside {nx}x{ny} stage")
-    phi, psi = stage.quantifiers
-    q = stage.payoff.tolist()
+    phi, psi = g.quantifiers
+    q = outcomes.tolist()
     cols = [list(col) for col in zip(*q)]
 
     # The outcomes each reply function may put at each coordinate of the
     # composed table: a's check composes with psi's replies along rows,
     # b's with phi's replies along columns.
-    scalar = stage.payoff.ndim == 2
+    scalar = outcomes.ndim == 2
     sides = []
     for outer, inner, lines, move in ((phi, psi, q, a), (psi, phi, cols, b)):
         values = []
@@ -156,18 +118,18 @@ def is_psi_phi_profile(stage: TwoPlayerStage, pair: tuple[int, int],
     return True
 
 
-def compare_bbc_vs_product(stage: TwoPlayerStage) -> dict:
+def compare_bbc_vs_product(g: SimultaneousGame) -> dict:
     """Exploratory comparison of the independent-coordinates pair with the
     product-of-selections pair on the same stage; no relationship is
     asserted beyond what the report shows."""
-    q = stage.payoff.tolist()
-    pair_bbc = bbc(stage)
-    pair_prod = selection_product(stage.selections[0], stage.selections[1], q)
+    q = stage_outcomes(g, True).tolist()
+    pair_bbc = bbc(g)
+    pair_prod = selection_product(g.selections[0], g.selections[1], q)
 
     def describe(pair):
         return {
             "pair": list(pair),
-            "moves": [stage.moves[0][pair[0]], stage.moves[1][pair[1]]],
+            "moves": [g.moves[0][pair[0]], g.moves[1][pair[1]]],
             "outcome": as_outcome(q[pair[0]][pair[1]]),
         }
 

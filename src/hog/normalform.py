@@ -13,6 +13,7 @@ converse fails (equilibria may rest on non-credible off-path behaviour).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -115,19 +116,24 @@ def contingent_move_sets(g: SequentialGame) -> list[ContingentMoveSet]:
     ]
 
 
-def contingent_label(cms: ContingentMoveSet, g: SequentialGame, index: int) -> str:
-    """Mixed-radix index plus a readable history -> move listing."""
-    table = cms.table(index)
+def _label_cells(cms: ContingentMoveSet, g: SequentialGame) -> list[list[str]]:
+    """Per history of the round, the listing of each base move played there:
+    ``"<history labels>><move label>"``, or the bare move label in round 0."""
     i = cms.round_index
     if i == 0:
-        listing = g.moves[0][table[0]]
-    else:
-        parts = []
-        for hist, move in zip(histories(g.move_counts[:i]), table):
-            hist_txt = "".join(g.moves[j][h] for j, h in enumerate(hist))
-            parts.append(f"{hist_txt}>{g.moves[i][move]}")
-        listing = ",".join(parts)
-    return f"{index}:{listing}"
+        return [list(g.moves[0])]
+    return [
+        [f"{''.join(g.moves[j][h] for j, h in enumerate(hist))}>{move}"
+         for move in g.moves[i]]
+        for hist in histories(g.move_counts[:i])
+    ]
+
+
+def contingent_label(cms: ContingentMoveSet, g: SequentialGame, index: int) -> str:
+    """Mixed-radix index plus a readable history -> move listing."""
+    cells = _label_cells(cms, g)
+    return f"{index}:" + ",".join(
+        row[move] for row, move in zip(cells, cms.table(index)))
 
 
 def to_normal_form(g: SequentialGame, budget: int | None = None) -> SimultaneousGame:
@@ -149,8 +155,12 @@ def to_normal_form(g: SequentialGame, budget: int | None = None) -> Simultaneous
             index // c.base_move_count ** digit) % c.base_move_count
     outcomes = g.payoffs.reshape(-1, *g.payoffs.shape[g.rounds:])[play]
     outcomes.setflags(write=False)
+    # Every label of a round at once: the tables of a round are the product
+    # of its per-history listings, in index order.
     labels = tuple(
-        tuple(contingent_label(c, g, k) for k in range(c.size)) for c in sets
+        tuple(f"{k}:{','.join(t)}"
+              for k, t in enumerate(itertools.product(*_label_cells(c, g))))
+        for c in sets
     )
     return SimultaneousGame(
         moves=labels,

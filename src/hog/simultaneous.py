@@ -9,6 +9,9 @@ outcomes this is exactly the classical Nash condition.
 Outcome functions are stored as one read-only float64 array ``payoffs`` of
 shape ``(players, *move_counts)``, with a trailing axis for vector outcomes;
 ``payoffs[i][profile]`` is player i's outcome at ``profile``.
+
+A game may also carry one selection function per player. A two-player stage
+(see ``minimax``) is a 2-player single-outcome game with selections.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .budget import check_budget
-from .core import Outcome, OutcomeTable, Quantifier, as_outcome
+from .core import (Outcome, OutcomeTable, Quantifier, SelectionFunction,
+                   as_outcome)
 from .errors import StructuralError
 
 PureProfile = tuple[int, ...]
@@ -68,13 +72,15 @@ class SimultaneousGame:
     """Finite simultaneous game with per-player payoff tensors and
     quantifiers. ``single_outcome_space`` flags that all players share one
     outcome tensor (as normal forms of sequential games do); ``payoffs`` is
-    then a zero-copy broadcast of it."""
+    then a zero-copy broadcast of it. ``selections``, when given, holds one
+    selection function per player."""
 
     moves: tuple[tuple[str, ...], ...]
     payoffs: np.ndarray
     quantifiers: tuple[Quantifier, ...]
     players: tuple[str, ...] = ()
     single_outcome_space: bool = False
+    selections: tuple[SelectionFunction, ...] | None = None
 
     def __post_init__(self):
         if not self.moves:
@@ -87,6 +93,9 @@ class SimultaneousGame:
             raise StructuralError(
                 "moves and quantifiers must have one entry per player"
             )
+        if self.selections is not None and len(self.selections) != n:
+            raise StructuralError(
+                "moves and selections must have one entry per player")
         object.__setattr__(self, "payoffs", payoff_array(
             self.payoffs, (n, *self.move_counts), "payoffs"))
         if not self.players:

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from hog.core import (OutcomeTable, argmax_selection, argmin_selection,
                       nearest_mean_selection)
 from hog.fuzz import (random_max_game, random_sequential_game, random_stage)
 from hog.gamefile import load_game, parse_strategy
-from hog.minimax import TwoPlayerStage, bbc, is_psi_phi_profile
+from hog.minimax import bbc, is_psi_phi_profile
 from hog.mixed import (is_mixed_nash, lift_selection, mixed_strategy,
                        mixed_unilateral_table, solve_support_enumeration_2p)
 from hog.normalform import check_soundness
@@ -126,11 +127,11 @@ def test_criterion_5_reply_robustness_theorem():
     checked = 0
     for ny in (2, 3):
         for tensor in itertools.product([-1, 0, 1], repeat=2 * ny):
-            stage = TwoPlayerStage.from_tensor(
-                (2, ny), list(tensor),
+            stage = replace(SimultaneousGame.from_tensors(
+                (2, ny), [list(tensor)] * 2,
                 (max_quantifier(), min_quantifier()),
-                (argmax_selection(), argmin_selection()),
-            )
+                single_outcome_space=True,
+            ), selections=(argmax_selection(), argmin_selection()))
             checked += 1
             if not is_psi_phi_profile(stage, bbc(stage), 0.0):
                 counterexamples += 1

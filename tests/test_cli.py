@@ -231,7 +231,8 @@ def test_fuzz_mutation_self_test(capsys, tmp_path, monkeypatch):
     assert failing["kind"] == "sequential"
 
 
-def test_bbc_on_simultaneous_file_with_selections(capsys, tmp_path):
+def test_bbc_on_simultaneous_file_with_selections(capsys, tmp_path,
+                                                  games_dir):
     doc = {
         "version": 1, "kind": "simultaneous",
         "moves": [["H", "T"], ["H", "T"]],
@@ -245,6 +246,15 @@ def test_bbc_on_simultaneous_file_with_selections(capsys, tmp_path):
     code, out, _ = run(capsys, ["bbc", str(path), "--json"])
     assert code == 0
     assert json.loads(out)["pair"] == [0, 0]
+    # The single-outcome twin reads exactly as the stage file does.
+    stage = str(games_dir / "stage_matching_pennies.json")
+    for command in (["bbc"], ["check-eq", "--profile", "[0,1]"],
+                    ["check-eq", "--profile", "[[0.5,0.5],[0.5,0.5]]"],
+                    ["solve", "--mode", "pure"], ["solve", "--mode", "mixed"]):
+        for extra in ([], ["--json"]):
+            twin = run(capsys, [command[0], str(path), *command[1:], *extra])
+            assert twin == run(capsys, [command[0], stage, *command[1:],
+                                        *extra])
 
 
 def test_solve_mixed_generic_for_non_max_game(capsys, games_dir):
@@ -376,7 +386,8 @@ def test_invalid_flag_values_exit_2(capsys, games_dir):
     # --grid-depth 0 used to be replaced by the default depth 3, and
     # --tol nan made every membership test false.
     game = str(games_dir / "eps_ball_demo.json")
-    for flag, value in (("--grid-depth", "0"), ("--tol", "nan")):
+    for flag, value in (("--grid-depth", "0"), ("--tol", "nan"),
+                        ("--tol", "-1")):
         with pytest.raises(SystemExit) as exc:
             main(["solve", game, "--mode", "mixed", flag, value])
         assert exc.value.code == 2

@@ -15,7 +15,7 @@ def test_generators_are_seed_deterministic():
     assert [g1.outcome(p) for p in plays] == [g2.outcome(p) for p in plays]
     s1 = random_stage(random.Random(5))
     s2 = random_stage(random.Random(5))
-    assert np.array_equal(s1.payoff, s2.payoff)
+    assert np.array_equal(s1.payoffs[0], s2.payoffs[0])
 
 
 def test_run_fuzz_all_families_pass():
@@ -44,10 +44,10 @@ def test_stage_shrinker():
     stage = random_stage(random.Random(4), max_moves=4)
 
     def failing(s):
-        return s.shape[0] * s.shape[1] >= 2
+        return s.move_counts[0] * s.move_counts[1] >= 2
 
     small = shrink_stage(stage, failing)
-    assert small.shape[0] * small.shape[1] == 2
+    assert small.move_counts[0] * small.move_counts[1] == 2
 
 
 def test_certifier_agrees_with_direct_checks():

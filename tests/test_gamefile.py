@@ -6,7 +6,6 @@ from hog.errors import GameFileError
 from hog.gamefile import (GameDocument, load_game, parse_game,
                           parse_mixed_profile, parse_pure_profile,
                           parse_strategy, serialize_game)
-from hog.minimax import TwoPlayerStage
 from hog.sequential import SequentialGame
 from hog.simultaneous import SimultaneousGame
 
@@ -48,8 +47,8 @@ def test_sequential_parse(games_dir):
 
 def test_stage_parse(games_dir):
     document = load_game(games_dir / "stage_matching_pennies.json")
-    assert isinstance(document.game, TwoPlayerStage)
-    assert document.game.payoff[0][0] == 1.0
+    assert isinstance(document.game, SimultaneousGame)
+    assert document.game.payoffs[0][0][0] == 1.0
 
 
 def test_single_outcome_space_tensor():
@@ -113,6 +112,7 @@ def test_non_finite_numbers_rejected():
             {"kind": "eps_ball", "center": 0, "radius": float("inf")},
             {"kind": "max"}]),
         dict(base, params={"tol": float("nan")}),
+        dict(base, params={"tol": -0.5}),
         dict(base, params={"budget": "abc"}),
         dict(base, params={"grid_depth": 2.5}),
     ]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,26 +10,27 @@ from hog.core import (OutcomeTable, argmax_selection, argmin_selection,
                       min_quantifier)
 from hog.errors import BudgetExceededError, StructuralError
 from hog.fuzz import random_stage
-from hog.minimax import (TwoPlayerStage, bbc, compare_bbc_vs_product,
-                         is_psi_phi_profile)
+from hog.minimax import bbc, compare_bbc_vs_product, is_psi_phi_profile
 from hog.sequential import selection_product
+from hog.simultaneous import SimultaneousGame
 
 MP = [1, -1, -1, 1]
 
 
 def stage_from(tensor, nx, ny, quantifiers=None, selections=None):
-    return TwoPlayerStage.from_tensor(
-        (nx, ny), tensor,
+    game = SimultaneousGame.from_tensors(
+        (nx, ny), [tensor, tensor],
         quantifiers or (max_quantifier(), min_quantifier()),
-        selections or (argmax_selection(), argmin_selection()),
-    )
+        single_outcome_space=True)
+    return replace(game, selections=selections
+                   or (argmax_selection(), argmin_selection()))
 
 
 def _literal_bbc(stage):
     """Independent transcription of the two defining displays."""
     eps, delta = stage.selections
-    q = stage.payoff
-    nx, ny = stage.shape
+    q = stage.payoffs[0]
+    nx, ny = stage.move_counts
     a = eps.select(OutcomeTable([
         q[x][delta.select(OutcomeTable([q[x][y] for y in range(ny)]))]
         for x in range(nx)
@@ -57,7 +59,7 @@ def test_bbc_first_coordinate_matches_product_when_reply_constant():
                        selections=(argmax_selection(), constant_selection(1)))
     a, _ = bbc(stage)
     prod = selection_product(argmax_selection(), constant_selection(1),
-                             stage.payoff)
+                             stage.payoffs[0])
     assert a == prod[0]
 
 
@@ -74,11 +76,11 @@ def test_psi_phi_single_valued_reduces_to_row_min_argmax():
     # With single-valued quantifiers the composed table is forced pointwise,
     # so the first condition says a maximizes the row-min value.
     stage = stage_from([4, -2, 1, 3], 2, 2)
-    mins = [min(stage.payoff[x]) for x in range(2)]
+    mins = [min(stage.payoffs[0][x]) for x in range(2)]
     for a in range(2):
         for b in range(2):
             expected_first = mins[a] == max(mins)
-            col_maxes = [max(stage.payoff[x][y] for x in range(2)) for y in range(2)]
+            col_maxes = [max(stage.payoffs[0][x][y] for x in range(2)) for y in range(2)]
             expected_second = col_maxes[b] == min(col_maxes)
             assert is_psi_phi_profile(stage, (a, b)) == (
                 expected_first and expected_second
@@ -97,7 +99,7 @@ def test_bbc_achieves_maximin_value():
     for _ in range(50):
         stage = random_stage(rng, max_moves=4)
         a, _ = bbc(stage)
-        q = stage.payoff
+        q = stage.payoffs[0]
         maximin = max(min(row) for row in q)
         assert min(q[a]) == maximin
 
@@ -112,18 +114,18 @@ def test_exhaustive_small_grids():
 def test_multi_valued_quantifier_accepted_by_verifier():
     # An eps-ball second quantifier admits several replies per move; the
     # verifier enumerates all of them.
-    stage = TwoPlayerStage.from_tensor(
-        (2, 2), [0, 1, 1, 0],
+    stage = stage_from(
+        [0, 1, 1, 0], 2, 2,
         (max_quantifier(), eps_ball_quantifier(0, 1.0)),
         (argmax_selection(), constant_selection(0)),
     )
-    assert not stage.single_valued()
+    assert not all(q.single_valued for q in stage.quantifiers)
     # Every reply is admissible (all payoffs within 1 of the y=0 column),
     # so the first condition demands optimality against all 4 reply maps.
     assert not is_psi_phi_profile(stage, bbc(stage), 0.0)
     # A profile can still satisfy the definition when the table is flat.
-    flat = TwoPlayerStage.from_tensor(
-        (2, 2), [1, 1, 1, 1],
+    flat = stage_from(
+        [1, 1, 1, 1], 2, 2,
         (max_quantifier(), eps_ball_quantifier(0, 1.0)),
         (argmax_selection(), constant_selection(0)),
     )
@@ -149,21 +151,36 @@ def test_compare_report_monotone_coincide():
 
 def test_stage_validation():
     with pytest.raises(StructuralError):
-        TwoPlayerStage.from_tensor((2, 2), [1, 2, 3],
-                                   (max_quantifier(), min_quantifier()),
-                                   (argmax_selection(), argmin_selection()))
+        stage_from([1, 2, 3], 2, 2)
     stage = stage_from(MP, 2, 2)
     with pytest.raises(StructuralError):
         is_psi_phi_profile(stage, (2, 0))
+    # A stage is a 2-player single-outcome game; bbc also needs selections.
+    selections = (argmax_selection(), argmin_selection(), argmax_selection())
+    three = replace(SimultaneousGame.from_tensors(
+        (2, 2, 2), [[0] * 8] * 3, [max_quantifier()] * 3,
+        single_outcome_space=True), selections=selections)
+    separate = replace(SimultaneousGame.from_tensors(
+        (2, 2), [MP, MP], (max_quantifier(), min_quantifier())),
+        selections=selections[:2])
+    for game in (three, separate):
+        for check in (bbc, compare_bbc_vs_product,
+                      lambda g: is_psi_phi_profile(g, (0, 0))):
+            with pytest.raises(StructuralError):
+                check(game)
+    with pytest.raises(StructuralError):
+        bbc(replace(stage, selections=None))
+    with pytest.raises(StructuralError):
+        replace(stage, selections=selections)
 
 
 def _reference_is_psi_phi_profile(stage, pair, tol):
     """Slow oracle: enumerate every admissible reply function on both
     sides."""
     a, b = pair
-    nx, ny = stage.shape
+    nx, ny = stage.move_counts
     phi, psi = stage.quantifiers
-    q = stage.payoff.tolist()
+    q = stage.payoffs[0].tolist()
     row_tables = [OutcomeTable(row) for row in q]
     a_choices = [
         [y for y in range(ny) if psi.contains(row_tables[x], q[x][y], tol)]

@@ -8,6 +8,7 @@ from hog.errors import BudgetExceededError, StructuralError
 from hog.fuzz import random_sequential_game
 from hog.gamefile import load_game, parse_strategy
 from hog.normalform import (ContingentMoveSet, check_soundness,
+                            contingent_label, contingent_move_sets,
                             profile_to_strategy, strategy_to_profile,
                             to_normal_form)
 from hog.sequential import (SequentialGame, compute_optimal_strategy,
@@ -30,6 +31,20 @@ def test_contingent_move_set_counts():
     assert cms.constant_index(1) == 3
     with pytest.raises(StructuralError):
         cms.table(4)
+
+
+def test_contingent_labels():
+    g = SequentialGame.from_tensor(
+        [2, 2, 3], list(range(12)), [max_quantifier()] * 3,
+        [argmax_selection()] * 3, moves=[["a", "b"], ["x", "y"], ["1", "2", "3"]])
+    nf = to_normal_form(g)
+    assert nf.moves[0] == ("0:a", "1:b")
+    assert nf.moves[1] == ("0:a>x,b>x", "1:a>x,b>y", "2:a>y,b>x", "3:a>y,b>y")
+    assert nf.moves[2][5] == "5:ax>1,ay>1,bx>2,by>3"
+    # The per-round labels equal the single-label function's.
+    for cms in contingent_move_sets(g):
+        assert nf.moves[cms.round_index] == tuple(
+            contingent_label(cms, g, k) for k in range(cms.size))
 
 
 def test_single_round_normal_form_is_isomorphic():
