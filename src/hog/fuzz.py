@@ -106,7 +106,7 @@ def certify_stage(stage: SimultaneousGame, budget: int | None = None) -> bool:
     return minimax.is_psi_phi_profile(stage, pair, 0.0, budget)
 
 
-def shrink_sequential(g: SequentialGame, failing, budget=None) -> SequentialGame:
+def shrink_sequential(g: SequentialGame, failing) -> SequentialGame:
     """Greedy shrink: drop rounds (fixing their move to 0), drop moves, zero
     payoffs, as long as the certification keeps failing."""
     current = g

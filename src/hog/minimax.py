@@ -9,8 +9,9 @@ but computes both coordinates independently: each player's move is chosen
 against the opponent's pointwise replies. For total single-valued
 quantifiers the resulting pair is a reply-robust profile: each move is
 acceptable against every reply function the opponent's quantifier admits
-(with max/min this is the classical minimax strategy). The loops here index
-a single Python-list copy of the outcome array per call.
+(with max/min this is the classical minimax strategy); the verifier itself
+accepts multi-valued quantifiers. The loops here index a single Python-list
+copy of the outcome array per call.
 """
 
 from __future__ import annotations
