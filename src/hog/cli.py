@@ -23,7 +23,8 @@ from pathlib import Path
 
 from . import fuzz as fuzz_mod
 from . import gamefile, minimax, mixed, normalform, sequential, simultaneous
-from .errors import BudgetExceededError, GameFileError, HogError
+from .errors import (BudgetExceededError, GameFileError, HogError,
+                     StructuralError)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -240,7 +241,13 @@ def _solve_seq(args, document, tol, budget) -> int:
 
 def _solve_bbc(args, document, tol, budget) -> int:
     stage = document.game
-    minimax.stage_outcomes(stage, True)  # refuses a game that is no stage
+    try:
+        minimax.stage_outcomes(stage, True)
+    except StructuralError:
+        raise GameFileError(
+            "mode bbc requires a two-player stage (or a 2-player "
+            "single-outcome simultaneous game with selections)",
+            "mode") from None
     if not all(phi.single_valued for phi in stage.quantifiers):
         print("warning: a quantifier is not single-valued; the reply-"
               "robustness guarantee does not apply", file=sys.stderr)

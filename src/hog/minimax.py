@@ -23,22 +23,21 @@ import numpy as np
 
 from .budget import check_budget
 from .core import OutcomeTable, QuantifierKind, as_outcome
-from .errors import GameFileError, StructuralError
+from .errors import StructuralError
 from .sequential import selection_product
 from .simultaneous import SimultaneousGame
 
 
 def stage_outcomes(g: SimultaneousGame, need_selections: bool) -> np.ndarray:
-    """The outcome array of a stage. Raises unless ``g`` is a 2-player
-    single-outcome simultaneous game that, if ``need_selections``, has
-    selections; the error names the CLI's ``mode`` field, which the CLI
-    reports as it is."""
+    """The outcome array of a stage. Raises a StructuralError unless ``g``
+    is a 2-player single-outcome simultaneous game that, if
+    ``need_selections``, has selections."""
     if not (isinstance(g, SimultaneousGame) and g.num_players == 2
             and g.single_outcome_space
             and (g.selections is not None or not need_selections)):
-        raise GameFileError(
-            "mode bbc requires a two-player stage (or a 2-player "
-            "single-outcome simultaneous game with selections)", "mode")
+        raise StructuralError(
+            "expected a 2-player single-outcome simultaneous game"
+            + (" with selections" if need_selections else ""))
     return g.payoffs[0]
 
 

@@ -33,6 +33,21 @@ that only pairs that may be consistent are solved pair by pair. A
 vectorised regret screen drops candidates that are clearly not equilibria.
 The screens only discard; every profile returned is still built by
 mixed_profile and certified by is_mixed_nash, in enumeration order.
+
+Rectangular shapes are also pruned by their subsets (von Stengel 2002;
+Porter, Nudelman & Shoham 2008). A solution of the system of (R, C) also
+solves the system of every (R, C') with C' inside C, since that system
+keeps the same unknowns and drops equations. So a shape whose long side is
+at least its short side + 2 screens only the pairs whose every subset one
+shorter on the long side passed the residual half of its own screen, and
+inductively every subset down to short side + 1; a shape with no such pair
+is skipped outright. The negative-probability half of the screen stays out
+of this test: the minimum-norm solution of a rank-deficient subsystem can
+be negative where the wider system has a nonnegative one. The pruning is
+conservative: a pair that _indifference_solve accepts has a max-residual of
+at most _RESIDUAL_TOL on its system, so on a subsystem of r equations its
+QR residual is at most sqrt(r) * _RESIDUAL_TOL, inside that shape's
+threshold, which adds _SCREEN_MARGIN for rounding.
 """
 
 from __future__ import annotations
@@ -273,11 +288,13 @@ def _solve_square(payoff: np.ndarray, own: np.ndarray,
 
 
 def _may_be_consistent(payoff: np.ndarray, own: np.ndarray,
-                       other: np.ndarray, tol: float) -> np.ndarray:
+                       other: np.ndarray,
+                       tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Stacked least-squares screen of overdetermined systems (more
-    equations than unknowns): False for pairs whose system is inconsistent
-    or forces a negative probability, with a margin that leaves the
-    decision on every other pair to _indifference_solve."""
+    equations than unknowns), with a margin that leaves the decision on
+    every pair it keeps to _indifference_solve. Returns two masks: the pairs
+    whose system may be consistent, and those of them whose system may also
+    have no negative probability."""
     mats = _indifference_systems(payoff, own, other)
     # The span of a QR factor's Q contains the column space, rank-deficient
     # or not, so this residual of the right-hand side (the last unit vector)
@@ -286,27 +303,48 @@ def _may_be_consistent(payoff: np.ndarray, own: np.ndarray,
     q = np.linalg.qr(mats)[0]
     res = -np.matmul(q, q[:, -1, :, None])[..., 0]
     res[:, -1] += 1.0
-    keep = (np.linalg.norm(res, axis=1)
-            <= math.sqrt(mats.shape[1]) * _RESIDUAL_TOL + _SCREEN_MARGIN)
+    consistent = (np.linalg.norm(res, axis=1)
+                  <= math.sqrt(mats.shape[1]) * _RESIDUAL_TOL + _SCREEN_MARGIN)
     # Probabilities of the few consistent systems: the minimum-norm
     # solution is the pseudo-inverse's last column, with singular values cut
     # where lstsq(rcond=None) cuts them.
+    keep = consistent.copy()
     idx = np.flatnonzero(keep)
-    sols = np.linalg.pinv(mats[idx], rtol=None)[..., -1]
-    keep[idx] = ~(sols[:, :-1] < -(tol + _SCREEN_MARGIN)).any(axis=1)
-    return keep
+    if idx.size:
+        sols = np.linalg.pinv(mats[idx], rtol=None)[..., -1]
+        keep[idx] = ~(sols[:, :-1] < -(tol + _SCREEN_MARGIN)).any(axis=1)
+    return consistent, keep
 
 
-def _support_pair_stacks(m0: int, m1: int, k: int, l: int):
-    """The support pairs of shape (k, l) in enumeration order (row support
-    outer, column support inner), as move-id arrays (N, k) and (N, l) in
-    stacks of at most _STACK pairs."""
-    rows = np.array(list(itertools.combinations(range(m0), k)))
-    cols = np.array(list(itertools.combinations(range(m1), l)))
-    total = len(rows) * len(cols)
+def _combinations(m: int, k: int) -> np.ndarray:
+    """itertools.combinations(range(m), k) as a (C(m, k), k) array."""
+    return np.array(list(itertools.combinations(range(m), k)),
+                    dtype=np.intp).reshape(-1, k)
+
+
+def _drop_one_ranks(combos: np.ndarray, m: int) -> np.ndarray:
+    """For each k-combination of range(m) (one per row, sorted), the ranks
+    of its k subsets of size k - 1 in itertools.combinations order, as a
+    (C(m, k), k) array. The lexicographic rank of (c_0 < ... < c_{j-1}) is
+    C(m, j) - 1 - sum_i C(m - 1 - c_i, j - i)."""
+    k = combos.shape[1]
+    keep = np.array([[j for j in range(k) if j != drop] for drop in range(k)],
+                    dtype=np.intp).reshape(k, k - 1)
+    subsets = combos[:, keep]
+    binom = np.array([[math.comb(n, r) for r in range(k)] for n in range(m)],
+                     dtype=np.intp)
+    return (math.comb(m, k - 1) - 1
+            - binom[m - 1 - subsets, k - 1 - np.arange(k - 1)].sum(axis=-1))
+
+
+def _pair_stacks(n_rows: int, n_cols: int):
+    """The support pairs of one shape in enumeration order (row support
+    outer, column support inner), as index arrays into that shape's row and
+    column combinations, in stacks of at most _STACK pairs."""
+    total = n_rows * n_cols
     for start in range(0, total, _STACK):
         flat = np.arange(start, min(start + _STACK, total))
-        yield rows[flat // len(cols)], cols[flat % len(cols)]
+        yield flat // n_cols, flat % n_cols
 
 
 def _scatter(support: np.ndarray, probs: np.ndarray, moves: int) -> np.ndarray:
@@ -363,9 +401,18 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
     Each support shape (k, l) is solved in stacks: square shapes by one
     batched exact solve per stack; rectangular shapes by a stacked
     least-squares screen of the overdetermined side, after which only the
-    surviving pairs are solved, pair by pair. A vectorised regret screen
-    then drops candidates that are clearly not equilibria; the rest are
-    certified one by one, in enumeration order.
+    surviving pairs are solved, pair by pair. A shape with |k - l| >= 2
+    screens only the pairs whose every subset one shorter on the long side
+    passed the residual half of that smaller shape's screen; the order (k
+    outer, l inner) screens (k, l - 1) and (k - 1, l) before (k, l). This
+    is conservative, because a solution of the wider system solves every
+    subsystem. On a nondegenerate game no (k, k + 1) or (l + 1, l) system
+    is consistent, so no wider shape is screened at all. A vectorised
+    regret screen then drops candidates that are clearly not equilibria;
+    the rest are certified one by one, in enumeration order. With the
+    ``hog.mixed`` logger at DEBUG, one line per call gives the support
+    pairs enumerated, pruned by subsets, screened out by the least-squares
+    screen, solved (both systems, nonnegative) and certified.
     """
     if not support_enumeration_applies(g):
         raise StructuralError(
@@ -377,24 +424,63 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
     if not np.isfinite(g.payoffs).all():
         raise StructuralError("support enumeration requires finite payoffs")
     m0, m1 = g.move_counts
-    check_budget((2 ** m0 - 1) * (2 ** m1 - 1), budget, "support pairs")
+    enumerated = (2 ** m0 - 1) * (2 ** m1 - 1)
+    check_budget(enumerated, budget, "support pairs")
     a, b = g.payoffs
     regret_bound = _screen_bound(g, tol)
+    combos0 = [None] + [_combinations(m0, k) for k in range(1, m0 + 1)]
+    combos1 = [None] + [_combinations(m1, l) for l in range(1, m1 + 1)]
+    # Residual verdicts of the rectangular shapes of the current and the
+    # previous row-support size, as (row combination, column combination)
+    # booleans; a shape none of whose pairs passed has no entry.
+    consistent: dict[tuple[int, int], np.ndarray] = {}
+    pruned = screened_out = solved = 0
     found: list[MixedProfile] = []
     for k in range(1, m0 + 1):
+        for key in [key for key in consistent if key[0] < k - 1]:
+            del consistent[key]
         for l in range(1, m1 + 1):
-            for s0, s1 in _support_pair_stacks(m0, m1, k, l):
+            row_sets, col_sets = combos0[k], combos1[l]
+            shape = (len(row_sets), len(col_sets))
+            # Shapes at least 2 wider on one side only screen the pairs
+            # whose every subset one shorter on that side was consistent.
+            subsets = None
+            if abs(k - l) >= 2:
+                subsets = consistent.get((k, l - 1) if l > k else (k - 1, l))
+                if subsets is None:
+                    pruned += shape[0] * shape[1]
+                    continue
+                drop = (_drop_one_ranks(col_sets, m1) if l > k
+                        else _drop_one_ranks(row_sets, m0))
+            if k != l:
+                verdicts = np.zeros(shape, dtype=bool)
+            for r, c in _pair_stacks(*shape):
+                if subsets is not None:
+                    sel = (subsets[r[:, None], drop[c]] if l > k
+                           else subsets[drop[r], c[:, None]]).all(axis=1)
+                    pruned += len(r) - int(sel.sum())
+                    r, c = r[sel], c[sel]
+                    if not len(r):
+                        continue
+                s0, s1 = row_sets[r], col_sets[c]
                 if k == l:
                     p, ok_p = _solve_square(b, s0, s1)
                     q, ok_q = _solve_square(a.T, s1, s0)
                 else:
                     over = (b, s0, s1) if l > k else (a.T, s1, s0)
-                    keep = _may_be_consistent(*over, tol)
+                    residual_ok, keep = _may_be_consistent(*over, tol)
+                    verdicts[r[residual_ok], c[residual_ok]] = True
+                    screened_out += len(r) - int(keep.sum())
+                    if not keep.any():
+                        continue
                     s0, s1 = s0[keep], s1[keep]
                     p, ok_p = _pair_by_pair(b, s0, s1)
                     q, ok_q = _pair_by_pair(a.T, s1, s0)
                 ok = (ok_p & ok_q & ~(p < -tol).any(axis=1)
                       & ~(q < -tol).any(axis=1))
+                solved += int(ok.sum())
+                if not ok.any():
+                    continue
                 rows = _scatter(s0[ok], p[ok], m0)
                 cols = _scatter(s1[ok], q[ok], m1)
                 screen = _regret_screen(a, b, rows, cols, regret_bound)
@@ -405,6 +491,13 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
                         continue
                     if is_mixed_nash(g, profile, tol):
                         found.append(profile)
+            if k != l and verdicts.any():
+                consistent[k, l] = verdicts
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "support enumeration %dx%d: %d support pairs enumerated, %d "
+            "pruned by subsets, %d screened out, %d solved, %d certified",
+            m0, m1, enumerated, pruned, screened_out, solved, len(found))
     result = _dedupe_sorted(found, max(tol, 1e-9))
     if not result:
         logger.warning(

@@ -141,6 +141,24 @@ def test_bbc_command(capsys, games_dir):
     assert report["comparison"]["product"]["pair"] == [0, 1]
 
 
+def test_bbc_refuses_a_game_that_is_no_stage(capsys, games_dir, tmp_path):
+    # Separate payoff tensors, a sequential game, and a single-outcome
+    # game without selections: both commands name the CLI's mode field.
+    want = ("error: mode: mode bbc requires a two-player stage (or a "
+            "2-player single-outcome simultaneous game with selections)\n")
+    no_selections = tmp_path / "no_selections.json"
+    no_selections.write_text(json.dumps({
+        "version": 1, "kind": "simultaneous",
+        "moves": [["H", "T"], ["H", "T"]], "single_outcome_space": True,
+        "payoffs": [1, -1, -1, 1],
+        "quantifiers": [{"kind": "max"}, {"kind": "min"}],
+    }))
+    for game in (str(games_dir / "matching_pennies.json"),
+                 str(games_dir / "seq_2x_plus_y.json"), str(no_selections)):
+        for argv in (["bbc", game], ["solve", game, "--mode", "bbc"]):
+            assert run(capsys, argv) == (2, "", want)
+
+
 def test_bbc_warns_on_multi_valued(capsys, tmp_path):
     doc = {
         "version": 1, "kind": "two_player_stage",

@@ -163,13 +163,20 @@ def test_stage_validation():
     separate = replace(SimultaneousGame.from_tensors(
         (2, 2), [MP, MP], (max_quantifier(), min_quantifier())),
         selections=selections[:2])
+    # The error says what the library call needs, not what the CLI calls it.
+    needs = "expected a 2-player single-outcome simultaneous game"
     for game in (three, separate):
-        for check in (bbc, compare_bbc_vs_product,
-                      lambda g: is_psi_phi_profile(g, (0, 0))):
-            with pytest.raises(StructuralError):
+        for check, want in ((bbc, needs + " with selections"),
+                            (compare_bbc_vs_product, needs + " with selections"),
+                            (lambda g: is_psi_phi_profile(g, (0, 0)), needs)):
+            with pytest.raises(StructuralError) as err:
                 check(game)
-    with pytest.raises(StructuralError):
+            assert str(err.value) == want
+    with pytest.raises(StructuralError) as err:
         bbc(replace(stage, selections=None))
+    assert str(err.value) == needs + " with selections"
+    assert (is_psi_phi_profile(replace(stage, selections=None), (0, 0))
+            == is_psi_phi_profile(stage, (0, 0)))
     with pytest.raises(StructuralError):
         replace(stage, selections=selections)
 

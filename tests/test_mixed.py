@@ -384,6 +384,152 @@ def test_support_enumeration_small_stacks_match_reference(monkeypatch):
                               _reference_support_enumeration(g))
 
 
+def _recording_screen(monkeypatch):
+    """Record the row and column supports, (N, k) and (N, l), of every stack
+    that reaches the stacked least-squares screen. The row-overdetermined
+    side screens the transpose of the first player's payoffs, with the
+    column supports as unknowns."""
+    stacks = []
+    screen = hog.mixed._may_be_consistent
+
+    def recording(payoff, own, other, tol):
+        transposed = payoff.strides[0] < payoff.strides[1]
+        stacks.append((other, own) if transposed else (own, other))
+        return screen(payoff, own, other, tol)
+
+    monkeypatch.setattr(hog.mixed, "_may_be_consistent", recording)
+    return stacks
+
+
+def _logged_counts(caplog):
+    """The counts of the last support-enumeration summary line."""
+    line = [r.getMessage() for r in caplog.records
+            if " support pairs enumerated, " in r.getMessage()][-1]
+    return [int(word) for word in line.replace(",", "").split()
+            if word.isdigit()]
+
+
+def _degenerate_wide_game(rng, m, constant):
+    """Payoffs in {-1, 0, 1} with a duplicated row and column and, if
+    ``constant``, a constant column of the first player's payoffs and a
+    constant row of the second's, so that wide supports stay consistent."""
+    a, b = rng.integers(-1, 2, (2, m, m)).astype(float)
+    a[:, 1], b[:, 1] = a[:, 0], b[:, 0]
+    a[3], b[3] = a[2], b[2]
+    if constant:
+        a[:, m - 1] = rng.integers(-1, 2)
+        b[m - 1] = rng.integers(-1, 2)
+    return SimultaneousGame.from_tensors([m, m], [a.ravel(), b.ravel()],
+                                         [max_quantifier()] * 2)
+
+
+def _residual_passes(payoff, own, other, tol):
+    """The residual half of the least-squares screen on one pair alone."""
+    consistent, _ = hog.mixed._may_be_consistent(
+        payoff, np.array([own]), np.array([other]), tol)
+    return bool(consistent[0])
+
+
+def _drop_one(support):
+    return [support[:j] + support[j + 1:] for j in range(len(support))]
+
+
+def test_support_enumeration_subset_pruning_keeps_wide_shapes(monkeypatch,
+                                                              caplog):
+    # Degenerate games whose wide shapes (long side >= short side + 2) still
+    # hold consistent pairs, so the subset tables prune only part of them;
+    # with stacks of 5 pairs, each table is filled across many stacks.
+    rng = np.random.default_rng(1)
+    games = [_degenerate_wide_game(rng, 5, True),
+             _degenerate_wide_game(rng, 6, False)]
+    wants = {(n, tol): _reference_support_enumeration(g, tol)
+             for n, g in enumerate(games) for tol in (1e-9, 1e-6)}
+    caplog.set_level(logging.DEBUG, logger="hog.mixed")
+    checked = set()
+    for stack in (hog.mixed._STACK, 5):
+        for n, g in enumerate(games):
+            a, b = g.payoffs
+            m = g.move_counts[0]
+            for tol in (1e-9, 1e-6):
+                monkeypatch.setattr(hog.mixed, "_STACK", stack)
+                stacks = _recording_screen(monkeypatch)
+                _assert_same_profiles(solve_support_enumeration_2p(g, tol),
+                                      wants[n, tol])
+                monkeypatch.undo()
+                shapes = {(rows.shape[1], cols.shape[1])
+                          for rows, cols in stacks}
+                assert any(l >= k + 2 for k, l in shapes)
+                assert any(k >= l + 2 for k, l in shapes)
+                # A wide pair reaches the screen only when every subset one
+                # shorter on its long side passes the residual screen on its
+                # own. (That screen keeps some inconsistent rank-deficient
+                # systems, so it is not compared with lstsq here.)
+                for rows, cols in stacks:
+                    k, l = rows.shape[1], cols.shape[1]
+                    if abs(k - l) < 2:
+                        continue
+                    for r, c in zip(rows.tolist(), cols.tolist()):
+                        if (n, tuple(r), tuple(c)) in checked:
+                            continue
+                        checked.add((n, tuple(r), tuple(c)))
+                        if l > k:
+                            assert all(_residual_passes(b, r, sub, tol)
+                                       for sub in _drop_one(c))
+                        else:
+                            assert all(_residual_passes(a.T, c, sub, tol)
+                                       for sub in _drop_one(r))
+                # Every pair is pruned, screened or square.
+                enumerated, pruned = _logged_counts(caplog)[:2]
+                square = sum(math.comb(m, k) ** 2 for k in range(1, m + 1))
+                screened = sum(len(rows) for rows, _ in stacks)
+                assert pruned == enumerated - square - screened
+
+
+def test_support_enumeration_subset_table_ignores_negative_probabilities(
+        monkeypatch):
+    # Rows 0..2 against the first four columns: the second player's payoffs
+    # are multiples of (2, 1, 0), so the system is consistent but
+    # rank-deficient, and its minimum-norm solution (-1/6, 1/3, 5/6) is
+    # negative. The fifth column pins the wider system to (0, 0, 1), so
+    # the 3x5 pair must still reach the screen.
+    b = np.array([[2, 4, 6, 8, 1], [1, 2, 3, 4, 3], [0, 0, 0, 0, 0]], float)
+    a = np.random.default_rng(8).uniform(-1, 1, (3, 5))
+    g = SimultaneousGame.from_tensors([3, 5], [a.ravel(), b.ravel()],
+                                      [max_quantifier()] * 2)
+    stacks = _recording_screen(monkeypatch)
+    _assert_same_profiles(solve_support_enumeration_2p(g),
+                          _reference_support_enumeration(g))
+    assert any(rows.shape == (1, 3) and cols.shape == (1, 5)
+               for rows, cols in stacks)
+
+
+def test_support_enumeration_screens_no_wide_shape_of_a_generic_game(
+        monkeypatch):
+    # In a nondegenerate game no (k, k + 1) or (l + 1, l) system is
+    # consistent, so no shape wider than that reaches the screen.
+    stacks = _recording_screen(monkeypatch)
+    g = _continuous_game(np.random.default_rng(606), 6, 6)
+    assert solve_support_enumeration_2p(g)
+    assert stacks
+    assert all(abs(rows.shape[1] - cols.shape[1]) == 1
+               for rows, cols in stacks)
+
+
+def test_support_enumeration_logs_its_counts(caplog):
+    g = rock_paper_scissors()
+    with caplog.at_level(logging.DEBUG, logger="hog.mixed"):
+        solve_support_enumeration_2p(g)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("support enumeration 3x3:")]
+    # No (1, 2) or (2, 1) system is consistent, so the 6 pairs of shapes
+    # (1, 3) and (3, 1) are pruned, and the other 24 rectangular pairs are
+    # screened out. The 9 pure pairs, 6 of the (2, 2) pairs and the full
+    # support solve; only the full support is an equilibrium.
+    assert lines == [
+        "support enumeration 3x3: 49 support pairs enumerated, 6 pruned by "
+        "subsets, 24 screened out, 16 solved, 1 certified"]
+
+
 def test_support_enumeration_singular_stack_falls_back(caplog):
     # Rows 0 and 1 are duplicates for both players, so every square system
     # whose row support holds both is singular.
