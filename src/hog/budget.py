@@ -23,9 +23,12 @@ def resolve_budget(budget: int | None = None) -> int:
     env = os.environ.get(ENV_VAR)
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise StructuralError(f"{ENV_VAR} must be an integer, got {env!r}")
+        if value < 0:
+            raise StructuralError(f"{ENV_VAR} must be >= 0, got {env!r}")
+        return value
     return DEFAULT_BUDGET
 
 

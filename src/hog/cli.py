@@ -16,6 +16,7 @@ defaults to 10**6 and can be overridden with --budget or HOG_BUDGET.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -372,6 +373,7 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hog",
@@ -384,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("game", help="path to a game file (JSON)")
         p.add_argument("--tol", type=_tolerance, default=None,
                        help="membership tolerance (default from file, else 1e-9)")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_int_at_least(0), default=None,
                        help="enumeration budget (default 10^6 or HOG_BUDGET)")
         p.add_argument("--json", action="store_true",
                        help="emit the report as JSON")
@@ -425,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--max-moves", type=_int_at_least(2), default=3)
     p_fuzz.add_argument("--payoff-min", type=int, default=-9)
     p_fuzz.add_argument("--payoff-max", type=int, default=9)
-    p_fuzz.add_argument("--budget", type=int, default=None)
+    p_fuzz.add_argument("--budget", type=_int_at_least(0), default=None)
     p_fuzz.add_argument("--json", action="store_true")
     p_fuzz.add_argument("--out", default=None,
                         help="directory or file for failing games")
@@ -435,8 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BudgetExceededError as exc:

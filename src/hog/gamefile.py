@@ -164,6 +164,8 @@ def _parse_params(doc: dict) -> dict:
         else:
             _expect(number and _finite(value) and float(value).is_integer(),
                     "must be an integer", f"params.{key}")
+            _expect(key != "budget" or value >= 0, "must be >= 0",
+                    f"params.{key}")
     return dict(params)
 
 

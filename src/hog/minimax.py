@@ -42,19 +42,14 @@ def stage_outcomes(g: SimultaneousGame, need_selections: bool) -> np.ndarray:
 
 
 def bbc(g: SimultaneousGame) -> tuple[int, int]:
-    """The pair (a, b) where a is chosen against the second selection's
-    pointwise replies and b against the first's, each computed independently
-    (unlike the product, whose second coordinate is the reply to a)."""
+    """The first coordinates (a, b) of the selection products on the grid
+    and on its transpose: a is chosen against the second selection's
+    pointwise replies and b against the first's, independently (unlike the
+    product, whose second coordinate is the reply to a)."""
     q = stage_outcomes(g, True).tolist()
     eps, delta = g.selections
-    replies_to_x = [delta.select(OutcomeTable(row)) for row in q]
-    a = eps.select(OutcomeTable(
-        [row[y] for row, y in zip(q, replies_to_x)]
-    ))
-    replies_to_y = [eps.select(OutcomeTable(col)) for col in zip(*q)]
-    b = delta.select(OutcomeTable(
-        [q[x][y] for y, x in enumerate(replies_to_y)]
-    ))
+    a = selection_product(eps, delta, q)[0]
+    b = selection_product(delta, eps, list(zip(*q)))[0]
     return a, b
 
 

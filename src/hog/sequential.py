@@ -6,6 +6,10 @@ play whose first move anticipates the later rounds' selections; applying each
 round's selection at every history yields a strategy that is optimal after
 every history (the subgame-perfect analogue).
 
+A strategy is followed in one backward pass: the play index reached from
+history h of round i (m moves) is entry h*m + table[h] of round i+1's list,
+and the deviation table at h reads that list's entries h*m .. h*m+m-1.
+
 History tables are dense arrays in mixed-radix order over the preceding move
 sets, first round most significant. The outcome function is stored as one
 read-only float64 array ``payoffs`` of shape ``move_counts``, with a trailing
@@ -108,7 +112,7 @@ class SequentialGame:
 
     def play_outcomes(self) -> list:
         """Outcomes of all plays in mixed-radix play order, as a Python list
-        that hot loops index by ``history_index``."""
+        that hot loops index by play index."""
         return self.payoffs.reshape(-1, *self.payoffs.shape[self.rounds:]).tolist()
 
     def validate_strategy(self, strategy: Sequence[Sequence[int]]) -> SeqStrategy:
@@ -127,15 +131,6 @@ class SequentialGame:
                 if not 0 <= move < self.move_counts[i]:
                     raise StructuralError(f"move {move} invalid in round {i}")
         return strategy
-
-    def validate_play(self, play: Sequence[int]) -> Play:
-        play = tuple(play)
-        if len(play) != self.rounds:
-            raise StructuralError(f"play has {len(play)} moves for {self.rounds} rounds")
-        for i, (m, c) in enumerate(zip(play, self.move_counts)):
-            if not 0 <= m < c:
-                raise StructuralError(f"move {m} invalid in round {i} (size {c})")
-        return play
 
 
 def extend_with_strategy(g: SequentialGame, strategy: SeqStrategy,
@@ -168,21 +163,32 @@ def deviation_table(g: SequentialGame, strategy: SeqStrategy,
     ])
 
 
+def _follow(table: Sequence[int], later: Sequence[int], m: int) -> list[int]:
+    """Play index reached from each history of a round of ``m`` moves, from
+    the next round's list (``range(play_count)`` after the last round)."""
+    return [later[h * m + x] for h, x in enumerate(table)]
+
+
 def is_optimal_strategy(g: SequentialGame, strategy: Sequence[Sequence[int]],
                         tol: float = 0.0, budget: int | None = None) -> bool:
     """True iff after every partial history, the outcome of following the
     strategy is acceptable to that round's quantifier on the table of
-    one-round deviations (each deviation continued by the strategy)."""
+    one-round deviations (each deviation continued by the strategy).
+    Rounds, then histories, are checked in index order."""
     strategy = g.validate_strategy(strategy)
     sizes = g.move_counts
     total = sum(g.history_count(i) * sizes[i] for i in range(g.rounds))
     check_budget(total, budget, "optimality checks")
     outcomes = g.play_outcomes()
+    # later[i]: the play index reached from each history of round i+1.
+    later = [range(g.play_count())]
+    for i in range(g.rounds - 1, 0, -1):
+        later.insert(0, _follow(strategy[i], later[0], sizes[i]))
     for i in range(g.rounds):
-        phi = g.quantifiers[i]
-        for h, prefix in enumerate(histories(sizes[:i])):
-            table = deviation_table(g, strategy, prefix, outcomes)
-            if not phi.contains(table, table[strategy[i][h]], tol):
+        phi, m, reached = g.quantifiers[i], sizes[i], later[i]
+        for h, move in enumerate(strategy[i]):
+            table = OutcomeTable([outcomes[k] for k in reached[h * m:h * m + m]])
+            if not phi.contains(table, table[move], tol):
                 return False
     return True
 
@@ -229,29 +235,20 @@ def compute_optimal_play(g: SequentialGame, budget: int | None = None) -> Play:
 def compute_optimal_strategy(g: SequentialGame,
                              budget: int | None = None) -> SeqStrategy:
     """Apply each round's selection at every history, last round first, so
-    the optimality condition holds pointwise. Its strategic play equals
-    compute_optimal_play."""
+    the optimality condition holds pointwise, each table continued by the
+    later rounds' selections. Its strategic play equals compute_optimal_play."""
     sizes = g.move_counts
     total = sum(g.history_count(i) * sizes[i] for i in range(g.rounds))
     check_budget(total, budget, "histories")
     outcomes = g.play_outcomes()
-    tables: list[tuple[int, ...]] = [()] * g.rounds
-    partial: list[tuple[int, ...]] = [()] * g.rounds
-
-    def continuation(play: Play) -> Play:
-        while len(play) < g.rounds:
-            i = len(play)
-            play = play + (partial[i][history_index(sizes[:i], play)],)
-        return play
-
+    tables: list[tuple[int, ...]] = []
+    # The play index reached from each history of the round after i.
+    later: Sequence[int] = range(g.play_count())
     for i in range(g.rounds - 1, -1, -1):
-        choices = []
-        for prefix in histories(sizes[:i]):
-            table = OutcomeTable([
-                outcomes[history_index(sizes, continuation(prefix + (x,)))]
-                for x in range(sizes[i])
-            ])
-            choices.append(g.selections[i].select(table))
-        tables[i] = tuple(choices)
-        partial[i] = tables[i]
+        m, select = sizes[i], g.selections[i].select
+        table = tuple(
+            select(OutcomeTable([outcomes[k] for k in later[h * m:h * m + m]]))
+            for h in range(g.history_count(i)))
+        tables.insert(0, table)
+        later = _follow(table, later, m)
     return tuple(tables)

@@ -400,14 +400,28 @@ def test_malformed_env_var_budget_exits_2(capsys, games_dir, monkeypatch):
     assert out == ""
 
 
+def test_negative_env_var_budget_exits_2(capsys, games_dir, monkeypatch):
+    # Exited 4, reporting that the game exceeds budget -3.
+    monkeypatch.setenv("HOG_BUDGET", "-3")
+    code, out, err = run(capsys, [
+        "solve", str(games_dir / "matching_pennies.json"), "--mode", "pure",
+    ])
+    assert code == 2
+    assert "HOG_BUDGET must be >= 0" in err
+    assert out == ""
+
+
 def test_invalid_flag_values_exit_2(capsys, games_dir):
-    # --grid-depth 0 used to be replaced by the default depth 3, and
-    # --tol nan made every membership test false.
-    game = str(games_dir / "eps_ball_demo.json")
-    for flag, value in (("--grid-depth", "0"), ("--tol", "nan"),
-                        ("--tol", "-1")):
+    # --grid-depth 0 used to be replaced by the default depth 3, --tol nan
+    # made every membership test false, and --budget -1 exited 4, reporting
+    # that the game exceeds budget -1.
+    solve = ["solve", str(games_dir / "eps_ball_demo.json"), "--mode", "mixed"]
+    for command, flag, value in (
+            (solve, "--grid-depth", "0"), (solve, "--tol", "nan"),
+            (solve, "--tol", "-1"), (solve, "--budget", "-1"),
+            (["fuzz", "--count", "1"], "--budget", "-1")):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", game, "--mode", "mixed", flag, value])
+            main([*command, flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 

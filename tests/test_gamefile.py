@@ -114,6 +114,7 @@ def test_non_finite_numbers_rejected():
         dict(base, params={"tol": float("nan")}),
         dict(base, params={"tol": -0.5}),
         dict(base, params={"budget": "abc"}),
+        dict(base, params={"budget": -1}),
         dict(base, params={"grid_depth": 2.5}),
     ]
     for doc in bad_docs:

@@ -1,11 +1,19 @@
 import itertools
+import math
 import random
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
+from hog.budget import check_budget
 from hog.core import (OutcomeTable, argmax_selection, argmin_selection,
-                      constant_selection, max_quantifier, min_quantifier)
-from hog.errors import BudgetExceededError, StructuralError
+                      average_quantifier, constant_selection,
+                      custom_quantifier, custom_selection,
+                      eps_ball_quantifier, fixed_point_quantifier,
+                      fixed_point_witness, max_quantifier, min_quantifier,
+                      nearest_mean_selection)
+from hog.errors import BudgetExceededError, NoFixedPointError, StructuralError
 from hog.fuzz import random_sequential_game
 from hog.sequential import (SequentialGame, compute_optimal_play,
                             compute_optimal_strategy, history_index,
@@ -186,3 +194,196 @@ def test_validation_and_budget():
         compute_optimal_play(g, budget=2)
     with pytest.raises(StructuralError):
         selection_product(argmax_selection(), argmax_selection(), [[1], [2, 3]])
+
+
+# Reference implementations: the per-history walkers that followed the
+# strategy again for every entry of every deviation table. The module's
+# backward pass must make the same quantifier and selection calls, with
+# equal tables, in the same order.
+
+def _reference_extend_with_strategy(g, strategy, prefix):
+    play = tuple(prefix)
+    sizes = g.move_counts
+    while len(play) < g.rounds:
+        i = len(play)
+        play = play + (strategy[i][history_index(sizes[:i], play)],)
+    return play
+
+
+def _reference_is_optimal_strategy(g, strategy, tol=0.0, budget=None):
+    strategy = g.validate_strategy(strategy)
+    sizes = g.move_counts
+    total = sum(g.history_count(i) * sizes[i] for i in range(g.rounds))
+    check_budget(total, budget, "optimality checks")
+    outcomes = g.play_outcomes()
+    for i in range(g.rounds):
+        phi = g.quantifiers[i]
+        for h, prefix in enumerate(itertools.product(*map(range, sizes[:i]))):
+            table = OutcomeTable([
+                outcomes[history_index(sizes, _reference_extend_with_strategy(
+                    g, strategy, prefix + (x,)))]
+                for x in range(sizes[i])
+            ])
+            if not phi.contains(table, table[strategy[i][h]], tol):
+                return False
+    return True
+
+
+def _reference_compute_optimal_strategy(g, budget=None):
+    sizes = g.move_counts
+    total = sum(g.history_count(i) * sizes[i] for i in range(g.rounds))
+    check_budget(total, budget, "histories")
+    outcomes = g.play_outcomes()
+    tables = [()] * g.rounds
+    for i in range(g.rounds - 1, -1, -1):
+        choices = []
+        for prefix in itertools.product(*map(range, sizes[:i])):
+            table = OutcomeTable([
+                outcomes[history_index(sizes, _reference_extend_with_strategy(
+                    g, tables, prefix + (x,)))]
+                for x in range(sizes[i])
+            ])
+            choices.append(g.selections[i].select(table))
+        tables[i] = tuple(choices)
+    return tuple(tables)
+
+
+def _custom_round():
+    """A quantifier and a selection that are neither max nor min: accept
+    outcomes at least the table mean; pick the move whose outcome has the
+    largest value of 7*outcome mod 5."""
+    return (custom_quantifier(
+                lambda p, r, tol: r + tol >= sum(p.entries) / len(p)),
+            custom_selection(
+                lambda p: max(range(len(p)), key=lambda m: (7 * p[m]) % 5)))
+
+
+def _round(kind, rng, m):
+    if kind == "max":
+        return max_quantifier(), argmax_selection()
+    if kind == "min":
+        return min_quantifier(), argmin_selection()
+    if kind == "average":
+        return average_quantifier(), nearest_mean_selection()
+    if kind == "fixed_point":
+        return fixed_point_quantifier(), fixed_point_witness()
+    if kind == "eps_ball":
+        center = rng.randrange(m)
+        return (eps_ball_quantifier(center, rng.choice([0.5, 1.5])),
+                constant_selection(center))
+    return _custom_round()
+
+
+def _oracle_game(rng, kinds, dim=None):
+    """1-4 rounds of 2-4 moves, integer payoffs in 0..3 (so fixed points
+    occur and max/min ties are common), one random kind per round."""
+    counts = tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 4)))
+    shape = counts if dim is None else counts + (dim,)
+    payoffs = [rng.randint(0, 3) for _ in range(math.prod(shape))]
+    rounds = [_round(rng.choice(kinds), rng, m) for m in counts]
+    return SequentialGame(
+        moves=tuple(tuple(f"m{x}" for x in range(m)) for m in counts),
+        payoffs=np.array(payoffs, dtype=float).reshape(shape),
+        quantifiers=tuple(phi for phi, _ in rounds),
+        selections=tuple(eps for _, eps in rounds))
+
+
+def _recording(g, log):
+    """``g`` with every quantifier and selection wrapped in a custom one
+    that appends each call and its arguments to ``log``."""
+
+    def quantifier(i, phi):
+        def contains(p, r, tol):
+            log.append(("contains", i, p.entries, r, tol))
+            return phi.contains(p, r, tol)
+        return custom_quantifier(contains)
+
+    def selection(i, eps):
+        def select(p):
+            log.append(("select", i, p.entries))
+            return eps.select(p)
+        return custom_selection(select)
+
+    return SequentialGame(
+        moves=g.moves, payoffs=g.payoffs,
+        quantifiers=tuple(quantifier(i, phi)
+                          for i, phi in enumerate(g.quantifiers)),
+        selections=tuple(selection(i, eps)
+                         for i, eps in enumerate(g.selections)))
+
+
+class _Raised(NamedTuple):
+    error: type
+    message: str
+
+
+def _trace(fn, g, *args):
+    """(result or _Raised, call log) of ``fn`` on a recording copy."""
+    log = []
+    try:
+        result = fn(_recording(g, log), *args)
+    except Exception as exc:
+        result = _Raised(type(exc), str(exc))
+    return result, log
+
+
+def _assert_same_calls(new, reference, g, *args):
+    result, log = _trace(new, g, *args)
+    assert (result, log) == _trace(reference, g, *args)
+    return result, log
+
+
+_ORACLE_KINDS = ("max", "min", "average", "fixed_point", "eps_ball", "custom")
+
+
+def test_backward_pass_matches_reference_walker():
+    rng = random.Random(2024)
+    games = [_oracle_game(rng, _ORACLE_KINDS) for _ in range(150)]
+    games += [_oracle_game(rng, ("eps_ball",), dim=2) for _ in range(10)]
+    raised, verdicts, failing_rounds = 0, [], set()
+    for g in games:
+        strategy, _ = _assert_same_calls(
+            compute_optimal_strategy, _reference_compute_optimal_strategy, g)
+        candidates = [tuple(
+            tuple(rng.randrange(m) for _ in range(g.history_count(i)))
+            for i, m in enumerate(g.move_counts)) for _ in range(4)]
+        if isinstance(strategy, _Raised):
+            raised += 1
+        else:
+            candidates.append(strategy)
+        for candidate in candidates:
+            for tol in (0.0, 2.0):
+                verdict, log = _assert_same_calls(
+                    is_optimal_strategy, _reference_is_optimal_strategy,
+                    g, candidate, tol)
+                verdicts.append(verdict)
+                if verdict is False:
+                    failing_rounds.add(log[-1][1])
+    # The comparison covers raising selections, accepted and rejected
+    # strategies, and rejections at different rounds.
+    assert raised > 0
+    assert verdicts.count(True) > 0 and verdicts.count(False) > len(verdicts) / 2
+    assert failing_rounds == {0, 1, 2, 3}
+
+
+def test_backward_pass_raises_where_reference_raises():
+    # Round 1's fixed-point witness finds none at history 1 ([1, 0]).
+    g = SequentialGame.from_tensor(
+        [2, 2], [0, 0, 1, 0], [max_quantifier(), fixed_point_quantifier()],
+        [argmax_selection(), fixed_point_witness()])
+    result, log = _assert_same_calls(
+        compute_optimal_strategy, _reference_compute_optimal_strategy, g)
+    assert result.error is NoFixedPointError
+    assert [call[:2] for call in log] == [("select", 1)] * 2
+    # Round 1's eps_ball centre 2 lies outside its 2-move tables.
+    g = SequentialGame.from_tensor(
+        [2, 2], [0, 1, 2, 3], [max_quantifier(), eps_ball_quantifier(2, 1.0)],
+        [argmax_selection(), constant_selection(2)])
+    for fn, reference, args in (
+            (compute_optimal_strategy, _reference_compute_optimal_strategy, ()),
+            (is_optimal_strategy, _reference_is_optimal_strategy,
+             (((1,), (0, 0)), 0.0))):
+        result, log = _assert_same_calls(fn, reference, g, *args)
+        assert result.error is StructuralError
+        assert "2 outside table of size 2" in result.message
+        assert log[-1][:2] in (("select", 1), ("contains", 1))
