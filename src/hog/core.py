@@ -179,11 +179,40 @@ class Quantifier:
 
 @dataclass(frozen=True)
 class SelectionFunction:
-    """Chooses a move from an outcome table; deterministic given tie-breaks."""
+    """Chooses a move from an outcome table; deterministic given tie-breaks.
+
+    ``select_stacked(tables)`` is ``select`` over a stack: ``tables`` of
+    shape ``(N, m)`` (``(N, m, d)`` for vector outcomes) gives an intp array
+    of shape ``(N,)`` whose row n equals ``select(OutcomeTable(tables[n]))``,
+    ties, signed zeros and non-finite rows included. It raises the error,
+    with the message, that ``select`` raises on the first row where that
+    loop would. ``stacked``, present for argmax and argmin, chooses on
+    finite scalar rows in one numpy pass; ``select`` itself decides
+    non-finite and vector rows, and every row of the other kinds.
+    """
 
     kind: SelectionKind
     select: Callable
     descriptor: Mapping | None = None
+    stacked: Callable | None = None
+
+    def select_stacked(self, tables) -> np.ndarray:
+        tables = np.asarray(tables, dtype=float)
+        if tables.ndim not in (2, 3):
+            raise StructuralError(
+                f"select_stacked: tables of shape {tables.shape} do not stack")
+        if self.stacked is None or tables.ndim == 3 or not tables.size:
+            moves = np.full(len(tables), -1, dtype=np.intp)
+        elif np.isfinite(tables).all():
+            moves = self.stacked(tables)
+        else:
+            finite = np.isfinite(tables).all(axis=1)
+            moves = np.full(len(tables), -1, dtype=np.intp)
+            moves[finite] = self.stacked(tables[finite])
+        if moves.size and moves.min() < 0:
+            for n in np.flatnonzero(moves < 0):
+                moves[n] = self.select(OutcomeTable(tables[n]))
+        return moves
 
 
 @dataclass(frozen=True)
@@ -236,6 +265,14 @@ def _argmin(p: OutcomeTable) -> MoveId:
         if p[m] < p[best]:
             best = m
     return best
+
+
+def _argmax_stacked(tables: np.ndarray) -> np.ndarray:
+    return tables.argmax(axis=1)
+
+
+def _argmin_stacked(tables: np.ndarray) -> np.ndarray:
+    return tables.argmin(axis=1)
 
 
 def _mean(p: OutcomeTable) -> float:
@@ -390,12 +427,14 @@ def custom_quantifier(contains: Callable, canonical: Callable | None = None,
 
 def argmax_selection() -> SelectionFunction:
     return SelectionFunction(SelectionKind.ARGMAX, _argmax,
-                             descriptor={"kind": "argmax"})
+                             descriptor={"kind": "argmax"},
+                             stacked=_argmax_stacked)
 
 
 def argmin_selection() -> SelectionFunction:
     return SelectionFunction(SelectionKind.ARGMIN, _argmin,
-                             descriptor={"kind": "argmin"})
+                             descriptor={"kind": "argmin"},
+                             stacked=_argmin_stacked)
 
 
 def fixed_point_witness(tol: float = 0.0) -> SelectionFunction:

@@ -119,17 +119,26 @@ def _serialize_selection(eps: SelectionFunction) -> dict:
     return dict(eps.descriptor)
 
 
-def _check_tensor(tensor, size: int, fieldname: str) -> list[float]:
+def _check_tensor(tensor, size: int, fieldname: str) -> np.ndarray:
+    """A flat tensor of finite JSON numbers as a float array. Numbers are
+    checked in one pass; only a tensor that fails it is walked entry by
+    entry, so the error names the first bad entry's fault."""
     _expect(isinstance(tensor, list), "payoff tensor must be a list", fieldname)
     _expect(len(tensor) == size,
             f"tensor has {len(tensor)} entries, expected {size}", fieldname)
-    out = []
+    if {int, float}.issuperset(map(type, tensor)):
+        try:
+            out = np.array(tensor, dtype=float)
+        except OverflowError:  # an integer too large for a float
+            out = None
+        if out is not None and np.isfinite(out).all():
+            return out
     for v in tensor:
         _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
                 "tensor entries must be numbers", fieldname)
         _expect(_finite(v), "tensor entries must be finite", fieldname)
-        out.append(float(v))
-    return out
+    # Only finite numbers of a subclass of int or float get here.
+    return np.array([float(v) for v in tensor])
 
 
 def _finite(v: int | float) -> bool:

@@ -10,19 +10,29 @@ against the opponent's pointwise replies. For total single-valued
 quantifiers the resulting pair is a reply-robust profile: each move is
 acceptable against every reply function the opponent's quantifier admits
 (with max/min this is the classical minimax strategy); the verifier itself
-accepts multi-valued quantifiers. The loops here index a single Python-list
-copy of the outcome array per call.
+accepts multi-valued quantifiers.
+
+Everything here reads the outcome array directly, as tensor slices. The BBC
+pair and the product pair come from two selection products, each one
+stacked selection over the rows of the grid (or of its transpose) and one
+selection over the replies. The reply-robustness check finds each side's
+pointwise reply sets with one stacked membership test. Per-line
+``OutcomeTable`` loops remain only for selections and quantifiers without a
+stacked form (selections other than argmax and argmin; custom quantifiers
+and the average quantifier) and for non-finite outcomes or ones beyond
+half the largest float in magnitude.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
 from .budget import check_budget
-from .core import OutcomeTable, QuantifierKind, as_outcome
+from .core import OutcomeTable, Quantifier, QuantifierKind, as_outcome
 from .errors import StructuralError
 from .sequential import selection_product
 from .simultaneous import SimultaneousGame
@@ -41,16 +51,36 @@ def stage_outcomes(g: SimultaneousGame, need_selections: bool) -> np.ndarray:
     return g.payoffs[0]
 
 
+def _pairs(g: SimultaneousGame):
+    """The BBC pair and the product pair of a stage, from two products: the
+    product on the grid gives a and the product pair, the product on its
+    transpose gives b."""
+    q = stage_outcomes(g, True)
+    eps, delta = g.selections
+    product = selection_product(eps, delta, q)
+    b = selection_product(delta, eps, q.swapaxes(0, 1))[0]
+    return (product[0], b), product
+
+
 def bbc(g: SimultaneousGame) -> tuple[int, int]:
     """The first coordinates (a, b) of the selection products on the grid
     and on its transpose: a is chosen against the second selection's
     pointwise replies and b against the first's, independently (unlike the
     product, whose second coordinate is the reply to a)."""
-    q = stage_outcomes(g, True).tolist()
-    eps, delta = g.selections
-    a = selection_product(eps, delta, q)[0]
-    b = selection_product(delta, eps, list(zip(*q)))[0]
-    return a, b
+    return _pairs(g)[0]
+
+
+def _admissible(inner: Quantifier, lines: np.ndarray, tol: float) -> np.ndarray:
+    """Which entries of each line ``inner`` accepts against that line: one
+    ``contains_stacked`` call over every (line, entry) pair."""
+    count, m = lines.shape[:2]
+    accepted = inner.contains_stacked(
+        np.repeat(lines, m, axis=0), lines.reshape(count * m, *lines.shape[2:]),
+        tol)
+    return accepted.reshape(count, m)
+
+
+_HALF_MAX = sys.float_info.max / 2
 
 
 # Outer quantifier kind -> (choice at the checked move, choice elsewhere)
@@ -72,6 +102,12 @@ def is_psi_phi_profile(g: SimultaneousGame, pair: tuple[int, int],
     coordinate its highest (min is the mirror image). Rounding is monotone,
     so this is exact. Other outer quantifiers enumerate the product, and
     only what is enumerated counts against the budget.
+
+    When no outcome exceeds half the largest float in magnitude, each
+    side's acceptable sets come from one stacked membership test of the
+    inner quantifier over every line; inner quantifiers without a stacked
+    test, and stages with a larger or non-finite outcome, test each line
+    entry by entry.
     """
     outcomes = stage_outcomes(g, False)
     a, b = pair
@@ -79,19 +115,27 @@ def is_psi_phi_profile(g: SimultaneousGame, pair: tuple[int, int],
     if not (0 <= a < nx and 0 <= b < ny):
         raise StructuralError(f"pair {pair} outside {nx}x{ny} stage")
     phi, psi = g.quantifiers
-    q = outcomes.tolist()
-    cols = [list(col) for col in zip(*q)]
+    scalar = outcomes.ndim == 2
+    # No difference of two such outcomes overflows, so the stacked test
+    # decides as the Python-float loop does and numpy warns of nothing.
+    bounded = bool(np.abs(outcomes).max() <= _HALF_MAX)
 
     # The outcomes each reply function may put at each coordinate of the
     # composed table: a's check composes with psi's replies along rows,
     # b's with phi's replies along columns.
-    scalar = outcomes.ndim == 2
     sides = []
-    for outer, inner, lines, move in ((phi, psi, q, a), (psi, phi, cols, b)):
-        values = []
-        for line in lines:
-            table = OutcomeTable(line)
-            values.append([r for r in line if inner.contains(table, r, tol)])
+    for outer, inner, lines, move in ((phi, psi, outcomes, a),
+                                      (psi, phi, outcomes.swapaxes(0, 1), b)):
+        rows = lines.tolist()
+        if bounded and inner.contains_stacked is not None:
+            accepted = _admissible(inner, lines, tol).tolist()
+        else:
+            accepted = []
+            for line in rows:
+                table = OutcomeTable(line)
+                accepted.append([inner.contains(table, r, tol) for r in line])
+        values = [list(itertools.compress(line, ok))
+                  for line, ok in zip(rows, accepted)]
         if all(values):
             worst = scalar and outer.kind in _WORST_CASE
             sides.append((outer, values, move, worst))
@@ -117,15 +161,14 @@ def compare_bbc_vs_product(g: SimultaneousGame) -> dict:
     """Exploratory comparison of the independent-coordinates pair with the
     product-of-selections pair on the same stage; no relationship is
     asserted beyond what the report shows."""
-    q = stage_outcomes(g, True).tolist()
-    pair_bbc = bbc(g)
-    pair_prod = selection_product(g.selections[0], g.selections[1], q)
+    pair_bbc, pair_prod = _pairs(g)
+    q = g.payoffs[0]
 
     def describe(pair):
         return {
             "pair": list(pair),
             "moves": [g.moves[0][pair[0]], g.moves[1][pair[1]]],
-            "outcome": as_outcome(q[pair[0]][pair[1]]),
+            "outcome": as_outcome(q[pair]),
         }
 
     return {

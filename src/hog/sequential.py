@@ -121,14 +121,14 @@ class SequentialGame:
             raise StructuralError(
                 f"strategy has {len(strategy)} tables for {self.rounds} rounds"
             )
-        for i, table in enumerate(strategy):
+        for i, (table, m) in enumerate(zip(strategy, self.move_counts)):
             if len(table) != self.history_count(i):
                 raise StructuralError(
                     f"round {i} table has {len(table)} entries, expected "
                     f"{self.history_count(i)}"
                 )
             for move in table:
-                if not 0 <= move < self.move_counts[i]:
+                if not 0 <= move < m:
                     raise StructuralError(f"move {move} invalid in round {i}")
         return strategy
 
@@ -193,20 +193,38 @@ def is_optimal_strategy(g: SequentialGame, strategy: Sequence[Sequence[int]],
     return True
 
 
+def _product_grid(q) -> np.ndarray:
+    """``q`` as a float array of shape ``(nx, ny)``, plus a trailing axis
+    for vector outcomes. Anything but an array is checked and normalised
+    entry by entry first."""
+    if not isinstance(q, np.ndarray):
+        rows = [tuple(row) for row in q]
+        if not rows or not rows[0]:
+            raise StructuralError("product table must be nonempty")
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
+            raise StructuralError("product table must be rectangular")
+        q = [[as_outcome(v) for v in row] for row in rows]
+        try:
+            q = np.array(q, dtype=float)
+        except ValueError:
+            raise StructuralError("mixed outcome dimensions in table") from None
+    grid = np.asarray(q, dtype=float)
+    if grid.ndim < 2 or 0 in grid.shape[:2]:
+        raise StructuralError("product table must be nonempty")
+    return grid
+
+
 def selection_product(eps: SelectionFunction, delta: SelectionFunction,
-                      q: Sequence[Sequence]) -> tuple[int, int]:
+                      q: Sequence[Sequence] | np.ndarray) -> tuple[int, int]:
     """Binary product of selection functions on a two-round outcome grid
     ``q[x][y]``: the second move is delta's reply to each x, the first is
-    eps's choice anticipating those replies. Returns (a, reply_to_a)."""
-    rows = [tuple(row) for row in q]
-    if not rows or not rows[0]:
-        raise StructuralError("product table must be nonempty")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise StructuralError("product table must be rectangular")
-    replies = [delta.select(OutcomeTable(row)) for row in rows]
-    outer = OutcomeTable([row[b] for row, b in zip(rows, replies)])
-    a = eps.select(outer)
+    eps's choice anticipating those replies. Returns (a, reply_to_a).
+    The replies are one ``select_stacked`` over the rows of the grid."""
+    grid = _product_grid(q)
+    replies = delta.select_stacked(grid).tolist()
+    a = eps.select(OutcomeTable([
+        row[b] for row, b in zip(grid.tolist(), replies)]))
     return a, replies[a]
 
 

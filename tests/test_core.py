@@ -1,11 +1,13 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from hog.core import (OutcomeTable, argmax_selection, argmin_selection,
                       attains, attains_exhaustively, average_quantifier,
-                      constant_selection, eps_ball_quantifier,
+                      constant_selection, custom_selection,
+                      eps_ball_quantifier,
                       fixed_point_quantifier, fixed_point_witness,
                       make_standard_quantifier, make_standard_selection,
                       max_quantifier, min_quantifier, nearest_mean_selection,
@@ -239,3 +241,124 @@ def test_contains_stacked_raises_where_contains_raises():
         phi.contains_stacked(np.zeros((4, 3)), np.zeros(4), 0.0)
     assert str(stacked_err.value) == str(scalar_err.value)
     assert average_quantifier().contains_stacked is None
+
+
+def _select_rows(eps, tables):
+    """The scalar oracle for ``select_stacked``: ``select`` row by row, or
+    the type and message of the first error it raises."""
+    try:
+        return [eps.select(OutcomeTable(t.tolist())) for t in tables]
+    except (StructuralError, NoFixedPointError) as exc:
+        return type(exc), str(exc)
+
+
+def _select_stacked(eps, tables):
+    try:
+        moves = eps.select_stacked(tables)
+    except (StructuralError, NoFixedPointError) as exc:
+        return type(exc), str(exc)
+    assert moves.dtype == np.intp and moves.shape == (len(tables),)
+    return moves.tolist()
+
+
+def _selection_stacks(rng, m):
+    """Seeded stacks of m-move tables: continuous, heavily tied, signed
+    zeros, move ids (fixed points), mixed magnitudes, and non-finite rows."""
+    shape = (40, m)
+    zeros = rng.choice([0.0, -0.0, 1.0, -1.0], shape)
+    yield rng.uniform(-2, 2, shape)
+    yield rng.integers(0, 3, shape) * 1.0
+    yield zeros
+    yield rng.integers(0, m + 1, shape) + rng.choice([0.0, 0.0, 0.5], shape)
+    yield rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-20, 20, shape)
+    special = rng.integers(0, 3, shape) * 1.0
+    for value in (np.nan, np.inf, -np.inf):
+        special[rng.random(shape) < 0.05] = value
+    yield special
+
+
+def test_select_stacked_matches_select_row_by_row():
+    rng = np.random.default_rng(2718)
+    stock = [argmax_selection(), argmin_selection(), nearest_mean_selection(),
+             constant_selection(0), constant_selection(2),
+             fixed_point_witness(), fixed_point_witness(0.5)]
+    raised = set()
+    for m in (1, 2, 3, 5, 8):
+        for tables in _selection_stacks(rng, m):
+            for eps in stock:
+                want = _select_rows(eps, tables)
+                assert _select_stacked(eps, tables) == want, (eps.kind, m)
+                if isinstance(want, tuple):
+                    raised.add(want[0])
+                    # Rows before the failing one still agree.
+                    for n in range(len(tables)):
+                        if isinstance(_select_rows(eps, tables[:n + 1]), tuple):
+                            break
+                    assert (_select_stacked(eps, tables[:n])
+                            == _select_rows(eps, tables[:n]))
+    assert raised == {StructuralError, NoFixedPointError}
+
+
+def test_select_stacked_ties_and_signed_zeros():
+    tables = np.array([[-0.0, 0.0, 0.0], [0.0, -0.0, 1.0], [1.0, 1.0, 1.0],
+                       [0.0, -1.0, -1.0]])
+    assert argmax_selection().select_stacked(tables).tolist() == [0, 2, 0, 0]
+    assert argmin_selection().select_stacked(tables).tolist() == [0, 0, 0, 1]
+    assert nearest_mean_selection().select_stacked(tables).tolist() == [0, 0, 0, 1]
+
+
+def test_select_stacked_on_order_sensitive_and_overflowing_sums():
+    # Sums that depend on the order of addition; the nearest move changes
+    # with the rounding of the mean.
+    rng = np.random.default_rng(99)
+    eps = nearest_mean_selection()
+    for m in (5, 9, 16):
+        tables = rng.choice([1e16, -1e16, 1.0, 3.0, 0.5, -2.0], (300, m))
+        assert _select_stacked(eps, tables) == _select_rows(eps, tables)
+    # Finite entries whose sum overflows, and a finite mean whose distance
+    # to an entry overflows.
+    tables = np.array([[1e308, 1e308, 0.0], [-1e308, 5.0, -1e308],
+                       [1.7e308, -1.7e308, -1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (argmax_selection(), argmin_selection(),
+                    nearest_mean_selection()):
+            assert _select_stacked(eps, tables) == _select_rows(eps, tables)
+
+
+def test_select_stacked_errors():
+    vector = np.zeros((3, 2, 2))
+    for eps in (argmax_selection(), argmin_selection(),
+                nearest_mean_selection(), fixed_point_witness()):
+        assert _select_stacked(eps, vector) == _select_rows(eps, vector)
+        assert _select_stacked(eps, vector)[0] is StructuralError
+    err = _select_stacked(constant_selection(3), np.zeros((2, 3)))
+    assert err == (StructuralError, "constant move 3 outside table of size 3")
+    tables = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 2.0]])
+    err = _select_stacked(fixed_point_witness(), tables)
+    assert err == (NoFixedPointError,
+                   "no fixed point in OutcomeTable([1.0, 0.0])")
+    # A NaN row that select decides (move 0 is a fixed point) does not
+    # change which row raises.
+    tables[0] = [0.0, np.nan]
+    assert _select_stacked(fixed_point_witness(), tables) == err
+    assert argmax_selection().select_stacked(np.zeros((0, 3))).tolist() == []
+    with pytest.raises(StructuralError):
+        argmax_selection().select_stacked(np.zeros(3))
+
+
+def test_select_stacked_custom_fallback():
+    calls = []
+
+    def select(p):
+        calls.append(p)
+        return len(p) - 1 if p[0] > 0 else 0
+
+    eps = custom_selection(select)
+    tables = np.array([[1.0, 2.0, 3.0], [-1.0, 5.0, 0.0], [np.nan, 1.0, 2.0]])
+    assert eps.select_stacked(tables).tolist() == [2, 0, 0]
+    assert list(map(repr, calls)) == [repr(OutcomeTable(t.tolist()))
+                                      for t in tables]
+    vector = np.ones((2, 3, 2))
+    assert custom_selection(lambda p: p.dim).select_stacked(
+        vector).tolist() == [2, 2]

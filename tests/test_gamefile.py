@@ -123,6 +123,37 @@ def test_non_finite_numbers_rejected():
     assert parse_game(dict(base, params={"budget": 1e6, "tol": 0})).params
 
 
+def test_tensor_entry_messages():
+    base = {
+        "version": 1,
+        "kind": "two_player_stage",
+        "moves": [["a", "b"], ["a", "b"]],
+        "quantifiers": [{"kind": "max"}, {"kind": "min"}],
+        "selections": [{"kind": "argmax"}, {"kind": "argmin"}],
+    }
+    numbers = "tensor entries must be numbers"
+    finite = "tensor entries must be finite"
+    for payoffs, message in (
+            ([1, "2", 3, 4], numbers),
+            ([1, 2, True, 4], numbers),
+            ([1, 2, 3, float("nan")], finite),
+            ([1, 10 ** 400, 3, 4], finite),
+            ([-(10 ** 400), 2, 3, 4], finite),
+            ([float("nan"), True, 3, 4], finite),
+            ([True, float("nan"), 3, 4], numbers),
+            ([1, None, 10 ** 400, 4], numbers),
+            ([1, 2, [3], 4], numbers)):
+        with pytest.raises(GameFileError) as err:
+            parse_game(dict(base, payoffs=payoffs))
+        assert str(err.value) == f"payoffs: {message}"
+    # Numbers are read exactly as float() reads them, signed zeros and
+    # integers past 2**53 included.
+    payoffs = [-0.0, 2 ** 53 + 1, 2 ** 70 + 1, 1.5]
+    game = parse_game(dict(base, payoffs=payoffs)).game
+    assert game.payoffs[0].ravel().tolist() == [float(v) for v in payoffs]
+    assert str(game.payoffs[0][0, 0]) == "-0.0"
+
+
 def test_unknown_version_and_kind():
     with pytest.raises(GameFileError):
         parse_game({"version": 2, "kind": "simultaneous"})

@@ -1,14 +1,18 @@
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from hog.cli import main
 from hog.core import (OutcomeTable, argmax_selection, argmin_selection,
-                      constant_selection, eps_ball_quantifier, max_quantifier,
-                      min_quantifier)
-from hog.errors import BudgetExceededError, StructuralError
+                      average_quantifier, constant_selection,
+                      eps_ball_quantifier, fixed_point_witness, max_quantifier,
+                      min_quantifier, nearest_mean_selection)
+from hog.errors import BudgetExceededError, NoFixedPointError, StructuralError
 from hog.fuzz import random_stage
 from hog.minimax import bbc, compare_bbc_vs_product, is_psi_phi_profile
 from hog.sequential import selection_product
@@ -245,3 +249,286 @@ def test_worst_case_answers_where_enumeration_exceeds_budget():
     with pytest.raises(BudgetExceededError) as err:
         is_psi_phi_profile(ball, (0, 0), 0.0, budget=1)
     assert err.value.count == math.prod([8] * 8)
+
+
+SELECTIONS = {"argmax": argmax_selection(), "argmin": argmin_selection(),
+              "nearest_mean": nearest_mean_selection(),
+              "constant0": constant_selection(0),
+              "constant1": constant_selection(1),
+              "fixed_point": fixed_point_witness()}
+QUANTIFIERS = {"max": max_quantifier(), "min": min_quantifier(),
+               "ball": eps_ball_quantifier(0, 0.5),
+               "average": average_quantifier()}
+SHAPES = [(1, 1), (1, 3), (1, 8), (3, 1), (8, 1), (2, 2), (2, 5), (4, 3),
+          (5, 5), (6, 8), (8, 8)]
+
+
+def _seeded_payoffs(rng, nx, ny):
+    """Ties, signed zeros, move ids (so fixed points exist) or continuous
+    values, chosen at random."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return rng.integers(0, 3, (nx, ny)) * 1.0
+    if kind == 1:
+        return rng.choice([0.0, -0.0, 1.0, -1.0], (nx, ny))
+    if kind == 2:
+        return rng.integers(0, min(nx, ny) + 1, (nx, ny)) * 1.0
+    return rng.uniform(-2, 2, (nx, ny))
+
+
+def _outcome(f, *args):
+    """What ``f`` returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except (StructuralError, NoFixedPointError) as exc:
+        return type(exc), str(exc)
+
+
+def _literal_product(stage):
+    eps, delta = stage.selections
+    q = stage.payoffs[0].tolist()
+    replies = [delta.select(OutcomeTable(row)) for row in q]
+    a = eps.select(OutcomeTable([row[b] for row, b in zip(q, replies)]))
+    return a, replies[a]
+
+
+def _reference_compare(stage):
+    pair_bbc, pair_prod = _literal_bbc(stage), _literal_product(stage)
+    q = stage.payoffs[0].tolist()
+
+    def describe(pair):
+        return {"pair": list(pair),
+                "moves": [stage.moves[0][pair[0]], stage.moves[1][pair[1]]],
+                "outcome": q[pair[0]][pair[1]]}
+
+    return {"bbc": describe(pair_bbc), "product": describe(pair_prod),
+            "coincide": pair_bbc == pair_prod}
+
+
+def test_bbc_and_compare_match_oracles_for_every_selection_pair():
+    rng = np.random.default_rng(1009)
+    raised = set()
+    for (e, eps), (d, delta) in itertools.product(SELECTIONS.items(),
+                                                   repeat=2):
+        for nx, ny in SHAPES:
+            payoffs = _seeded_payoffs(rng, nx, ny)
+            stage = stage_from(payoffs.ravel().tolist(), nx, ny,
+                               selections=(eps, delta))
+            want = _outcome(_literal_bbc, stage)
+            assert _outcome(bbc, stage) == want, (e, d, payoffs)
+            report = _outcome(compare_bbc_vs_product, stage)
+            assert report == _outcome(_reference_compare, stage), (e, d)
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                raised.add(want[0])
+            else:
+                assert all(type(v) is int for v in want)
+                assert all(type(v) is int for v in report["product"]["pair"])
+    assert raised == {StructuralError, NoFixedPointError}
+
+
+def _reply_function_count(stage, tol):
+    phi, psi = stage.quantifiers
+    q = stage.payoffs[0].tolist()
+    cols = [list(col) for col in zip(*q)]
+    return sum(
+        math.prod(sum(inner.contains(OutcomeTable(line), r, tol)
+                      for r in line) for line in lines)
+        for inner, lines in ((psi, q), (phi, cols)))
+
+
+def test_psi_phi_profile_matches_reference_on_seeded_stages():
+    rng = np.random.default_rng(2029)
+    verdicts = set()
+    for (f, phi), (s, psi) in itertools.product(QUANTIFIERS.items(), repeat=2):
+        for nx, ny in SHAPES:
+            for tol in (0.0, 0.5):
+                while True:
+                    payoffs = _seeded_payoffs(rng, nx, ny)
+                    stage = stage_from(payoffs.ravel().tolist(), nx, ny,
+                                       quantifiers=(phi, psi))
+                    if _reply_function_count(stage, tol) <= 600:
+                        break
+                pairs = {(int(rng.integers(nx)), int(rng.integers(ny)))
+                         for _ in range(3)}
+                for pair in pairs:
+                    want = _reference_is_psi_phi_profile(stage, pair, tol)
+                    assert is_psi_phi_profile(stage, pair, tol) == want, (
+                        f, s, tol, pair, payoffs)
+                    verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_and_huge_stages_match_oracles():
+    # Differences of outcomes of +-1.7e308 overflow to inf.
+    rng = np.random.default_rng(3037)
+    verdicts = set()
+    for _ in range(80):
+        nx, ny = (int(v) for v in rng.integers(1, 5, 2))
+        payoffs = rng.integers(0, 3, (nx, ny)) * 1.0
+        special = rng.random((nx, ny)) < 0.3
+        payoffs[special] = rng.choice(
+            [np.nan, np.inf, -np.inf, 1.7e308, -1.7e308], special.sum())
+        names = rng.choice(list(QUANTIFIERS), 2)
+        stage = stage_from(payoffs.ravel().tolist(), nx, ny,
+                           quantifiers=tuple(QUANTIFIERS[n] for n in names))
+        assert _outcome(bbc, stage) == _outcome(_literal_bbc, stage)
+        for pair in itertools.product(range(nx), range(ny)):
+            want = _reference_is_psi_phi_profile(stage, pair, 0.0)
+            assert is_psi_phi_profile(stage, pair, 0.0) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+PENNIES_JSON = """\
+{
+  "comparison": {
+    "bbc": {
+      "moves": [
+        "H",
+        "H"
+      ],
+      "outcome": 1.0,
+      "pair": [
+        0,
+        0
+      ]
+    },
+    "coincide": false,
+    "product": {
+      "moves": [
+        "H",
+        "T"
+      ],
+      "outcome": -1.0,
+      "pair": [
+        0,
+        1
+      ]
+    }
+  },
+  "mode": "bbc",
+  "moves": [
+    "H",
+    "H"
+  ],
+  "outcome": 1.0,
+  "pair": [
+    0,
+    0
+  ],
+  "reply_robust": true
+}
+"""
+
+SEEDED_8X8_JSON = """\
+{
+  "comparison": {
+    "bbc": {
+      "moves": [
+        "x0",
+        "y2"
+      ],
+      "outcome": 0.0,
+      "pair": [
+        0,
+        2
+      ]
+    },
+    "coincide": false,
+    "product": {
+      "moves": [
+        "x0",
+        "y1"
+      ],
+      "outcome": 0.0,
+      "pair": [
+        0,
+        1
+      ]
+    }
+  },
+  "mode": "bbc",
+  "moves": [
+    "x0",
+    "y2"
+  ],
+  "outcome": 0.0,
+  "pair": [
+    0,
+    2
+  ],
+  "reply_robust": true
+}
+"""
+
+
+# ``hog bbc --json`` on a 2x2 max/min stage with outcomes +-1.7e308, whose
+# differences overflow to inf.
+OVERFLOW_JSON = """\
+{
+  "comparison": {
+    "bbc": {
+      "moves": [
+        "x1",
+        "y1"
+      ],
+      "outcome": 0.0,
+      "pair": [
+        1,
+        1
+      ]
+    },
+    "coincide": false,
+    "product": {
+      "moves": [
+        "x1",
+        "y0"
+      ],
+      "outcome": 0.0,
+      "pair": [
+        1,
+        0
+      ]
+    }
+  },
+  "mode": "bbc",
+  "moves": [
+    "x1",
+    "y1"
+  ],
+  "outcome": 0.0,
+  "pair": [
+    1,
+    1
+  ],
+  "reply_robust": true
+}
+"""
+
+
+# numpy reports an overflow as a warning, which pytest would capture
+# before it reached stderr.
+@pytest.mark.filterwarnings("error")
+def test_cli_bbc_json_is_pinned(capsys, games_dir, tmp_path):
+    payoff = np.random.default_rng(8).integers(0, 3, (8, 8))
+    seeded = tmp_path / "stage_8x8.json"
+    seeded.write_text(json.dumps({
+        "version": 1, "kind": "two_player_stage",
+        "moves": [[f"x{i}" for i in range(8)], [f"y{j}" for j in range(8)]],
+        "payoffs": payoff.ravel().tolist(),
+        "quantifiers": [{"kind": "max"}, {"kind": "min"}],
+        "selections": [{"kind": "argmax"}, {"kind": "argmin"}]}))
+    overflow = tmp_path / "stage_overflow.json"
+    overflow.write_text(json.dumps({
+        "version": 1, "kind": "two_player_stage",
+        "moves": [["x0", "x1"], ["y0", "y1"]],
+        "payoffs": [1.7e308, -1.7e308, 0, 0],
+        "quantifiers": [{"kind": "max"}, {"kind": "min"}],
+        "selections": [{"kind": "argmax"}, {"kind": "argmin"}]}))
+    for path, want in ((games_dir / "stage_matching_pennies.json",
+                        PENNIES_JSON), (seeded, SEEDED_8X8_JSON),
+                       (overflow, OVERFLOW_JSON)):
+        assert main(["bbc", str(path), "--json"]) == 0
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (want, "")

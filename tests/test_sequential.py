@@ -196,6 +196,49 @@ def test_validation_and_budget():
         selection_product(argmax_selection(), argmax_selection(), [[1], [2, 3]])
 
 
+def test_validate_strategy_messages():
+    g = SequentialGame.from_tensor([2, 3, 2], list(range(12)),
+                                   [max_quantifier()] * 3,
+                                   [argmax_selection()] * 3)
+    good = [(0,), (2, 1), (1, 0, 1, 1, 0, 0)]
+    assert g.validate_strategy(good) == tuple(map(tuple, good))
+    for strategy, message in (
+            ([(0,), (2, 1), (1, 0, 1, 1, 0, 2)], "move 2 invalid in round 2"),
+            ([(0,), (2, 1), (1, 0, 1, 1, 0, -1)], "move -1 invalid in round 2"),
+            ([(0,), (2, 1, 0), (1, 0, 1, 1, 0, 0)],
+             "round 1 table has 3 entries, expected 2"),
+            ([(0,), (2, 1), (1, 0, 1, 1, 0)],
+             "round 2 table has 5 entries, expected 6"),
+            ([(0,), (2, 1)], "strategy has 2 tables for 3 rounds")):
+        with pytest.raises(StructuralError) as err:
+            g.validate_strategy(strategy)
+        assert str(err.value) == message
+
+
+def test_selection_product_grid_checks():
+    q = [[1, 2], [3, 4]]
+    assert (selection_product(argmax_selection(), argmin_selection(),
+                              np.array(q, dtype=float))
+            == selection_product(argmax_selection(), argmin_selection(), q)
+            == (1, 0))
+    vector = [[(1, 0), (0, 1)], [(2, 2), (0, 0)]]
+    last = custom_selection(lambda p: len(p) - 1)
+    assert selection_product(last, last, vector) == (1, 1)
+    for q, message in (([], "product table must be nonempty"),
+                       ([[]], "product table must be nonempty"),
+                       (np.zeros((2, 0)), "product table must be nonempty"),
+                       ([[1], [2, 3]], "product table must be rectangular"),
+                       ([[1, "a"]], "not an outcome: 'a'"),
+                       ([[1, True]], "not an outcome: True"),
+                       ([[1, 2], [(1, 2), 3]],
+                        "mixed outcome dimensions in table"),
+                       ([[(1, 2)]], "argmax requires scalar outcomes, got "
+                                    "dimension 2")):
+        with pytest.raises(StructuralError) as err:
+            selection_product(argmax_selection(), argmax_selection(), q)
+        assert str(err.value) == message
+
+
 # Reference implementations: the per-history walkers that followed the
 # strategy again for every entry of every deviation table. The module's
 # backward pass must make the same quantifier and selection calls, with
