@@ -6,6 +6,18 @@ attains the quantifier when the outcome of its chosen move is acceptable.
 Max/argmax are the prototypes; fixed-point operators, epsilon-balls around a
 designated move, and nearest-to-mean averaging are the other stock instances.
 
+Each stock kind is one numpy kernel over a stack of tables, to which the
+solvers pass slices of their payoff arrays. ``contains``, ``select`` and
+their ``_stacked`` forms are thin public wrappers that check shapes and
+accept an ``OutcomeTable``, the API-edge form of one table; custom kinds
+are called on one ``OutcomeTable`` at a time. Games reject NaN and
+infinite payoffs; tables passed to the wrappers follow numpy's rules: max
+and min propagate NaN, argmax and argmin return the first NaN, and a
+difference of two equal infinities is NaN, which no tolerance accepts.
+nearest_mean and average compare the distances to the mean as a
+left-to-right scan with ``<`` does, so a NaN distance (a NaN entry, or an
+infinite entry equal to an infinite mean) is nearest only at move 0.
+
 All values here are immutable and all operations are pure and deterministic
 (ties break toward the lowest move id), so they are safe to share across
 threads.
@@ -16,6 +28,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
@@ -23,7 +36,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .budget import check_budget
-from .errors import NoFixedPointError, StructuralError
+from .errors import HogError, NoFixedPointError, StructuralError
 
 MoveId = int
 # An outcome is a real scalar or a fixed-length real vector.
@@ -69,7 +82,9 @@ def outcome_distance(a, b) -> float:
 
 
 class OutcomeTable:
-    """Total map from the move ids 0..n-1 to outcomes.
+    """Total map from the move ids 0..n-1 to outcomes: one table at the API
+    edge, as the public functions return it and custom quantifiers and
+    selections receive it.
 
     Entries are fixed at construction; every entry must have the same
     dimension.
@@ -138,81 +153,107 @@ class SelectionKind(str, Enum):
     CUSTOM = "custom"
 
 
+def quiet(on: bool = True):
+    """numpy's overflow and invalid warnings off, when ``on``: a kernel's
+    answer on an overflowing difference or mean is the intended one."""
+    return np.errstate(over="ignore", invalid="ignore") if on else nullcontext()
+
+
+def _table(p) -> np.ndarray:
+    """One table, an OutcomeTable or an array, as a float array."""
+    return np.asarray(p.entries if isinstance(p, OutcomeTable) else p,
+                      dtype=float)
+
+
+def _stack(tables, what: str) -> np.ndarray:
+    tables = np.asarray(tables, dtype=float)
+    if tables.ndim not in (2, 3):
+        raise StructuralError(
+            f"{what}: tables of shape {tables.shape} do not stack")
+    if 0 in tables.shape[1:]:
+        raise StructuralError("outcome tables must cover a nonempty move set")
+    return tables
+
+
+def _each_table(tables: np.ndarray):
+    """One OutcomeTable per table of a stack, for custom quantifiers and
+    selections: the one place where an array becomes an OutcomeTable."""
+    return map(OutcomeTable, tables.tolist())
+
+
 @dataclass(frozen=True)
 class Quantifier:
     """Membership test over outcome tables.
 
-    ``contains(p, r, tol)`` decides whether outcome ``r`` is acceptable for
-    table ``p`` at tolerance ``tol``. ``canonical`` is present exactly when
-    the quantifier is single-valued, in which case
-    ``contains(p, r, tol) == (distance(r, canonical(p)) <= tol)``.
-    ``in_domain`` is None for total quantifiers; otherwise it decides whether
-    the quantifier has any acceptable outcome at all for ``p`` (used by
-    exhaustive attainment checks to skip tables outside the domain).
-    ``descriptor`` is the tagged record used by the game file format; custom
-    quantifiers without one cannot be serialized.
+    ``kernel(tables, values, tol)`` is the test, over a stack: float arrays
+    of tables ``(N, m)`` (``(N, m, d)`` for vector outcomes) and of ``k``
+    candidate values per table ``(N, k)`` (``(N, k, d)``) give a bool array
+    ``(N, k)``, whether each value is acceptable for its table. It raises
+    StructuralError for table shapes the quantifier refuses (vector
+    outcomes for a scalar kind, an eps_ball centre outside the table).
 
-    ``contains_stacked(tables, values, tol)``, when present, is ``contains``
-    over a stack: ``tables`` of shape ``(N, m)`` (``(N, m, d)`` for vector
-    outcomes) and ``values`` of shape ``(N,)`` (``(N, d)``) give a bool
-    array of shape ``(N,)``. It evaluates the same float expressions as
-    ``contains``, so on the same finite tables row n of the result equals
-    ``contains(OutcomeTable(tables[n]), values[n], tol)``, and it raises
-    the same StructuralError for tables ``contains`` refuses. The max, min,
-    eps_ball and fixed_point quantifiers have one. The average quantifier
-    has none: its exact tie test on the mean does not stay conservative when
-    the tables carry rounding errors, as screens rely on. Custom quantifiers
-    have none.
+    ``canonical`` is present exactly when the quantifier is single-valued,
+    in which case ``contains(p, r, tol) == (distance(r, canonical(p)) <=
+    tol)``. ``in_domain`` is None for total quantifiers; otherwise it
+    decides whether the quantifier has any acceptable outcome at all for
+    ``p`` (used by exhaustive attainment checks to skip tables outside the
+    domain). ``descriptor`` is the tagged record used by the game file
+    format; custom quantifiers without one cannot be serialized.
     """
 
     kind: QuantifierKind
-    contains: Callable
+    kernel: Callable
     canonical: Callable | None = None
     in_domain: Callable | None = None
     descriptor: Mapping | None = None
-    contains_stacked: Callable | None = None
 
     @property
     def single_valued(self) -> bool:
         return self.canonical is not None
+
+    def contains(self, p, r, tol: float) -> bool:
+        """Whether ``r`` is acceptable for the table ``p`` (or its array)."""
+        return bool(self.contains_stacked(
+            _table(p)[None], np.asarray(as_outcome(r))[None, None], tol)[0, 0])
+
+    def contains_stacked(self, tables, values, tol: float) -> np.ndarray:
+        """The kernel, with shapes checked and numpy's overflow warnings off."""
+        tables = _stack(tables, self.kind.value)
+        values = np.asarray(values, dtype=float)
+        if (values.ndim != tables.ndim or values.shape[:1] + values.shape[2:]
+                != tables.shape[:1] + tables.shape[2:]):
+            raise StructuralError(
+                f"{self.kind.value}: values of shape {values.shape} do not "
+                f"stack with tables of shape {tables.shape}")
+        with quiet():
+            return self.kernel(tables, values, tol)
 
 
 @dataclass(frozen=True)
 class SelectionFunction:
     """Chooses a move from an outcome table; deterministic given tie-breaks.
 
-    ``select_stacked(tables)`` is ``select`` over a stack: ``tables`` of
-    shape ``(N, m)`` (``(N, m, d)`` for vector outcomes) gives an intp array
-    of shape ``(N,)`` whose row n equals ``select(OutcomeTable(tables[n]))``,
-    ties, signed zeros and non-finite rows included. It raises the error,
-    with the message, that ``select`` raises on the first row where that
-    loop would. ``stacked``, present for argmax and argmin, chooses on
-    finite scalar rows in one numpy pass; ``select`` itself decides
-    non-finite and vector rows, and every row of the other kinds.
+    ``kernel(tables)`` is the choice, over a stack: a float array of tables
+    ``(N, m)`` (``(N, m, d)`` for vector outcomes) gives an intp array
+    ``(N,)``. It raises the error of the first row it cannot choose on.
     """
 
     kind: SelectionKind
-    select: Callable
+    kernel: Callable
     descriptor: Mapping | None = None
-    stacked: Callable | None = None
+
+    def select(self, p) -> MoveId:
+        """The move chosen on the table ``p`` (or its array)."""
+        return int(self.select_stacked(_table(p)[None])[0])
 
     def select_stacked(self, tables) -> np.ndarray:
-        tables = np.asarray(tables, dtype=float)
-        if tables.ndim not in (2, 3):
-            raise StructuralError(
-                f"select_stacked: tables of shape {tables.shape} do not stack")
-        if self.stacked is None or tables.ndim == 3 or not tables.size:
-            moves = np.full(len(tables), -1, dtype=np.intp)
-        elif np.isfinite(tables).all():
-            moves = self.stacked(tables)
-        else:
-            finite = np.isfinite(tables).all(axis=1)
-            moves = np.full(len(tables), -1, dtype=np.intp)
-            moves[finite] = self.stacked(tables[finite])
-        if moves.size and moves.min() < 0:
-            for n in np.flatnonzero(moves < 0):
-                moves[n] = self.select(OutcomeTable(tables[n]))
-        return moves
+        """The kernel, with the shape checked and numpy's overflow warnings
+        off; an empty stack raises nothing."""
+        tables = _stack(tables, "select_stacked")
+        if not len(tables):
+            return np.zeros(0, dtype=np.intp)
+        with quiet():
+            return self.kernel(tables)
 
 
 @dataclass(frozen=True)
@@ -227,104 +268,86 @@ class DiagonalPoint:
         return phi.contains(self.table, self.table[self.move], tol)
 
 
-def _require_scalar(p: OutcomeTable, what: str) -> None:
-    if not p.scalar:
-        raise StructuralError(f"{what} requires scalar outcomes, got dimension {p.dim}")
-
-
-def _stacked(tables, values, what: str, scalar: bool):
-    """``tables`` and ``values`` as float arrays whose shapes match, as the
-    stacked membership tests take them; ``scalar`` demands scalar
-    outcomes."""
-    tables = np.asarray(tables, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if (tables.ndim not in (2, 3)
-            or values.shape != tables.shape[:1] + tables.shape[2:]):
-        raise StructuralError(
-            f"{what}: tables of shape {tables.shape} and values of shape "
-            f"{values.shape} do not stack")
-    if scalar and tables.ndim == 3:
+def _scalar(tables: np.ndarray, what: str) -> np.ndarray:
+    """``tables``, a stack, unless its outcomes are vectors."""
+    if tables.ndim != 2:
         raise StructuralError(
             f"{what} requires scalar outcomes, got dimension {tables.shape[2]}")
-    return tables, values
+    return tables
 
 
-def _argmax(p: OutcomeTable) -> MoveId:
-    _require_scalar(p, "argmax")
-    best = 0
-    for m in range(1, len(p)):
-        if p[m] > p[best]:
-            best = m
-    return best
+def _fixed_points(tables: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Which moves m of each table are fixed points, |p[m] - m| <= tol."""
+    return np.abs(_scalar(tables, what) - np.arange(tables.shape[1])) <= tol
 
 
-def _argmin(p: OutcomeTable) -> MoveId:
-    _require_scalar(p, "argmin")
-    best = 0
-    for m in range(1, len(p)):
-        if p[m] < p[best]:
-            best = m
-    return best
+def _mean(tables: np.ndarray) -> np.ndarray:
+    """Each table's mean, summed left to right (acc = acc + t[:, j]), as the
+    built-in ``sum`` did before Python 3.12, whatever the interpreter."""
+    return (np.cumsum(_scalar(tables, "average"), axis=1)[:, -1]
+            / tables.shape[1])
 
 
-def _argmax_stacked(tables: np.ndarray) -> np.ndarray:
-    return tables.argmax(axis=1)
+def _nearest_to_mean(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each table's distances to its mean, and the move that a left-to-right
+    scan with ``<`` finds nearest: move 0 unless a later distance is
+    smaller. A NaN distance (a NaN entry, or an infinite entry equal to an
+    infinite mean) is never smaller, so it wins only at move 0."""
+    dist = np.abs(tables - _mean(tables)[:, None])
+    return dist, np.fmin(dist, np.inf).argmin(axis=1)
 
 
-def _argmin_stacked(tables: np.ndarray) -> np.ndarray:
-    return tables.argmin(axis=1)
+def _max_kernel(tables, values, tol):
+    best = _scalar(tables, "max").max(axis=1, keepdims=True)
+    return np.abs(values - best) <= tol
 
 
-def _mean(p: OutcomeTable) -> float:
-    _require_scalar(p, "average")
-    return sum(p.entries) / len(p)
+def _min_kernel(tables, values, tol):
+    best = _scalar(tables, "min").min(axis=1, keepdims=True)
+    return np.abs(values - best) <= tol
 
 
-def _nearest_mean_move(p: OutcomeTable) -> MoveId:
-    mean = _mean(p)
-    best = 0
-    for m in range(1, len(p)):
-        if abs(p[m] - mean) < abs(p[best] - mean):
-            best = m
-    return best
+def _has_fixed_point(p, tol: float) -> bool:
+    return bool(_fixed_points(_table(p)[None], tol, "fixed_point").any())
+
+
+def _fixed_point_kernel(tables, values, tol):
+    fixed = _fixed_points(tables, tol, "fixed_point")
+    near = np.abs(values[:, :, None] - np.arange(tables.shape[1])) <= tol
+    return (fixed[:, None, :] & near).any(axis=2)
+
+
+def _average_kernel(tables, values, tol):
+    dist, move = _nearest_to_mean(tables)
+    nearest = dist == dist[np.arange(len(dist)), move][:, None]
+    close = np.abs(values[:, :, None] - tables[:, None, :]) <= tol
+    return (nearest[:, None, :] & close).any(axis=2)
+
+
+def _argmax_kernel(tables):
+    return _scalar(tables, "argmax").argmax(axis=1)
+
+
+def _argmin_kernel(tables):
+    return _scalar(tables, "argmin").argmin(axis=1)
+
+
+def _nearest_mean_kernel(tables):
+    return _nearest_to_mean(tables)[1]
 
 
 def max_quantifier() -> Quantifier:
     """Single-valued quantifier whose value is the maximum entry."""
-
-    def canonical(p: OutcomeTable):
-        _require_scalar(p, "max")
-        return max(p.entries)
-
-    def contains(p: OutcomeTable, r, tol: float) -> bool:
-        return outcome_distance(as_outcome(r), canonical(p)) <= tol
-
-    def contains_stacked(tables, values, tol: float) -> np.ndarray:
-        tables, values = _stacked(tables, values, "max", scalar=True)
-        return np.abs(values - tables.max(axis=1)) <= tol
-
-    return Quantifier(QuantifierKind.MAX, contains, canonical,
-                      descriptor={"kind": "max"},
-                      contains_stacked=contains_stacked)
+    return Quantifier(QuantifierKind.MAX, _max_kernel,
+                      lambda p: float(_scalar(_table(p)[None], "max").max()),
+                      descriptor={"kind": "max"})
 
 
 def min_quantifier() -> Quantifier:
     """Single-valued quantifier whose value is the minimum entry."""
-
-    def canonical(p: OutcomeTable):
-        _require_scalar(p, "min")
-        return min(p.entries)
-
-    def contains(p: OutcomeTable, r, tol: float) -> bool:
-        return outcome_distance(as_outcome(r), canonical(p)) <= tol
-
-    def contains_stacked(tables, values, tol: float) -> np.ndarray:
-        tables, values = _stacked(tables, values, "min", scalar=True)
-        return np.abs(values - tables.min(axis=1)) <= tol
-
-    return Quantifier(QuantifierKind.MIN, contains, canonical,
-                      descriptor={"kind": "min"},
-                      contains_stacked=contains_stacked)
+    return Quantifier(QuantifierKind.MIN, _min_kernel,
+                      lambda p: float(_scalar(_table(p)[None], "min").min()),
+                      descriptor={"kind": "min"})
 
 
 def fixed_point_quantifier() -> Quantifier:
@@ -332,35 +355,16 @@ def fixed_point_quantifier() -> Quantifier:
     p[m] = m. Only meaningful when outcomes are drawn from the move index
     space. Not total: tables without a fixed point have no acceptable
     outcome."""
-
-    def contains(p: OutcomeTable, r, tol: float) -> bool:
-        _require_scalar(p, "fixed_point")
-        r = as_outcome(r)
-        if not isinstance(r, float):
-            raise StructuralError("fixed_point requires scalar outcomes")
-        return any(
-            abs(p[m] - m) <= tol and abs(r - m) <= tol for m in range(len(p))
-        )
-
-    def contains_stacked(tables, values, tol: float) -> np.ndarray:
-        tables, values = _stacked(tables, values, "fixed_point", scalar=True)
-        moves = np.arange(tables.shape[1], dtype=float)
-        return ((np.abs(tables - moves) <= tol)
-                & (np.abs(values[:, None] - moves) <= tol)).any(axis=1)
-
-    def in_domain(p: OutcomeTable, tol: float) -> bool:
-        _require_scalar(p, "fixed_point")
-        return any(abs(p[m] - m) <= tol for m in range(len(p)))
-
-    return Quantifier(QuantifierKind.FIXED_POINT, contains, None, in_domain,
-                      descriptor={"kind": "fixed_point"},
-                      contains_stacked=contains_stacked)
+    return Quantifier(QuantifierKind.FIXED_POINT, _fixed_point_kernel,
+                      in_domain=_has_fixed_point,
+                      descriptor={"kind": "fixed_point"})
 
 
 def eps_ball_quantifier(center_move: MoveId, radius: float) -> Quantifier:
     """Acceptable outcomes are those within ``radius`` of the outcome at
     ``center_move`` (closed ball; membership at tolerance tol widens the
-    radius by tol)."""
+    radius by tol). Vector outcomes are compared by their largest
+    componentwise difference."""
     # The chained comparison is False for NaN and for numbers too large for
     # a float, such as a JSON integer of 400 digits.
     if (isinstance(radius, bool) or not isinstance(radius, numbers.Real)
@@ -370,29 +374,20 @@ def eps_ball_quantifier(center_move: MoveId, radius: float) -> Quantifier:
             or not isinstance(center_move, numbers.Integral) or center_move < 0):
         raise StructuralError("eps_ball center must be a valid move id")
 
-    def check_center(size: int) -> None:
-        if center_move >= size:
+    def kernel(tables, values, tol):
+        if center_move >= tables.shape[1]:
             raise StructuralError(
-                f"eps_ball center {center_move} outside table of size {size}"
-            )
-
-    def contains(p: OutcomeTable, r, tol: float) -> bool:
-        check_center(len(p))
-        return outcome_distance(as_outcome(r), p[center_move]) <= radius + tol
-
-    def contains_stacked(tables, values, tol: float) -> np.ndarray:
-        tables, values = _stacked(tables, values, "eps_ball", scalar=False)
-        check_center(tables.shape[1])
-        dist = np.abs(values - tables[:, center_move])
-        if dist.ndim == 2:
-            dist = dist.max(axis=1)
+                f"eps_ball center {center_move} outside table of size "
+                f"{tables.shape[1]}")
+        dist = np.abs(values - tables[:, None, center_move])
+        if dist.ndim == 3:
+            dist = dist.max(axis=2)
         return dist <= radius + tol
 
-    return Quantifier(QuantifierKind.EPS_BALL, contains,
+    return Quantifier(QuantifierKind.EPS_BALL, kernel,
                       descriptor={"kind": "eps_ball",
                                   "center": int(center_move),
-                                  "radius": float(radius)},
-                      contains_stacked=contains_stacked)
+                                  "radius": float(radius)})
 
 
 def average_quantifier() -> Quantifier:
@@ -403,52 +398,49 @@ def average_quantifier() -> Quantifier:
     the attainable version is used; the nearest-mean selection attains it by
     construction.
     """
-
-    def contains(p: OutcomeTable, r, tol: float) -> bool:
-        mean = _mean(p)
-        r = as_outcome(r)
-        best = min(abs(v - mean) for v in p.entries)
-        return any(
-            abs(v - mean) == best and outcome_distance(r, v) <= tol
-            for v in p.entries
-        )
-
-    return Quantifier(QuantifierKind.AVERAGE, contains,
+    return Quantifier(QuantifierKind.AVERAGE, _average_kernel,
                       descriptor={"kind": "average"})
 
 
 def custom_quantifier(contains: Callable, canonical: Callable | None = None,
                       in_domain: Callable | None = None) -> Quantifier:
-    """Wrap a user membership test. Totality is the caller's responsibility:
-    a partial intent that is not expressed through ``in_domain`` cannot be
-    detected by the exhaustive checkers."""
-    return Quantifier(QuantifierKind.CUSTOM, contains, canonical, in_domain)
+    """Wrap a user membership test ``contains(p, r, tol)``, called with one
+    OutcomeTable and one outcome at a time. Totality is the caller's
+    responsibility: a partial intent that is not expressed through
+    ``in_domain`` cannot be detected by the exhaustive checkers."""
+
+    def kernel(tables, values, tol):
+        return np.array(
+            [[contains(p, as_outcome(r), tol) for r in row]
+             for p, row in zip(_each_table(tables), values.tolist())],
+            dtype=bool).reshape(values.shape[:2])
+
+    return Quantifier(QuantifierKind.CUSTOM, kernel, canonical, in_domain)
 
 
 def argmax_selection() -> SelectionFunction:
-    return SelectionFunction(SelectionKind.ARGMAX, _argmax,
-                             descriptor={"kind": "argmax"},
-                             stacked=_argmax_stacked)
+    return SelectionFunction(SelectionKind.ARGMAX, _argmax_kernel,
+                             descriptor={"kind": "argmax"})
 
 
 def argmin_selection() -> SelectionFunction:
-    return SelectionFunction(SelectionKind.ARGMIN, _argmin,
-                             descriptor={"kind": "argmin"},
-                             stacked=_argmin_stacked)
+    return SelectionFunction(SelectionKind.ARGMIN, _argmin_kernel,
+                             descriptor={"kind": "argmin"})
 
 
 def fixed_point_witness(tol: float = 0.0) -> SelectionFunction:
     """Selects the lowest move that is a fixed point of the table; raises
     NoFixedPointError when there is none."""
 
-    def select(p: OutcomeTable) -> MoveId:
-        _require_scalar(p, "fixed_point_witness")
-        for m in range(len(p)):
-            if abs(p[m] - m) <= tol:
-                return m
-        raise NoFixedPointError(f"no fixed point in {p!r}")
+    def kernel(tables):
+        fixed = _fixed_points(tables, tol, "fixed_point_witness")
+        found = fixed.any(axis=1)
+        if not found.all():
+            row = tables[found.argmin()].tolist()
+            raise NoFixedPointError(f"no fixed point in OutcomeTable({row!r})")
+        return fixed.argmax(axis=1)
 
-    return SelectionFunction(SelectionKind.FIXED_POINT_WITNESS, select,
+    return SelectionFunction(SelectionKind.FIXED_POINT_WITNESS, kernel,
                              descriptor={"kind": "fixed_point_witness"})
 
 
@@ -457,26 +449,33 @@ def constant_selection(move: MoveId) -> SelectionFunction:
             or move < 0):
         raise StructuralError("constant selection move must be a valid move id")
 
-    def select(p: OutcomeTable) -> MoveId:
-        if move >= len(p):
+    def kernel(tables):
+        if move >= tables.shape[1]:
             raise StructuralError(
-                f"constant move {move} outside table of size {len(p)}"
+                f"constant move {move} outside table of size {tables.shape[1]}"
             )
-        return move
+        return np.full(len(tables), move, dtype=np.intp)
 
-    return SelectionFunction(SelectionKind.CONSTANT, select,
+    return SelectionFunction(SelectionKind.CONSTANT, kernel,
                              descriptor={"kind": "constant", "move": int(move)})
 
 
 def nearest_mean_selection() -> SelectionFunction:
     """Selects the lowest move whose outcome is closest to the table mean;
     attains the average quantifier."""
-    return SelectionFunction(SelectionKind.NEAREST_MEAN, _nearest_mean_move,
+    return SelectionFunction(SelectionKind.NEAREST_MEAN, _nearest_mean_kernel,
                              descriptor={"kind": "nearest_mean"})
 
 
 def custom_selection(select: Callable) -> SelectionFunction:
-    return SelectionFunction(SelectionKind.CUSTOM, select)
+    """Wrap a user selection ``select(p)``, called with one OutcomeTable at
+    a time."""
+
+    def kernel(tables):
+        return np.array([select(p) for p in _each_table(tables)],
+                        dtype=np.intp)
+
+    return SelectionFunction(SelectionKind.CUSTOM, kernel)
 
 
 _QUANTIFIER_FACTORIES = {
@@ -548,10 +547,50 @@ def attains_exhaustively(eps: SelectionFunction, phi: Quantifier,
         raise StructuralError("outcome_grid must be nonempty")
     count = len(grid) ** move_set_size
     check_budget(count, budget, "outcome tables")
-    for combo in itertools.product(grid, repeat=move_set_size):
-        p = OutcomeTable(combo)
-        if phi.in_domain is not None and not phi.in_domain(p, tol):
-            continue
-        if not attains(eps, phi, p, tol):
-            return False
+    # Custom kinds see one table at a time, in grid order; stock kernels
+    # take growing chunks, and a chunk that raises is checked again table
+    # by table, so the first table that fails or raises decides.
+    custom = (eps.kind is SelectionKind.CUSTOM
+              or phi.kind is QuantifierKind.CUSTOM)
+    with quiet():
+        for chunk in chunks(itertools.product(grid, repeat=move_set_size),
+                            1 if custom else 4096):
+            try:
+                ok = _attains_on(eps, phi, chunk, tol)
+            except HogError:
+                if len(chunk) == 1:
+                    raise
+                ok = all(_attains_on(eps, phi, [c], tol) for c in chunk)
+            if not ok:
+                return False
     return True
+
+
+def _attains_on(eps: SelectionFunction, phi: Quantifier, combos: list,
+                tol: float) -> bool:
+    """Whether the selection attains on every table of ``combos`` in the
+    quantifier's domain."""
+    try:
+        tables = np.array(combos, dtype=float)
+    except ValueError:
+        raise StructuralError("mixed outcome dimensions in table") from None
+    if phi.in_domain is _has_fixed_point:
+        tables = tables[_fixed_points(tables, tol, "fixed_point").any(axis=1)]
+    elif phi.in_domain is not None:
+        tables = tables[np.array([phi.in_domain(p, tol)
+                                  for p in _each_table(tables)], dtype=bool)]
+    if not len(tables):
+        return True
+    values = tables[np.arange(len(tables)), eps.kernel(tables)][:, None]
+    return bool(phi.kernel(tables, values, tol).all())
+
+
+def chunks(items: Iterable, cap: int):
+    """``items`` in lists of 16, 32, 64, ... and then ``cap`` items (of
+    ``cap`` from the start if it is smaller), so a search that stops early
+    builds little, and a long one calls each kernel on large stacks."""
+    items = iter(items)
+    size = min(16, cap)
+    while chunk := list(itertools.islice(items, size)):
+        yield chunk
+        size = min(2 * size, cap)

@@ -12,29 +12,26 @@ acceptable against every reply function the opponent's quantifier admits
 (with max/min this is the classical minimax strategy); the verifier itself
 accepts multi-valued quantifiers.
 
-Everything here reads the outcome array directly, as tensor slices. The BBC
-pair and the product pair come from two selection products, each one
-stacked selection over the rows of the grid (or of its transpose) and one
-selection over the replies. The reply-robustness check finds each side's
-pointwise reply sets with one stacked membership test. Per-line
-``OutcomeTable`` loops remain only for selections and quantifiers without a
-stacked form (selections other than argmax and argmin; custom quantifiers
-and the average quantifier) and for non-finite outcomes or ones beyond
-half the largest float in magnitude.
+Everything here reads the outcome array directly, as tensor slices passed
+to the quantifier and selection kernels. The BBC pair and the product pair
+come from two selection products, each one selection kernel call over the
+rows of the grid (or of its transpose) and one over the replies. The
+reply-robustness check finds each side's pointwise reply sets with one
+membership kernel call that tests every entry of every line against its
+own line.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 
 import numpy as np
 
 from .budget import check_budget
-from .core import OutcomeTable, Quantifier, QuantifierKind, as_outcome
+from .core import QuantifierKind, as_outcome, chunks
 from .errors import StructuralError
-from .sequential import selection_product
+from .sequential import _select_product
 from .simultaneous import SimultaneousGame
 
 
@@ -57,8 +54,9 @@ def _pairs(g: SimultaneousGame):
     transpose gives b."""
     q = stage_outcomes(g, True)
     eps, delta = g.selections
-    product = selection_product(eps, delta, q)
-    b = selection_product(delta, eps, q.swapaxes(0, 1))[0]
+    with g.quiet():
+        product = _select_product(eps, delta, q)
+        b = _select_product(delta, eps, q.swapaxes(0, 1))[0]
     return (product[0], b), product
 
 
@@ -68,19 +66,6 @@ def bbc(g: SimultaneousGame) -> tuple[int, int]:
     pointwise replies and b against the first's, independently (unlike the
     product, whose second coordinate is the reply to a)."""
     return _pairs(g)[0]
-
-
-def _admissible(inner: Quantifier, lines: np.ndarray, tol: float) -> np.ndarray:
-    """Which entries of each line ``inner`` accepts against that line: one
-    ``contains_stacked`` call over every (line, entry) pair."""
-    count, m = lines.shape[:2]
-    accepted = inner.contains_stacked(
-        np.repeat(lines, m, axis=0), lines.reshape(count * m, *lines.shape[2:]),
-        tol)
-    return accepted.reshape(count, m)
-
-
-_HALF_MAX = sys.float_info.max / 2
 
 
 # Outer quantifier kind -> (choice at the checked move, choice elsewhere)
@@ -101,13 +86,11 @@ def is_psi_phi_profile(g: SimultaneousGame, pair: tuple[int, int],
     move's coordinate takes its lowest acceptable outcome and every other
     coordinate its highest (min is the mirror image). Rounding is monotone,
     so this is exact. Other outer quantifiers enumerate the product, and
-    only what is enumerated counts against the budget.
+    only what is enumerated counts against the budget, and is tested in
+    chunks of one outer kernel call each.
 
-    When no outcome exceeds half the largest float in magnitude, each
-    side's acceptable sets come from one stacked membership test of the
-    inner quantifier over every line; inner quantifiers without a stacked
-    test, and stages with a larger or non-finite outcome, test each line
-    entry by entry.
+    Each side's acceptable sets come from one kernel call of the inner
+    quantifier, which tests every entry of every line against its line.
     """
     outcomes = stage_outcomes(g, False)
     a, b = pair
@@ -116,44 +99,42 @@ def is_psi_phi_profile(g: SimultaneousGame, pair: tuple[int, int],
         raise StructuralError(f"pair {pair} outside {nx}x{ny} stage")
     phi, psi = g.quantifiers
     scalar = outcomes.ndim == 2
-    # No difference of two such outcomes overflows, so the stacked test
-    # decides as the Python-float loop does and numpy warns of nothing.
-    bounded = bool(np.abs(outcomes).max() <= _HALF_MAX)
 
     # The outcomes each reply function may put at each coordinate of the
     # composed table: a's check composes with psi's replies along rows,
     # b's with phi's replies along columns.
     sides = []
-    for outer, inner, lines, move in ((phi, psi, outcomes, a),
-                                      (psi, phi, outcomes.swapaxes(0, 1), b)):
-        rows = lines.tolist()
-        if bounded and inner.contains_stacked is not None:
-            accepted = _admissible(inner, lines, tol).tolist()
-        else:
-            accepted = []
-            for line in rows:
-                table = OutcomeTable(line)
-                accepted.append([inner.contains(table, r, tol) for r in line])
-        values = [list(itertools.compress(line, ok))
-                  for line, ok in zip(rows, accepted)]
-        if all(values):
-            worst = scalar and outer.kind in _WORST_CASE
-            sides.append((outer, values, move, worst))
+    with g.quiet():
+        for outer, inner, lines, move in (
+                (phi, psi, outcomes, a), (psi, phi, outcomes.swapaxes(0, 1), b)):
+            accepted = inner.kernel(lines, lines, tol).tolist()
+            values = [list(itertools.compress(line, ok))
+                      for line, ok in zip(lines.tolist(), accepted)]
+            if all(values):
+                worst = scalar and outer.kind in _WORST_CASE
+                sides.append((outer, values, move, worst))
 
-    check_budget(sum(math.prod(map(len, values))
-                     for _, values, _, worst in sides if not worst),
-                 budget, "reply functions")
+        check_budget(sum(math.prod(map(len, values))
+                         for _, values, _, worst in sides if not worst),
+                     budget, "reply functions")
 
-    for outer, values, move, worst in sides:
-        if worst:
-            own, rest = _WORST_CASE[outer.kind]
-            tables = [[own(v) if x == move else rest(v)
-                       for x, v in enumerate(values)]]
-        else:
-            tables = itertools.product(*values)
-        for table in tables:
-            if not outer.contains(OutcomeTable(table), table[move], tol):
-                return False
+        for outer, values, move, worst in sides:
+            if worst:
+                own, rest = _WORST_CASE[outer.kind]
+                table = np.array([[own(v) if x == move else rest(v)
+                                   for x, v in enumerate(values)]])
+                if not outer.kernel(table, table[:, move:move + 1], tol)[0, 0]:
+                    return False
+                continue
+            # A custom test sees one table at a time, up to the first it
+            # rejects; stock kernels take growing chunks.
+            for tables in chunks(itertools.product(*values),
+                                 1 if outer.kind is QuantifierKind.CUSTOM
+                                 else 4096):
+                tables = np.array(tables)
+                if not outer.kernel(tables, tables[:, move:move + 1],
+                                    tol).all():
+                    return False
     return True
 
 

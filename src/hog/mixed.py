@@ -18,12 +18,12 @@ be irrational), so an empty grid result is an answer, not a contradiction.
 
 The grid search screens, then certifies. For each player, one contraction
 per other player gives the deviation tables at every grid combination of
-the others, and one more gives the values; the quantifier's contains_stacked
-tests them all at once, with slack for rounding. Only the longest prefix of
-players whose quantifier has a stacked test that applies to the game is
-screened, so the scalar membership tests of every later player happen, and
-raise, exactly where a per-point loop would meet them. Every survivor is
-certified by is_mixed_nash in grid order.
+the others, and one more gives the values; one kernel call tests them all
+at once, with slack for rounding. Only the longest prefix of players whose
+quantifier is of a screened kind and applies to the game is screened, so
+the tests of every later player happen, and raise, exactly where a
+per-point loop would meet them. Every survivor is certified by
+is_mixed_nash in grid order.
 
 Support enumeration solves the indifference systems of one support shape
 in stacks, not one system at a time: square shapes by one batched exact
@@ -46,8 +46,8 @@ of this test: the minimum-norm solution of a rank-deficient subsystem can
 be negative where the wider system has a nonnegative one. The pruning is
 conservative: a pair that _indifference_solve accepts has a max-residual of
 at most _RESIDUAL_TOL on its system, so on a subsystem of r equations its
-QR residual is at most sqrt(r) * _RESIDUAL_TOL, inside that shape's
-threshold, which adds _SCREEN_MARGIN for rounding.
+least-squares residual is at most sqrt(r) * _RESIDUAL_TOL, inside that
+shape's threshold, which adds _SCREEN_MARGIN for rounding.
 """
 
 from __future__ import annotations
@@ -158,12 +158,15 @@ def is_mixed_nash(g: SimultaneousGame, profile: MixedProfile,
                   tol: float = 1e-9) -> bool:
     """True iff every player's expected outcome is acceptable to their
     quantifier on the vertex-restricted deviation table."""
-    profile = mixed_profile(g, profile)
-    for i in range(g.num_players):
-        table = mixed_unilateral_table(g, i, profile)
-        value = expected_outcome(g, i, profile)
-        if not g.quantifiers[i].contains(table, value, tol):
-            return False
+    # Validated twice, as mixed_unilateral_table and expected_outcome see
+    # it, so that a report's tables agree with the verdict bit for bit.
+    profile = mixed_profile(g, mixed_profile(g, profile))
+    with g.quiet():
+        for i, phi in enumerate(g.quantifiers):
+            table = _contract(g, i, profile, keep=i)[None]
+            value = _contract(g, i, profile)[None, None]
+            if not phi.kernel(table, value, tol)[0, 0]:
+                return False
     return True
 
 
@@ -296,23 +299,26 @@ def _may_be_consistent(payoff: np.ndarray, own: np.ndarray,
     whose system may be consistent, and those of them whose system may also
     have no negative probability."""
     mats = _indifference_systems(payoff, own, other)
+    bound = math.sqrt(mats.shape[1]) * _RESIDUAL_TOL + _SCREEN_MARGIN
     # The span of a QR factor's Q contains the column space, rank-deficient
     # or not, so this residual of the right-hand side (the last unit vector)
     # never exceeds the least-squares one, whose max-norm
-    # _indifference_solve bounds by _RESIDUAL_TOL.
+    # _indifference_solve bounds by _RESIDUAL_TOL. With duplicated moves Q
+    # spans more, so the pairs it passes are checked again.
     q = np.linalg.qr(mats)[0]
     res = -np.matmul(q, q[:, -1, :, None])[..., 0]
     res[:, -1] += 1.0
-    consistent = (np.linalg.norm(res, axis=1)
-                  <= math.sqrt(mats.shape[1]) * _RESIDUAL_TOL + _SCREEN_MARGIN)
-    # Probabilities of the few consistent systems: the minimum-norm
-    # solution is the pseudo-inverse's last column, with singular values cut
-    # where lstsq(rcond=None) cuts them.
+    consistent = np.linalg.norm(res, axis=1) <= bound
+    # The minimum-norm solution is the pseudo-inverse's last column, with
+    # singular values cut where lstsq(rcond=None) cuts them.
+    idx = np.flatnonzero(consistent)
     keep = consistent.copy()
-    idx = np.flatnonzero(keep)
     if idx.size:
         sols = np.linalg.pinv(mats[idx], rtol=None)[..., -1]
-        keep[idx] = ~(sols[:, :-1] < -(tol + _SCREEN_MARGIN)).any(axis=1)
+        res = np.matmul(mats[idx], sols[..., None])[..., 0]
+        res[:, -1] -= 1.0
+        consistent[idx] = keep[idx] = np.linalg.norm(res, axis=1) <= bound
+        keep[idx] &= ~(sols[:, :-1] < -(tol + _SCREEN_MARGIN)).any(axis=1)
     return consistent, keep
 
 
@@ -421,8 +427,6 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
         )
     if g.payoffs.ndim != 3:
         raise StructuralError("support enumeration requires scalar outcomes")
-    if not np.isfinite(g.payoffs).all():
-        raise StructuralError("support enumeration requires finite payoffs")
     m0, m1 = g.move_counts
     enumerated = (2 ** m0 - 1) * (2 ** m1 - 1)
     check_budget(enumerated, budget, "support pairs")
@@ -523,22 +527,23 @@ def _simplex_grid(moves: int, depth: int) -> np.ndarray:
     return np.array(rows)
 
 
+# Kinds whose acceptance only widens with the tolerance; average's exact
+# tie test on the mean does not, and custom tests are never screened.
+_SCREENED_KINDS = {QuantifierKind.MAX, QuantifierKind.MIN,
+                   QuantifierKind.EPS_BALL, QuantifierKind.FIXED_POINT}
+
+
 def _screened_players(g: SimultaneousGame) -> int:
-    """Length of the longest prefix of players whose quantifier has a
-    stacked membership test that applies to this game. The stock stacked
-    tests raise exactly where their scalar tests would, for every table of
-    a given shape, so one zero table of the player's shape decides. Games
-    with a non-finite payoff are not screened: the screen's slack would not
-    be finite."""
-    if not np.isfinite(g.payoffs).all():
-        return 0
+    """Length of the longest prefix of players whose quantifier is of a
+    screened kind and accepts tables of this game's shape, which one zero
+    table of that shape decides."""
     outcome = g.payoffs.shape[g.num_players + 1:]
     for i, phi in enumerate(g.quantifiers):
-        if phi.contains_stacked is None:
+        if phi.kind not in _SCREENED_KINDS:
             return i
         try:
-            phi.contains_stacked(np.zeros((1, g.move_counts[i], *outcome)),
-                                 np.zeros((1, *outcome)), 0.0)
+            phi.kernel(np.zeros((1, g.move_counts[i], *outcome)),
+                       np.zeros((1, 1, *outcome)), 0.0)
         except StructuralError:
             return i
     return g.num_players
@@ -595,9 +600,11 @@ def _grid_survivors(g: SimultaneousGame, grids: list[np.ndarray],
             # Move axis last, then the player's own grid axis broadcast in.
             tables = np.expand_dims(np.moveaxis(t, i, n - 1), i)
             tables = np.broadcast_to(tables, shape + tables.shape[n:])
-            mask &= g.quantifiers[i].contains_stacked(
-                tables.reshape(-1, *tables.shape[n:]),
-                values.reshape(-1, *values.shape[n:]), bound).reshape(shape)
+            with g.quiet():
+                mask &= g.quantifiers[i].kernel(
+                    tables.reshape(-1, *tables.shape[n:]),
+                    values.reshape(-1, 1, *values.shape[n:]),
+                    bound).reshape(shape)
         for idx in np.argwhere(mask):
             idx[0] += start
             yield tuple(idx.tolist())
@@ -612,14 +619,14 @@ def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
     2-player max-quantifier games use solve_support_enumeration_2p.
 
     The grid is screened, then certified. The screen tests every grid
-    profile at once for the longest prefix of players whose quantifier has
-    a contains_stacked that applies to the game, with the support
+    profile at once for the longest prefix of players whose quantifier is
+    of a screened kind and applies to the game, with the support
     enumeration's slack; it only discards profiles that is_mixed_nash would
     reject at one of those players. Every survivor is then certified by
     is_mixed_nash, in itertools.product order. A player after the prefix is
-    never screened, so each scalar membership test outside the prefix, and
-    each error one raises, happens at the grid point where the per-point
-    loop would meet it.
+    never screened, so each membership test outside the prefix, and each
+    error one raises, happens at the grid point where the per-point loop
+    would meet it.
     """
     if grid_depth < 1:
         raise StructuralError("grid_depth must be >= 1")

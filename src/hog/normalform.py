@@ -22,8 +22,7 @@ import numpy as np
 from .budget import check_budget
 from .core import OutcomeTable, Quantifier
 from .errors import StructuralError
-from .sequential import (SeqStrategy, SequentialGame, deviation_table,
-                         extend_with_strategy, histories)
+from .sequential import SeqStrategy, SequentialGame, _reached, histories
 from .simultaneous import SimultaneousGame
 
 
@@ -76,21 +75,24 @@ class ContingentMoveSet:
 
 
 def lift_round_quantifier(phi: Quantifier, cms: ContingentMoveSet) -> Quantifier:
-    """Quantifier over contingent strategies: membership restricts the table
-    to the constant contingent strategies and delegates to the round
-    quantifier. Only those entries are ever consulted."""
+    """Quantifier over contingent strategies, of the round quantifier's kind:
+    membership restricts the table to the constant contingent strategies
+    and delegates to the round quantifier. Only those entries are ever
+    consulted."""
+    constant = [cms.constant_index(x) for x in range(cms.base_move_count)]
+
+    def constants(size: int) -> list[int]:
+        if size != cms.size:
+            raise StructuralError(
+                f"table has {size} entries, expected {cms.size} contingent moves"
+            )
+        return constant
 
     def restrict(p: OutcomeTable) -> OutcomeTable:
-        if len(p) != cms.size:
-            raise StructuralError(
-                f"table has {len(p)} entries, expected {cms.size} contingent moves"
-            )
-        return OutcomeTable(
-            [p[cms.constant_index(x)] for x in range(cms.base_move_count)]
-        )
+        return OutcomeTable([p[k] for k in constants(len(p))])
 
-    def contains(p: OutcomeTable, r, tol: float) -> bool:
-        return phi.contains(restrict(p), r, tol)
+    def kernel(tables, values, tol: float):
+        return phi.kernel(tables[:, constants(tables.shape[1])], values, tol)
 
     canonical = None
     if phi.canonical is not None:
@@ -106,7 +108,7 @@ def lift_round_quantifier(phi: Quantifier, cms: ContingentMoveSet) -> Quantifier
             "base_moves": cms.base_move_count,
             "histories": cms.history_count,
         }
-    return Quantifier(phi.kind, contains, canonical, in_domain, descriptor)
+    return Quantifier(phi.kind, kernel, canonical, in_domain, descriptor)
 
 
 def contingent_move_sets(g: SequentialGame) -> list[ContingentMoveSet]:
@@ -202,10 +204,14 @@ def check_soundness(g: SequentialGame, strategy: SeqStrategy, tol: float = 0.0,
     budget counts the plays whose outcomes it reads."""
     check_budget(g.play_count(), budget, "plays")
     strategy = g.validate_strategy(strategy)
-    play = extend_with_strategy(g, strategy, ())
-    outcomes = g.play_outcomes()
-    for i in range(g.rounds):
-        table = deviation_table(g, strategy, play[:i], outcomes)
-        if not g.quantifiers[i].contains(table, table[play[i]], tol):
-            return False
+    flat = g.flat_payoffs()
+    reached = _reached(g, lambda i, _: strategy[i])
+    history = 0
+    with g.quiet():
+        for i, phi in enumerate(g.quantifiers):
+            move = strategy[i][history]
+            table = flat[reached[i][0][history]][None]
+            if not phi.kernel(table, table[:, move:move + 1], tol)[0, 0]:
+                return False
+            history = history * g.move_counts[i] + move
     return True

@@ -6,14 +6,15 @@ play whose first move anticipates the later rounds' selections; applying each
 round's selection at every history yields a strategy that is optimal after
 every history (the subgame-perfect analogue).
 
-A strategy is followed in one backward pass: the play index reached from
-history h of round i (m moves) is entry h*m + table[h] of round i+1's list,
-and the deviation table at h reads that list's entries h*m .. h*m+m-1.
+A strategy is followed in one backward pass: round i's index array, of
+shape ``(history_count(i), m)``, holds the play reached from each history
+and move, and its outcomes are the round's deviation tables, which one
+kernel call tests or chooses on.
 
 History tables are dense arrays in mixed-radix order over the preceding move
 sets, first round most significant. The outcome function is stored as one
 read-only float64 array ``payoffs`` of shape ``move_counts``, with a trailing
-axis for vector outcomes.
+axis for vector outcomes; payoffs must be finite.
 """
 
 from __future__ import annotations
@@ -21,14 +22,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .budget import check_budget
-from .core import OutcomeTable, Quantifier, SelectionFunction, as_outcome
+from .core import (Quantifier, QuantifierKind, SelectionFunction, as_outcome,
+                   quiet)
 from .errors import StructuralError
-from .simultaneous import default_move_labels, flat_tensor, payoff_array
+from .simultaneous import PayoffArray, default_move_labels, flat_tensor
 
 Play = tuple[int, ...]
 # Strategy: per round, a dense move table indexed by history (mixed-radix).
@@ -50,7 +53,7 @@ def histories(sizes: Sequence[int]):
 
 
 @dataclass(frozen=True, eq=False)
-class SequentialGame:
+class SequentialGame(PayoffArray):
     """n rounds, per-round move sets, a single outcome tensor over full
     plays, and per-round quantifier/selection pairs (each selection is
     expected to attain its quantifier)."""
@@ -71,8 +74,7 @@ class SequentialGame:
             raise StructuralError(
                 "quantifiers and selections must have one entry per round"
             )
-        object.__setattr__(self, "payoffs", payoff_array(
-            self.payoffs, self.move_counts, "payoffs"))
+        self._take_payoffs(self.move_counts)
 
     @classmethod
     def from_tensor(cls, move_counts: Sequence[int], payoffs: Sequence[float],
@@ -96,7 +98,7 @@ class SequentialGame:
     def rounds(self) -> int:
         return len(self.moves)
 
-    @property
+    @cached_property
     def move_counts(self) -> tuple[int, ...]:
         return tuple(len(ms) for ms in self.moves)
 
@@ -113,7 +115,11 @@ class SequentialGame:
     def play_outcomes(self) -> list:
         """Outcomes of all plays in mixed-radix play order, as a Python list
         that hot loops index by play index."""
-        return self.payoffs.reshape(-1, *self.payoffs.shape[self.rounds:]).tolist()
+        return self.flat_payoffs().tolist()
+
+    def flat_payoffs(self) -> np.ndarray:
+        """The payoffs with one axis of plays, in mixed-radix order."""
+        return self.payoffs.reshape(-1, *self.payoffs.shape[self.rounds:])
 
     def validate_strategy(self, strategy: Sequence[Sequence[int]]) -> SeqStrategy:
         strategy = tuple(tuple(t) for t in strategy)
@@ -133,40 +139,27 @@ class SequentialGame:
         return strategy
 
 
-def extend_with_strategy(g: SequentialGame, strategy: SeqStrategy,
-                         prefix: Sequence[int]) -> Play:
-    """Complete a partial history to a full play by following the strategy."""
-    play = tuple(prefix)
-    sizes = g.move_counts
-    while len(play) < g.rounds:
-        i = len(play)
-        play = play + (strategy[i][history_index(sizes[:i], play)],)
-    return play
-
-
 def strategic_play(g: SequentialGame, strategy: Sequence[Sequence[int]]) -> Play:
     """The play obtained by running the strategy against itself from the
     empty history."""
-    strategy = g.validate_strategy(strategy)
-    return extend_with_strategy(g, strategy, ())
+    play, history = (), 0
+    for moves, m in zip(g.validate_strategy(strategy), g.move_counts):
+        play += (moves[history],)
+        history = history * m + moves[history]
+    return play
 
 
-def deviation_table(g: SequentialGame, strategy: SeqStrategy,
-                    prefix: Sequence[int], outcomes: list) -> OutcomeTable:
-    """Outcomes of the one-round deviations at the history ``prefix``, each
-    continued by the strategy; ``outcomes`` is ``g.play_outcomes()``."""
-    sizes = g.move_counts
-    return OutcomeTable([
-        outcomes[history_index(
-            sizes, extend_with_strategy(g, strategy, tuple(prefix) + (x,)))]
-        for x in range(sizes[len(prefix)])
-    ])
-
-
-def _follow(table: Sequence[int], later: Sequence[int], m: int) -> list[int]:
-    """Play index reached from each history of a round of ``m`` moves, from
-    the next round's list (``range(play_count)`` after the last round)."""
-    return [later[h * m + x] for h, x in enumerate(table)]
+def _reached(g: SequentialGame, choose) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per round, the plays reached from each history (rows) by each move
+    (columns) when later rounds follow ``choose``, and by the move that
+    ``choose(i, reached)`` gives at each history; rounds go last first."""
+    later = np.arange(g.play_count())
+    reached = []
+    for i in range(g.rounds - 1, -1, -1):
+        here = later.reshape(-1, g.move_counts[i])
+        later = here[np.arange(len(here)), choose(i, here)]
+        reached.insert(0, (here, later))
+    return reached
 
 
 def is_optimal_strategy(g: SequentialGame, strategy: Sequence[Sequence[int]],
@@ -174,21 +167,24 @@ def is_optimal_strategy(g: SequentialGame, strategy: Sequence[Sequence[int]],
     """True iff after every partial history, the outcome of following the
     strategy is acceptable to that round's quantifier on the table of
     one-round deviations (each deviation continued by the strategy).
-    Rounds, then histories, are checked in index order."""
+    Rounds, then histories, are checked in index order; a custom test is
+    called up to the first history it rejects."""
     strategy = g.validate_strategy(strategy)
     sizes = g.move_counts
     total = sum(g.history_count(i) * sizes[i] for i in range(g.rounds))
     check_budget(total, budget, "optimality checks")
-    outcomes = g.play_outcomes()
-    # later[i]: the play index reached from each history of round i+1.
-    later = [range(g.play_count())]
-    for i in range(g.rounds - 1, 0, -1):
-        later.insert(0, _follow(strategy[i], later[0], sizes[i]))
-    for i in range(g.rounds):
-        phi, m, reached = g.quantifiers[i], sizes[i], later[i]
-        for h, move in enumerate(strategy[i]):
-            table = OutcomeTable([outcomes[k] for k in reached[h * m:h * m + m]])
-            if not phi.contains(table, table[move], tol):
+    flat = g.flat_payoffs()
+    with g.quiet():
+        for phi, (reached, followed) in zip(
+                g.quantifiers, _reached(g, lambda i, _: strategy[i])):
+            tables, values = flat[reached], flat[followed][:, None]
+            if phi.kind is not QuantifierKind.CUSTOM:
+                accepted = phi.kernel(tables, values, tol).all()
+            else:
+                accepted = all(phi.kernel(tables[h:h + 1], values[h:h + 1],
+                                          tol)[0, 0]
+                               for h in range(len(tables)))
+            if not accepted:
                 return False
     return True
 
@@ -212,20 +208,27 @@ def _product_grid(q) -> np.ndarray:
     grid = np.asarray(q, dtype=float)
     if grid.ndim < 2 or 0 in grid.shape[:2]:
         raise StructuralError("product table must be nonempty")
+    if grid.ndim > 3:
+        raise StructuralError(
+            f"product table of shape {grid.shape} is not a grid of outcomes")
     return grid
+
+
+def _select_product(eps: SelectionFunction, delta: SelectionFunction,
+                   grid: np.ndarray) -> tuple[int, int]:
+    """selection_product on a float array of shape ``(nx, ny[, d])``."""
+    replies = delta.kernel(grid)
+    a = int(eps.kernel(grid[np.arange(len(grid)), replies][None])[0])
+    return a, int(replies[a])
 
 
 def selection_product(eps: SelectionFunction, delta: SelectionFunction,
                       q: Sequence[Sequence] | np.ndarray) -> tuple[int, int]:
     """Binary product of selection functions on a two-round outcome grid
     ``q[x][y]``: the second move is delta's reply to each x, the first is
-    eps's choice anticipating those replies. Returns (a, reply_to_a).
-    The replies are one ``select_stacked`` over the rows of the grid."""
-    grid = _product_grid(q)
-    replies = delta.select_stacked(grid).tolist()
-    a = eps.select(OutcomeTable([
-        row[b] for row, b in zip(grid.tolist(), replies)]))
-    return a, replies[a]
+    eps's choice anticipating those replies. Returns (a, reply_to_a)."""
+    with quiet():
+        return _select_product(eps, delta, _product_grid(q))
 
 
 def compute_optimal_play(g: SequentialGame, budget: int | None = None) -> Play:
@@ -240,33 +243,33 @@ def compute_optimal_play(g: SequentialGame, budget: int | None = None) -> Play:
         if i == g.rounds:
             return ()
         tails = [solve(prefix + (x,)) for x in range(sizes[i])]
-        table = OutcomeTable([
+        table = np.array([[
             outcomes[history_index(sizes, prefix + (x,) + tail)]
             for x, tail in enumerate(tails)
-        ])
-        a = g.selections[i].select(table)
+        ]])
+        a = int(g.selections[i].kernel(table)[0])
         return (a,) + tails[a]
 
-    return solve(())
+    with g.quiet():
+        return solve(())
 
 
 def compute_optimal_strategy(g: SequentialGame,
                              budget: int | None = None) -> SeqStrategy:
     """Apply each round's selection at every history, last round first, so
     the optimality condition holds pointwise, each table continued by the
-    later rounds' selections. Its strategic play equals compute_optimal_play."""
+    later rounds' selections. Its strategic play equals
+    compute_optimal_play."""
     sizes = g.move_counts
     total = sum(g.history_count(i) * sizes[i] for i in range(g.rounds))
     check_budget(total, budget, "histories")
-    outcomes = g.play_outcomes()
-    tables: list[tuple[int, ...]] = []
-    # The play index reached from each history of the round after i.
-    later: Sequence[int] = range(g.play_count())
-    for i in range(g.rounds - 1, -1, -1):
-        m, select = sizes[i], g.selections[i].select
-        table = tuple(
-            select(OutcomeTable([outcomes[k] for k in later[h * m:h * m + m]]))
-            for h in range(g.history_count(i)))
-        tables.insert(0, table)
-        later = _follow(table, later, m)
-    return tuple(tables)
+    flat = g.flat_payoffs()
+    tables = [None] * g.rounds
+
+    def choose(i: int, reached: np.ndarray) -> np.ndarray:
+        tables[i] = g.selections[i].kernel(flat[reached])
+        return tables[i]
+
+    with g.quiet():
+        _reached(g, choose)
+    return tuple(tuple(moves.tolist()) for moves in tables)

@@ -8,7 +8,8 @@ outcomes this is exactly the classical Nash condition.
 
 Outcome functions are stored as one read-only float64 array ``payoffs`` of
 shape ``(players, *move_counts)``, with a trailing axis for vector outcomes;
-``payoffs[i][profile]`` is player i's outcome at ``profile``.
+``payoffs[i][profile]`` is player i's outcome at ``profile``. Payoffs must be
+finite. The equilibrium tests pass slices of it to the quantifier kernels.
 
 A game may also carry one selection function per player. A two-player stage
 (see ``minimax``) is a 2-player single-outcome game with selections.
@@ -18,14 +19,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .budget import check_budget
 from .core import (Outcome, OutcomeTable, Quantifier, SelectionFunction,
-                   as_outcome)
+                   as_outcome, quiet)
 from .errors import StructuralError
 
 PureProfile = tuple[int, ...]
@@ -39,19 +42,37 @@ def default_move_labels(count: int) -> tuple[str, ...]:
     return tuple(f"m{i}" for i in range(count))
 
 
-def payoff_array(values, counts: tuple[int, ...], what: str) -> np.ndarray:
-    """``values`` as a read-only float64 array of shape ``counts`` plus at
-    most one trailing axis of vector outcomes. Read-only arrays are shared,
-    anything else is copied."""
-    arr = np.asarray(values, dtype=float)
-    k = len(counts)
-    if arr.shape[:k] != counts or arr.ndim > k + 1 or 0 in arr.shape[k:]:
-        raise StructuralError(f"{what} has shape {arr.shape}, expected "
-                              f"{counts} plus an optional outcome axis")
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.setflags(write=False)
-    return arr
+class PayoffArray:
+    """What both game classes do with their payoffs: hold them as one
+    checked read-only array, and run the kernels on it inside
+    ``g.quiet()``."""
+
+    def _take_payoffs(self, counts: tuple[int, ...]) -> None:
+        """Replace ``payoffs`` by a read-only float64 array of shape
+        ``counts`` plus at most one trailing axis of vector outcomes (shared
+        if read-only, else copied), refusing NaN and infinities, and decide
+        once whether a kernel may overflow on it: no difference of
+        outcomes, nor sum of m entries, does while every payoff is at most
+        the largest float over 2 (m + 1)."""
+        arr = np.asarray(self.payoffs, dtype=float)
+        k = len(counts)
+        if arr.shape[:k] != counts or arr.ndim > k + 1 or 0 in arr.shape[k:]:
+            raise StructuralError(f"payoffs has shape {arr.shape}, expected "
+                                  f"{counts} plus an optional outcome axis")
+        peak = float(np.abs(arr).max())
+        if not math.isfinite(peak):
+            raise StructuralError("payoffs must be finite numbers")
+        if arr.flags.writeable:
+            arr = arr.copy()
+            arr.setflags(write=False)
+        object.__setattr__(self, "payoffs", arr)
+        object.__setattr__(self, "_may_overflow",
+                           peak * 2 * (max(counts) + 1) > sys.float_info.max)
+
+    def quiet(self):
+        """numpy's overflow and invalid warnings off if a kernel may
+        overflow on these payoffs."""
+        return quiet(self._may_overflow)
 
 
 def flat_tensor(tensor, counts: tuple[int, ...], what: str) -> np.ndarray:
@@ -68,7 +89,7 @@ def flat_tensor(tensor, counts: tuple[int, ...], what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SimultaneousGame:
+class SimultaneousGame(PayoffArray):
     """Finite simultaneous game with per-player payoff tensors and
     quantifiers. ``single_outcome_space`` flags that all players share one
     outcome tensor (as normal forms of sequential games do); ``payoffs`` is
@@ -96,8 +117,7 @@ class SimultaneousGame:
         if self.selections is not None and len(self.selections) != n:
             raise StructuralError(
                 "moves and selections must have one entry per player")
-        object.__setattr__(self, "payoffs", payoff_array(
-            self.payoffs, (n, *self.move_counts), "payoffs"))
+        self._take_payoffs((n, *self.move_counts))
         if not self.players:
             object.__setattr__(self, "players", _default_players(n))
         elif len(self.players) != n:
@@ -143,7 +163,7 @@ class SimultaneousGame:
     def num_players(self) -> int:
         return len(self.moves)
 
-    @property
+    @cached_property
     def move_counts(self) -> tuple[int, ...]:
         return tuple(len(ms) for ms in self.moves)
 
@@ -172,9 +192,12 @@ class SimultaneousGame:
 def unilateral_map(g: SimultaneousGame, i: int, profile: PureProfile) -> OutcomeTable:
     """Table of player i's outcomes under unilateral deviations from
     ``profile``; the entry at the profile's own move is the realized outcome."""
-    profile = g.validate_profile(profile)
-    return OutcomeTable(g.payoffs[(i, *profile[:i], slice(None),
-                                   *profile[i + 1:])].tolist())
+    return OutcomeTable(_deviations(g, i, g.validate_profile(profile)).tolist())
+
+
+def _deviations(g: SimultaneousGame, i: int, profile: PureProfile) -> np.ndarray:
+    """Player i's deviation table at ``profile``, a slice of the payoffs."""
+    return g.payoffs[(i, *profile[:i], slice(None), *profile[i + 1:])]
 
 
 def is_generalised_nash(g: SimultaneousGame, profile: PureProfile,
@@ -182,10 +205,11 @@ def is_generalised_nash(g: SimultaneousGame, profile: PureProfile,
     """True iff every player's realized outcome is acceptable on their
     unilateral deviation table."""
     profile = g.validate_profile(profile)
-    for i in range(g.num_players):
-        table = unilateral_map(g, i, profile)
-        if not g.quantifiers[i].contains(table, table[profile[i]], tol):
-            return False
+    with g.quiet():
+        for i, (phi, move) in enumerate(zip(g.quantifiers, profile)):
+            table = _deviations(g, i, profile)[None]
+            if not phi.kernel(table, table[:, move:move + 1], tol)[0, 0]:
+                return False
     return True
 
 
@@ -199,13 +223,11 @@ def best_response_set(g: SimultaneousGame, profile: PureProfile,
     profile = g.validate_profile(profile)
     check_budget(g.profile_count(), budget, "profiles")
     acceptable = []
-    for i in range(g.num_players):
-        table = unilateral_map(g, i, profile)
-        phi = g.quantifiers[i]
-        acceptable.append(
-            [x for x in range(g.move_counts[i])
-             if phi.contains(table, table[x], tol)]
-        )
+    with g.quiet():
+        for i, phi in enumerate(g.quantifiers):
+            table = _deviations(g, i, profile)[None]
+            acceptable.append(
+                np.flatnonzero(phi.kernel(table, table, tol)[0]).tolist())
     return [tuple(choice) for choice in itertools.product(*acceptable)]
 
 

@@ -454,3 +454,29 @@ def test_mixed_profile_with_oversized_integer_exits_2(capsys, games_dir):
     assert code == 2
     assert out == ""
     assert "profile[0]" in err and "finite" in err
+
+
+# numpy reports an overflow as a warning, which pytest would capture
+# before it reached stderr.
+@pytest.mark.filterwarnings("error")
+def test_solve_mixed_on_huge_payoffs_prints_no_warning(capsys, tmp_path):
+    # The grid screen and the certificate of these max/min games take
+    # differences of +-1.7e308, which overflow to inf.
+    big = 1.7e308
+    games = {
+        "two": ([[big, -big, 0, 0], [-big, big, 0, 0]],
+                ["max", "min"]),
+        "three": ([[big, -big, 0, 0, 0, 0, -big, big],
+                   [-big, big, 0, 0, big, 0, 0, -big],
+                   [0, 0, big, -big, 0, big, -big, 0]],
+                  ["max", "min", "max"]),
+    }
+    for name, (payoffs, kinds) in games.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "version": 1, "kind": "simultaneous",
+            "moves": [["a", "b"]] * len(kinds), "payoffs": payoffs,
+            "quantifiers": [{"kind": kind} for kind in kinds]}))
+        code, out, err = run(capsys, ["solve", str(path), "--mode", "mixed"])
+        assert (code, err) == (0, "")
+        assert "equilibrium: True" in out

@@ -1,13 +1,15 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from hog.core import (OutcomeTable, argmax_selection, argmin_selection,
+import scalar_oracle as oracle
+from hog.core import (OutcomeTable, _mean, argmax_selection, argmin_selection,
                       attains, attains_exhaustively, average_quantifier,
-                      constant_selection, custom_selection,
-                      eps_ball_quantifier,
+                      constant_selection, custom_quantifier,
+                      custom_selection, eps_ball_quantifier,
                       fixed_point_quantifier, fixed_point_witness,
                       make_standard_quantifier, make_standard_selection,
                       max_quantifier, min_quantifier, nearest_mean_selection,
@@ -98,6 +100,62 @@ def test_exhaustive_budget():
         attains_exhaustively(argmax_selection(), max_quantifier(), 30, [0, 1],
                              budget=1000)
     assert err.value.count == 2 ** 30
+
+
+def test_exhaustive_first_failing_or_raising_table_decides():
+    # (0, 1) fails before (5, 0), which has no fixed point, raises.
+    assert not attains_exhaustively(fixed_point_witness(), max_quantifier(),
+                                    2, [0, 1, 5], 0)
+    with pytest.raises(NoFixedPointError) as err:
+        attains_exhaustively(fixed_point_witness(), eps_ball_quantifier(0, 9),
+                             2, [0, 5], 0)
+    assert str(err.value) == "no fixed point in OutcomeTable([5.0, 0.0])"
+    # Tables outside the domain are never selected on, even by a selection
+    # that would raise on them.
+    assert attains_exhaustively(constant_selection(2), fixed_point_quantifier(),
+                                1, [5, 7], 0)
+    # The table (1, (1, 2)) mixes dimensions; (1, 0) fails before it.
+    assert not attains_exhaustively(constant_selection(1), max_quantifier(),
+                                    2, [1, 0, (1, 2)], 0)
+    with pytest.raises(StructuralError) as err:
+        attains_exhaustively(constant_selection(0), eps_ball_quantifier(0, 9),
+                             2, [1, (1, 2)], 0)
+    assert str(err.value) == "mixed outcome dimensions in table"
+
+
+def test_exhaustive_calls_custom_kinds_one_table_at_a_time():
+    calls = []
+
+    def select(p):
+        calls.append(("select", p))
+        return 0
+
+    def contains(p, r, tol):
+        calls.append(("contains", p))
+        return r == max(p.entries)
+
+    def in_domain(p, tol):
+        calls.append(("in_domain", p))
+        return p[1] != 2
+
+    phi = custom_quantifier(contains, in_domain=in_domain)
+    assert not attains_exhaustively(custom_selection(select), phi, 2,
+                                    [1, 2, 0], 0)
+    # (1, 2) is outside the domain; (2, 1) passes; (2, 2) is outside;
+    # (1, 0) and (2, 0) pass; (0, 1) fails and nothing after it is seen.
+    tables = [(1, 1), (1, 2), (1, 0), (2, 1), (2, 2), (2, 0), (0, 1)]
+    want = []
+    for t in tables:
+        want.append(("in_domain", OutcomeTable(t)))
+        if t[1] != 2:
+            want += [("select", OutcomeTable(t)), ("contains", OutcomeTable(t))]
+    assert calls == want
+    assert all(type(p) is OutcomeTable for _, p in calls)
+    calls.clear()
+    assert attains_exhaustively(custom_selection(select),
+                                eps_ball_quantifier(0, 9), 2, [1, 2], 0)
+    assert calls == [("select", OutcomeTable(t))
+                     for t in itertools.product([1, 2], repeat=2)]
 
 
 def test_max_with_duplicates():
@@ -208,57 +266,153 @@ def _stacks(rng, m, d=None):
                           rng.uniform(-2, 2, hit.shape), hit + step)
 
 
+def _outcome(f, *args):
+    """What ``f`` returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except (StructuralError, NoFixedPointError) as exc:
+        return type(exc), str(exc)
+
+
+def _contains_rows(contains, tables, values, tol):
+    """The scalar oracle for ``contains_stacked``: ``contains`` on each
+    table and each of its values, or the first error it raises."""
+    return _outcome(lambda: [
+        [contains(OutcomeTable(t.tolist()), r.tolist(), tol) for r in row]
+        for t, row in zip(tables, values)])
+
+
+def _contains_stacked(phi, tables, values, tol):
+    def run():
+        got = phi.contains_stacked(tables, values, tol)
+        assert got.dtype == bool and got.shape == values.shape[:2]
+        return got.tolist()
+    return _outcome(run)
+
+
 def test_contains_stacked_matches_contains_row_by_row():
     rng = np.random.default_rng(606)
-    scalar = [max_quantifier(), min_quantifier(), fixed_point_quantifier(),
-              eps_ball_quantifier(0, 0.5), eps_ball_quantifier(2, 1)]
-    vector = [eps_ball_quantifier(1, 0.5), eps_ball_quantifier(0, 1)]
+    scalar = [(max_quantifier(), oracle.max_contains),
+              (min_quantifier(), oracle.min_contains),
+              (fixed_point_quantifier(), oracle.fixed_point_contains),
+              (eps_ball_quantifier(0, 0.5), oracle.eps_ball_contains(0, 0.5)),
+              (eps_ball_quantifier(2, 1), oracle.eps_ball_contains(2, 1))]
+    vector = [(eps_ball_quantifier(1, 0.5), oracle.eps_ball_contains(1, 0.5)),
+              (eps_ball_quantifier(0, 1), oracle.eps_ball_contains(0, 1))]
     for phis, d in ((scalar, None), (vector, 2)):
-        for phi in phis:
+        for phi, contains in phis:
             for m in range(3, 6):
                 for tables, values in _stacks(rng, m, d):
                     for tol in (0.0, 1e-9, 0.5):
-                        got = phi.contains_stacked(tables, values, tol)
-                        assert got.shape == (len(tables),)
-                        want = [phi.contains(OutcomeTable(t.tolist()),
-                                             v.tolist(), tol)
+                        got = phi.contains_stacked(tables, values[:, None], tol)
+                        assert got.shape == (len(tables), 1)
+                        want = [contains(OutcomeTable(t.tolist()),
+                                         v.tolist(), tol)
                                 for t, v in zip(tables, values)]
-                        assert got.tolist() == want, (phi.kind, m, tol)
+                        assert got[:, 0].tolist() == want, (phi.kind, m, tol)
+                        assert [phi.contains(t, v, tol) for t, v
+                                in zip(tables, values)] == want
+
+
+def _candidates(rng, tables, k):
+    """k values per table: its entries, one tolerance step or half a unit
+    away from them, or anywhere."""
+    n, m = tables.shape[:2]
+    hit = tables[np.arange(n)[:, None], rng.integers(0, m, (n, k))]
+    step = rng.choice([0.0, 1e-9, -1e-9, 0.5, -0.5], hit.shape)
+    return np.where(rng.random(hit.shape) < 0.2,
+                    rng.uniform(-2, 2, hit.shape), hit + step)
+
+
+@pytest.mark.filterwarnings("error")
+def test_membership_kernels_match_scalar_oracle():
+    # Several values per table; ties, signed zeros, move ids, outcomes of
+    # +-1.7e308, whose differences overflow, and infinities; the oracle's
+    # first error.
+    rng = np.random.default_rng(1113)
+    scalar = [(max_quantifier(), oracle.max_contains),
+              (min_quantifier(), oracle.min_contains),
+              (fixed_point_quantifier(), oracle.fixed_point_contains),
+              (eps_ball_quantifier(0, 0.5), oracle.eps_ball_contains(0, 0.5)),
+              (eps_ball_quantifier(2, 1), oracle.eps_ball_contains(2, 1)),
+              (average_quantifier(), oracle.average_contains)]
+    vector = [(eps_ball_quantifier(1, 0.5), oracle.eps_ball_contains(1, 0.5)),
+              (max_quantifier(), oracle.max_contains),
+              (average_quantifier(), oracle.average_contains)]
+    raised = set()
+    for phis, d in ((scalar, ()), (vector, (2,))):
+        for phi, contains in phis:
+            for m in (1, 2, 3, 7):
+                shape = (40, m, *d)
+                for tables in (rng.integers(0, 3, shape) * 1.0,
+                               rng.choice([0.0, -0.0, 1.0, -1.0], shape),
+                               rng.integers(0, m, shape)
+                               + rng.choice([0.0, 0.0, 1e-9, 0.5], shape),
+                               rng.uniform(-2, 2, shape),
+                               rng.choice([1.7e308, -1.7e308, 0.0, 1.0],
+                                          shape),
+                               rng.choice([np.inf, -np.inf, 0.0, 1.0], shape)):
+                    if d and np.isinf(tables).any():
+                        # Python's max over a vector's componentwise
+                        # distances keeps a NaN only when it comes first;
+                        # see test_kernels_follow_numpy_on_nan.
+                        continue
+                    values = _candidates(rng, tables, 4)
+                    for tol in (0.0, 1e-9, 0.5):
+                        want = _contains_rows(contains, tables, values, tol)
+                        assert (_contains_stacked(phi, tables, values, tol)
+                                == want), (phi.kind, m, d, tol)
+                        if isinstance(want, tuple):
+                            raised.add(want[1])
+    assert raised == {"eps_ball center 1 outside table of size 1",
+                      "eps_ball center 2 outside table of size 1",
+                      "eps_ball center 2 outside table of size 2",
+                      "max requires scalar outcomes, got dimension 2",
+                      "average requires scalar outcomes, got dimension 2"}
 
 
 def test_contains_stacked_raises_where_contains_raises():
     vector = np.zeros((4, 3, 2))
-    for phi in (max_quantifier(), min_quantifier(), fixed_point_quantifier()):
+    for phi in (max_quantifier(), min_quantifier(), fixed_point_quantifier(),
+                average_quantifier()):
         with pytest.raises(StructuralError) as scalar_err:
             phi.contains(OutcomeTable(vector[0].tolist()), (0.0, 0.0), 0.0)
         with pytest.raises(StructuralError) as stacked_err:
-            phi.contains_stacked(vector, np.zeros((4, 2)), 0.0)
+            phi.contains_stacked(vector, np.zeros((4, 1, 2)), 0.0)
         assert str(stacked_err.value) == str(scalar_err.value)
     phi = eps_ball_quantifier(3, 0.5)
     with pytest.raises(StructuralError) as scalar_err:
         phi.contains(OutcomeTable([0.0, 0.0, 0.0]), 0.0, 0.0)
     with pytest.raises(StructuralError) as stacked_err:
-        phi.contains_stacked(np.zeros((4, 3)), np.zeros(4), 0.0)
+        phi.contains_stacked(np.zeros((4, 3)), np.zeros((4, 1)), 0.0)
     assert str(stacked_err.value) == str(scalar_err.value)
-    assert average_quantifier().contains_stacked is None
+    with pytest.raises(StructuralError) as err:
+        max_quantifier().contains_stacked(np.zeros((4, 3)), np.zeros(4), 0.0)
+    assert str(err.value) == ("max: values of shape (4,) do not stack with "
+                              "tables of shape (4, 3)")
 
 
-def _select_rows(eps, tables):
+def _select_rows(select, tables):
     """The scalar oracle for ``select_stacked``: ``select`` row by row, or
     the type and message of the first error it raises."""
-    try:
-        return [eps.select(OutcomeTable(t.tolist())) for t in tables]
-    except (StructuralError, NoFixedPointError) as exc:
-        return type(exc), str(exc)
+    return _outcome(lambda: [select(OutcomeTable(t.tolist())) for t in tables])
 
 
 def _select_stacked(eps, tables):
-    try:
+    def run():
         moves = eps.select_stacked(tables)
-    except (StructuralError, NoFixedPointError) as exc:
-        return type(exc), str(exc)
-    assert moves.dtype == np.intp and moves.shape == (len(tables),)
-    return moves.tolist()
+        assert moves.dtype == np.intp and moves.shape == (len(tables),)
+        return moves.tolist()
+    return _outcome(run)
+
+
+SELECTIONS = [(argmax_selection(), oracle.argmax),
+              (argmin_selection(), oracle.argmin),
+              (nearest_mean_selection(), oracle.nearest_mean),
+              (constant_selection(0), oracle.constant(0)),
+              (constant_selection(2), oracle.constant(2)),
+              (fixed_point_witness(), oracle.fixed_point_witness()),
+              (fixed_point_witness(0.5), oracle.fixed_point_witness(0.5))]
 
 
 def _selection_stacks(rng, m):
@@ -278,24 +432,27 @@ def _selection_stacks(rng, m):
 
 
 def test_select_stacked_matches_select_row_by_row():
+    # The oracle's loops and numpy's argmax and argmin differ on NaN (see
+    # test_kernels_follow_numpy_on_nan), so rows holding one are left out;
+    # rows with infinities are compared.
     rng = np.random.default_rng(2718)
-    stock = [argmax_selection(), argmin_selection(), nearest_mean_selection(),
-             constant_selection(0), constant_selection(2),
-             fixed_point_witness(), fixed_point_witness(0.5)]
     raised = set()
     for m in (1, 2, 3, 5, 8):
         for tables in _selection_stacks(rng, m):
-            for eps in stock:
-                want = _select_rows(eps, tables)
+            tables = tables[~np.isnan(tables).any(axis=1)]
+            for eps, select in SELECTIONS:
+                want = _select_rows(select, tables)
                 assert _select_stacked(eps, tables) == want, (eps.kind, m)
+                assert _outcome(lambda: [eps.select(t) for t in tables]) == want
                 if isinstance(want, tuple):
                     raised.add(want[0])
                     # Rows before the failing one still agree.
                     for n in range(len(tables)):
-                        if isinstance(_select_rows(eps, tables[:n + 1]), tuple):
+                        if isinstance(_select_rows(select, tables[:n + 1]),
+                                      tuple):
                             break
                     assert (_select_stacked(eps, tables[:n])
-                            == _select_rows(eps, tables[:n]))
+                            == _select_rows(select, tables[:n]))
     assert raised == {StructuralError, NoFixedPointError}
 
 
@@ -311,26 +468,63 @@ def test_select_stacked_on_order_sensitive_and_overflowing_sums():
     # Sums that depend on the order of addition; the nearest move changes
     # with the rounding of the mean.
     rng = np.random.default_rng(99)
-    eps = nearest_mean_selection()
     for m in (5, 9, 16):
         tables = rng.choice([1e16, -1e16, 1.0, 3.0, 0.5, -2.0], (300, m))
-        assert _select_stacked(eps, tables) == _select_rows(eps, tables)
+        assert (_select_stacked(nearest_mean_selection(), tables)
+                == _select_rows(oracle.nearest_mean, tables))
     # Finite entries whose sum overflows, and a finite mean whose distance
     # to an entry overflows.
     tables = np.array([[1e308, 1e308, 0.0], [-1e308, 5.0, -1e308],
                        [1.7e308, -1.7e308, -1.7e308]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for eps in (argmax_selection(), argmin_selection(),
-                    nearest_mean_selection()):
-            assert _select_stacked(eps, tables) == _select_rows(eps, tables)
+        for eps, select in SELECTIONS[:3]:
+            assert _select_stacked(eps, tables) == _select_rows(select, tables)
+
+
+def test_mean_is_summed_left_to_right():
+    # Left to right: 0.1 + 0.2 + 0.3 - 0.6 + 1e-17 = 1.2102230246251564e-16;
+    # the exact sum of these floats, which Python 3.12's sum comes closer
+    # to, is about 3.78e-17.
+    row = [0.1, 0.2, 0.3, -0.6, 1e-17]
+    assert _mean(np.array([row])).tolist() == [1.2102230246251564e-16 / 5]
+    assert math.fsum(row) / 5 != 1.2102230246251564e-16 / 5
+
+
+def test_kernels_follow_numpy_on_nan():
+    # argmax and argmin choose the first NaN; max and min propagate it, so
+    # no value is acceptable on a table that holds one, nor is NaN itself.
+    tables = np.array([[1.0, np.nan, 3.0, np.nan], [np.nan, 0.0, -1.0, 5.0],
+                       [2.0, 0.0, -1.0, 5.0]])
+    assert argmax_selection().select_stacked(tables).tolist() == [1, 0, 3]
+    assert argmin_selection().select_stacked(tables).tolist() == [1, 0, 2]
+    assert nearest_mean_selection().select_stacked(tables).tolist() == [0, 0, 0]
+    values = np.array([[3.0, np.nan], [-1.0, 5.0], [5.0, np.nan]])
+    assert max_quantifier().contains_stacked(tables, values, 0.0).tolist() == [
+        [False, False], [False, False], [True, False]]
+    assert min_quantifier().contains_stacked(tables, values, 1.0).tolist() == [
+        [False, False], [False, False], [False, False]]
+    assert math.isnan(max_quantifier().canonical(OutcomeTable([1.0, np.nan])))
+    assert not average_quantifier().contains(tables[0], 1.0, 0.0)
+    # An infinite entry's distance to an equal infinite mean is NaN:
+    # nearest_mean and average scan past it as the oracle's loop does, and
+    # an infinite value is never within a tolerance of itself.
+    tables = np.array([[0.0, np.inf, 2.0], [np.inf, 0.0, 1.0],
+                       [-np.inf, np.inf, 1.0]])
+    assert nearest_mean_selection().select_stacked(tables).tolist() == [0, 0, 0]
+    values = np.array([[0.0, np.inf], [0.0, np.inf], [1.0, np.inf]])
+    assert average_quantifier().contains_stacked(tables, values, 0.0).tolist() == [
+        [True, False], [False, False], [False, False]]
+    assert max_quantifier().contains_stacked(tables, values, 1.0).tolist() == [
+        [False, False], [False, False], [False, False]]
+    assert eps_ball_quantifier(0, 1.0).contains(
+        OutcomeTable([(np.inf, 0.0), (np.inf, 0.0)]), (np.inf, 0.0), 0.0) is False
 
 
 def test_select_stacked_errors():
     vector = np.zeros((3, 2, 2))
-    for eps in (argmax_selection(), argmin_selection(),
-                nearest_mean_selection(), fixed_point_witness()):
-        assert _select_stacked(eps, vector) == _select_rows(eps, vector)
+    for eps, select in (SELECTIONS[:3] + SELECTIONS[5:6]):
+        assert _select_stacked(eps, vector) == _select_rows(select, vector)
         assert _select_stacked(eps, vector)[0] is StructuralError
     err = _select_stacked(constant_selection(3), np.zeros((2, 3)))
     assert err == (StructuralError, "constant move 3 outside table of size 3")

@@ -10,7 +10,7 @@ import pytest
 from hog.cli import main
 from hog.core import (OutcomeTable, argmax_selection, argmin_selection,
                       average_quantifier, constant_selection,
-                      eps_ball_quantifier, fixed_point_witness, max_quantifier,
+                      custom_quantifier, eps_ball_quantifier, fixed_point_witness, max_quantifier,
                       min_quantifier, nearest_mean_selection)
 from hog.errors import BudgetExceededError, NoFixedPointError, StructuralError
 from hog.fuzz import random_stage
@@ -251,6 +251,23 @@ def test_worst_case_answers_where_enumeration_exceeds_budget():
     assert err.value.count == math.prod([8] * 8)
 
 
+def test_custom_outer_quantifier_sees_one_table_at_a_time():
+    calls = []
+
+    def contains(p, r, tol):
+        calls.append((p.entries, r))
+        return r != 3
+
+    stage = stage_from([0, 1, 2, 3], 2, 2, quantifiers=(
+        custom_quantifier(contains), eps_ball_quantifier(0, 9)))
+    assert not is_psi_phi_profile(stage, (1, 0))
+    # As the inner test, it sees each column and each entry of it; as the
+    # outer test, each reply function's table up to the first it rejects.
+    assert calls == [((0.0, 2.0), 0.0), ((0.0, 2.0), 2.0),
+                     ((1.0, 3.0), 1.0), ((1.0, 3.0), 3.0),
+                     ((0.0, 2.0), 2.0), ((0.0, 3.0), 3.0)]
+
+
 SELECTIONS = {"argmax": argmax_selection(), "argmin": argmin_selection(),
               "nearest_mean": nearest_mean_selection(),
               "constant0": constant_selection(0),
@@ -360,9 +377,11 @@ def test_psi_phi_profile_matches_reference_on_seeded_stages():
 
 @pytest.mark.filterwarnings("error")
 def test_non_finite_and_huge_stages_match_oracles():
-    # Differences of outcomes of +-1.7e308 overflow to inf.
+    # Differences of outcomes of +-1.7e308 overflow to inf. Stages with a
+    # NaN or infinite outcome are refused when they are built.
     rng = np.random.default_rng(3037)
     verdicts = set()
+    refused = 0
     for _ in range(80):
         nx, ny = (int(v) for v in rng.integers(1, 5, 2))
         payoffs = rng.integers(0, 3, (nx, ny)) * 1.0
@@ -370,6 +389,12 @@ def test_non_finite_and_huge_stages_match_oracles():
         payoffs[special] = rng.choice(
             [np.nan, np.inf, -np.inf, 1.7e308, -1.7e308], special.sum())
         names = rng.choice(list(QUANTIFIERS), 2)
+        if not np.isfinite(payoffs).all():
+            with pytest.raises(StructuralError) as err:
+                stage_from(payoffs.ravel().tolist(), nx, ny)
+            assert str(err.value) == "payoffs must be finite numbers"
+            refused += 1
+            continue
         stage = stage_from(payoffs.ravel().tolist(), nx, ny,
                            quantifiers=tuple(QUANTIFIERS[n] for n in names))
         assert _outcome(bbc, stage) == _outcome(_literal_bbc, stage)
@@ -378,6 +403,7 @@ def test_non_finite_and_huge_stages_match_oracles():
             assert is_psi_phi_profile(stage, pair, 0.0) == want
             verdicts.add(want)
     assert verdicts == {True, False}
+    assert 0 < refused < 80
 
 
 PENNIES_JSON = """\

@@ -267,11 +267,12 @@ def test_support_enumeration_budget_counts_support_pairs():
 
 
 def test_support_enumeration_rejects_non_finite_payoffs():
-    for bad in (float("nan"), float("inf")):
-        g = SimultaneousGame.from_tensors([2, 2], [[1, bad, -1, 1], MP[1]],
+    # Games refuse NaN and infinite payoffs when they are built.
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(StructuralError) as err:
+            SimultaneousGame.from_tensors([2, 2], [[1, bad, -1, 1], MP[1]],
                                           [max_quantifier()] * 2)
-        with pytest.raises(StructuralError):
-            solve_support_enumeration_2p(g)
+        assert str(err.value) == "payoffs must be finite numbers"
 
 
 def test_solver_outputs_certified():
@@ -462,8 +463,8 @@ def test_support_enumeration_subset_pruning_keeps_wide_shapes(monkeypatch,
                 assert any(k >= l + 2 for k, l in shapes)
                 # A wide pair reaches the screen only when every subset one
                 # shorter on its long side passes the residual screen on its
-                # own. (That screen keeps some inconsistent rank-deficient
-                # systems, so it is not compared with lstsq here.)
+                # own. (test_support_enumeration_residual_screen_is_lstsq
+                # compares that screen with lstsq.)
                 for rows, cols in stacks:
                     k, l = rows.shape[1], cols.shape[1]
                     if abs(k - l) < 2:
@@ -483,6 +484,31 @@ def test_support_enumeration_subset_pruning_keeps_wide_shapes(monkeypatch,
                 square = sum(math.comb(m, k) ** 2 for k in range(1, m + 1))
                 screened = sum(len(rows) for rows, _ in stacks)
                 assert pruned == enumerated - square - screened
+
+
+def test_support_enumeration_residual_screen_is_lstsq():
+    # Duplicated moves make the QR factor's Q span more than the column
+    # space, so its residual alone passes inconsistent rank-deficient
+    # systems; the residual of the minimum-norm solution does not. On
+    # these games the screen passes a rectangular system exactly when
+    # lstsq solves it, and the solver's answer is the reference's.
+    rng = np.random.default_rng(31)
+    for g in (_degenerate_wide_game(rng, 5, True),
+              _degenerate_wide_game(rng, 6, False)):
+        _assert_same_profiles(solve_support_enumeration_2p(g),
+                              _reference_support_enumeration(g))
+        b = g.payoffs[1]
+        m = g.move_counts[0]
+        verdicts = set()
+        for k, l in itertools.product(range(1, m + 1), repeat=2):
+            if l <= k:
+                continue
+            for r in itertools.combinations(range(m), k):
+                for c in itertools.combinations(range(m), l):
+                    solvable = _reference_indifference_solve(b, r, c) is not None
+                    assert _residual_passes(b, r, c, 1e-9) == solvable, (r, c)
+                    verdicts.add(solvable)
+        assert verdicts == {True, False}
 
 
 def test_support_enumeration_subset_table_ignores_negative_probabilities(

@@ -169,9 +169,8 @@ def test_first_round_membership_of_optimal_outcome():
         g = random_sequential_game(rng, kinds=("max", "min"))
         strategy = compute_optimal_strategy(g)
         play = strategic_play(g, strategy)
-        from hog.sequential import extend_with_strategy
         deviations = OutcomeTable([
-            g.outcome(extend_with_strategy(g, strategy, (x,)))
+            g.outcome(_reference_extend_with_strategy(g, strategy, (x,)))
             for x in range(g.move_counts[0])
         ])
         assert g.quantifiers[0].contains(deviations, g.outcome(play), 0.0)
@@ -233,10 +232,19 @@ def test_selection_product_grid_checks():
                        ([[1, 2], [(1, 2), 3]],
                         "mixed outcome dimensions in table"),
                        ([[(1, 2)]], "argmax requires scalar outcomes, got "
-                                    "dimension 2")):
+                                    "dimension 2"),
+                       (np.zeros((2, 2, 2, 2)), "product table of shape "
+                        "(2, 2, 2, 2) is not a grid of outcomes")):
         with pytest.raises(StructuralError) as err:
             selection_product(argmax_selection(), argmax_selection(), q)
         assert str(err.value) == message
+    # Constant selections never look at the outcomes, so the grid's shape
+    # is checked before they run.
+    with pytest.raises(StructuralError) as err:
+        selection_product(constant_selection(0), constant_selection(1),
+                          np.zeros((2, 2, 2, 2)))
+    assert str(err.value) == ("product table of shape (2, 2, 2, 2) is not "
+                              "a grid of outcomes")
 
 
 # Reference implementations: the per-history walkers that followed the
@@ -430,3 +438,20 @@ def test_backward_pass_raises_where_reference_raises():
         assert result.error is StructuralError
         assert "2 outside table of size 2" in result.message
         assert log[-1][:2] in (("select", 1), ("contains", 1))
+
+
+def test_games_refuse_non_finite_payoffs():
+    from hog.simultaneous import SimultaneousGame
+
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for build in (
+                lambda: SequentialGame.from_tensor(
+                    [2], [1.0, bad], [max_quantifier()], [argmax_selection()]),
+                lambda: SimultaneousGame(
+                    (("a", "b"),), np.array([[bad, 0.0]]), (max_quantifier(),)),
+                lambda: SimultaneousGame(
+                    (("a",), ("b",)), np.array([[[(0.0, bad)]]] * 2),
+                    (eps_ball_quantifier(0, 1.0),) * 2)):
+            with pytest.raises(StructuralError) as err:
+                build()
+            assert str(err.value) == "payoffs must be finite numbers"
