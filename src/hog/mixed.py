@@ -29,10 +29,15 @@ Support enumeration solves the indifference systems of one support shape
 in stacks, not one system at a time: square shapes by one batched exact
 solve (pair by pair when a stack holds a singular system), rectangular
 shapes by a stacked least-squares screen of the overdetermined side, so
-that only pairs that may be consistent are solved pair by pair. A
-vectorised regret screen drops candidates that are clearly not equilibria.
-The screens only discard; every profile returned is still built by
-mixed_profile and certified by is_mixed_nash, in enumeration order.
+that only pairs that may be consistent are solved pair by pair. The screen
+of one-off shapes, one equation more than unknowns, is one batched LU solve
+for each system's left null vector; wider shapes, and stacks whose top
+block is exactly singular, are screened by QR. A vectorised regret screen
+drops candidates that are clearly not equilibria. The screens only
+discard; every profile returned is still built by mixed_profile and
+certified by is_mixed_nash, in enumeration order. On payoffs that may
+overflow, the enumeration runs once more on the payoffs scaled by an exact
+power of two, where rounding stays inside the absolute tolerances.
 
 Rectangular shapes are also pruned by their subsets (von Stengel 2002;
 Porter, Nudelman & Shoham 2008). A solution of the system of (R, C) also
@@ -202,6 +207,10 @@ _STACK = 1 << 15
 # probability thresholds, far above the rounding gap between its QR and
 # pseudo-inverse and the per-pair lstsq that decides.
 _SCREEN_MARGIN = 1e-6
+# Factor by which the left-null-vector screen of one-off systems widens the
+# residual threshold: its residual is computed from a solve with the top
+# block, whose rounding the pseudo-inverse that decides does not share.
+_LEFT_NULL_MARGIN = 10.0
 
 
 def _indifference_systems(payoff: np.ndarray, own: np.ndarray,
@@ -290,16 +299,9 @@ def _solve_square(payoff: np.ndarray, own: np.ndarray,
     return sols[:, :-1], _residual(mats, sols) <= _RESIDUAL_TOL
 
 
-def _may_be_consistent(payoff: np.ndarray, own: np.ndarray,
-                       other: np.ndarray,
-                       tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked least-squares screen of overdetermined systems (more
-    equations than unknowns), with a margin that leaves the decision on
-    every pair it keeps to _indifference_solve. Returns two masks: the pairs
-    whose system may be consistent, and those of them whose system may also
-    have no negative probability."""
-    mats = _indifference_systems(payoff, own, other)
-    bound = math.sqrt(mats.shape[1]) * _RESIDUAL_TOL + _SCREEN_MARGIN
+def _qr_screen(mats: np.ndarray, bound: float) -> np.ndarray:
+    """The pairs of a stack of overdetermined systems whose QR projection
+    residual is within ``bound``."""
     # The span of a QR factor's Q contains the column space, rank-deficient
     # or not, so this residual of the right-hand side (the last unit vector)
     # never exceeds the least-squares one, whose max-norm
@@ -308,7 +310,53 @@ def _may_be_consistent(payoff: np.ndarray, own: np.ndarray,
     q = np.linalg.qr(mats)[0]
     res = -np.matmul(q, q[:, -1, :, None])[..., 0]
     res[:, -1] += 1.0
-    consistent = np.linalg.norm(res, axis=1) <= bound
+    return np.linalg.norm(res, axis=1) <= bound
+
+
+def _left_null_screen(mats: np.ndarray, bound: float) -> np.ndarray:
+    """The pairs of a stack of one-off systems, (n + 1) x n, whose
+    least-squares residual may be within ``bound``, by one batched LU
+    solve. With w solving top^T w = -(sum row), where top is the first n
+    rows and the sum row the last, z = (w, 1) is a left null vector of the
+    system, and the residual of the right-hand side e_last is 1 / |z| when
+    the system has full rank. When it does not, every such w gives at most
+    the residual of the minimum-norm one, which is the least-squares
+    residual, and a top block singular to rounding gives a huge or
+    non-finite w: either way the pair is kept. A stack whose top block is
+    exactly singular is screened by QR instead."""
+    try:
+        w = np.linalg.solve(np.swapaxes(mats[:, :-1], 1, 2),
+                            -mats[:, -1, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        logger.debug("singular top block in a stack of %d one-off systems; "
+                     "screening by QR", len(mats))
+        return _qr_screen(mats, bound)
+    with np.errstate(over="ignore"):
+        res = 1.0 / np.sqrt(1.0 + (w * w).sum(axis=1))
+    return ~(res > _LEFT_NULL_MARGIN * bound)
+
+
+def _may_be_consistent(payoff: np.ndarray, own: np.ndarray,
+                       other: np.ndarray,
+                       tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked least-squares screen of overdetermined systems (more
+    equations than unknowns), with a margin that leaves the decision on
+    every pair it keeps to _indifference_solve. Returns two masks: the pairs
+    whose system may be consistent, and those of them whose system may also
+    have no negative probability.
+
+    One-off systems, one equation more than unknowns (the only rectangular
+    shapes a nondegenerate game reaches), are screened by the residual of a
+    left null vector (_left_null_screen), wider ones by a QR projection
+    (_qr_screen); both keep every pair whose least-squares residual is
+    within the bound. The pseudo-inverse then decides each kept pair, so
+    the masks do not depend on which screen ran."""
+    mats = _indifference_systems(payoff, own, other)
+    bound = math.sqrt(mats.shape[1]) * _RESIDUAL_TOL + _SCREEN_MARGIN
+    if mats.shape[1] == mats.shape[2] + 1:
+        consistent = _left_null_screen(mats, bound)
+    else:
+        consistent = _qr_screen(mats, bound)
     # The minimum-norm solution is the pseudo-inverse's last column, with
     # singular values cut where lstsq(rcond=None) cuts them.
     idx = np.flatnonzero(consistent)
@@ -379,7 +427,7 @@ def _screen_bound(g: SimultaneousGame, tol: float) -> float:
     cannot pass is_mixed_nash at ``tol``: the slack is far above the
     rounding gap between a screen's stacked contractions and the
     certificate's own."""
-    return tol + 1e-9 * (1.0 + np.abs(g.payoffs).max())
+    return tol + 1e-9 * (1.0 + g.payoff_peak)
 
 
 def _dedupe_sorted(profiles: list[MixedProfile], tol: float) -> list[MixedProfile]:
@@ -394,44 +442,13 @@ def _dedupe_sorted(profiles: list[MixedProfile], tol: float) -> list[MixedProfil
     return kept
 
 
-def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
-                                 budget: int | None = None) -> list[MixedProfile]:
-    """All mixed equilibria of a 2-player max-quantifier game found by
-    enumerating support pairs and solving the indifference systems. Every
-    returned profile is certified by is_mixed_nash; supports whose systems
-    are unsolvable or yield negative probabilities are skipped. An empty
-    result contradicts the existence theorem for such games and is logged as
-    a distinguished warning. The (2^m0 - 1)(2^m1 - 1) support pairs are
-    checked against the budget before any is enumerated.
-
-    Each support shape (k, l) is solved in stacks: square shapes by one
-    batched exact solve per stack; rectangular shapes by a stacked
-    least-squares screen of the overdetermined side, after which only the
-    surviving pairs are solved, pair by pair. A shape with |k - l| >= 2
-    screens only the pairs whose every subset one shorter on the long side
-    passed the residual half of that smaller shape's screen; the order (k
-    outer, l inner) screens (k, l - 1) and (k - 1, l) before (k, l). This
-    is conservative, because a solution of the wider system solves every
-    subsystem. On a nondegenerate game no (k, k + 1) or (l + 1, l) system
-    is consistent, so no wider shape is screened at all. A vectorised
-    regret screen then drops candidates that are clearly not equilibria;
-    the rest are certified one by one, in enumeration order. With the
-    ``hog.mixed`` logger at DEBUG, one line per call gives the support
-    pairs enumerated, pruned by subsets, screened out by the least-squares
-    screen, solved (both systems, nonnegative) and certified.
-    """
-    if not support_enumeration_applies(g):
-        raise StructuralError(
-            "support enumeration requires exactly 2 players with max "
-            "quantifiers; use solve_generic"
-        )
-    if g.payoffs.ndim != 3:
-        raise StructuralError("support enumeration requires scalar outcomes")
+def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
+                        tol: float, regret_bound: float) -> list[MixedProfile]:
+    """The profiles of every support pair of the payoff matrices ``a`` and
+    ``b`` whose indifference systems pass the screens, certified on ``g`` by
+    is_mixed_nash, in enumeration order (see
+    solve_support_enumeration_2p)."""
     m0, m1 = g.move_counts
-    enumerated = (2 ** m0 - 1) * (2 ** m1 - 1)
-    check_budget(enumerated, budget, "support pairs")
-    a, b = g.payoffs
-    regret_bound = _screen_bound(g, tol)
     combos0 = [None] + [_combinations(m0, k) for k in range(1, m0 + 1)]
     combos1 = [None] + [_combinations(m1, l) for l in range(1, m1 + 1)]
     # Residual verdicts of the rectangular shapes of the current and the
@@ -501,7 +518,67 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
         logger.debug(
             "support enumeration %dx%d: %d support pairs enumerated, %d "
             "pruned by subsets, %d screened out, %d solved, %d certified",
-            m0, m1, enumerated, pruned, screened_out, solved, len(found))
+            m0, m1, (2 ** m0 - 1) * (2 ** m1 - 1), pruned, screened_out,
+            solved, len(found))
+    return found
+
+
+def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
+                                 budget: int | None = None) -> list[MixedProfile]:
+    """All mixed equilibria of a 2-player max-quantifier game found by
+    enumerating support pairs and solving the indifference systems. Every
+    returned profile is certified by is_mixed_nash; supports whose systems
+    are unsolvable or yield negative probabilities are skipped. An empty
+    result contradicts the existence theorem for such games and is logged as
+    a distinguished warning. The (2^m0 - 1)(2^m1 - 1) support pairs are
+    checked against the budget before any is enumerated.
+
+    Each support shape (k, l) is solved in stacks: square shapes by one
+    batched exact solve per stack; rectangular shapes by a stacked
+    least-squares screen of the overdetermined side, after which only the
+    surviving pairs are solved, pair by pair. The screen of the one-off
+    shapes (k, k + 1) and (l + 1, l) is one batched LU solve per stack for
+    each system's left null vector, whose length gives the least-squares
+    residual; wider shapes are screened by QR (see _may_be_consistent). A
+    shape with |k - l| >= 2 screens only the pairs whose every subset one
+    shorter on the long side passed the residual half of that smaller
+    shape's screen; the order (k outer, l inner) screens (k, l - 1) and
+    (k - 1, l) before (k, l). This is conservative, because a solution of
+    the wider system solves every subsystem. On a nondegenerate game no
+    one-off system is consistent, so no wider shape is screened at all. A
+    vectorised regret screen then drops candidates that are clearly not
+    equilibria; the rest are certified one by one, in enumeration order.
+    With the ``hog.mixed`` logger at DEBUG, one line per enumeration gives
+    the support pairs enumerated, pruned by subsets, screened out by the
+    least-squares screen, solved (both systems, nonnegative) and certified.
+
+    The enumeration's arithmetic runs inside ``g.quiet()``. When the
+    payoffs may overflow, it runs a second time on the payoffs scaled by
+    ``g.payoff_scale``, still certifying on ``g``: near the largest float,
+    the rounding of a correct solution alone exceeds the absolute residual
+    tolerances, and residuals and regrets overflow. The unscaled pass is
+    kept because it certifies some profiles the scaled one misses.
+    """
+    if not support_enumeration_applies(g):
+        raise StructuralError(
+            "support enumeration requires exactly 2 players with max "
+            "quantifiers; use solve_generic"
+        )
+    if g.payoffs.ndim != 3:
+        raise StructuralError("support enumeration requires scalar outcomes")
+    m0, m1 = g.move_counts
+    check_budget((2 ** m0 - 1) * (2 ** m1 - 1), budget, "support pairs")
+    a, b = g.payoffs
+    regret_bound = _screen_bound(g, tol)
+    with g.quiet():
+        found = _certified_supports(g, a, b, tol, regret_bound)
+        if g.payoff_scale != 1.0:
+            # Neither pass finds every profile the other does: certification
+            # on g compares with an absolute tol, which near the largest
+            # float only a solve whose rounding lands exactly passes.
+            s = g.payoff_scale
+            found += _certified_supports(g, a * s, b * s, tol,
+                                         regret_bound * s)
     result = _dedupe_sorted(found, max(tol, 1e-9))
     if not result:
         logger.warning(

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +61,7 @@ class SequentialGame(PayoffArray):
     payoffs: np.ndarray
     quantifiers: tuple[Quantifier, ...]
     selections: tuple[SelectionFunction, ...]
+    move_counts: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.moves:
@@ -70,6 +70,8 @@ class SequentialGame(PayoffArray):
             if not ms:
                 raise StructuralError(f"round {i} has an empty move set")
         n = len(self.moves)
+        object.__setattr__(self, "move_counts",
+                           tuple(len(ms) for ms in self.moves))
         if len(self.quantifiers) != n or len(self.selections) != n:
             raise StructuralError(
                 "quantifiers and selections must have one entry per round"
@@ -97,10 +99,6 @@ class SequentialGame(PayoffArray):
     @property
     def rounds(self) -> int:
         return len(self.moves)
-
-    @cached_property
-    def move_counts(self) -> tuple[int, ...]:
-        return tuple(len(ms) for ms in self.moves)
 
     def history_count(self, i: int) -> int:
         """Number of histories before round i."""

@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +44,9 @@ def default_move_labels(count: int) -> tuple[str, ...]:
 class PayoffArray:
     """What both game classes do with their payoffs: hold them as one
     checked read-only array, and run the kernels on it inside
-    ``g.quiet()``."""
+    ``g.quiet()``. ``payoff_peak`` is the largest |payoff|, and
+    ``payoff_scale`` the exact power of two that brings it into [0.5, 1)
+    if a kernel may overflow on these payoffs, else 1.0."""
 
     def _take_payoffs(self, counts: tuple[int, ...]) -> None:
         """Replace ``payoffs`` by a read-only float64 array of shape
@@ -66,13 +67,16 @@ class PayoffArray:
             arr = arr.copy()
             arr.setflags(write=False)
         object.__setattr__(self, "payoffs", arr)
-        object.__setattr__(self, "_may_overflow",
-                           peak * 2 * (max(counts) + 1) > sys.float_info.max)
+        object.__setattr__(self, "payoff_peak", peak)
+        scale = 1.0
+        if peak * 2 * (max(counts) + 1) > sys.float_info.max:
+            scale = math.ldexp(1.0, -math.frexp(peak)[1])
+        object.__setattr__(self, "payoff_scale", scale)
 
     def quiet(self):
         """numpy's overflow and invalid warnings off if a kernel may
         overflow on these payoffs."""
-        return quiet(self._may_overflow)
+        return quiet(self.payoff_scale != 1.0)
 
 
 def flat_tensor(tensor, counts: tuple[int, ...], what: str) -> np.ndarray:
@@ -102,6 +106,7 @@ class SimultaneousGame(PayoffArray):
     players: tuple[str, ...] = ()
     single_outcome_space: bool = False
     selections: tuple[SelectionFunction, ...] | None = None
+    move_counts: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.moves:
@@ -110,6 +115,8 @@ class SimultaneousGame(PayoffArray):
             if not ms:
                 raise StructuralError(f"player {i} has an empty move set")
         n = len(self.moves)
+        object.__setattr__(self, "move_counts",
+                           tuple(len(ms) for ms in self.moves))
         if len(self.quantifiers) != n:
             raise StructuralError(
                 "moves and quantifiers must have one entry per player"
@@ -162,10 +169,6 @@ class SimultaneousGame(PayoffArray):
     @property
     def num_players(self) -> int:
         return len(self.moves)
-
-    @cached_property
-    def move_counts(self) -> tuple[int, ...]:
-        return tuple(len(ms) for ms in self.moves)
 
     def profile_count(self) -> int:
         return math.prod(self.move_counts)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import hog.cli
@@ -480,3 +481,49 @@ def test_solve_mixed_on_huge_payoffs_prints_no_warning(capsys, tmp_path):
         code, out, err = run(capsys, ["solve", str(path), "--mode", "mixed"])
         assert (code, err) == (0, "")
         assert "equilibrium: True" in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_mixed_on_huge_max_payoffs_finds_pure_equilibria(capsys,
+                                                               tmp_path):
+    # 3x3 max/max games with payoffs near +-1.7e308: rounding alone exceeds
+    # the absolute residual tolerance of support enumeration there, and its
+    # residuals and regrets overflow. Files 2, 3, 4, 7 and 8 of this draw
+    # each have a pure equilibrium, which support enumeration must report,
+    # certified.
+    rng = np.random.default_rng(5)
+    draws = [rng.choice([1.7e308, -1.7e308, 1e308, -1e308, 0.0], (2, 3, 3))
+             for _ in range(10)]
+    paths = []
+    for n, draw in enumerate(draws):
+        paths.append(tmp_path / f"huge{n}.json")
+        paths[n].write_text(json.dumps({
+            "version": 1, "kind": "simultaneous",
+            "moves": [["a", "b", "c"]] * 2,
+            "payoffs": [draw[0].ravel().tolist(), draw[1].ravel().tolist()],
+            "quantifiers": [{"kind": "max"}] * 2}))
+    for n in (2, 3, 4, 7, 8):
+        path = paths[n]
+        code, out, err = run(capsys, ["solve", str(path), "--mode", "pure",
+                                      "--json"])
+        assert (code, err) == (0, "")
+        pure = json.loads(out)["equilibria"]
+        assert pure
+        code, out, err = run(capsys, ["solve", str(path), "--mode", "mixed",
+                                      "--json"])
+        assert (code, err) == (0, "")
+        found = json.loads(out)["equilibria"]
+        assert all(eq["certification"]["equilibrium"] for eq in found)
+        vertices = [[s.index(1.0) for s in eq["profile"]] for eq in found
+                    if all(sorted(s)[-2:] == [0.0, 1.0]
+                           for s in eq["profile"])]
+        assert all(profile in vertices for profile in pure), n
+    # File 1's one equilibrium, on supports {a, c} and {b, c}, is certified
+    # only from the solve on the unscaled payoffs.
+    code, out, err = run(capsys, ["solve", str(paths[1]), "--mode", "mixed",
+                                  "--json"])
+    assert (code, err) == (0, "")
+    [eq] = json.loads(out)["equilibria"]
+    assert eq["certification"]["equilibrium"]
+    assert [[p > 0 for p in s] for s in eq["profile"]] == [
+        [True, False, True], [False, True, True]]

@@ -12,7 +12,7 @@ from hog.core import (argmax_selection, argmin_selection,
                       eps_ball_quantifier, fixed_point_quantifier,
                       max_quantifier, min_quantifier, nearest_mean_selection,
                       average_quantifier, OutcomeTable, as_outcome,
-                      outcome_distance)
+                      outcome_distance, quiet)
 from hog.errors import BudgetExceededError, StructuralError
 from hog.fuzz import random_max_game
 from hog.mixed import (_dedupe_sorted, expected_outcome, is_mixed_nash,
@@ -568,6 +568,120 @@ def test_support_enumeration_singular_stack_falls_back(caplog):
         got = solve_support_enumeration_2p(g)
     assert "solving pair by pair" in caplog.text
     _assert_same_profiles(got, _reference_support_enumeration(g))
+
+
+def _one_off_stacks(payoff):
+    """Every (k, k + 1) support pair of a payoff matrix (own moves by other
+    moves), one stack per k, as (N, k) and (N, k + 1) arrays."""
+    m_own, m_other = payoff.shape
+    for k in range(1, min(m_own, m_other - 1) + 1):
+        pairs = list(itertools.product(
+            itertools.combinations(range(m_own), k),
+            itertools.combinations(range(m_other), k + 1)))
+        yield (np.array([own for own, _ in pairs]),
+               np.array([other for _, other in pairs]))
+
+
+def _qr_screen_masks(monkeypatch, payoff, own, other, tol):
+    """The masks of the least-squares screen with every stack screened by
+    QR, then decided by the pseudo-inverse."""
+    with monkeypatch.context() as patch:
+        patch.setattr(hog.mixed, "_left_null_screen", hog.mixed._qr_screen)
+        return hog.mixed._may_be_consistent(payoff, own, other, tol)
+
+
+def test_one_off_screen_matches_qr_screen(monkeypatch, caplog):
+    # The left-null-vector screen of one-off shapes against the QR screen it
+    # replaces: the pseudo-inverse decides every pair either keeps, so the
+    # masks must agree, and every pair that lstsq solves must be kept.
+    rng = np.random.default_rng(12)
+    continuous = rng.uniform(-1, 1, (5, 6))
+    ties = rng.integers(-1, 2, (5, 6)).astype(float)
+    ties[:, 1], ties[3] = ties[:, 0], ties[2]
+    near = rng.uniform(-1, 1, (5, 6))
+    near[:, 1] = near[:, 0] + 1e-12
+    singular = rng.uniform(-1, 1, (5, 6))
+    singular[:, 1] = singular[:, 0]
+    tiny = 1e-200 * rng.uniform(-1, 1, (5, 6))
+    # Every pair of subnormal payoffs is consistent, and the top block's
+    # pivots round to subnormals, so many left null vectors come out NaN:
+    # the screen must keep those pairs.
+    subnormal = 1e-308 * rng.uniform(-1, 1, (5, 6))
+    huge = 1.7e308 * rng.uniform(-1, 1, (5, 6))
+    huge_ties = rng.choice([1.7e308, -1.7e308, 1e308, -1e308, 0.0], (5, 6))
+    huge_ties[:, 1] = huge_ties[:, 0]
+    kinds = {"continuous": continuous, "ties": ties, "near": near,
+             "singular": singular, "tiny": tiny, "subnormal": subnormal,
+             "huge": huge, "huge ties": huge_ties}
+    caplog.set_level(logging.DEBUG, logger="hog.mixed")
+    accepted = set()
+    for name, payoff in kinds.items():
+        caplog.clear()
+        for own, other in _one_off_stacks(payoff):
+            for tol in (1e-9, 0.0):
+                # Support enumeration screens huge payoffs under g.quiet();
+                # tiny ones must not warn without it.
+                with quiet(name.startswith("huge")):
+                    consistent, keep = hog.mixed._may_be_consistent(
+                        payoff, own, other, tol)
+                    want = _qr_screen_masks(monkeypatch, payoff, own, other,
+                                            tol)
+                    solved = [_reference_indifference_solve(payoff, o, t)
+                              for o, t in zip(own.tolist(), other.tolist())]
+                assert np.array_equal(consistent, want[0]), name
+                assert np.array_equal(keep, want[1]), name
+                for n, sol in enumerate(solved):
+                    if sol is not None:
+                        accepted.add(name)
+                        assert consistent[n], (name, own[n], other[n])
+                        assert keep[n] or (sol < -tol).any()
+        fell_back = "screening by QR" in caplog.text
+        assert fell_back == (name in ("ties", "singular", "huge ties")), name
+    # Ties make one-off systems consistent, as do payoffs far inside the
+    # absolute tolerance; an exact tie makes its stack's top block singular.
+    assert accepted >= {"ties", "near", "singular", "tiny", "subnormal"}
+    nan = False
+    for own, other in _one_off_stacks(subnormal):
+        mats = hog.mixed._indifference_systems(subnormal, own, other)
+        top = np.swapaxes(mats[:, :-1], 1, 2)
+        nan |= np.isnan(np.linalg.solve(top, -mats[:, -1, :, None])).any()
+    assert nan
+
+
+def test_one_off_screen_keeps_residuals_at_the_bound(monkeypatch):
+    # One-off systems whose least-squares residual sits just under the
+    # screen's bound: a near-duplicated column, perturbed by the largest t
+    # that the QR screen and the pseudo-inverse still pass, makes the top
+    # block ill-conditioned, so the left-null-vector residual is rounded
+    # far more than theirs. The screen's margin must keep every such pair.
+    rng = np.random.default_rng(3)
+    for n in range(30):
+        k = 1 + n % 3
+        base = rng.uniform(-1, 1, (k, k + 1))
+        base[:, 1] = base[:, 0]
+        own, other = np.arange(k)[None], np.arange(k + 1)[None]
+
+        def perturbed(t):
+            payoff = base.copy()
+            payoff[0, 1] += t
+            return payoff
+
+        def passes(t):
+            return _qr_screen_masks(monkeypatch, perturbed(t), own, other,
+                                    1e-9)[0][0]
+
+        lo, hi = 0.0, 1.0
+        assert passes(lo) and not passes(hi)
+        while lo < (mid := (lo + hi) / 2) < hi:
+            if passes(mid):
+                lo = mid
+            else:
+                hi = mid
+        consistent, keep = hog.mixed._may_be_consistent(perturbed(lo), own,
+                                                        other, 1e-9)
+        want = _qr_screen_masks(monkeypatch, perturbed(lo), own, other, 1e-9)
+        assert consistent[0] and want[0][0]
+        assert keep[0] == want[1][0]
 
 
 def test_solve_generic_finds_pure_equilibrium_at_depth_1():
