@@ -9,12 +9,17 @@ tables are einsum contractions of the game's payoff tensor with the
 strategies.
 
 Every profile that either solver returns passes is_mixed_nash. Support
-enumeration handles 2-player max-quantifier games, where it finds every
-equilibrium with a solvable support pair; the existence theorem promises
-one, so an empty result signals a bug. Every other game goes to the grid
-search, which certifies the points of a simplex grid and nothing else: the
-existence theorem does not promise a grid point (three-player equilibria can
-be irrational), so an empty grid result is an answer, not a contradiction.
+enumeration handles 2-player games whose quantifiers are max or min, where
+it finds every equilibrium with a solvable support pair; the existence
+theorem promises one, so an empty result signals a bug. Under the mixed
+lift a min quantifier on payoff u is a max quantifier on -u (IEEE negation
+is exact, so the min test reads the same bits as the max test on the
+negated table), so the enumeration runs on the payoffs with each min
+player's negated and certifies on the game itself. Every other game goes to
+the grid search, which certifies the points of a simplex grid and nothing
+else: the existence theorem does not promise a grid point (three-player
+equilibria can be irrational), so an empty grid result is an answer, not a
+contradiction.
 
 The grid search screens, then certifies. For each player, one contraction
 per other player gives the deviation tables at every grid combination of
@@ -53,6 +58,20 @@ conservative: a pair that _indifference_solve accepts has a max-residual of
 at most _RESIDUAL_TOL on its system, so on a subsystem of r equations its
 least-squares residual is at most sqrt(r) * _RESIDUAL_TOL, inside that
 shape's threshold, which adds _SCREEN_MARGIN for rounding.
+
+Before any screen or solve, a support pair is dropped when one of its moves
+is strictly dominated by more than a margin given the opponent's support
+(conditional dominance; Porter, Nudelman & Shoham 2008): a column c of C
+such that some column c' beats it on every row of R, or a row of R that
+some row beats on every column of C. Such a pair gives no profile that
+is_mixed_nash accepts (see _dominance_margin). Square shapes test both
+sides, rectangular shapes only the long one: a column dominated given R
+stays dominated in every (R, C') with C' containing C, so a pair dropped by
+its long side is recorded as inconsistent in the subset table above and
+prunes its wider shapes with it, while a row dominated given C need not
+stay dominated given a wider C'. Dominance is read from one boolean gap
+tensor per player and one bitmask of dominated moves per support, so each
+stack's test is two integer operations per pair.
 """
 
 from __future__ import annotations
@@ -195,9 +214,10 @@ def lift_selection(eps: SelectionFunction) -> LiftedSelection:
 
 def support_enumeration_applies(g: SimultaneousGame) -> bool:
     """Whether solve_support_enumeration_2p accepts the game's shape: two
-    players, both with max quantifiers."""
+    players, each with a max or a min quantifier."""
     return (g.num_players == 2
-            and all(phi.kind is QuantifierKind.MAX for phi in g.quantifiers))
+            and all(phi.kind in (QuantifierKind.MAX, QuantifierKind.MIN)
+                    for phi in g.quantifiers))
 
 
 _RESIDUAL_TOL = 1e-7
@@ -430,6 +450,58 @@ def _screen_bound(g: SimultaneousGame, tol: float) -> float:
     return tol + 1e-9 * (1.0 + g.payoff_peak)
 
 
+def _dominance_margin(g: SimultaneousGame, tol: float,
+                      regret_bound: float) -> float:
+    """The margin by which a move must be dominated, given the opponent's
+    support, for its support pair to be dropped unsolved: a pair so dropped
+    gives no profile that is_mixed_nash accepts at ``tol``. In the game's
+    units; the scaled pass multiplies it by g.payoff_scale, as it does
+    ``regret_bound``.
+
+    In a pass whose payoffs are s times the game's (s is 1 or
+    g.payoff_scale), with peak |payoff| P = s * g.payoff_peak and margin
+    d = s * margin, let column c of C lose to column c' by more than d on
+    every row of R. A candidate of the pair (R, C) has row probabilities p
+    that solve the column player's system to a residual of at most
+    r = _RESIDUAL_TOL per equation, each p_i >= -tol. Clipping them moves
+    each deviation value by at most m * tol * P, and mixed_strategy rescales
+    by a sum within 1 +- 1e-9. So on the certified row strategy x every
+    deviation value t_j, j in C, lies within e = (r + m * tol * P)(1 + 2e-9)
+    of one number, and so does the value V, a mean of them; but
+    t_c' - t_c > d, as x is a distribution on R. The regret max t - V
+    therefore exceeds d - 2e, which is (d - 2e) / s in the game's units,
+    where is_mixed_nash reads it with rounding far below
+    1e-9 * (1 + g.payoff_peak). The margin below has d - 2e above
+    s * (tol + that rounding): 2 * s * regret_bound covers the latter, and
+    s * (1 + g.payoff_peak) >= max(s, P) >= 1/2 makes the second term at
+    least 4 * (r + m * tol * P) >= 2e. The payoff differences are rounded by
+    at most an ulp, and one that overflows is above every finite margin. A
+    row of R dominated given C is the same argument on the transpose."""
+    m = max(g.move_counts)
+    return (2.0 * regret_bound
+            + 8.0 * (_RESIDUAL_TOL + m * tol) * (1.0 + g.payoff_peak))
+
+
+def _move_bits(moves: int) -> np.ndarray:
+    """One bit per move; the supports of a game small enough to enumerate
+    have far fewer than 63 moves."""
+    return np.left_shift(1, np.arange(moves, dtype=np.int64))
+
+
+def _dominated_moves(payoff: np.ndarray, supports: np.ndarray,
+                     margin: float) -> np.ndarray:
+    """For each support of own moves (one per row of ``supports``), the
+    bitmask of the opponent's moves that another opponent move beats by
+    more than ``margin`` against every move of the support. ``payoff`` is
+    the opponent's, own moves by opponent moves."""
+    moves = payoff.shape[1]
+    # gaps[i, c, d]: against own move i, move d beats move c by more than
+    # the margin. No move dominates itself, whatever the margin.
+    gaps = (payoff[:, None, :] - payoff[:, :, None]) > margin
+    gaps[:, np.arange(moves), np.arange(moves)] = False
+    return gaps[supports].all(axis=1).any(axis=2) @ _move_bits(moves)
+
+
 def _dedupe_sorted(profiles: list[MixedProfile], tol: float) -> list[MixedProfile]:
     kept: list[MixedProfile] = []
     for cand in profiles:
@@ -443,19 +515,29 @@ def _dedupe_sorted(profiles: list[MixedProfile], tol: float) -> list[MixedProfil
 
 
 def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
-                        tol: float, regret_bound: float) -> list[MixedProfile]:
+                        tol: float, regret_bound: float,
+                        margin: float) -> list[MixedProfile]:
     """The profiles of every support pair of the payoff matrices ``a`` and
-    ``b`` whose indifference systems pass the screens, certified on ``g`` by
+    ``b`` that no move dominated by more than ``margin`` excludes and whose
+    indifference systems pass the screens, certified on ``g`` by
     is_mixed_nash, in enumeration order (see
     solve_support_enumeration_2p)."""
     m0, m1 = g.move_counts
     combos0 = [None] + [_combinations(m0, k) for k in range(1, m0 + 1)]
     combos1 = [None] + [_combinations(m1, l) for l in range(1, m1 + 1)]
+    # Per support, its own moves and the opponent's moves dominated given
+    # it, as bitmasks.
+    bits0 = [None] + [_move_bits(m0)[s].sum(axis=1) for s in combos0[1:]]
+    bits1 = [None] + [_move_bits(m1)[s].sum(axis=1) for s in combos1[1:]]
+    beaten1 = [None] + [_dominated_moves(b, s, margin) for s in combos0[1:]]
+    beaten0 = [None] + [_dominated_moves(a.T, s, margin)
+                        for s in combos1[1:]]
     # Residual verdicts of the rectangular shapes of the current and the
     # previous row-support size, as (row combination, column combination)
-    # booleans; a shape none of whose pairs passed has no entry.
+    # booleans, False for a pair dropped by dominance; a shape none of
+    # whose pairs passed has no entry.
     consistent: dict[tuple[int, int], np.ndarray] = {}
-    pruned = screened_out = solved = 0
+    pruned = dominated = screened_out = solved = 0
     found: list[MixedProfile] = []
     for k in range(1, m0 + 1):
         for key in [key for key in consistent if key[0] < k - 1]:
@@ -481,8 +563,17 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
                            else subsets[drop[r], c[:, None]]).all(axis=1)
                     pruned += len(r) - int(sel.sum())
                     r, c = r[sel], c[sel]
-                    if not len(r):
-                        continue
+                # Only the long side's test carries over to wider shapes
+                # through the subset table; square shapes test both.
+                cut = np.zeros(len(r), dtype=bool)
+                if l >= k:
+                    cut |= (beaten1[k][r] & bits1[l][c]) != 0
+                if k >= l:
+                    cut |= (beaten0[l][c] & bits0[k][r]) != 0
+                dominated += int(cut.sum())
+                r, c = r[~cut], c[~cut]
+                if not len(r):
+                    continue
                 s0, s1 = row_sets[r], col_sets[c]
                 if k == l:
                     p, ok_p = _solve_square(b, s0, s1)
@@ -517,21 +608,35 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "support enumeration %dx%d: %d support pairs enumerated, %d "
-            "pruned by subsets, %d screened out, %d solved, %d certified",
+            "pruned by subsets, %d screened out, %d solved, %d certified, "
+            "%d pruned by dominance",
             m0, m1, (2 ** m0 - 1) * (2 ** m1 - 1), pruned, screened_out,
-            solved, len(found))
+            solved, len(found), dominated)
     return found
 
 
 def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
                                  budget: int | None = None) -> list[MixedProfile]:
-    """All mixed equilibria of a 2-player max-quantifier game found by
-    enumerating support pairs and solving the indifference systems. Every
-    returned profile is certified by is_mixed_nash; supports whose systems
-    are unsolvable or yield negative probabilities are skipped. An empty
-    result contradicts the existence theorem for such games and is logged as
-    a distinguished warning. The (2^m0 - 1)(2^m1 - 1) support pairs are
-    checked against the budget before any is enumerated.
+    """All mixed equilibria of a 2-player game with max or min quantifiers
+    found by enumerating support pairs and solving the indifference systems.
+    A min player's payoffs are negated, which turns its quantifier into max
+    under the mixed lift; every returned profile is certified by
+    is_mixed_nash on ``g`` itself. Supports whose systems are unsolvable or
+    yield negative probabilities are skipped. An empty result contradicts
+    the existence theorem for such games and is logged as a distinguished
+    warning. The (2^m0 - 1)(2^m1 - 1) support pairs are checked against the
+    budget before any is enumerated.
+
+    A support pair is dropped before any screen or solve when a move of its
+    long side (both sides for square shapes) is strictly dominated given the
+    other side: for a column c of C, some column beats it by more than
+    _dominance_margin on every row of R; for a row, likewise on C. The
+    margin exceeds twice the drift the residual tolerance, the probability
+    tolerance and the simplex tolerance allow, plus tol and rounding, so a
+    dropped pair gives no profile that is_mixed_nash accepts. Only the long
+    side's test holds for every wider pair with the same short side, so a
+    rectangular pair dropped this way counts as inconsistent for the subset
+    pruning below.
 
     Each support shape (k, l) is solved in stacks: square shapes by one
     batched exact solve per stack; rectangular shapes by a stacked
@@ -550,41 +655,47 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
     equilibria; the rest are certified one by one, in enumeration order.
     With the ``hog.mixed`` logger at DEBUG, one line per enumeration gives
     the support pairs enumerated, pruned by subsets, screened out by the
-    least-squares screen, solved (both systems, nonnegative) and certified.
+    least-squares screen, solved (both systems, nonnegative), certified and
+    pruned by dominance.
 
     The enumeration's arithmetic runs inside ``g.quiet()``. When the
     payoffs may overflow, it runs a second time on the payoffs scaled by
     ``g.payoff_scale``, still certifying on ``g``: near the largest float,
     the rounding of a correct solution alone exceeds the absolute residual
     tolerances, and residuals and regrets overflow. The unscaled pass is
-    kept because it certifies some profiles the scaled one misses.
+    kept because it certifies some profiles the scaled one misses. The
+    dominance margin, like the regret screen's bound, is scaled with it.
     """
     if not support_enumeration_applies(g):
         raise StructuralError(
-            "support enumeration requires exactly 2 players with max "
+            "support enumeration requires exactly 2 players with max or min "
             "quantifiers; use solve_generic"
         )
     if g.payoffs.ndim != 3:
         raise StructuralError("support enumeration requires scalar outcomes")
     m0, m1 = g.move_counts
     check_budget((2 ** m0 - 1) * (2 ** m1 - 1), budget, "support pairs")
-    a, b = g.payoffs
+    a, b = (-u if phi.kind is QuantifierKind.MIN else u
+            for u, phi in zip(g.payoffs, g.quantifiers))
     regret_bound = _screen_bound(g, tol)
+    margin = _dominance_margin(g, tol, regret_bound)
     with g.quiet():
-        found = _certified_supports(g, a, b, tol, regret_bound)
+        found = _certified_supports(g, a, b, tol, regret_bound, margin)
         if g.payoff_scale != 1.0:
             # Neither pass finds every profile the other does: certification
             # on g compares with an absolute tol, which near the largest
             # float only a solve whose rounding lands exactly passes.
             s = g.payoff_scale
             found += _certified_supports(g, a * s, b * s, tol,
-                                         regret_bound * s)
+                                         regret_bound * s, margin * s)
     result = _dedupe_sorted(found, max(tol, 1e-9))
     if not result:
+        kinds = {phi.kind for phi in g.quantifiers}
         logger.warning(
             "support enumeration found no equilibrium although one must exist "
-            "for finite max-quantifier games; this signals a solver bug or "
-            "numerical failure"
+            "for finite %s-quantifier games; this signals a solver bug or "
+            "numerical failure",
+            "max" if kinds == {QuantifierKind.MAX} else "max/min"
         )
     return result
 

@@ -276,6 +276,22 @@ def test_bbc_on_simultaneous_file_with_selections(capsys, tmp_path,
                                         *extra])
 
 
+def test_solve_mixed_on_max_min_stage(capsys, games_dir):
+    # The stage's equilibrium (1/2, 1/2) is off the default depth-3 grid;
+    # support enumeration, on the second player's negated payoffs, finds it.
+    stage = str(games_dir / "stage_matching_pennies.json")
+    code, out, err = run(capsys, ["solve", stage, "--mode", "mixed"])
+    assert (code, err) == (0, "")
+    assert "solver: support_enumeration" in out
+    code, out, err = run(capsys, ["solve", stage, "--mode", "mixed", "--json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["solver"] == "support_enumeration"
+    assert [eq["profile"] for eq in report["equilibria"]] == [
+        [[0.5, 0.5], [0.5, 0.5]]]
+    assert report["equilibria"][0]["certification"]["equilibrium"] is True
+
+
 def test_solve_mixed_generic_for_non_max_game(capsys, games_dir):
     code, out, _ = run(capsys, [
         "solve", str(games_dir / "eps_ball_demo.json"), "--mode", "mixed",

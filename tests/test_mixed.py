@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hog.mixed
-from hog.core import (argmax_selection, argmin_selection,
+from hog.core import (QuantifierKind, argmax_selection, argmin_selection,
                       constant_selection, custom_quantifier,
                       eps_ball_quantifier, fixed_point_quantifier,
                       max_quantifier, min_quantifier, nearest_mean_selection,
@@ -249,12 +249,22 @@ def test_support_enumeration_dominant_game_vertex():
     assert list(sols[0][1]) == [0.0, 1.0]
 
 
-def test_support_enumeration_requires_max_quantifiers():
+def test_support_enumeration_requires_max_or_min_quantifiers():
+    for quantifiers in ([max_quantifier(), eps_ball_quantifier(0, 0.5)],
+                        [fixed_point_quantifier(), min_quantifier()]):
+        g = SimultaneousGame.from_tensors([2, 2], MP, quantifiers)
+        with pytest.raises(StructuralError) as err:
+            solve_support_enumeration_2p(g)
+        assert "max or min quantifiers" in str(err.value)
+    # A min player is a max player on the negated payoffs: with the second
+    # player's payoffs those of the first, max/min matching pennies is
+    # matching pennies again.
     g = SimultaneousGame.from_tensors(
-        [2, 2], MP, [max_quantifier(), min_quantifier()]
-    )
-    with pytest.raises(StructuralError):
-        solve_support_enumeration_2p(g)
+        [2, 2], [MP[0], MP[0]], [max_quantifier(), min_quantifier()])
+    sols = solve_support_enumeration_2p(g)
+    assert len(sols) == 1
+    for strat in sols[0]:
+        assert np.max(np.abs(strat - 0.5)) <= 1e-9
 
 
 def test_support_enumeration_budget_counts_support_pairs():
@@ -308,32 +318,60 @@ def _reference_indifference_solve(payoff, own, other):
     return sol[:k]
 
 
-def _reference_support_enumeration(g, tol=1e-9):
-    """Slow oracle: both indifference systems of every support pair, one
-    pair at a time in enumeration order, each candidate certified."""
+def _reference_passes(g):
+    """The payoff matrices of each pass of the enumeration: each min
+    player's payoffs negated, and, when they may overflow, once more scaled
+    by g.payoff_scale."""
+    a, b = (-u if phi.kind is QuantifierKind.MIN else u
+            for u, phi in zip(g.payoffs, g.quantifiers))
+    if g.payoff_scale == 1.0:
+        return [(a, b)]
+    return [(a, b), (a * g.payoff_scale, b * g.payoff_scale)]
+
+
+def _support_pairs(g):
+    """Every support pair in enumeration order: row-support size, column
+    support size, row support, column support."""
     m0, m1 = g.move_counts
-    a, b = g.payoffs
-    found = []
     for s0_size in range(1, m0 + 1):
         for s1_size in range(1, m1 + 1):
             for s0 in itertools.combinations(range(m0), s0_size):
                 for s1 in itertools.combinations(range(m1), s1_size):
-                    p = _reference_indifference_solve(b, s0, s1)
-                    q = _reference_indifference_solve(a.T, s1, s0)
-                    if p is None or q is None:
-                        continue
-                    if np.any(p < -tol) or np.any(q < -tol):
-                        continue
-                    row = np.zeros(m0)
-                    row[list(s0)] = np.clip(p, 0.0, None)
-                    col = np.zeros(m1)
-                    col[list(s1)] = np.clip(q, 0.0, None)
-                    try:
-                        profile = mixed_profile(g, (row, col))
-                    except StructuralError:
-                        continue
-                    if is_mixed_nash(g, profile, tol):
-                        found.append(profile)
+                    yield s0, s1
+
+
+def _reference_pair(g, a, b, s0, s1, tol):
+    """Slow oracle: the profile of one support pair of the payoff matrices
+    ``a`` and ``b``, both indifference systems solved on their own, if
+    is_mixed_nash certifies it on ``g``; else None."""
+    m0, m1 = g.move_counts
+    p = _reference_indifference_solve(b, s0, s1)
+    q = _reference_indifference_solve(a.T, s1, s0)
+    if p is None or q is None:
+        return None
+    if np.any(p < -tol) or np.any(q < -tol):
+        return None
+    row = np.zeros(m0)
+    row[list(s0)] = np.clip(p, 0.0, None)
+    col = np.zeros(m1)
+    col[list(s1)] = np.clip(q, 0.0, None)
+    try:
+        profile = mixed_profile(g, (row, col))
+    except StructuralError:
+        return None
+    return profile if is_mixed_nash(g, profile, tol) else None
+
+
+def _reference_support_enumeration(g, tol=1e-9):
+    """Slow oracle: both indifference systems of every support pair, one
+    pair at a time in enumeration order, each candidate certified."""
+    found = []
+    with g.quiet():
+        for a, b in _reference_passes(g):
+            for s0, s1 in _support_pairs(g):
+                profile = _reference_pair(g, a, b, s0, s1, tol)
+                if profile is not None:
+                    found.append(profile)
     return _dedupe_sorted(found, max(tol, 1e-9))
 
 
@@ -402,6 +440,41 @@ def _recording_screen(monkeypatch):
     return stacks
 
 
+def _reached_pairs(monkeypatch, g, tol):
+    """solve_support_enumeration_2p's answer and, for each of its passes,
+    the payoff matrices and the set of support pairs that reached a square
+    solve or the least-squares screen."""
+    passes = []
+    certified = hog.mixed._certified_supports
+    solve_square = hog.mixed._solve_square
+    screen = hog.mixed._may_be_consistent
+
+    def record(payoff, own, other):
+        if payoff is not passes[-1][1]:
+            own, other = other, own
+        passes[-1][2].update(zip(map(tuple, own.tolist()),
+                                 map(tuple, other.tolist())))
+
+    def certifying(g, a, b, *args):
+        passes.append((a, b, set()))
+        return certified(g, a, b, *args)
+
+    def square(payoff, own, other):
+        record(payoff, own, other)
+        return solve_square(payoff, own, other)
+
+    def screening(payoff, own, other, tol):
+        record(payoff, own, other)
+        return screen(payoff, own, other, tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hog.mixed, "_certified_supports", certifying)
+        patch.setattr(hog.mixed, "_solve_square", square)
+        patch.setattr(hog.mixed, "_may_be_consistent", screening)
+        got = solve_support_enumeration_2p(g, tol)
+    return got, passes
+
+
 def _logged_counts(caplog):
     """The counts of the last support-enumeration summary line."""
     line = [r.getMessage() for r in caplog.records
@@ -454,8 +527,8 @@ def test_support_enumeration_subset_pruning_keeps_wide_shapes(monkeypatch,
             for tol in (1e-9, 1e-6):
                 monkeypatch.setattr(hog.mixed, "_STACK", stack)
                 stacks = _recording_screen(monkeypatch)
-                _assert_same_profiles(solve_support_enumeration_2p(g, tol),
-                                      wants[n, tol])
+                got, passes = _reached_pairs(monkeypatch, g, tol)
+                _assert_same_profiles(got, wants[n, tol])
                 monkeypatch.undo()
                 shapes = {(rows.shape[1], cols.shape[1])
                           for rows, cols in stacks}
@@ -479,11 +552,17 @@ def test_support_enumeration_subset_pruning_keeps_wide_shapes(monkeypatch,
                         else:
                             assert all(_residual_passes(a.T, c, sub, tol)
                                        for sub in _drop_one(r))
-                # Every pair is pruned, screened or square.
-                enumerated, pruned = _logged_counts(caplog)[:2]
-                square = sum(math.comb(m, k) ** 2 for k in range(1, m + 1))
+                # Every pair is pruned by subsets or by dominance, screened
+                # or solved as square.
+                counts = _logged_counts(caplog)
+                enumerated, pruned, dominated = (counts[0], counts[1],
+                                                 counts[-1])
+                (reached,) = [pairs for _, _, pairs in passes]
                 screened = sum(len(rows) for rows, _ in stacks)
-                assert pruned == enumerated - square - screened
+                square = len(reached) - screened
+                assert 0 < square <= sum(math.comb(m, k) ** 2
+                                         for k in range(1, m + 1))
+                assert pruned + dominated == enumerated - square - screened
 
 
 def test_support_enumeration_residual_screen_is_lstsq():
@@ -541,33 +620,168 @@ def test_support_enumeration_screens_no_wide_shape_of_a_generic_game(
                for rows, cols in stacks)
 
 
-def test_support_enumeration_logs_its_counts(caplog):
+def test_support_enumeration_logs_its_counts(monkeypatch, caplog):
     g = rock_paper_scissors()
     with caplog.at_level(logging.DEBUG, logger="hog.mixed"):
         solve_support_enumeration_2p(g)
+        # With the dominance prune off, as in the enumeration without it.
+        with monkeypatch.context() as patch:
+            patch.setattr(hog.mixed, "_dominance_margin",
+                          lambda *args: math.inf)
+            solve_support_enumeration_2p(g)
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("support enumeration 3x3:")]
-    # No (1, 2) or (2, 1) system is consistent, so the 6 pairs of shapes
-    # (1, 3) and (3, 1) are pruned, and the other 24 rectangular pairs are
+    # Against one or two of the opponent's moves, some reply is strictly
+    # worse than another against each of them, and every pair short of the
+    # full support holds such a reply on a side it tests: the 36 pairs of
+    # shapes (1, 1), (1, 2), (2, 1) and (2, 2) and the 6 of shapes (2, 3)
+    # and (3, 2) are dropped by dominance. No pair of shapes (1, 2) or
+    # (2, 1) is left in the subset table, so the 6 pairs of shapes (1, 3)
+    # and (3, 1) are pruned by subsets; only the full support is solved,
+    # and certified.
+    # Without the prune, no (1, 2) or (2, 1) system is consistent, so the
+    # same 6 pairs are pruned, and the other 24 rectangular pairs are
     # screened out. The 9 pure pairs, 6 of the (2, 2) pairs and the full
     # support solve; only the full support is an equilibrium.
     assert lines == [
         "support enumeration 3x3: 49 support pairs enumerated, 6 pruned by "
-        "subsets, 24 screened out, 16 solved, 1 certified"]
+        "subsets, 0 screened out, 1 solved, 1 certified, 42 pruned by "
+        "dominance",
+        "support enumeration 3x3: 49 support pairs enumerated, 6 pruned by "
+        "subsets, 24 screened out, 16 solved, 1 certified, 0 pruned by "
+        "dominance"]
 
 
 def test_support_enumeration_singular_stack_falls_back(caplog):
     # Rows 0 and 1 are duplicates for both players, so every square system
-    # whose row support holds both is singular.
+    # whose row support holds both is singular. The second player's
+    # constant row 2 and the first player's constant column 3 tie every
+    # move given a support that holds them, so the full row support against
+    # any three columns with column 3 is dominated on neither side, and its
+    # singular stack is solved.
     rng = np.random.default_rng(5)
     a, b = rng.uniform(-1, 1, (2, 3, 4))
     a[1], b[1] = a[0], b[0]
+    a[:, 3], b[2] = 0.25, -0.5
     g = SimultaneousGame.from_tensors([3, 4], [a.ravel(), b.ravel()],
                                       [max_quantifier()] * 2)
     with caplog.at_level(logging.DEBUG, logger="hog.mixed"):
         got = solve_support_enumeration_2p(g)
     assert "solving pair by pair" in caplog.text
     _assert_same_profiles(got, _reference_support_enumeration(g))
+
+
+def _prune_audit(monkeypatch, g, tol):
+    """Run the solver with the dominance prune as it stands and with it off
+    (an infinite margin). Returns the solver's answer, the reference's, and
+    the pairs the prune dropped, each as (pass, pair, whether the reference
+    certifies the pair's profile on that pass)."""
+    got, passes = _reached_pairs(monkeypatch, g, tol)
+    with monkeypatch.context() as patch:
+        patch.setattr(hog.mixed, "_dominance_margin", lambda *args: math.inf)
+        _, passes_off = _reached_pairs(monkeypatch, g, tol)
+    assert len(passes) == len(passes_off)
+    dropped = []
+    with g.quiet():
+        for n, ((a, b, reached), (_, _, reached_off)) in enumerate(
+                zip(passes, passes_off)):
+            assert reached <= reached_off
+            for pair in sorted(reached_off - reached):
+                certified = _reference_pair(g, a, b, *pair, tol) is not None
+                dropped.append((n, pair, certified))
+    return got, _reference_support_enumeration(g, tol), dropped
+
+
+def _prune_games(rng):
+    """Seeded 2-player games for the dominance prune: continuous payoffs,
+    payoffs in {-1, 0, 1} and in {0, 1, 2}, payoffs near +-1.7e308 (the
+    second game of each of these is max/min), duplicated moves, and near
+    duplicates: a row and a column that beat another by 1e-3 everywhere."""
+    huge = [1.7e308, -1.7e308, 1e308, -1e308, 0.0]
+    draws = {
+        "continuous": lambda shape: rng.uniform(-1, 1, shape),
+        "ternary": lambda shape: rng.integers(-1, 2, shape).astype(float),
+        "ties": lambda shape: rng.integers(0, 3, shape).astype(float),
+        "huge": lambda shape: rng.choice(huge, shape),
+    }
+    games = []
+    for name, draw in draws.items():
+        for shape, kinds in (((4, 4), (max_quantifier(), max_quantifier())),
+                             ((3, 5), (max_quantifier(), min_quantifier()))):
+            games.append((name, SimultaneousGame.from_tensors(
+                shape, [u.ravel() for u in draw((2, *shape))], kinds)))
+    for shape in ((4, 4), (5, 3)):
+        a, b = rng.integers(-1, 2, (2, *shape)).astype(float)
+        a[1], b[1] = a[0], b[0]
+        a[:, 2], b[:, 2] = a[:, 1], b[:, 1]
+        games.append(("duplicated", SimultaneousGame.from_tensors(
+            shape, [a.ravel(), b.ravel()], [max_quantifier()] * 2)))
+        a, b = rng.uniform(-1, 1, (2, *shape))
+        a[1], b[:, 2] = a[0] + 1e-3, b[:, 1] + 1e-3
+        games.append(("near duplicate", SimultaneousGame.from_tensors(
+            shape, [a.ravel(), b.ravel()], [max_quantifier()] * 2)))
+    return games
+
+
+def test_support_enumeration_dominance_prune_is_sound(monkeypatch):
+    # The solver's answer is the per-pair reference's, and no pair the
+    # prune drops, solved on its own in the pass that dropped it, gives a
+    # profile that is_mixed_nash accepts, at every tol. Each kind of game
+    # has pairs dropped, and games near +-1.7e308 in both passes.
+    dropped_in = {}
+    for name, g in _prune_games(np.random.default_rng(41)):
+        for tol in (0.0, 1e-9, 1e-6, 0.05):
+            got, want, dropped = _prune_audit(monkeypatch, g, tol)
+            _assert_same_profiles(got, want)
+            assert not [pair for pair in dropped if pair[2]], (name, tol)
+            dropped_in.setdefault(name, set()).update(
+                n for n, _, _ in dropped)
+    assert dropped_in == {"continuous": {0}, "ternary": {0}, "ties": {0},
+                          "huge": {0, 1}, "duplicated": {0},
+                          "near duplicate": {0}}
+
+
+def test_support_enumeration_prune_audit_can_fail(monkeypatch):
+    # The audit above fails on a prune without its margin. On integer
+    # payoffs a margin of -1/2 is weak dominance: a move no better than
+    # another against every move of the opponent's support is dropped, and
+    # with ties such moves are often equilibrium moves.
+    games = _prune_games(np.random.default_rng(41))
+    with monkeypatch.context() as patch:
+        patch.setattr(hog.mixed, "_dominance_margin", lambda *args: -0.5)
+        audits = [_prune_audit(monkeypatch, g, 1e-9) for name, g in games
+                  if name in ("ternary", "ties", "duplicated")]
+    assert any(certified for _, _, dropped in audits
+               for _, _, certified in dropped)
+    assert any([[s.tolist() for s in prof] for prof in got]
+               != [[s.tolist() for s in prof] for prof in want]
+               for got, want, _ in audits)
+    # Strict dominance with no margin drops a move that loses by 1e-3,
+    # though at tol 0.05 it is an equilibrium move.
+    with monkeypatch.context() as patch:
+        patch.setattr(hog.mixed, "_dominance_margin", lambda *args: 0.0)
+        audits = [_prune_audit(monkeypatch, g, 0.05) for name, g in games
+                  if name == "near duplicate"]
+    assert any(certified for _, _, dropped in audits
+               for _, _, certified in dropped)
+
+
+def test_support_enumeration_certifies_max_min_games():
+    # A min player's payoffs are negated: on 100 seeded 3x3 games, cycling
+    # through the quantifier pairs other than max/max, the enumeration
+    # finds a certified equilibrium every time, and the reference, which
+    # negates them likewise, agrees pair for pair.
+    rng = np.random.default_rng(1)
+    kinds = [(max_quantifier(), min_quantifier()),
+             (min_quantifier(), max_quantifier()),
+             (min_quantifier(), min_quantifier())]
+    for n in range(100):
+        g = SimultaneousGame.from_tensors(
+            [3, 3], list(rng.uniform(-1, 1, (2, 9))), kinds[n % 3])
+        got = solve_support_enumeration_2p(g)
+        assert got
+        assert all(is_mixed_nash(g, prof, 1e-9) for prof in got)
+        _assert_same_profiles(got, _reference_support_enumeration(g))
 
 
 def _one_off_stacks(payoff):
