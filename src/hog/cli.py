@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import fuzz as fuzz_mod
 from . import gamefile, minimax, mixed, normalform, sequential, simultaneous
+from .core import as_outcome
 from .errors import (BudgetExceededError, GameFileError, HogError,
                      StructuralError)
 
@@ -76,20 +77,20 @@ def _read_profile_arg(raw: str):
 
 
 def _membership_report(game, profile, mixed_mode: bool, tol: float) -> dict:
-    players = []
-    for i in range(game.num_players):
-        if mixed_mode:
-            table = mixed.mixed_unilateral_table(game, i, profile)
-            value = mixed.expected_outcome(game, i, profile)
-        else:
-            table = simultaneous.unilateral_map(game, i, profile)
-            value = table[profile[i]]
-        players.append({
-            "player": game.players[i],
-            "deviation_table": list(table.entries),
-            "value": value,
-            "acceptable": game.quantifiers[i].contains(table, value, tol),
-        })
+    if mixed_mode:
+        # The certificate is_mixed_nash reads, at the same validated profile.
+        rows = (([as_outcome(v) for v in table.tolist()],
+                 as_outcome(value.tolist()), ok)
+                for table, value, ok in mixed.player_certificates(game, profile,
+                                                                  tol))
+    else:
+        tables = (simultaneous.unilateral_map(game, i, profile)
+                  for i in range(game.num_players))
+        rows = ((list(t.entries), t[m], phi.contains(t, t[m], tol))
+                for t, m, phi in zip(tables, profile, game.quantifiers))
+    players = [{"player": name, "deviation_table": table, "value": value,
+                "acceptable": ok}
+               for name, (table, value, ok) in zip(game.players, rows)]
     return {"players": players, "equilibrium": all(p["acceptable"] for p in players)}
 
 

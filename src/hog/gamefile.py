@@ -366,7 +366,8 @@ def parse_mixed_profile(document: GameDocument, raw) -> MixedProfile:
             "profile")
     for i, vec in enumerate(raw):
         _expect(isinstance(vec, list) and
-                all(isinstance(v, (int, float)) for v in vec),
+                all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in vec),
                 "mixed strategies are lists of probabilities", f"profile[{i}]")
         _expect(all(_finite(v) for v in vec), "probabilities must be finite",
                 f"profile[{i}]")

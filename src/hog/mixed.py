@@ -8,9 +8,11 @@ finite and exact for arbitrary quantifiers. Expected outcomes and deviation
 tables are einsum contractions of the game's payoff tensor with the
 strategies.
 
-Every profile that either solver returns passes is_mixed_nash. Support
-enumeration handles 2-player games whose quantifiers are max or min, where
-it finds every equilibrium with a solvable support pair; the existence
+Every profile that either solver returns passes is_mixed_nash, which reads
+one certificate per player at the profile validated once
+(player_certificates), the one the CLI prints. Support enumeration handles
+2-player games whose quantifiers are max or min, where it finds every
+equilibrium with a solvable support pair; the existence
 theorem promises one, so an empty result signals a bug. Under the mixed
 lift a min quantifier on payoff u is a max quantifier on -u (IEEE negation
 is exact, so the min test reads the same bits as the max test on the
@@ -33,16 +35,16 @@ is_mixed_nash in grid order.
 Support enumeration solves the indifference systems of one support shape
 in stacks, not one system at a time: square shapes by one batched exact
 solve (pair by pair when a stack holds a singular system), rectangular
-shapes by a stacked least-squares screen of the overdetermined side, so
-that only pairs that may be consistent are solved pair by pair. The screen
-of one-off shapes, one equation more than unknowns, is one batched LU solve
-for each system's left null vector; wider shapes, and stacks whose top
-block is exactly singular, are screened by QR. A vectorised regret screen
-drops candidates that are clearly not equilibria. The screens only
-discard; every profile returned is still built by mixed_profile and
-certified by is_mixed_nash, in enumeration order. On payoffs that may
-overflow, the enumeration runs once more on the payoffs scaled by an exact
-power of two, where rounding stays inside the absolute tolerances.
+shapes by the residual of each overdetermined system's minimum-norm
+solution, so that only pairs that may be consistent are solved pair by
+pair. One-off shapes, one equation more than unknowns, are first screened
+by one batched LU solve for each system's left null vector. A vectorised
+regret screen drops candidates that are clearly not equilibria. The
+screens only discard; every profile returned is still built by
+mixed_profile and certified by is_mixed_nash, in enumeration order. On
+payoffs that may overflow, the enumeration runs once more on the payoffs
+scaled by an exact power of two, where rounding stays inside the absolute
+tolerances.
 
 Rectangular shapes are also pruned by their subsets (von Stengel 2002;
 Porter, Nudelman & Shoham 2008). A solution of the system of (R, C) also
@@ -178,20 +180,25 @@ def mixed_unilateral_table(g: SimultaneousGame, i: int,
     return OutcomeTable(_contract(g, i, profile, keep=i).tolist())
 
 
+def player_certificates(g: SimultaneousGame, profile: MixedProfile,
+                        tol: float = 1e-9):
+    """Player by player, at the profile validated once: the deviation table
+    and the expected outcome (the arrays of mixed_unilateral_table and
+    expected_outcome) and whether the player's quantifier accepts them."""
+    profile = mixed_profile(g, profile)
+    for i, phi in enumerate(g.quantifiers):
+        with g.quiet():
+            table = _contract(g, i, profile, keep=i)
+            value = _contract(g, i, profile)
+            ok = bool(phi.kernel(table[None], value[None, None], tol)[0, 0])
+        yield table, value, ok
+
+
 def is_mixed_nash(g: SimultaneousGame, profile: MixedProfile,
                   tol: float = 1e-9) -> bool:
     """True iff every player's expected outcome is acceptable to their
     quantifier on the vertex-restricted deviation table."""
-    # Validated twice, as mixed_unilateral_table and expected_outcome see
-    # it, so that a report's tables agree with the verdict bit for bit.
-    profile = mixed_profile(g, mixed_profile(g, profile))
-    with g.quiet():
-        for i, phi in enumerate(g.quantifiers):
-            table = _contract(g, i, profile, keep=i)[None]
-            value = _contract(g, i, profile)[None, None]
-            if not phi.kernel(table, value, tol)[0, 0]:
-                return False
-    return True
+    return all(ok for _, _, ok in player_certificates(g, profile, tol))
 
 
 class LiftedSelection:
@@ -223,8 +230,8 @@ def support_enumeration_applies(g: SimultaneousGame) -> bool:
 _RESIDUAL_TOL = 1e-7
 # Systems per stacked linear-algebra call: bounds memory whatever the budget.
 _STACK = 1 << 15
-# Margin by which the stacked least-squares screen widens the residual and
-# probability thresholds, far above the rounding gap between its QR and
+# Margin by which the stacked least-squares test widens the residual and
+# probability thresholds, far above the rounding gap between its
 # pseudo-inverse and the per-pair lstsq that decides.
 _SCREEN_MARGIN = 1e-6
 # Factor by which the left-null-vector screen of one-off systems widens the
@@ -319,20 +326,6 @@ def _solve_square(payoff: np.ndarray, own: np.ndarray,
     return sols[:, :-1], _residual(mats, sols) <= _RESIDUAL_TOL
 
 
-def _qr_screen(mats: np.ndarray, bound: float) -> np.ndarray:
-    """The pairs of a stack of overdetermined systems whose QR projection
-    residual is within ``bound``."""
-    # The span of a QR factor's Q contains the column space, rank-deficient
-    # or not, so this residual of the right-hand side (the last unit vector)
-    # never exceeds the least-squares one, whose max-norm
-    # _indifference_solve bounds by _RESIDUAL_TOL. With duplicated moves Q
-    # spans more, so the pairs it passes are checked again.
-    q = np.linalg.qr(mats)[0]
-    res = -np.matmul(q, q[:, -1, :, None])[..., 0]
-    res[:, -1] += 1.0
-    return np.linalg.norm(res, axis=1) <= bound
-
-
 def _left_null_screen(mats: np.ndarray, bound: float) -> np.ndarray:
     """The pairs of a stack of one-off systems, (n + 1) x n, whose
     least-squares residual may be within ``bound``, by one batched LU
@@ -342,15 +335,15 @@ def _left_null_screen(mats: np.ndarray, bound: float) -> np.ndarray:
     the system has full rank. When it does not, every such w gives at most
     the residual of the minimum-norm one, which is the least-squares
     residual, and a top block singular to rounding gives a huge or
-    non-finite w: either way the pair is kept. A stack whose top block is
-    exactly singular is screened by QR instead."""
+    non-finite w: either way the pair is kept. So is every pair of a stack
+    whose top block is exactly singular."""
     try:
         w = np.linalg.solve(np.swapaxes(mats[:, :-1], 1, 2),
                             -mats[:, -1, :, None])[..., 0]
     except np.linalg.LinAlgError:
         logger.debug("singular top block in a stack of %d one-off systems; "
-                     "screening by QR", len(mats))
-        return _qr_screen(mats, bound)
+                     "left to the pseudo-inverse", len(mats))
+        return np.ones(len(mats), dtype=bool)
     with np.errstate(over="ignore"):
         res = 1.0 / np.sqrt(1.0 + (w * w).sum(axis=1))
     return ~(res > _LEFT_NULL_MARGIN * bound)
@@ -359,24 +352,20 @@ def _left_null_screen(mats: np.ndarray, bound: float) -> np.ndarray:
 def _may_be_consistent(payoff: np.ndarray, own: np.ndarray,
                        other: np.ndarray,
                        tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked least-squares screen of overdetermined systems (more
-    equations than unknowns), with a margin that leaves the decision on
-    every pair it keeps to _indifference_solve. Returns two masks: the pairs
-    whose system may be consistent, and those of them whose system may also
-    have no negative probability.
-
-    One-off systems, one equation more than unknowns (the only rectangular
-    shapes a nondegenerate game reaches), are screened by the residual of a
-    left null vector (_left_null_screen), wider ones by a QR projection
-    (_qr_screen); both keep every pair whose least-squares residual is
-    within the bound. The pseudo-inverse then decides each kept pair, so
-    the masks do not depend on which screen ran."""
+    """Stacked least-squares test of overdetermined systems (more equations
+    than unknowns) by the residual of each one's minimum-norm solution, with
+    a margin that leaves the decision on every pair it keeps to
+    _indifference_solve. Returns two masks: the pairs whose system may be
+    consistent, and those of them whose system may also have no negative
+    probability. One-off systems, one equation more than unknowns (the only
+    rectangular shapes a nondegenerate game reaches), are first screened by
+    _left_null_screen, which keeps every pair within the bound."""
     mats = _indifference_systems(payoff, own, other)
     bound = math.sqrt(mats.shape[1]) * _RESIDUAL_TOL + _SCREEN_MARGIN
     if mats.shape[1] == mats.shape[2] + 1:
         consistent = _left_null_screen(mats, bound)
     else:
-        consistent = _qr_screen(mats, bound)
+        consistent = np.ones(len(mats), dtype=bool)
     # The minimum-norm solution is the pseudo-inverse's last column, with
     # singular values cut where lstsq(rcond=None) cuts them.
     idx = np.flatnonzero(consistent)
@@ -640,14 +629,14 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
 
     Each support shape (k, l) is solved in stacks: square shapes by one
     batched exact solve per stack; rectangular shapes by a stacked
-    least-squares screen of the overdetermined side, after which only the
-    surviving pairs are solved, pair by pair. The screen of the one-off
-    shapes (k, k + 1) and (l + 1, l) is one batched LU solve per stack for
-    each system's left null vector, whose length gives the least-squares
-    residual; wider shapes are screened by QR (see _may_be_consistent). A
-    shape with |k - l| >= 2 screens only the pairs whose every subset one
-    shorter on the long side passed the residual half of that smaller
-    shape's screen; the order (k outer, l inner) screens (k, l - 1) and
+    least-squares test of the overdetermined side, the residual of each
+    system's minimum-norm solution, after which only the surviving pairs
+    are solved, pair by pair. The one-off shapes (k, k + 1) and (l + 1, l)
+    are first screened by one batched LU solve per stack for each system's
+    left null vector, whose length gives the least-squares residual (see
+    _may_be_consistent). A shape with |k - l| >= 2 screens only the pairs
+    whose every subset one shorter on the long side passed the residual
+    half of that smaller shape's screen; the order (k outer, l inner) screens (k, l - 1) and
     (k - 1, l) before (k, l). This is conservative, because a solution of
     the wider system solves every subsystem. On a nondegenerate game no
     one-off system is consistent, so no wider shape is screened at all. A

@@ -86,6 +86,7 @@ class SequentialGame(PayoffArray):
         """Build from a dense row-major payoff tensor over plays."""
         counts = tuple(int(c) for c in move_counts)
         tensor = flat_tensor(payoffs, counts, "payoff tensor")
+        tensor.setflags(write=False)  # a fresh array: take it uncopied
         if moves is None:
             moves = tuple(default_move_labels(c) for c in counts)
         else:

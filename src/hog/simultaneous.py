@@ -154,6 +154,7 @@ class SimultaneousGame(PayoffArray):
             stacked = np.broadcast_to(tensors[0], (len(counts), *tensors[0].shape))
         else:
             stacked = np.stack(tensors)
+            stacked.setflags(write=False)  # a fresh array: take it uncopied
         if moves is None:
             moves = tuple(default_move_labels(c) for c in counts)
         else:

@@ -5,6 +5,7 @@ import pytest
 
 import hog.cli
 import hog.fuzz
+import hog.gamefile
 import hog.mixed
 import hog.sequential
 from hog.cli import main
@@ -461,16 +462,22 @@ def test_fuzz_rejects_empty_ranges(capsys, flags, message):
     assert "Traceback" not in out.err
 
 
-def test_mixed_profile_with_oversized_integer_exits_2(capsys, games_dir):
+@pytest.mark.parametrize("profile, message", [
     # float(10**400) overflows: this was an OverflowError traceback.
-    profile = json.dumps([[10 ** 400, 0], [1, 0]])
+    ([[10 ** 400, 0], [1, 0]], "profile[0]: probabilities must be finite"),
+    # JSON booleans were read as the probabilities 1 and 0.
+    ([[True, False], [False, True]],
+     "profile[0]: mixed strategies are lists of probabilities"),
+], ids=["oversized-integer", "booleans"])
+def test_mixed_profile_with_oversized_integer_exits_2(capsys, games_dir,
+                                                      profile, message):
     code, out, err = run(capsys, [
         "check-eq", str(games_dir / "matching_pennies.json"),
-        "--profile", profile,
+        "--profile", json.dumps(profile),
     ])
     assert code == 2
     assert out == ""
-    assert "profile[0]" in err and "finite" in err
+    assert message in err
 
 
 # numpy reports an overflow as a warning, which pytest would capture
@@ -543,3 +550,71 @@ def test_solve_mixed_on_huge_max_payoffs_finds_pure_equilibria(capsys,
     assert eq["certification"]["equilibrium"]
     assert [[p > 0 for p in s] for s in eq["profile"]] == [
         [True, False, True], [False, True, True]]
+
+
+def test_solve_mixed_lists_only_certified_profiles(capsys, tmp_path):
+    # At tol 0 the solver certified a profile validated once more than the
+    # one its report certified; on this game the two readings disagreed on
+    # ((1), (0.2, 0.6, 0.2)), which was listed with equilibrium false.
+    path = tmp_path / "one_by_three.json"
+    path.write_text(json.dumps({
+        "version": 1, "kind": "simultaneous",
+        "moves": [["m0"], ["m0", "m1", "m2"]],
+        "payoffs": [[-1, 0, -1], [-1, -1, -1]],
+        "quantifiers": [{"kind": "min"}, {"kind": "max"}]}))
+    code, out, _ = run(capsys, ["solve", str(path), "--mode", "mixed",
+                                "--tol", "0", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["count"] == 6
+    assert all(eq["certification"]["equilibrium"]
+               for eq in report["equilibria"])
+
+
+def _certification_games(rng):
+    """Seeded 2-player max/min games with 1-5 moves a side, and 3-player
+    2x2x2 max/min games, with continuous payoffs and with small integers
+    (whose ties make degenerate games)."""
+    kinds = [{"kind": "max"}, {"kind": "min"}]
+    games = [[m0, m1] for m0 in range(1, 6) for m1 in range(1, 6)
+             for _ in range(2)] + [[2, 2, 2]] * 12
+    for n, counts in enumerate(games):
+        size = int(np.prod(counts))
+        if n % 2:
+            payoffs = rng.integers(-1, 2, (len(counts), size)).astype(float)
+        else:
+            payoffs = rng.uniform(-1, 1, (len(counts), size))
+        yield {"version": 1, "kind": "simultaneous",
+               "moves": [[f"m{j}" for j in range(c)] for c in counts],
+               "payoffs": payoffs.tolist(),
+               "quantifiers": [kinds[k] for k in
+                               rng.integers(0, 2, len(counts))]}
+
+
+def test_solve_mixed_report_is_the_certificate(capsys, tmp_path):
+    # Every listed profile passes is_mixed_nash, and its report prints what
+    # the public functions give at the listed profile, bit for bit.
+    listed = 0
+    for n, doc in enumerate(_certification_games(np.random.default_rng(17))):
+        path = tmp_path / f"game{n}.json"
+        path.write_text(json.dumps(doc))
+        g = hog.gamefile.load_game(path).game
+        for tol in (1e-9, 0.0):
+            code, out, _ = run(capsys, ["solve", str(path), "--mode", "mixed",
+                                        "--tol", repr(tol), "--json"])
+            # At tol 0 support enumeration may find nothing (exit 5).
+            assert code in (0, 5)
+            for eq in json.loads(out)["equilibria"]:
+                listed += 1
+                profile = [np.array(s) for s in eq["profile"]]
+                assert hog.mixed.is_mixed_nash(g, profile, tol)
+                cert = eq["certification"]
+                assert cert["equilibrium"] is True
+                for i, player in enumerate(cert["players"]):
+                    table = hog.mixed.mixed_unilateral_table(g, i, profile)
+                    value = hog.mixed.expected_outcome(g, i, profile)
+                    assert player["deviation_table"] == list(table.entries)
+                    assert player["value"] == value
+                    assert player["acceptable"] is g.quantifiers[i].contains(
+                        table, value, tol)
+    assert listed > 100
