@@ -110,7 +110,10 @@ def cmd_check_eq(args) -> int:
     else:
         profile = gamefile.parse_pure_profile(document, raw)
     tol = _tol(args, document)
-    report = _membership_report(game, profile, mixed_mode, tol)
+    # A mixed profile is certified as given, once it is known valid, so it
+    # is normalised once, as the certificate of a profile 'solve' lists is.
+    report = _membership_report(game, raw if mixed_mode else profile,
+                                mixed_mode, tol)
     if mixed_mode:
         report["profile"] = [[float(x) for x in s] for s in profile]
     else:

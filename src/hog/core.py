@@ -20,17 +20,23 @@ infinite entry equal to an infinite mean) is nearest only at move 0.
 
 All values here are immutable and all operations are pure and deterministic
 (ties break toward the lowest move id), so they are safe to share across
-threads.
+threads. The parameterless stock factories (``max_quantifier``,
+``argmax_selection`` and the rest) return one shared instance per kind, whose
+``descriptor`` is a read-only mapping; ``eps_ball_quantifier``,
+``constant_selection``, ``fixed_point_witness`` and the custom factories build
+a fresh object on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -336,20 +342,23 @@ def _nearest_mean_kernel(tables):
     return _nearest_to_mean(tables)[1]
 
 
+@functools.cache
 def max_quantifier() -> Quantifier:
     """Single-valued quantifier whose value is the maximum entry."""
     return Quantifier(QuantifierKind.MAX, _max_kernel,
                       lambda p: float(_scalar(_table(p)[None], "max").max()),
-                      descriptor={"kind": "max"})
+                      descriptor=MappingProxyType({"kind": "max"}))
 
 
+@functools.cache
 def min_quantifier() -> Quantifier:
     """Single-valued quantifier whose value is the minimum entry."""
     return Quantifier(QuantifierKind.MIN, _min_kernel,
                       lambda p: float(_scalar(_table(p)[None], "min").min()),
-                      descriptor={"kind": "min"})
+                      descriptor=MappingProxyType({"kind": "min"}))
 
 
+@functools.cache
 def fixed_point_quantifier() -> Quantifier:
     """Acceptable outcomes are the fixed points of the table: move ids m with
     p[m] = m. Only meaningful when outcomes are drawn from the move index
@@ -357,7 +366,7 @@ def fixed_point_quantifier() -> Quantifier:
     outcome."""
     return Quantifier(QuantifierKind.FIXED_POINT, _fixed_point_kernel,
                       in_domain=_has_fixed_point,
-                      descriptor={"kind": "fixed_point"})
+                      descriptor=MappingProxyType({"kind": "fixed_point"}))
 
 
 def eps_ball_quantifier(center_move: MoveId, radius: float) -> Quantifier:
@@ -390,6 +399,7 @@ def eps_ball_quantifier(center_move: MoveId, radius: float) -> Quantifier:
                                   "radius": float(radius)})
 
 
+@functools.cache
 def average_quantifier() -> Quantifier:
     """Finite stand-in for the averaging quantifier: acceptable outcomes are
     the table entries closest to the arithmetic mean.
@@ -399,7 +409,7 @@ def average_quantifier() -> Quantifier:
     construction.
     """
     return Quantifier(QuantifierKind.AVERAGE, _average_kernel,
-                      descriptor={"kind": "average"})
+                      descriptor=MappingProxyType({"kind": "average"}))
 
 
 def custom_quantifier(contains: Callable, canonical: Callable | None = None,
@@ -418,14 +428,16 @@ def custom_quantifier(contains: Callable, canonical: Callable | None = None,
     return Quantifier(QuantifierKind.CUSTOM, kernel, canonical, in_domain)
 
 
+@functools.cache
 def argmax_selection() -> SelectionFunction:
     return SelectionFunction(SelectionKind.ARGMAX, _argmax_kernel,
-                             descriptor={"kind": "argmax"})
+                             descriptor=MappingProxyType({"kind": "argmax"}))
 
 
+@functools.cache
 def argmin_selection() -> SelectionFunction:
     return SelectionFunction(SelectionKind.ARGMIN, _argmin_kernel,
-                             descriptor={"kind": "argmin"})
+                             descriptor=MappingProxyType({"kind": "argmin"}))
 
 
 def fixed_point_witness(tol: float = 0.0) -> SelectionFunction:
@@ -460,11 +472,13 @@ def constant_selection(move: MoveId) -> SelectionFunction:
                              descriptor={"kind": "constant", "move": int(move)})
 
 
+@functools.cache
 def nearest_mean_selection() -> SelectionFunction:
     """Selects the lowest move whose outcome is closest to the table mean;
     attains the average quantifier."""
     return SelectionFunction(SelectionKind.NEAREST_MEAN, _nearest_mean_kernel,
-                             descriptor={"kind": "nearest_mean"})
+                             descriptor=MappingProxyType(
+                                 {"kind": "nearest_mean"}))
 
 
 def custom_selection(select: Callable) -> SelectionFunction:

@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import minimax, normalform, sequential
+from .budget import resolve_budget
 from .core import (argmax_selection, argmin_selection, average_quantifier,
                    max_quantifier, min_quantifier, nearest_mean_selection)
 from .sequential import SequentialGame
@@ -245,6 +246,9 @@ def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
         if family not in plan:
             raise ValueError(f"unknown family {family!r}")
         draw, check, shrink = plan[family]
+        if count:
+            # Read HOG_BUDGET once per run, and only if a game is certified.
+            budget = resolve_budget(budget)
         # Hashing strings is salted per process; derive integer seeds.
         rng = random.Random(seed * 7919 + FAMILIES.index(family))
         for index in range(count):

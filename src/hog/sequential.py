@@ -132,9 +132,11 @@ class SequentialGame(PayoffArray):
                     f"round {i} table has {len(table)} entries, expected "
                     f"{self.history_count(i)}"
                 )
-            for move in table:
-                if not 0 <= move < m:
-                    raise StructuralError(f"move {move} invalid in round {i}")
+            # Test each distinct move once; walk the table only to name the
+            # first bad one. NaN fails the test, as 0 <= nan is false.
+            if not all(0 <= move < m for move in set(table)):
+                bad = next(move for move in table if not 0 <= move < m)
+                raise StructuralError(f"move {bad} invalid in round {i}")
         return strategy
 
 

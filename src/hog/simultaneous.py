@@ -17,6 +17,7 @@ A game may also carry one selection function per player. A two-player stage
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -33,10 +34,12 @@ from .errors import StructuralError
 PureProfile = tuple[int, ...]
 
 
+@functools.cache
 def _default_players(n: int) -> tuple[str, ...]:
     return tuple(f"p{i}" for i in range(n))
 
 
+@functools.cache
 def default_move_labels(count: int) -> tuple[str, ...]:
     return tuple(f"m{i}" for i in range(count))
 

@@ -247,7 +247,8 @@ def test_fuzz_mutation_self_test(capsys, tmp_path, monkeypatch):
     report = json.loads(out)
     assert report["failures"]
     written = report["failures"][0]["file"]
-    failing = json.loads(open(written).read())
+    with open(written) as f:
+        failing = json.load(f)
     assert failing["kind"] == "sequential"
 
 
@@ -416,6 +417,19 @@ def test_malformed_env_var_budget_exits_2(capsys, games_dir, monkeypatch):
     assert code == 2
     assert "HOG_BUDGET" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("env, count, code, message", [
+    # With nothing to certify, HOG_BUDGET is never read.
+    ("abc", "0", 0, ""),
+    ("abc", "1", 2, "error: HOG_BUDGET must be an integer, got 'abc'\n"),
+    ("5", "3", 4, "error: enumeration of 54 plays exceeds budget 5\n"),
+])
+def test_fuzz_env_var_budget(capsys, monkeypatch, env, count, code, message):
+    monkeypatch.setenv("HOG_BUDGET", env)
+    got, _, err = run(capsys, ["fuzz", "--count", count])
+    assert got == code
+    assert err == message
 
 
 def test_negative_env_var_budget_exits_2(capsys, games_dir, monkeypatch):
@@ -589,6 +603,24 @@ def _certification_games(rng):
                "payoffs": payoffs.tolist(),
                "quantifiers": [kinds[k] for k in
                                rng.integers(0, 2, len(counts))]}
+
+
+def test_check_eq_at_tol_0_accepts_what_solve_lists(capsys, tmp_path):
+    # On this 4x5 game check-eq normalised one listed profile a second
+    # time, read other bits than the certificate 'solve' printed, and
+    # exited 3.
+    doc = list(_certification_games(np.random.default_rng(13)))[39]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["solve", str(path), "--mode", "mixed",
+                                "--tol", "0", "--json"])
+    assert code == 0
+    listed = json.loads(out)["equilibria"]
+    assert listed
+    for eq in listed:
+        code, out, _ = run(capsys, ["check-eq", str(path), "--tol", "0",
+                                    "--profile", json.dumps(eq["profile"])])
+        assert code == 0
 
 
 def test_solve_mixed_report_is_the_certificate(capsys, tmp_path):

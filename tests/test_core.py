@@ -222,6 +222,38 @@ def test_make_standard_roundtrip_kinds():
     assert const.descriptor == {"kind": "constant", "move": 2}
 
 
+@pytest.mark.parametrize("factory, make, kind", [
+    (max_quantifier, make_standard_quantifier, "max"),
+    (min_quantifier, make_standard_quantifier, "min"),
+    (fixed_point_quantifier, make_standard_quantifier, "fixed_point"),
+    (average_quantifier, make_standard_quantifier, "average"),
+    (argmax_selection, make_standard_selection, "argmax"),
+    (argmin_selection, make_standard_selection, "argmin"),
+    (nearest_mean_selection, make_standard_selection, "nearest_mean"),
+])
+def test_stock_factories_share_one_read_only_instance(factory, make, kind):
+    shared = factory()
+    assert factory() is shared
+    assert make(kind) is shared
+    assert shared.descriptor == {"kind": kind}
+    with pytest.raises(TypeError):
+        shared.descriptor["kind"] = "other"
+    assert factory().descriptor == {"kind": kind}
+
+
+def test_parameterised_and_custom_factories_build_fresh_objects():
+    for make in (lambda: eps_ball_quantifier(0, 1.0),
+                 lambda: make_standard_quantifier("eps_ball", center=0,
+                                                  radius=1.0),
+                 lambda: constant_selection(1),
+                 lambda: make_standard_selection("constant", move=1),
+                 lambda: fixed_point_witness(0.5),
+                 lambda: make_standard_selection("fixed_point_witness"),
+                 lambda: custom_quantifier(lambda p, r, tol: True),
+                 lambda: custom_selection(lambda p: 0)):
+        assert make() is not make()
+
+
 def test_make_standard_validation():
     with pytest.raises(StructuralError):
         make_standard_quantifier("eps_ball", center=0, radius=0.0)

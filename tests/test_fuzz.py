@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import numpy as np
 
+from hog.cli import main
 from hog.fuzz import (certify_sequential, random_sequential_game,
                       random_stage, run_fuzz, shrink_sequential, shrink_stage)
 
@@ -16,6 +18,22 @@ def test_generators_are_seed_deterministic():
     s1 = random_stage(random.Random(5))
     s2 = random_stage(random.Random(5))
     assert np.array_equal(s1.payoffs[0], s2.payoffs[0])
+
+
+def test_fuzz_corpus_is_pinned(tmp_path):
+    # The files 'hog fuzz --family all --seed 5 --count 40 --out DIR' wrote
+    # before the generators shared their stock quantifiers and selections.
+    code = main(["fuzz", "--family", "all", "--seed", "5", "--count", "40",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == 120
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == (
+        "48b5e79f2f8dbce4afea5e95fb5df63011207614a8125af55cb03c49a734702a")
 
 
 def test_run_fuzz_all_families_pass():

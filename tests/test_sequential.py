@@ -204,6 +204,10 @@ def test_validate_strategy_messages():
     for strategy, message in (
             ([(0,), (2, 1), (1, 0, 1, 1, 0, 2)], "move 2 invalid in round 2"),
             ([(0,), (2, 1), (1, 0, 1, 1, 0, -1)], "move -1 invalid in round 2"),
+            # The first bad move in table order is named.
+            ([(0,), (2, 1), (1, -1, 1, 5, 0, 0)], "move -1 invalid in round 2"),
+            ([(0,), (2, float("nan")), (1, 0, 1, 1, 0, 0)],
+             "move nan invalid in round 1"),
             ([(0,), (2, 1, 0), (1, 0, 1, 1, 0, 0)],
              "round 1 table has 3 entries, expected 2"),
             ([(0,), (2, 1), (1, 0, 1, 1, 0)],
