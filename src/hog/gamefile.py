@@ -306,7 +306,7 @@ def serialize_game(document: GameDocument) -> dict:
     out: dict = {"version": FORMAT_VERSION, "kind": document.kind}
     if document.kind == "sequential":
         out["rounds"] = [list(ms) for ms in game.moves]
-        out["payoffs"] = game.play_outcomes()
+        out["payoffs"] = _flat(game.payoffs, game.rounds)
         out["quantifiers"] = [_serialize_quantifier(q) for q in game.quantifiers]
         out["selections"] = [_serialize_selection(s) for s in game.selections]
     else:

@@ -155,7 +155,7 @@ def to_normal_form(g: SequentialGame, budget: int | None = None) -> Simultaneous
         digit = c.history_count - 1 - play
         play = play * c.base_move_count + (
             index // c.base_move_count ** digit) % c.base_move_count
-    outcomes = g.payoffs.reshape(-1, *g.payoffs.shape[g.rounds:])[play]
+    outcomes = g.flat_payoffs()[play]
     outcomes.setflags(write=False)
     # Every label of a round at once: the tables of a round are the product
     # of its per-history listings, in index order.

@@ -4,12 +4,14 @@ Rounds are played in order; a strategy gives each round a dense table from
 partial histories to moves. The product of selection functions computes a
 play whose first move anticipates the later rounds' selections; applying each
 round's selection at every history yields a strategy that is optimal after
-every history (the subgame-perfect analogue).
+every history (the subgame-perfect analogue), and the product's play is that
+strategy's play from the empty history.
 
 A strategy is followed in one backward pass: round i's index array, of
 shape ``(history_count(i), m)``, holds the play reached from each history
 and move, and its outcomes are the round's deviation tables, which one
-kernel call tests or chooses on.
+kernel call tests or chooses on. Both the optimal strategy and the optimal
+play come from one such pass.
 
 History tables are dense arrays in mixed-radix order over the preceding move
 sets, first round most significant. The outcome function is stored as one
@@ -35,15 +37,6 @@ from .simultaneous import PayoffArray, default_move_labels, flat_tensor
 Play = tuple[int, ...]
 # Strategy: per round, a dense move table indexed by history (mixed-radix).
 SeqStrategy = tuple[tuple[int, ...], ...]
-
-
-def history_index(sizes: Sequence[int], history: Sequence[int]) -> int:
-    """Mixed-radix rank of a history among all histories with the given
-    per-round sizes (first coordinate most significant)."""
-    idx = 0
-    for size, move in zip(sizes, history):
-        idx = idx * size + move
-    return idx
 
 
 def histories(sizes: Sequence[int]):
@@ -110,11 +103,6 @@ class SequentialGame(PayoffArray):
 
     def outcome(self, play: Play):
         return as_outcome(self.payoffs[tuple(play)])
-
-    def play_outcomes(self) -> list:
-        """Outcomes of all plays in mixed-radix play order, as a Python list
-        that hot loops index by play index."""
-        return self.flat_payoffs().tolist()
 
     def flat_payoffs(self) -> np.ndarray:
         """The payoffs with one axis of plays, in mixed-radix order."""
@@ -234,36 +222,26 @@ def selection_product(eps: SelectionFunction, delta: SelectionFunction,
 
 def compute_optimal_play(g: SequentialGame, budget: int | None = None) -> Play:
     """The play computed by the right-nested iterated product of the
-    per-round selections applied to the outcome function."""
+    per-round selections applied to the outcome function: the strategic
+    play of the strategy that applies each round's selection at every
+    history. The budget counts plays."""
     check_budget(g.play_count(), budget, "plays")
-    sizes = g.move_counts
-    outcomes = g.play_outcomes()
-
-    def solve(prefix: Play) -> Play:
-        i = len(prefix)
-        if i == g.rounds:
-            return ()
-        tails = [solve(prefix + (x,)) for x in range(sizes[i])]
-        table = np.array([[
-            outcomes[history_index(sizes, prefix + (x,) + tail)]
-            for x, tail in enumerate(tails)
-        ]])
-        a = int(g.selections[i].kernel(table)[0])
-        return (a,) + tails[a]
-
-    with g.quiet():
-        return solve(())
+    return strategic_play(g, _optimal_tables(g))
 
 
 def compute_optimal_strategy(g: SequentialGame,
                              budget: int | None = None) -> SeqStrategy:
     """Apply each round's selection at every history, last round first, so
     the optimality condition holds pointwise, each table continued by the
-    later rounds' selections. Its strategic play equals
-    compute_optimal_play."""
+    later rounds' selections. The budget counts histories."""
     sizes = g.move_counts
     total = sum(g.history_count(i) * sizes[i] for i in range(g.rounds))
     check_budget(total, budget, "histories")
+    return _optimal_tables(g)
+
+
+def _optimal_tables(g: SequentialGame) -> SeqStrategy:
+    """compute_optimal_strategy without its budget check."""
     flat = g.flat_payoffs()
     tables = [None] * g.rounds
 

@@ -22,6 +22,7 @@ from hog.normalform import check_soundness
 from hog.sequential import (compute_optimal_play, compute_optimal_strategy,
                             is_optimal_strategy, strategic_play)
 from hog.simultaneous import SimultaneousGame, is_generalised_nash
+from test_sequential import _reference_compute_optimal_play
 
 NF_BUDGET = 4_000_000  # worst case for 3 rounds of 3 moves is 3^13 profiles
 
@@ -41,7 +42,9 @@ def test_criterion_1_optimal_play_theorem():
                                    payoff_range=(-9, 9))
         play = compute_optimal_play(g)
         strategy = compute_optimal_strategy(g)
-        if strategic_play(g, strategy) != play:
+        if play != _reference_compute_optimal_play(g):
+            failures += 1
+        elif strategic_play(g, strategy) != play:
             failures += 1
         elif not is_optimal_strategy(g, strategy, 0.0):
             failures += 1

@@ -1,9 +1,12 @@
 import hashlib
+import math
 import random
 
 import numpy as np
+import pytest
 
 from hog.cli import main
+from hog.errors import BudgetExceededError
 from hog.fuzz import (certify_sequential, random_sequential_game,
                       random_stage, run_fuzz, shrink_sequential, shrink_stage)
 
@@ -70,13 +73,20 @@ def test_stage_shrinker():
 
 def test_certifier_agrees_with_direct_checks():
     rng = random.Random(12)
-    from hog.sequential import (compute_optimal_play,
-                                compute_optimal_strategy,
-                                is_optimal_strategy, strategic_play)
+    from hog.sequential import compute_optimal_strategy, is_optimal_strategy
     for _ in range(10):
         g = random_sequential_game(rng)
-        assert certify_sequential(g) == (
-            strategic_play(g, compute_optimal_strategy(g))
-            == compute_optimal_play(g)
-            and is_optimal_strategy(g, compute_optimal_strategy(g))
-        )
+        assert certify_sequential(g) == is_optimal_strategy(
+            g, compute_optimal_strategy(g))
+
+
+def test_sequential_draw_checks_budget_before_payoffs():
+    rng = random.Random(0)
+    with pytest.raises(BudgetExceededError) as err:
+        random_sequential_game(rng, max_rounds=40, budget=10**6)
+    # Only the round count and the move counts were drawn.
+    shape = random.Random(0)
+    n = shape.randint(1, 40)
+    counts = [shape.randint(2, 3) for _ in range(n)]
+    assert rng.getstate() == shape.getstate()
+    assert err.value.count == math.prod(counts)

@@ -16,9 +16,8 @@ from hog.core import (OutcomeTable, argmax_selection, argmin_selection,
 from hog.errors import BudgetExceededError, NoFixedPointError, StructuralError
 from hog.fuzz import random_sequential_game
 from hog.sequential import (SequentialGame, compute_optimal_play,
-                            compute_optimal_strategy, history_index,
-                            is_optimal_strategy, selection_product,
-                            strategic_play)
+                            compute_optimal_strategy, is_optimal_strategy,
+                            selection_product, strategic_play)
 
 
 def two_round_2x_plus_y():
@@ -156,7 +155,8 @@ def test_random_games_product_equals_strategy_play_and_optimal():
     rng = random.Random(99)
     for _ in range(60):
         g = random_sequential_game(rng)
-        play = compute_optimal_play(g)
+        play = _reference_compute_optimal_play(g)
+        assert compute_optimal_play(g) == play
         strategy = compute_optimal_strategy(g)
         assert strategic_play(g, strategy) == play
         assert is_optimal_strategy(g, strategy, 0.0)
@@ -193,6 +193,22 @@ def test_validation_and_budget():
         compute_optimal_play(g, budget=2)
     with pytest.raises(StructuralError):
         selection_product(argmax_selection(), argmax_selection(), [[1], [2, 3]])
+
+
+def test_play_budget_counts_plays_not_histories():
+    # 2^19 plays fit the budget; the strategy's 2^20 - 2 histories do not.
+    counts = [2] * 19
+    payoffs = np.random.default_rng(0).random(2 ** 19)
+    g = SequentialGame.from_tensor(counts, payoffs, [max_quantifier()] * 19,
+                                   [argmax_selection()] * 19)
+    play = compute_optimal_play(g, budget=10**6)
+    # With distinct payoffs and every round maximising, the optimal play is
+    # the play of the largest payoff.
+    assert play == tuple(np.unravel_index(payoffs.argmax(), counts))
+    with pytest.raises(BudgetExceededError) as err:
+        compute_optimal_strategy(g, budget=10**6)
+    assert str(err.value) == ("enumeration of 1048574 histories exceeds "
+                              "budget 1000000")
 
 
 def test_validate_strategy_messages():
@@ -251,6 +267,37 @@ def test_selection_product_grid_checks():
                               "a grid of outcomes")
 
 
+def history_index(sizes, history):
+    """Mixed-radix rank of a history among all histories with the given
+    per-round sizes (first coordinate most significant)."""
+    idx = 0
+    for size, move in zip(sizes, history):
+        idx = idx * size + move
+    return idx
+
+
+def _reference_compute_optimal_play(g):
+    """The right-nested iterated product of the per-round selections,
+    recursing node by node with one selection call per history.
+    compute_optimal_play must return the same play, or raise an error of the
+    same type; it may meet another failing table first."""
+    sizes = g.move_counts
+    outcomes = g.flat_payoffs().tolist()
+
+    def solve(prefix):
+        i = len(prefix)
+        if i == g.rounds:
+            return ()
+        tails = [solve(prefix + (x,)) for x in range(sizes[i])]
+        a = g.selections[i].select(OutcomeTable([
+            outcomes[history_index(sizes, prefix + (x,) + tail)]
+            for x, tail in enumerate(tails)
+        ]))
+        return (a,) + tails[a]
+
+    return solve(())
+
+
 # Reference implementations: the per-history walkers that followed the
 # strategy again for every entry of every deviation table. The module's
 # backward pass must make the same quantifier and selection calls, with
@@ -270,7 +317,7 @@ def _reference_is_optimal_strategy(g, strategy, tol=0.0, budget=None):
     sizes = g.move_counts
     total = sum(g.history_count(i) * sizes[i] for i in range(g.rounds))
     check_budget(total, budget, "optimality checks")
-    outcomes = g.play_outcomes()
+    outcomes = g.flat_payoffs().tolist()
     for i in range(g.rounds):
         phi = g.quantifiers[i]
         for h, prefix in enumerate(itertools.product(*map(range, sizes[:i]))):
@@ -288,7 +335,7 @@ def _reference_compute_optimal_strategy(g, budget=None):
     sizes = g.move_counts
     total = sum(g.history_count(i) * sizes[i] for i in range(g.rounds))
     check_budget(total, budget, "histories")
-    outcomes = g.play_outcomes()
+    outcomes = g.flat_payoffs().tolist()
     tables = [()] * g.rounds
     for i in range(g.rounds - 1, -1, -1):
         choices = []
@@ -419,6 +466,23 @@ def test_backward_pass_matches_reference_walker():
     assert raised > 0
     assert verdicts.count(True) > 0 and verdicts.count(False) > len(verdicts) / 2
     assert failing_rounds == {0, 1, 2, 3}
+
+
+def test_optimal_play_matches_reference_product():
+    rng = random.Random(2024)
+    games = [_oracle_game(rng, _ORACLE_KINDS) for _ in range(300)]
+    games += [_oracle_game(rng, ("eps_ball",), dim=2) for _ in range(20)]
+    raised = 0
+    for g in games:
+        try:
+            expected = _reference_compute_optimal_play(g)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                compute_optimal_play(g)
+            raised += 1
+            continue
+        assert compute_optimal_play(g) == expected
+    assert 0 < raised < len(games) / 2
 
 
 def test_backward_pass_raises_where_reference_raises():
