@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import fuzz as fuzz_mod
 from . import gamefile, minimax, mixed, normalform, sequential, simultaneous
+from .budget import check_budget
 from .core import as_outcome
 from .errors import (BudgetExceededError, GameFileError, HogError,
                      StructuralError)
@@ -76,18 +77,14 @@ def _read_profile_arg(raw: str):
                             "profile")
 
 
-def _membership_report(game, profile, mixed_mode: bool, tol: float) -> dict:
-    if mixed_mode:
-        # The certificate is_mixed_nash reads, at the same validated profile.
-        rows = (([as_outcome(v) for v in table.tolist()],
-                 as_outcome(value.tolist()), ok)
-                for table, value, ok in mixed.player_certificates(game, profile,
-                                                                  tol))
-    else:
-        tables = (simultaneous.unilateral_map(game, i, profile)
-                  for i in range(game.num_players))
-        rows = ((list(t.entries), t[m], phi.contains(t, t[m], tol))
-                for t, m, phi in zip(tables, profile, game.quantifiers))
+def _mixed_rows(certificates):
+    """Report rows of player_certificates' (table, value, ok) arrays."""
+    return (([as_outcome(v) for v in table.tolist()], as_outcome(value.tolist()),
+             ok) for table, value, ok in certificates)
+
+
+def _membership_report(game, rows) -> dict:
+    """One (deviation table, value, acceptable) row per player."""
     players = [{"player": name, "deviation_table": table, "value": value,
                 "acceptable": ok}
                for name, (table, value, ok) in zip(game.players, rows)]
@@ -110,10 +107,17 @@ def cmd_check_eq(args) -> int:
     else:
         profile = gamefile.parse_pure_profile(document, raw)
     tol = _tol(args, document)
-    # A mixed profile is certified as given, once it is known valid, so it
-    # is normalised once, as the certificate of a profile 'solve' lists is.
-    report = _membership_report(game, raw if mixed_mode else profile,
-                                mixed_mode, tol)
+    if mixed_mode:
+        # The profile is certified as given, once it is known valid, so it
+        # is normalised once, as the certificate of a profile 'solve' lists
+        # is.
+        rows = _mixed_rows(mixed.player_certificates(game, raw, tol))
+    else:
+        tables = (simultaneous.unilateral_map(game, i, profile)
+                  for i in range(game.num_players))
+        rows = ((list(t.entries), t[m], phi.contains(t, t[m], tol))
+                for t, m, phi in zip(tables, profile, game.quantifiers))
+    report = _membership_report(game, rows)
     if mixed_mode:
         report["profile"] = [[float(x) for x in s] for s in profile]
     else:
@@ -198,11 +202,13 @@ def _solve_mixed(args, document, tol, budget) -> int:
         depth = args.grid_depth or int(document.params.get("grid_depth", 3))
         profiles = mixed.solve_generic(game, depth, tol, budget)
     results = []
+    # Each profile carries the certificate with which the solver accepted
+    # it (mixed.ListedProfile), so it is not certified a second time.
     for profile in profiles:
-        cert = _membership_report(game, profile, True, tol)
         results.append({
             "profile": [[float(x) for x in s] for s in profile],
-            "certification": cert,
+            "certification": _membership_report(
+                game, _mixed_rows(profile.certificates)),
         })
     report = {
         "mode": "mixed",
@@ -226,15 +232,19 @@ def _solve_seq(args, document, tol, budget) -> int:
     if document.kind != "sequential":
         raise GameFileError("mode seq requires a sequential game", "mode")
     game = document.game
-    play = sequential.compute_optimal_play(game, budget)
+    # One backward pass gives the strategy and its play; plays are checked
+    # against the budget before histories, as compute_optimal_play would.
+    check_budget(game.play_count(), budget, "plays")
     strategy = sequential.compute_optimal_strategy(game, budget)
+    play = sequential.strategic_play(game, strategy)
     report = {
         "mode": "seq",
         "play": list(play),
         "play_moves": [game.moves[i][m] for i, m in enumerate(play)],
         "outcome": game.outcome(play),
         "strategy": [list(t) for t in strategy],
-        "strategic_play_matches": sequential.strategic_play(game, strategy) == play,
+        # The play is the strategy's own, so this holds by construction.
+        "strategic_play_matches": True,
         "optimal": sequential.is_optimal_strategy(game, strategy, tol, budget),
     }
     path = _write_artifact(args, report, "optimal_play.json")

@@ -10,7 +10,9 @@ strategies.
 
 Every profile that either solver returns passes is_mixed_nash, which reads
 one certificate per player at the profile validated once
-(player_certificates), the one the CLI prints. Support enumeration handles
+(player_certificates). The solvers return ListedProfile tuples, which keep
+the rows of the certificate that accepted them; the CLI prints those rows,
+so no listed profile is certified twice. Support enumeration handles
 2-player games whose quantifiers are max or min, where it finds every
 equilibrium with a solvable support pair; the existence
 theorem promises one, so an empty result signals a bug. Under the mixed
@@ -32,9 +34,10 @@ the tests of every later player happen, and raise, exactly where a
 per-point loop would meet them. Every survivor is certified by
 is_mixed_nash in grid order.
 
-Support enumeration solves the indifference systems of one support shape
-in stacks, not one system at a time: square shapes by one batched exact
-solve (pair by pair when a stack holds a singular system), rectangular
+Support enumeration takes the support shapes one at a time and solves the
+indifference systems of each in stacks, not one system at a time: square
+shapes by one batched exact solve that covers both players' systems (pair
+by pair when a stack holds a singular system), rectangular
 shapes by the residual of each overdetermined system's minimum-norm
 solution, so that only pairs that may be consistent are solved pair by
 pair. One-off shapes, one equation more than unknowns, are first screened
@@ -71,13 +74,20 @@ sides, rectangular shapes only the long one: a column dominated given R
 stays dominated in every (R, C') with C' containing C, so a pair dropped by
 its long side is recorded as inconsistent in the subset table above and
 prunes its wider shapes with it, while a row dominated given C need not
-stay dominated given a wider C'. Dominance is read from one boolean gap
-tensor per player and one bitmask of dominated moves per support, so each
-stack's test is two integer operations per pair.
+stay dominated given a wider C'. The dominance table is built once per
+call and side: for every support, indexed by its bitmask, the bitmask of
+the opponent's moves dominated given it, by one pass over the supports in
+which each support's table is its lower part's ANDed with one move's. A
+shape's live pairs (not dominated, and inside its subset table) are then
+selected by one broadcast per block of rows, taken with np.nonzero and cut
+into stacks; the support combinations, their bitmasks and the subset ranks
+are read-only tables cached per (moves, size) across calls.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import logging
 import math
@@ -194,11 +204,29 @@ def player_certificates(g: SimultaneousGame, profile: MixedProfile,
         yield table, value, ok
 
 
+class ListedProfile(tuple):
+    """A validated mixed profile as a solver lists it. ``certificates``
+    holds the rows of player_certificates with which is_mixed_nash accepted
+    it, so a report prints them without certifying the profile again."""
+
+    certificates: tuple = ()
+
+
 def is_mixed_nash(g: SimultaneousGame, profile: MixedProfile,
                   tol: float = 1e-9) -> bool:
     """True iff every player's expected outcome is acceptable to their
-    quantifier on the vertex-restricted deviation table."""
-    return all(ok for _, _, ok in player_certificates(g, profile, tol))
+    quantifier on the vertex-restricted deviation table. The players are
+    tested in turn, up to the first who rejects; on a ListedProfile it
+    accepts, the rows are kept as its certificates."""
+    rows = []
+    for row in player_certificates(g, profile, tol):
+        if not row[2]:
+            return False
+        rows.append(row)
+    if isinstance(profile, ListedProfile):
+        profile.certificates = tuple(rows)
+    return True
+
 
 
 class LiftedSelection:
@@ -229,7 +257,9 @@ def support_enumeration_applies(g: SimultaneousGame) -> bool:
 
 _RESIDUAL_TOL = 1e-7
 # Systems per stacked linear-algebra call: bounds memory whatever the budget.
-_STACK = 1 << 15
+# The stacks of support enumeration are cut after its dominance prune, so
+# they are fuller than windows of as many pairs cut before it.
+_STACK = 1 << 14
 # Margin by which the stacked least-squares test widens the residual and
 # probability thresholds, far above the rounding gap between its
 # pseudo-inverse and the per-pair lstsq that decides.
@@ -241,14 +271,16 @@ _LEFT_NULL_MARGIN = 10.0
 
 
 def _indifference_systems(payoff: np.ndarray, own: np.ndarray,
-                          other: np.ndarray) -> np.ndarray:
+                          other: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """The indifference systems of a stack of support pairs: ``own`` is an
     (N, k) and ``other`` an (N, l) array of move ids. Row j of system n
     reads sum_i p_i * payoff[own[n, i], other[n, j]] - v = 0; the last row
-    is sum_i p_i = 1. The right-hand side is the last unit vector."""
+    is sum_i p_i = 1. The right-hand side is the last unit vector. Written
+    into ``out``, a zeroed (N, l + 1, k + 1) array, if given."""
     n, k = own.shape
     l = other.shape[1]
-    mats = np.zeros((n, l + 1, k + 1))
+    mats = np.zeros((n, l + 1, k + 1)) if out is None else out
     mats[:, :l, :k] = payoff[own[:, None, :], other[:, :, None]]
     mats[:, :l, k] = -1.0
     mats[:, l, :k] = 1.0
@@ -259,7 +291,7 @@ def _residual(mats: np.ndarray, sols: np.ndarray) -> np.ndarray:
     """max |mats[n] @ sols[n] - e_last| for every system of a stack."""
     res = np.matmul(mats, sols[..., None])[..., 0]
     res[:, -1] -= 1.0
-    return np.abs(res).max(axis=1)
+    return np.abs(res, out=res).max(axis=1)
 
 
 def _indifference_solve(payoff: np.ndarray, own: tuple[int, ...],
@@ -308,22 +340,29 @@ def _pair_by_pair(payoff: np.ndarray, own: np.ndarray,
     return probs, ok
 
 
-def _solve_square(payoff: np.ndarray, own: np.ndarray,
-                  other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every square system of a stack in one batched solve, which gives the
-    same bits as one solve per system. A stack holding a singular system is
-    solved pair by pair instead, with _indifference_solve's least-squares
+def _solve_square(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
+                  cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Both players' square systems of a stack of support pairs in one
+    batched solve, which gives the same bits as one solve per system: the
+    second player's indifference fixes the row probabilities p, the first
+    player's the column probabilities q. Returns p, the mask of pairs whose
+    p solved, q and its mask. A stack holding a singular system is solved
+    pair by pair instead, with _indifference_solve's least-squares
     fallback."""
-    mats = _indifference_systems(payoff, own, other)
-    rhs = np.zeros(mats.shape[:2] + (1,))
-    rhs[:, -1] = 1.0
+    n, k = rows.shape
+    mats = np.zeros((2 * n, k + 1, k + 1))
+    _indifference_systems(b, rows, cols, mats[:n])
+    _indifference_systems(a.T, cols, rows, mats[n:])
+    rhs = np.zeros((k + 1, 1))
+    rhs[-1] = 1.0
     try:
         sols = np.linalg.solve(mats, rhs)[..., 0]
     except np.linalg.LinAlgError:
         logger.debug("singular system in a stack of %d; solving pair by pair",
                      len(mats))
-        return _pair_by_pair(payoff, own, other)
-    return sols[:, :-1], _residual(mats, sols) <= _RESIDUAL_TOL
+        return (*_pair_by_pair(b, rows, cols), *_pair_by_pair(a.T, cols, rows))
+    ok = _residual(mats, sols) <= _RESIDUAL_TOL
+    return sols[:n, :-1], ok[:n], sols[n:, :-1], ok[n:]
 
 
 def _left_null_screen(mats: np.ndarray, bound: float) -> np.ndarray:
@@ -379,42 +418,41 @@ def _may_be_consistent(payoff: np.ndarray, own: np.ndarray,
     return consistent, keep
 
 
-def _combinations(m: int, k: int) -> np.ndarray:
-    """itertools.combinations(range(m), k) as a (C(m, k), k) array."""
-    return np.array(list(itertools.combinations(range(m), k)),
-                    dtype=np.intp).reshape(-1, k)
+@functools.cache
+def _supports(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """itertools.combinations(range(m), k) as a read-only (C(m, k), k)
+    array, and each combination's bitmask (bit i for move i). Shared by
+    every enumeration; the budget keeps m small."""
+    combos = np.array(list(itertools.combinations(range(m), k)),
+                      dtype=np.intp).reshape(-1, k)
+    bits = (1 << combos).sum(axis=1)
+    combos.setflags(write=False)
+    bits.setflags(write=False)
+    return combos, bits
 
 
-def _drop_one_ranks(combos: np.ndarray, m: int) -> np.ndarray:
-    """For each k-combination of range(m) (one per row, sorted), the ranks
-    of its k subsets of size k - 1 in itertools.combinations order, as a
-    (C(m, k), k) array. The lexicographic rank of (c_0 < ... < c_{j-1}) is
+@functools.cache
+def _drop_one_ranks(m: int, k: int) -> np.ndarray:
+    """For each k-combination of range(m) in _supports order, the ranks of
+    its k subsets of size k - 1 in that order, as a read-only (C(m, k), k)
+    array. The lexicographic rank of (c_0 < ... < c_{j-1}) is
     C(m, j) - 1 - sum_i C(m - 1 - c_i, j - i)."""
-    k = combos.shape[1]
     keep = np.array([[j for j in range(k) if j != drop] for drop in range(k)],
                     dtype=np.intp).reshape(k, k - 1)
-    subsets = combos[:, keep]
+    subsets = _supports(m, k)[0][:, keep]
     binom = np.array([[math.comb(n, r) for r in range(k)] for n in range(m)],
                      dtype=np.intp)
-    return (math.comb(m, k - 1) - 1
-            - binom[m - 1 - subsets, k - 1 - np.arange(k - 1)].sum(axis=-1))
-
-
-def _pair_stacks(n_rows: int, n_cols: int):
-    """The support pairs of one shape in enumeration order (row support
-    outer, column support inner), as index arrays into that shape's row and
-    column combinations, in stacks of at most _STACK pairs."""
-    total = n_rows * n_cols
-    for start in range(0, total, _STACK):
-        flat = np.arange(start, min(start + _STACK, total))
-        yield flat // n_cols, flat % n_cols
+    ranks = (math.comb(m, k - 1) - 1
+             - binom[m - 1 - subsets, k - 1 - np.arange(k - 1)].sum(axis=-1))
+    ranks.setflags(write=False)
+    return ranks
 
 
 def _scatter(support: np.ndarray, probs: np.ndarray, moves: int) -> np.ndarray:
     """Full-length strategies with the clipped probabilities on each
     support."""
     out = np.zeros((len(support), moves))
-    np.put_along_axis(out, support, np.clip(probs, 0.0, None), axis=1)
+    out[np.arange(len(support))[:, None], support] = np.clip(probs, 0.0, None)
     return out
 
 
@@ -471,36 +509,83 @@ def _dominance_margin(g: SimultaneousGame, tol: float,
             + 8.0 * (_RESIDUAL_TOL + m * tol) * (1.0 + g.payoff_peak))
 
 
-def _move_bits(moves: int) -> np.ndarray:
-    """One bit per move; the supports of a game small enough to enumerate
-    have far fewer than 63 moves."""
-    return np.left_shift(1, np.arange(moves, dtype=np.int64))
-
-
-def _dominated_moves(payoff: np.ndarray, supports: np.ndarray,
-                     margin: float) -> np.ndarray:
-    """For each support of own moves (one per row of ``supports``), the
-    bitmask of the opponent's moves that another opponent move beats by
-    more than ``margin`` against every move of the support. ``payoff`` is
-    the opponent's, own moves by opponent moves."""
-    moves = payoff.shape[1]
+def _dominated_moves(payoff: np.ndarray, margin: float) -> np.ndarray:
+    """For every support of own moves, indexed by its bitmask, the bitmask
+    of the opponent's moves that another opponent move beats by more than
+    ``margin`` against every move of the support. ``payoff`` is the
+    opponent's, own moves by opponent moves. The supports of a game small
+    enough to enumerate have far fewer than 63 moves."""
+    own, moves = payoff.shape
+    bits = 1 << np.arange(moves, dtype=np.int64)
     # gaps[i, c, d]: against own move i, move d beats move c by more than
     # the margin. No move dominates itself, whatever the margin.
     gaps = (payoff[:, None, :] - payoff[:, :, None]) > margin
     gaps[:, np.arange(moves), np.arange(moves)] = False
-    return gaps[supports].all(axis=1).any(axis=2) @ _move_bits(moves)
+    # beaters[s, c]: the moves that beat c against every move of support s,
+    # as a bitmask. The supports whose highest move is i are those below i,
+    # each with i added.
+    beaters = np.empty((1 << own, moves), dtype=np.int64)
+    beaters[0] = -1
+    gap_bits = gaps @ bits
+    for i in range(own):
+        np.bitwise_and(beaters[:1 << i], gap_bits[i],
+                       out=beaters[1 << i:2 << i])
+    return (beaters != 0) @ bits
 
 
 def _dedupe_sorted(profiles: list[MixedProfile], tol: float) -> list[MixedProfile]:
-    kept: list[MixedProfile] = []
+    kept: list[tuple[np.ndarray, MixedProfile]] = []
     for cand in profiles:
         flat = np.concatenate(cand)
-        if not any(
-            np.max(np.abs(flat - np.concatenate(seen))) <= tol for seen in kept
-        ):
-            kept.append(cand)
-    kept.sort(key=lambda prof: tuple(float(x) for x in np.concatenate(prof)))
-    return kept
+        if not any(np.max(np.abs(flat - seen)) <= tol for seen, _ in kept):
+            kept.append((flat, cand))
+    kept.sort(key=lambda item: item[0].tolist())
+    return [cand for _, cand in kept]
+
+
+def _live_stacks(m0: int, m1: int, k: int, l: int, subsets, beaten0,
+                 beaten1, counts: collections.Counter):
+    """The support pairs of shape (k, l) that neither the subset table nor
+    dominance drops, in enumeration order (row support outer, column
+    support inner), as index arrays into the shape's row and column
+    combinations, in stacks of at most _STACK systems: _STACK pairs, or
+    half as many in square shapes, whose pairs put both players' systems
+    into one solve. ``subsets`` is the residual table of the shape one
+    shorter on the long side, or None; ``beaten0`` and ``beaten1`` are the
+    _dominated_moves tables of the two sides. The pairs are selected in
+    blocks of whole rows, about _STACK pairs each, so that memory stays
+    bounded; the pairs each test drops are added to ``counts``."""
+    row_bits, col_bits = _supports(m0, k)[1], _supports(m1, l)[1]
+    if subsets is not None:
+        drop = _drop_one_ranks(m1, l) if l > k else _drop_one_ranks(m0, k)
+    if k >= l:
+        beaten_rows = beaten0[col_bits]
+    stack = max(1, _STACK // 2) if k == l else _STACK
+    step = max(1, _STACK // len(col_bits))
+    for start in range(0, len(row_bits), step):
+        rows = slice(start, start + step)
+        bits = row_bits[rows, None]
+        # Only the long side's test carries over to wider shapes through
+        # the subset table; square shapes test both.
+        if k > l:
+            cut = (bits & beaten_rows) != 0
+        else:
+            cut = (beaten1[bits] & col_bits) != 0
+            if k == l:
+                cut |= (bits & beaten_rows) != 0
+        if subsets is None:
+            live = ~cut
+        else:
+            live = (subsets[rows, drop].all(axis=2) if l > k
+                    else subsets[drop[rows]].all(axis=1))
+            counts["pruned"] += live.size - np.count_nonzero(live)
+            cut &= live
+            live ^= cut
+        counts["dominated"] += np.count_nonzero(cut)
+        r, c = np.nonzero(live)
+        r += start
+        for at in range(0, len(r), stack):
+            yield r[at:at + stack], c[at:at + stack]
 
 
 def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
@@ -512,27 +597,23 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
     is_mixed_nash, in enumeration order (see
     solve_support_enumeration_2p)."""
     m0, m1 = g.move_counts
-    combos0 = [None] + [_combinations(m0, k) for k in range(1, m0 + 1)]
-    combos1 = [None] + [_combinations(m1, l) for l in range(1, m1 + 1)]
-    # Per support, its own moves and the opponent's moves dominated given
-    # it, as bitmasks.
-    bits0 = [None] + [_move_bits(m0)[s].sum(axis=1) for s in combos0[1:]]
-    bits1 = [None] + [_move_bits(m1)[s].sum(axis=1) for s in combos1[1:]]
-    beaten1 = [None] + [_dominated_moves(b, s, margin) for s in combos0[1:]]
-    beaten0 = [None] + [_dominated_moves(a.T, s, margin)
-                        for s in combos1[1:]]
+    # Per support, as indexed by its bitmask, the opponent's moves
+    # dominated given it.
+    beaten1 = _dominated_moves(b, margin)
+    beaten0 = _dominated_moves(a.T, margin)
     # Residual verdicts of the rectangular shapes of the current and the
     # previous row-support size, as (row combination, column combination)
     # booleans, False for a pair dropped by dominance; a shape none of
     # whose pairs passed has no entry.
     consistent: dict[tuple[int, int], np.ndarray] = {}
-    pruned = dominated = screened_out = solved = 0
+    counts = collections.Counter()
     found: list[MixedProfile] = []
     for k in range(1, m0 + 1):
         for key in [key for key in consistent if key[0] < k - 1]:
             del consistent[key]
+        row_sets = _supports(m0, k)[0]
         for l in range(1, m1 + 1):
-            row_sets, col_sets = combos0[k], combos1[l]
+            col_sets = _supports(m1, l)[0]
             shape = (len(row_sets), len(col_sets))
             # Shapes at least 2 wider on one side only screen the pairs
             # whose every subset one shorter on that side was consistent.
@@ -540,38 +621,20 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
             if abs(k - l) >= 2:
                 subsets = consistent.get((k, l - 1) if l > k else (k - 1, l))
                 if subsets is None:
-                    pruned += shape[0] * shape[1]
+                    counts["pruned"] += shape[0] * shape[1]
                     continue
-                drop = (_drop_one_ranks(col_sets, m1) if l > k
-                        else _drop_one_ranks(row_sets, m0))
             if k != l:
                 verdicts = np.zeros(shape, dtype=bool)
-            for r, c in _pair_stacks(*shape):
-                if subsets is not None:
-                    sel = (subsets[r[:, None], drop[c]] if l > k
-                           else subsets[drop[r], c[:, None]]).all(axis=1)
-                    pruned += len(r) - int(sel.sum())
-                    r, c = r[sel], c[sel]
-                # Only the long side's test carries over to wider shapes
-                # through the subset table; square shapes test both.
-                cut = np.zeros(len(r), dtype=bool)
-                if l >= k:
-                    cut |= (beaten1[k][r] & bits1[l][c]) != 0
-                if k >= l:
-                    cut |= (beaten0[l][c] & bits0[k][r]) != 0
-                dominated += int(cut.sum())
-                r, c = r[~cut], c[~cut]
-                if not len(r):
-                    continue
+            for r, c in _live_stacks(m0, m1, k, l, subsets, beaten0, beaten1,
+                                     counts):
                 s0, s1 = row_sets[r], col_sets[c]
                 if k == l:
-                    p, ok_p = _solve_square(b, s0, s1)
-                    q, ok_q = _solve_square(a.T, s1, s0)
+                    p, ok_p, q, ok_q = _solve_square(a, b, s0, s1)
                 else:
                     over = (b, s0, s1) if l > k else (a.T, s1, s0)
                     residual_ok, keep = _may_be_consistent(*over, tol)
                     verdicts[r[residual_ok], c[residual_ok]] = True
-                    screened_out += len(r) - int(keep.sum())
+                    counts["screened out"] += len(r) - np.count_nonzero(keep)
                     if not keep.any():
                         continue
                     s0, s1 = s0[keep], s1[keep]
@@ -579,7 +642,7 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
                     q, ok_q = _pair_by_pair(a.T, s1, s0)
                 ok = (ok_p & ok_q & ~(p < -tol).any(axis=1)
                       & ~(q < -tol).any(axis=1))
-                solved += int(ok.sum())
+                counts["solved"] += np.count_nonzero(ok)
                 if not ok.any():
                     continue
                 rows = _scatter(s0[ok], p[ok], m0)
@@ -587,7 +650,8 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
                 screen = _regret_screen(a, b, rows, cols, regret_bound)
                 for n in np.flatnonzero(screen):
                     try:
-                        profile = mixed_profile(g, (rows[n], cols[n]))
+                        profile = ListedProfile(
+                            mixed_profile(g, (rows[n], cols[n])))
                     except StructuralError:
                         continue
                     if is_mixed_nash(g, profile, tol):
@@ -599,8 +663,9 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
             "support enumeration %dx%d: %d support pairs enumerated, %d "
             "pruned by subsets, %d screened out, %d solved, %d certified, "
             "%d pruned by dominance",
-            m0, m1, (2 ** m0 - 1) * (2 ** m1 - 1), pruned, screened_out,
-            solved, len(found), dominated)
+            m0, m1, (2 ** m0 - 1) * (2 ** m1 - 1), counts["pruned"],
+            counts["screened out"], counts["solved"], len(found),
+            counts["dominated"])
     return found
 
 
@@ -627,8 +692,12 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
     rectangular pair dropped this way counts as inconsistent for the subset
     pruning below.
 
-    Each support shape (k, l) is solved in stacks: square shapes by one
-    batched exact solve per stack; rectangular shapes by a stacked
+    The dominated moves given each support come from one table per side,
+    built once per call, and each shape's live pairs are selected one shape
+    at a time, by a broadcast over blocks of rows. Each support shape
+    (k, l) is then solved in stacks: square shapes by one batched exact
+    solve per stack that covers both players' systems; rectangular shapes
+    by a stacked
     least-squares test of the overdetermined side, the residual of each
     system's minimum-norm solution, after which only the surviving pairs
     are solved, pair by pair. The one-off shapes (k, k + 1) and (l + 1, l)
@@ -641,8 +710,10 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
     the wider system solves every subsystem. On a nondegenerate game no
     one-off system is consistent, so no wider shape is screened at all. A
     vectorised regret screen then drops candidates that are clearly not
-    equilibria; the rest are certified one by one, in enumeration order.
-    With the ``hog.mixed`` logger at DEBUG, one line per enumeration gives
+    equilibria; the rest are certified one by one, in enumeration order,
+    and each profile returned is a ListedProfile holding the certificate
+    that accepted it, which the CLI report prints. With the ``hog.mixed``
+    logger at DEBUG, one line per enumeration gives
     the support pairs enumerated, pruned by subsets, screened out by the
     least-squares screen, solved (both systems, nonnegative), certified and
     pruned by dominance.
@@ -800,10 +871,11 @@ def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
     of a screened kind and applies to the game, with the support
     enumeration's slack; it only discards profiles that is_mixed_nash would
     reject at one of those players. Every survivor is then certified by
-    is_mixed_nash, in itertools.product order. A player after the prefix is
-    never screened, so each membership test outside the prefix, and each
-    error one raises, happens at the grid point where the per-point loop
-    would meet it.
+    is_mixed_nash, in itertools.product order, and each profile returned
+    is a ListedProfile holding the certificate that accepted it. A player
+    after the prefix is never screened, so each membership test outside the
+    prefix, and each error one raises, happens at the grid point where the
+    per-point loop would meet it.
     """
     if grid_depth < 1:
         raise StructuralError("grid_depth must be >= 1")
@@ -815,7 +887,8 @@ def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
     found = []
     for idx in _grid_survivors(g, grids, _screened_players(g),
                                _screen_bound(g, tol)):
-        profile = mixed_profile(g, [grid[k] for grid, k in zip(grids, idx)])
+        profile = ListedProfile(
+            mixed_profile(g, [grid[k] for grid, k in zip(grids, idx)]))
         if is_mixed_nash(g, profile, tol):
             found.append(profile)
     return _dedupe_sorted(found, max(tol, 1e-9))

@@ -650,3 +650,46 @@ def test_solve_mixed_report_is_the_certificate(capsys, tmp_path):
                     assert player["acceptable"] is g.quantifiers[i].contains(
                         table, value, tol)
     assert listed > 100
+
+
+def test_solve_mixed_certifies_each_profile_once(capsys, games_dir, tmp_path,
+                                                 monkeypatch):
+    # Each profile that reaches certification gets one player_certificates
+    # call, inside is_mixed_nash; the report prints the rows of the call
+    # that accepted it instead of certifying the profile again. Both
+    # solvers, at two tols.
+    certified, checked = [], []
+    certificates = hog.mixed.player_certificates
+    nash = hog.mixed.is_mixed_nash
+
+    def counting_certificates(g, profile, tol=1e-9):
+        certified.append(profile)
+        return certificates(g, profile, tol)
+
+    def counting_nash(g, profile, tol=1e-9):
+        checked.append(profile)
+        return nash(g, profile, tol)
+
+    monkeypatch.setattr(hog.mixed, "player_certificates", counting_certificates)
+    monkeypatch.setattr(hog.mixed, "is_mixed_nash", counting_nash)
+    rng = np.random.default_rng(3)
+    three = tmp_path / "three.json"
+    three.write_text(json.dumps({
+        "version": 1, "kind": "simultaneous", "moves": [["a", "b"]] * 3,
+        "payoffs": rng.integers(-1, 2, (3, 8)).tolist(),
+        "quantifiers": [{"kind": "max"}] * 3}))
+    cases = [(games_dir / "coordination.json", "support_enumeration"),
+             (games_dir / "rock_paper_scissors.json", "support_enumeration"),
+             (games_dir / "eps_ball_demo.json", "grid"),
+             (three, "grid")]
+    for path, solver in cases:
+        for tol in ("1e-9", "0"):
+            certified.clear()
+            checked.clear()
+            code, out, _ = run(capsys, ["solve", str(path), "--mode", "mixed",
+                                        "--tol", tol, "--json"])
+            assert code == 0
+            report = json.loads(out)
+            assert report["solver"] == solver
+            assert report["count"] >= 1
+            assert len(certified) == len(checked) >= report["count"]

@@ -379,7 +379,7 @@ def _assert_same_profiles(got, want):
     assert len(got) == len(want)
     for prof, ref in zip(got, want):
         for strat, ref_strat in zip(prof, ref):
-            assert np.max(np.abs(strat - ref_strat)) <= 1e-12
+            assert np.array_equal(strat, ref_strat)
 
 
 def _continuous_game(rng, m0, m1):
@@ -421,6 +421,19 @@ def test_support_enumeration_small_stacks_match_reference(monkeypatch):
         g = _continuous_game(rng, 4, 5)
         _assert_same_profiles(solve_support_enumeration_2p(g),
                               _reference_support_enumeration(g))
+    # Pairs are selected in blocks of whole rows of about _STACK pairs, so a
+    # shape with more column supports than _STACK has blocks of one row,
+    # whose live pairs are cut into stacks in the middle of the row: here
+    # the 10 to 20 column supports of sizes 2-4 of 5 or 6 columns, at
+    # _STACK 1, 3 and 7, on continuous and on degenerate games.
+    games = [_continuous_game(rng, 4, 5), _continuous_game(rng, 3, 6),
+             _degenerate_wide_game(rng, 5, True),
+             _degenerate_wide_game(rng, 6, False)]
+    for g in games:
+        want = _reference_support_enumeration(g)
+        for stack in (1, 3, 7):
+            monkeypatch.setattr(hog.mixed, "_STACK", stack)
+            _assert_same_profiles(solve_support_enumeration_2p(g), want)
 
 
 def _recording_screen(monkeypatch):
@@ -459,9 +472,9 @@ def _reached_pairs(monkeypatch, g, tol):
         passes.append((a, b, set()))
         return certified(g, a, b, *args)
 
-    def square(payoff, own, other):
-        record(payoff, own, other)
-        return solve_square(payoff, own, other)
+    def square(a, b, rows, cols):
+        record(b, rows, cols)
+        return solve_square(a, b, rows, cols)
 
     def screening(payoff, own, other, tol):
         record(payoff, own, other)
