@@ -69,7 +69,10 @@ def _read_profile_arg(raw: str):
         # Inline JSON can be too long to be a path (ENAMETOOLONG).
         is_file = False
     if is_file:
-        raw = candidate.read_text()
+        try:
+            raw = candidate.read_text()
+        except UnicodeDecodeError as exc:
+            raise GameFileError(f"cannot read {candidate}: {exc}", "profile")
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -314,6 +317,12 @@ def cmd_bbc(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    for flag, bound in (("--payoff-min", args.payoff_min),
+                        ("--payoff-max", args.payoff_max)):
+        # Exact for integers of any size; the games hold float64 payoffs.
+        if abs(bound) > sys.float_info.max:
+            args.parser.error(f"argument {flag}: must be within the float "
+                              f"range (at most {sys.float_info.max!r} in size)")
     if args.payoff_min > args.payoff_max:
         args.parser.error("argument --payoff-max: must be >= --payoff-min "
                           f"({args.payoff_min})")

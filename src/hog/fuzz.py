@@ -6,6 +6,14 @@ randomness flows from an explicit seed; the certifications exercise the
 package's own checkers, so a failure means either a checker bug or a genuine
 counterexample to a theorem (the latter should never happen). A sequential
 game whose plays exceed the budget is refused before its payoffs are drawn.
+
+``run_fuzz`` certifies a family's games in stacks of games of one shape, so
+a round costs one kernel call per distinct quantifier or selection of a
+stack, not one per game: one backward pass per stack of sequential games,
+which checks optimality as it goes or is followed by one on-path soundness
+walk, and one BBC pair and reply-robustness check per stack of stages. The
+one-game certifiers, which certify what ``run_fuzz`` shrinks, run the same
+pass, walk and pairs on a stack of one, and the same per-round checks.
 """
 
 from __future__ import annotations
@@ -14,13 +22,16 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import minimax, normalform, sequential
 from .budget import check_budget, resolve_budget
 from .core import (argmax_selection, argmin_selection, average_quantifier,
-                   max_quantifier, min_quantifier, nearest_mean_selection)
+                   max_quantifier, min_quantifier, nearest_mean_selection,
+                   quiet)
+from .errors import BudgetExceededError
 from .sequential import SequentialGame
 from .simultaneous import SimultaneousGame, default_move_labels
 
@@ -224,47 +235,167 @@ class FuzzResult:
         return not self.failures
 
 
+# The most payoff entries certified in one stack: it bounds the index and
+# table arrays of a stack whatever the count and the budget. A larger game
+# is a stack of its own.
+_STACK_ENTRIES = 1 << 15
+
+
+def _certify_sequential_stack(games: list[SequentialGame],
+                              sound: bool) -> np.ndarray:
+    """certify_sequential (certify_normal_form if ``sound``) on each game of
+    a stack with equal payoff shapes, without budget checks: one backward
+    pass over all of them, which checks optimality as it goes, or is
+    followed by one on-path soundness walk."""
+    flat = np.concatenate([g.flat_payoffs() for g in games])
+    counts, stack = games[0].move_counts, len(games)
+    selections = sequential._groups([g.selections for g in games])
+    quantifiers = sequential._groups([g.quantifiers for g in games])
+    with quiet(any(g.payoff_scale != 1.0 for g in games)):
+        if not sound:
+            return sequential._optimal_moves(flat, counts, stack, selections,
+                                             quantifiers)[2]
+        moves, reached, _ = sequential._optimal_moves(flat, counts, stack,
+                                                      selections)
+        return normalform._sound_verdicts(flat, counts, stack, quantifiers,
+                                          moves, reached, 0.0)
+
+
+def _certify_stage_stack(stages: list[SimultaneousGame]) -> np.ndarray:
+    """certify_stage on each stage of a stack with equal shapes, quantifiers
+    and selections (max and min quantifiers, scalar outcomes), without
+    budget checks: one BBC pair and one reply-robustness check over all."""
+    q = np.stack([stage.payoffs[0] for stage in stages])
+    phi, psi = stages[0].quantifiers
+    with quiet(any(stage.payoff_scale != 1.0 for stage in stages)):
+        pairs, _ = minimax._pairs(q, *stages[0].selections)
+        return minimax._reply_robust(q, pairs, phi, psi, 0.0)
+
+
+def _sequential_budget(g: SequentialGame):
+    """certify_sequential's budget checks: the strategy pass, then the
+    optimality check."""
+    n = sequential._deviation_count(g)
+    return (n, "histories"), (n, "optimality checks")
+
+
+def _normal_form_budget(g: SequentialGame):
+    """certify_normal_form's budget checks: the strategy pass, then the
+    soundness check."""
+    return (sequential._deviation_count(g), "histories"), (g.play_count(),
+                                                           "plays")
+
+
+@dataclass(frozen=True)
+class _Family:
+    draw: Callable
+    # Games with equal keys are certified in one stack.
+    key: Callable
+    certify_stack: Callable
+    # The (count, label) pairs that certifying one game checks against the
+    # budget, in order.
+    planned: Callable
+    certify: Callable
+    shrink: Callable
+
+
+def _families(max_rounds: int, max_moves: int, payoff_range: tuple[int, int],
+              budget: int | None) -> dict[str, _Family]:
+    return {
+        "seq": _Family(
+            partial(random_sequential_game, max_rounds=max_rounds,
+                    max_moves=max_moves, payoff_range=payoff_range,
+                    budget=budget),
+            lambda g: (g.move_counts, g.payoffs.shape),
+            partial(_certify_sequential_stack, sound=False),
+            _sequential_budget,
+            certify_sequential, shrink_sequential),
+        "normal-form": _Family(
+            partial(random_sequential_game, max_rounds=min(max_rounds, 3),
+                    max_moves=max_moves, payoff_range=payoff_range,
+                    budget=budget),
+            lambda g: (g.move_counts, g.payoffs.shape),
+            partial(_certify_sequential_stack, sound=True),
+            _normal_form_budget,
+            certify_normal_form, shrink_sequential),
+        # Max/min stages enumerate no reply functions.
+        "bbc": _Family(
+            partial(random_stage, max_moves=max_moves,
+                    payoff_range=payoff_range),
+            lambda s: (s.payoffs.shape, *map(id, s.quantifiers),
+                       *map(id, s.selections)),
+            _certify_stage_stack,
+            lambda s: ((0, "reply functions"),),
+            certify_stage, shrink_stage),
+    }
+
+
+def _verdicts(family: _Family, games: list) -> np.ndarray:
+    """Each game's certification, stack by stack: games grouped by key, in
+    index order within a group, and cut into stacks of at most
+    ``_STACK_ENTRIES`` payoff entries."""
+    groups = {}
+    for index, game in enumerate(games):
+        groups.setdefault(family.key(game), []).append(index)
+    ok = np.empty(len(games), dtype=bool)
+    for indices in groups.values():
+        size = max(1, _STACK_ENTRIES // games[indices[0]].payoffs.size)
+        for start in range(0, len(indices), size):
+            stack = indices[start:start + size]
+            ok[stack] = family.certify_stack([games[i] for i in stack])
+    return ok
+
+
 def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
              max_moves: int = 3, payoff_range: tuple[int, int] = (-9, 9),
              budget: int | None = None, stop_on_failure: bool = True) -> FuzzResult:
     """Certify ``count`` random games per family. Failing games are shrunk
     before being recorded. The normal-form family caps rounds at 3.
+
+    Each family draws its games first, up to the first one the budget
+    refuses, to draw or to certify. It certifies them in stacks of games of
+    one shape, then walks them in index order: it makes each game's budget
+    checks, records the game, and shrinks a failing one with the one-game
+    certifier. A refusal is raised at the game it refuses, after the games
+    before it are recorded.
     """
     families = tuple(families)
     result = FuzzResult(seed, count, families)
     if count:
         # Read HOG_BUDGET once per run, and only if a game is drawn.
         budget = resolve_budget(budget)
-    # Family -> (draw, certify, shrink).
-    plan = {
-        "seq": (partial(random_sequential_game, max_rounds=max_rounds,
-                        max_moves=max_moves, payoff_range=payoff_range,
-                        budget=budget),
-                certify_sequential, shrink_sequential),
-        "normal-form": (partial(random_sequential_game,
-                                max_rounds=min(max_rounds, 3),
-                                max_moves=max_moves,
-                                payoff_range=payoff_range, budget=budget),
-                        certify_normal_form, shrink_sequential),
-        "bbc": (partial(random_stage, max_moves=max_moves,
-                        payoff_range=payoff_range),
-                certify_stage, shrink_stage),
-    }
-    for family in families:
-        if family not in plan:
-            raise ValueError(f"unknown family {family!r}")
-        draw, check, shrink = plan[family]
+    plan = _families(max_rounds, max_moves, payoff_range, budget)
+    for name in families:
+        if name not in plan:
+            raise ValueError(f"unknown family {name!r}")
+        family = plan[name]
         # Hashing strings is salted per process; derive integer seeds.
-        rng = random.Random(seed * 7919 + FAMILIES.index(family))
-        for index in range(count):
-            game = draw(rng)
-            ok = check(game, budget)
-            result.corpus.append((family, index, game))
+        rng = random.Random(seed * 7919 + FAMILIES.index(name))
+        games, planned, refused = [], [], None
+        for _ in range(count):
+            try:
+                games.append(family.draw(rng))
+            except BudgetExceededError as exc:
+                refused = exc
+                break
+            planned.append(family.planned(games[-1]))
+            if any(n > budget for n, _ in planned[-1]):
+                break
+        # A game whose certification the budget refuses is the last one
+        # drawn, and the walk raises at it before reading its verdict.
+        ok = _verdicts(family, [game for game, checks in zip(games, planned)
+                                if all(n <= budget for n, _ in checks)])
+        for index, game in enumerate(games):
+            for n, what in planned[index]:
+                check_budget(n, budget, what)
+            result.corpus.append((name, index, game))
             result.checked += 1
-            if ok:
+            if ok[index]:
                 continue
-            small = shrink(game, lambda g: not check(g, budget))
-            result.failures.append(FuzzFailure(family, index, seed, small))
+            small = family.shrink(game, lambda g: not family.certify(g, budget))
+            result.failures.append(FuzzFailure(name, index, seed, small))
             if stop_on_failure:
                 return result
+        if refused is not None:
+            raise refused
     return result

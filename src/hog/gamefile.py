@@ -283,7 +283,7 @@ def load_game(path) -> GameDocument:
     """Parse a game file from disk."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GameFileError(f"cannot read {path}: {exc}")
     try:
         doc = json.loads(text)

@@ -18,7 +18,10 @@ come from two selection products, each one selection kernel call over the
 rows of the grid (or of its transpose) and one over the replies. The
 reply-robustness check finds each side's pointwise reply sets with one
 membership kernel call that tests every entry of every line against its
-own line.
+own line. The pairs run on a stack of same-shape stages that share their
+selections, with one kernel call each, and so does the check of stages
+whose quantifiers are both max or min; ``bbc`` and
+``compare_bbc_vs_product`` run the pairs on a stack of one.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from .budget import check_budget
 from .core import QuantifierKind, as_outcome, chunks
 from .errors import StructuralError
-from .sequential import _select_product
+from .sequential import _select_products
 from .simultaneous import SimultaneousGame
 
 
@@ -48,16 +51,23 @@ def stage_outcomes(g: SimultaneousGame, need_selections: bool) -> np.ndarray:
     return g.payoffs[0]
 
 
-def _pairs(g: SimultaneousGame):
-    """The BBC pair and the product pair of a stage, from two products: the
-    product on the grid gives a and the product pair, the product on its
-    transpose gives b."""
+def _pairs(q: np.ndarray, eps, delta) -> tuple[tuple, tuple]:
+    """The BBC pairs and the product pairs of a stack of stages with the
+    outcome arrays ``q`` of shape ``(B, nx, ny[, d])`` and the selections
+    eps and delta, each coordinate an array of shape ``(B,)``: the product
+    on the grids gives a and the product pairs, the product on their
+    transposes gives b."""
+    a, reply = _select_products(eps, delta, q)
+    b = _select_products(delta, eps, q.swapaxes(1, 2))[0]
+    return (a, b), (a, reply)
+
+
+def _stage_pairs(g: SimultaneousGame) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The BBC pair and the product pair of one stage."""
     q = stage_outcomes(g, True)
-    eps, delta = g.selections
     with g.quiet():
-        product = _select_product(eps, delta, q)
-        b = _select_product(delta, eps, q.swapaxes(0, 1))[0]
-    return (product[0], b), product
+        (a, b), (_, reply) = _pairs(q[None], *g.selections)
+    return (a.item(), b.item()), (a.item(), reply.item())
 
 
 def bbc(g: SimultaneousGame) -> tuple[int, int]:
@@ -65,12 +75,46 @@ def bbc(g: SimultaneousGame) -> tuple[int, int]:
     and on its transpose: a is chosen against the second selection's
     pointwise replies and b against the first's, independently (unlike the
     product, whose second coordinate is the reply to a)."""
-    return _pairs(g)[0]
+    return _stage_pairs(g)[0]
 
 
-# Outer quantifier kind -> (choice at the checked move, choice elsewhere)
-# of the worst reply function.
-_WORST_CASE = {QuantifierKind.MAX: (min, max), QuantifierKind.MIN: (max, min)}
+# Outer quantifier kinds for which the worst reply function decides.
+_WORST_CASE = (QuantifierKind.MAX, QuantifierKind.MIN)
+
+
+def _worst_reply(outer, lines: np.ndarray,
+                 accepted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per scalar line of ``lines`` (last axis, entries; ``accepted`` marks
+    the acceptable ones), what the worst reply function for the outer
+    quantifier, max or min, gives at the checked move's coordinate and at
+    any other: for max, the lowest and the highest acceptable entry (min is
+    the mirror image). A line without acceptable entries gives
+    infinities."""
+    lowest = np.min(lines, axis=-1, where=accepted, initial=np.inf)
+    highest = np.max(lines, axis=-1, where=accepted, initial=-np.inf)
+    if outer.kind is QuantifierKind.MIN:
+        return highest, lowest
+    return lowest, highest
+
+
+def _reply_robust(q: np.ndarray, pairs: tuple, phi, psi,
+                  tol: float) -> np.ndarray:
+    """is_psi_phi_profile on each stage of a stack of scalar outcome arrays
+    ``q`` of shape ``(B, nx, ny)`` whose quantifiers phi and psi are max or
+    min, without budget checks (no reply function is enumerated): one
+    kernel call of each quantifier per side. Max and min accept the
+    extreme entry of every line, so no side passes vacuously."""
+    a, b = pairs
+    ok = np.ones(len(q), dtype=bool)
+    rows = np.arange(len(q))
+    for outer, inner, lines, moves in ((phi, psi, q, a),
+                                       (psi, phi, q.swapaxes(1, 2), b)):
+        flat = lines.reshape(-1, lines.shape[2])
+        own, table = _worst_reply(
+            outer, lines, inner.kernel(flat, flat, tol).reshape(lines.shape))
+        table[rows, moves] = own[rows, moves]
+        ok &= outer.kernel(table, table[rows, moves][:, None], tol)[:, 0]
+    return ok
 
 
 def is_psi_phi_profile(g: SimultaneousGame, pair: tuple[int, int],
@@ -102,27 +146,30 @@ def is_psi_phi_profile(g: SimultaneousGame, pair: tuple[int, int],
 
     # The outcomes each reply function may put at each coordinate of the
     # composed table: a's check composes with psi's replies along rows,
-    # b's with phi's replies along columns.
+    # b's with phi's replies along columns. A max or min side keeps only
+    # the worst reply function's table; any other keeps the sets.
     sides = []
     with g.quiet():
         for outer, inner, lines, move in (
                 (phi, psi, outcomes, a), (psi, phi, outcomes.swapaxes(0, 1), b)):
-            accepted = inner.kernel(lines, lines, tol).tolist()
+            accepted = inner.kernel(lines, lines, tol)
+            if scalar and outer.kind in _WORST_CASE:
+                own, table = _worst_reply(outer, lines, accepted)
+                if np.isfinite(own).all():
+                    table[move] = own[move]
+                    sides.append((outer, move, table[None], None))
+                continue
             values = [list(itertools.compress(line, ok))
-                      for line, ok in zip(lines.tolist(), accepted)]
+                      for line, ok in zip(lines.tolist(), accepted.tolist())]
             if all(values):
-                worst = scalar and outer.kind in _WORST_CASE
-                sides.append((outer, values, move, worst))
+                sides.append((outer, move, None, values))
 
         check_budget(sum(math.prod(map(len, values))
-                         for _, values, _, worst in sides if not worst),
+                         for *_, values in sides if values is not None),
                      budget, "reply functions")
 
-        for outer, values, move, worst in sides:
-            if worst:
-                own, rest = _WORST_CASE[outer.kind]
-                table = np.array([[own(v) if x == move else rest(v)
-                                   for x, v in enumerate(values)]])
+        for outer, move, table, values in sides:
+            if values is None:
                 if not outer.kernel(table, table[:, move:move + 1], tol)[0, 0]:
                     return False
                 continue
@@ -142,7 +189,7 @@ def compare_bbc_vs_product(g: SimultaneousGame) -> dict:
     """Exploratory comparison of the independent-coordinates pair with the
     product-of-selections pair on the same stage; no relationship is
     asserted beyond what the report shows."""
-    pair_bbc, pair_prod = _pairs(g)
+    pair_bbc, pair_prod = _stage_pairs(g)
     q = g.payoffs[0]
 
     def describe(pair):

@@ -22,7 +22,8 @@ import numpy as np
 from .budget import check_budget
 from .core import OutcomeTable, Quantifier
 from .errors import StructuralError
-from .sequential import SeqStrategy, SequentialGame, _reached, histories
+from .sequential import (SeqStrategy, SequentialGame, _accepted, _groups,
+                         _reached, histories)
 from .simultaneous import SimultaneousGame
 
 
@@ -204,14 +205,32 @@ def check_soundness(g: SequentialGame, strategy: SeqStrategy, tol: float = 0.0,
     budget counts the plays whose outcomes it reads."""
     check_budget(g.play_count(), budget, "plays")
     strategy = g.validate_strategy(strategy)
-    flat = g.flat_payoffs()
-    reached = _reached(g, lambda i, _: strategy[i])
-    history = 0
+    moves = [np.asarray(table) for table in strategy]
     with g.quiet():
-        for i, phi in enumerate(g.quantifiers):
-            move = strategy[i][history]
-            table = flat[reached[i][0][history]][None]
-            if not phi.kernel(table, table[:, move:move + 1], tol)[0, 0]:
-                return False
-            history = history * g.move_counts[i] + move
-    return True
+        return bool(_sound_verdicts(
+            g.flat_payoffs(), g.move_counts, 1, _groups([g.quantifiers]), moves,
+            _reached(g.move_counts, 1, lambda i, _: moves[i]), tol)[0])
+
+
+def _sound_verdicts(flat: np.ndarray, counts, stack: int,
+                    quantifiers: list[list[tuple]], moves, reached,
+                    tol: float) -> np.ndarray:
+    """check_soundness on each game of a stack, without budget checks, laid
+    out as for ``sequential._optimal_moves``, which gives the strategies'
+    tables ``moves`` and their ``reached`` arrays: one on-path history per
+    game, and per round one kernel call per stock quantifier on the
+    deviation tables at those histories. Rounds go in order, up to one
+    where every game has failed."""
+    games = np.arange(stack)
+    history = np.zeros(stack, dtype=np.intp)
+    ok = np.ones(stack, dtype=bool)
+    for i, ((here, _), m) in enumerate(zip(reached, counts)):
+        rows = games * (len(here) // stack) + history
+        move = moves[i][rows]
+        tables = flat[here[rows]]
+        ok &= _accepted(quantifiers[i], stack, tables,
+                        tables[games, move][:, None], tol)
+        if not ok.any():
+            break
+        history = history * m + move
+    return ok

@@ -11,7 +11,11 @@ A strategy is followed in one backward pass: round i's index array, of
 shape ``(history_count(i), m)``, holds the play reached from each history
 and move, and its outcomes are the round's deviation tables, which one
 kernel call tests or chooses on. Both the optimal strategy and the optimal
-play come from one such pass.
+play come from one such pass. The pass runs on a stack of games with the
+same move counts, whose flat payoffs lie end to end: the rows of an index
+array go game by game, and a round calls each distinct quantifier or
+selection of the stack once, on the rows of the games that use it. The
+public functions run it on a stack of one.
 
 History tables are dense arrays in mixed-radix order over the preceding move
 sets, first round most significant. The outcome function is stored as one
@@ -138,17 +142,60 @@ def strategic_play(g: SequentialGame, strategy: Sequence[Sequence[int]]) -> Play
     return play
 
 
-def _reached(g: SequentialGame, choose) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per round, the plays reached from each history (rows) by each move
-    (columns) when later rounds follow ``choose``, and by the move that
-    ``choose(i, reached)`` gives at each history; rounds go last first."""
-    later = np.arange(g.play_count())
+def _reached(counts: Sequence[int], stack: int,
+             choose) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per round, for ``stack`` games with these move counts whose flat
+    payoffs lie end to end, the plays reached from each history (rows, game
+    by game) by each move (columns) when later rounds follow ``choose``,
+    and by the move that ``choose(i, reached)`` gives at each history;
+    rounds go last first."""
+    later = np.arange(stack * math.prod(counts))
     reached = []
-    for i in range(g.rounds - 1, -1, -1):
-        here = later.reshape(-1, g.move_counts[i])
+    for i in range(len(counts) - 1, -1, -1):
+        here = later.reshape(-1, counts[i])
         later = here[np.arange(len(here)), choose(i, here)]
         reached.insert(0, (here, later))
     return reached
+
+
+def _groups(per_game: Sequence[Sequence]) -> list[list[tuple]]:
+    """Per round, each distinct quantifier or selection of a stack of games
+    (by identity, in order of first use) with the indices of the games that
+    use it, or None when every game does."""
+    rounds = []
+    for objs in zip(*per_game):
+        first = objs[0]
+        if all(obj is first for obj in objs):
+            rounds.append([(first, None)])
+            continue
+        users = {}
+        for index, obj in enumerate(objs):
+            users.setdefault(id(obj), (obj, []))[1].append(index)
+        rounds.append([(obj, np.array(games)) for obj, games in users.values()])
+    return rounds
+
+
+def _grouped(groups: list[tuple], stack: int, call, *arrays) -> np.ndarray:
+    """``call(obj, *arrays)`` on the rows of each group's games, put back
+    into one array. The rows of each array, and of each call's result, go
+    game by game, the same number per game."""
+    if groups[0][1] is None:
+        return call(groups[0][0], *arrays)
+    arrays = [a.reshape(stack, -1, *a.shape[1:]) for a in arrays]
+    out = None
+    for obj, games in groups:
+        part = call(obj, *(a[games].reshape(-1, *a.shape[2:]) for a in arrays))
+        part = part.reshape(len(games), -1, *part.shape[1:])
+        if out is None:
+            out = np.empty((stack, *part.shape[1:]), dtype=part.dtype)
+        out[games] = part
+    return out.reshape(-1, *out.shape[2:])
+
+
+def _deviation_count(g: SequentialGame) -> int:
+    """The entries of all one-round deviation tables: the budget unit of
+    the strategy pass and of the optimality check."""
+    return sum(g.history_count(i) * m for i, m in enumerate(g.move_counts))
 
 
 def is_optimal_strategy(g: SequentialGame, strategy: Sequence[Sequence[int]],
@@ -159,23 +206,36 @@ def is_optimal_strategy(g: SequentialGame, strategy: Sequence[Sequence[int]],
     Rounds, then histories, are checked in index order; a custom test is
     called up to the first history it rejects."""
     strategy = g.validate_strategy(strategy)
-    sizes = g.move_counts
-    total = sum(g.history_count(i) * sizes[i] for i in range(g.rounds))
-    check_budget(total, budget, "optimality checks")
+    check_budget(_deviation_count(g), budget, "optimality checks")
     flat = g.flat_payoffs()
+    quantifiers = _groups([g.quantifiers])
     with g.quiet():
-        for phi, (reached, followed) in zip(
-                g.quantifiers, _reached(g, lambda i, _: strategy[i])):
-            tables, values = flat[reached], flat[followed][:, None]
-            if phi.kind is not QuantifierKind.CUSTOM:
-                accepted = phi.kernel(tables, values, tol).all()
-            else:
-                accepted = all(phi.kernel(tables[h:h + 1], values[h:h + 1],
-                                          tol)[0, 0]
-                               for h in range(len(tables)))
-            if not accepted:
+        for i, (reached, followed) in enumerate(
+                _reached(g.move_counts, 1, lambda i, _: strategy[i])):
+            if not _accepted(quantifiers[i], 1, flat[reached],
+                             flat[followed][:, None], tol)[0]:
                 return False
     return True
+
+
+def _accepted(quantifiers: list[tuple], stack: int, tables: np.ndarray,
+              values: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each game of a stack accepts the values on every one of its
+    deviation tables of a round (rows game by game), given the round's
+    ``_groups``. A stock kernel sees a group's tables at once; a custom
+    test sees one table at a time, up to a game's first rejection."""
+    per_game = len(tables) // stack
+
+    def accepts(phi, tables, values):
+        if phi.kind is not QuantifierKind.CUSTOM:
+            return phi.kernel(tables, values, tol).reshape(
+                -1, per_game).all(axis=1)
+        return np.array([
+            all(phi.kernel(tables[h:h + 1], values[h:h + 1], tol)[0, 0]
+                for h in range(start, start + per_game))
+            for start in range(0, len(tables), per_game)], dtype=bool)
+
+    return _grouped(quantifiers, stack, accepts, tables, values)
 
 
 def _product_grid(q) -> np.ndarray:
@@ -203,12 +263,17 @@ def _product_grid(q) -> np.ndarray:
     return grid
 
 
-def _select_product(eps: SelectionFunction, delta: SelectionFunction,
-                   grid: np.ndarray) -> tuple[int, int]:
-    """selection_product on a float array of shape ``(nx, ny[, d])``."""
-    replies = delta.kernel(grid)
-    a = int(eps.kernel(grid[np.arange(len(grid)), replies][None])[0])
-    return a, int(replies[a])
+def _select_products(eps: SelectionFunction, delta: SelectionFunction,
+                     grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """selection_product on each grid of a stack of float arrays of shape
+    ``(B, nx, ny[, d])``: the first moves and the replies to them, each of
+    shape ``(B,)``, from one call of each kernel."""
+    stack, nx = grids.shape[:2]
+    rows = grids.reshape(stack * nx, *grids.shape[2:])
+    replies = delta.kernel(rows)
+    at = np.arange(len(rows))
+    a = eps.kernel(rows[at, replies].reshape(stack, nx, *grids.shape[3:]))
+    return a, replies[at[::nx] + a]
 
 
 def selection_product(eps: SelectionFunction, delta: SelectionFunction,
@@ -217,7 +282,8 @@ def selection_product(eps: SelectionFunction, delta: SelectionFunction,
     ``q[x][y]``: the second move is delta's reply to each x, the first is
     eps's choice anticipating those replies. Returns (a, reply_to_a)."""
     with quiet():
-        return _select_product(eps, delta, _product_grid(q))
+        a, reply = _select_products(eps, delta, _product_grid(q)[None])
+    return int(a[0]), int(reply[0])
 
 
 def compute_optimal_play(g: SequentialGame, budget: int | None = None) -> Play:
@@ -234,21 +300,44 @@ def compute_optimal_strategy(g: SequentialGame,
     """Apply each round's selection at every history, last round first, so
     the optimality condition holds pointwise, each table continued by the
     later rounds' selections. The budget counts histories."""
-    sizes = g.move_counts
-    total = sum(g.history_count(i) * sizes[i] for i in range(g.rounds))
-    check_budget(total, budget, "histories")
+    check_budget(_deviation_count(g), budget, "histories")
     return _optimal_tables(g)
 
 
 def _optimal_tables(g: SequentialGame) -> SeqStrategy:
     """compute_optimal_strategy without its budget check."""
-    flat = g.flat_payoffs()
-    tables = [None] * g.rounds
+    with g.quiet():
+        moves = _optimal_moves(g.flat_payoffs(), g.move_counts, 1,
+                               _groups([g.selections]))[0]
+    return tuple(tuple(table.tolist()) for table in moves)
+
+
+def _optimal_moves(flat: np.ndarray, counts: Sequence[int], stack: int,
+                   selections: list[list[tuple]],
+                   quantifiers: list[list[tuple]] | None = None,
+                   tol: float = 0.0):
+    """compute_optimal_strategy on each game of a stack of games with these
+    move counts, without budget checks, in one backward pass. ``flat``
+    holds the games' flat payoffs end to end and ``selections`` is the
+    stack's ``_groups``; each round calls each of its selections once.
+
+    Returns, per round, each game's table in turn, and the pass's
+    ``_reached`` arrays. With the stack's quantifier ``_groups``, it also
+    returns whether each game passes is_optimal_strategy with its tables
+    at ``tol``, each round checked as soon as its moves are chosen (the
+    deviation tables of a strategy's pass are the ones it is checked on);
+    else None."""
+    moves = [None] * len(counts)
+    ok = None if quantifiers is None else np.ones(stack, dtype=bool)
 
     def choose(i: int, reached: np.ndarray) -> np.ndarray:
-        tables[i] = g.selections[i].kernel(flat[reached])
-        return tables[i]
+        tables = flat[reached]
+        moves[i] = _grouped(selections[i], stack,
+                            lambda eps, tables: eps.kernel(tables), tables)
+        if ok is not None:
+            values = tables[np.arange(len(tables)), moves[i]][:, None]
+            np.logical_and(ok, _accepted(quantifiers[i], stack, tables, values,
+                                         tol), out=ok)
+        return moves[i]
 
-    with g.quiet():
-        _reached(g, choose)
-    return tuple(tuple(moves.tolist()) for moves in tables)
+    return moves, _reached(counts, stack, choose), ok

@@ -233,10 +233,10 @@ def test_fuzz_shape_exceeding_budget_exits_4(capsys):
 
 
 def test_fuzz_mutation_self_test(capsys, tmp_path, monkeypatch):
-    # Corrupt the optimality checker: fuzz must detect it, shrink, and write
-    # the failing game.
-    monkeypatch.setattr(hog.sequential, "is_optimal_strategy",
-                        lambda *a, **k: False)
+    # Corrupt the optimality check that is_optimal_strategy and the stacked
+    # sweep share: fuzz must detect it, shrink, and write the failing game.
+    monkeypatch.setattr(hog.sequential, "_accepted",
+                        lambda quantifiers, stack, *a: np.zeros(stack, bool))
     out_dir = tmp_path / "corpus"
     out_dir.mkdir()
     code, out, _ = run(capsys, [
@@ -409,6 +409,25 @@ def test_out_in_missing_directory_exits_2(capsys, games_dir, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag", ["game", "profile"])
+def test_file_that_is_not_utf8_exits_2(capsys, games_dir, tmp_path, flag):
+    # Both ended in a UnicodeDecodeError traceback with exit 1.
+    if flag == "game":
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"version": 1}')
+        argv = ["solve", str(path), "--mode", "pure"]
+    else:
+        path = tmp_path / "badprof.json"
+        path.write_bytes(b"[\xff]")
+        argv = ["check-eq", str(games_dir / "matching_pennies.json"),
+                "--profile", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"cannot read {path}" in err and "can't decode byte 0xff" in err
+
+
 def test_malformed_env_var_budget_exits_2(capsys, games_dir, monkeypatch):
     monkeypatch.setenv("HOG_BUDGET", "abc")
     code, out, err = run(capsys, [
@@ -463,6 +482,12 @@ def test_invalid_flag_values_exit_2(capsys, games_dir):
     (["--max-moves", "1"], "--max-moves: not an integer >= 2"),
     (["--payoff-min", "5", "--payoff-max", "1"], "must be >= --payoff-min"),
     (["--count", "-1"], "--count: not an integer >= 0"),
+    # Bounds past the float range were an OverflowError traceback from the
+    # game constructor.
+    (["--payoff-max", str(10 ** 400)], "--payoff-max: must be within the float"),
+    (["--family", "bbc", "--payoff-max", str(10 ** 400)],
+     "--payoff-max: must be within the float"),
+    (["--payoff-min", str(-10 ** 400)], "--payoff-min: must be within the float"),
 ])
 def test_fuzz_rejects_empty_ranges(capsys, flags, message):
     # The first three ended in a ValueError traceback from randrange, and

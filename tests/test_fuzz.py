@@ -1,14 +1,24 @@
 import hashlib
+import itertools
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 
+from hog import fuzz, minimax, normalform, sequential
+from hog.budget import resolve_budget
 from hog.cli import main
+from hog.core import (argmax_selection, argmin_selection, fixed_point_quantifier,
+                      max_quantifier, min_quantifier)
 from hog.errors import BudgetExceededError
-from hog.fuzz import (certify_sequential, random_sequential_game,
-                      random_stage, run_fuzz, shrink_sequential, shrink_stage)
+from hog.fuzz import (FAMILIES, FuzzFailure, FuzzResult, certify_sequential,
+                      random_sequential_game, random_stage, run_fuzz,
+                      shrink_sequential, shrink_stage)
+from hog.sequential import SequentialGame
+from test_minimax import stage_from
+from test_sequential import _oracle_game
 
 
 def test_generators_are_seed_deterministic():
@@ -90,3 +100,221 @@ def test_sequential_draw_checks_budget_before_payoffs():
     counts = [shape.randint(2, 3) for _ in range(n)]
     assert rng.getstate() == shape.getstate()
     assert err.value.count == math.prod(counts)
+
+
+def _reference_run_fuzz(seed, count, families=FAMILIES, max_rounds=4,
+                        max_moves=3, payoff_range=(-9, 9), budget=None,
+                        stop_on_failure=True):
+    """The sweep one game at a time: draw a game, certify it with the
+    one-game certifier, record it, and shrink it if it fails. run_fuzz
+    must give the same result, or raise the same error."""
+    families = tuple(families)
+    result = FuzzResult(seed, count, families)
+    if count:
+        budget = resolve_budget(budget)
+    plan = {
+        "seq": (partial(fuzz.random_sequential_game, max_rounds=max_rounds,
+                        max_moves=max_moves, payoff_range=payoff_range,
+                        budget=budget),
+                fuzz.certify_sequential, fuzz.shrink_sequential),
+        "normal-form": (partial(fuzz.random_sequential_game,
+                                max_rounds=min(max_rounds, 3),
+                                max_moves=max_moves,
+                                payoff_range=payoff_range, budget=budget),
+                        fuzz.certify_normal_form, fuzz.shrink_sequential),
+        "bbc": (partial(fuzz.random_stage, max_moves=max_moves,
+                        payoff_range=payoff_range),
+                fuzz.certify_stage, fuzz.shrink_stage),
+    }
+    for family in families:
+        if family not in plan:
+            raise ValueError(f"unknown family {family!r}")
+        draw, check, shrink = plan[family]
+        rng = random.Random(seed * 7919 + FAMILIES.index(family))
+        for index in range(count):
+            game = draw(rng)
+            ok = check(game, budget)
+            result.corpus.append((family, index, game))
+            result.checked += 1
+            if ok:
+                continue
+            small = shrink(game, lambda g: not check(g, budget))
+            result.failures.append(FuzzFailure(family, index, seed, small))
+            if stop_on_failure:
+                return result
+    return result
+
+
+def _game_key(game):
+    kinds = tuple(q.kind for q in game.quantifiers)
+    if isinstance(game, SequentialGame):
+        kinds += tuple(e.kind for e in game.selections)
+    return game.payoffs.shape, game.payoffs.tolist(), kinds
+
+
+def _sweep(run, *args, **kwargs):
+    """What a sweep returns, or the type and message of what it raises."""
+    try:
+        result = run(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (result.checked, result.ok,
+            [(f.family, f.index, f.seed, _game_key(f.game))
+             for f in result.failures],
+            [(family, index, _game_key(game))
+             for family, index, game in result.corpus])
+
+
+def _assert_same_sweep(*args, **kwargs):
+    got = _sweep(run_fuzz, *args, **kwargs)
+    assert got == _sweep(_reference_run_fuzz, *args, **kwargs)
+    return got
+
+
+_round_pair = fuzz._round_pair
+
+
+def _attains_nothing(kind):
+    """A round pair whose max selection is argmin: it does not attain."""
+    if kind == "max":
+        return max_quantifier(), argmin_selection()
+    return _round_pair(kind)
+
+
+def test_stacked_sweep_matches_reference_loop():
+    shapes = 0
+    for seed, max_rounds, max_moves, count in itertools.product(
+            (0, 3), (1, 2, 3, 4), (2, 3, 4), (0, 1, 50)):
+        got = _assert_same_sweep(seed, count, max_rounds=max_rounds,
+                                 max_moves=max_moves)
+        assert got[1] is True and got[0] == 3 * count
+        shapes += len({key[0] for _, _, key in got[3]})
+    assert shapes > 100
+    # Payoffs near the float range, where the kernels overflow quietly.
+    got = _assert_same_sweep(4, 50, payoff_range=(-10 ** 308, 10 ** 308))
+    assert got[1] is True
+
+
+def test_stacked_sweep_matches_reference_on_failures(monkeypatch):
+    monkeypatch.setattr(fuzz, "_round_pair", _attains_nothing)
+    failures = set()
+    for seed, max_rounds, stop, families in itertools.product(
+            (1, 2), (1, 2, 4), (True, False),
+            (FAMILIES, ("normal-form", "bbc"))):
+        got = _assert_same_sweep(seed, 50, families, max_rounds=max_rounds,
+                                 stop_on_failure=stop)
+        assert got[1] is False
+        failures.update((family, stop) for family, *_ in got[2])
+    assert failures == {(family, stop) for family in ("seq", "normal-form")
+                        for stop in (True, False)}
+
+
+def test_stacked_sweep_refuses_where_reference_refuses(monkeypatch):
+    refused, midway = set(), 0
+    for budget, seed, stop in itertools.product(
+            (8, 20, 40, 70, 100, 119), (0, 1, 2), (True, False)):
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(fuzz, "_round_pair", _attains_nothing)
+            got = _assert_same_sweep(seed, 50, budget=budget,
+                                     stop_on_failure=stop)
+            if got[0] is BudgetExceededError:
+                refused.add(got[1].split()[3])
+                midway += isinstance(_sweep(run_fuzz, seed, 1, budget=budget)[0],
+                                     int)
+            monkeypatch.undo()
+    # Refused both when a game is drawn and when it is certified, and past
+    # the first game of a family.
+    assert refused == {"plays", "histories"}
+    assert midway > 10
+
+
+def test_stacks_match_one_game_functions(monkeypatch):
+    # Stacks of games of one shape, each round with up to five kinds.
+    rng = random.Random(77)
+    kinds = ("max", "min", "average", "eps_ball", "custom")
+    games = [_oracle_game(rng, kinds) for _ in range(400)]
+    games += [_oracle_game(rng, ("eps_ball",), dim=2) for _ in range(40)]
+    stacks = {}
+    for g in games:
+        stacks.setdefault((g.move_counts, g.payoffs.shape), []).append(g)
+    verdicts = set()
+    for stack in stacks.values():
+        flat = np.concatenate([g.flat_payoffs() for g in stack])
+        counts = stack[0].move_counts
+        selections = sequential._groups([g.selections for g in stack])
+        quantifiers = sequential._groups([g.quantifiers for g in stack])
+        strategies = [sequential.compute_optimal_strategy(g) for g in stack]
+        for tol in (0.0, 2.0):
+            moves, reached, ok = sequential._optimal_moves(
+                flat, counts, len(stack), selections, quantifiers, tol)
+            for b, (g, strategy) in enumerate(zip(stack, strategies)):
+                assert tuple(tuple(m.reshape(len(stack), -1)[b].tolist())
+                             for m in moves) == strategy
+                assert ok[b] == sequential.is_optimal_strategy(g, strategy,
+                                                               tol)
+                verdicts.add(bool(ok[b]))
+            # Soundness of the optimal and of random strategies.
+            randoms = [tuple(tuple(rng.randrange(m) for _ in range(
+                g.history_count(i))) for i, m in enumerate(counts))
+                for g in stack]
+            for tables in (strategies, randoms):
+                moves = [np.concatenate([t[i] for t in tables])
+                         for i in range(len(counts))]
+                sound = normalform._sound_verdicts(
+                    flat, counts, len(stack), quantifiers, moves,
+                    sequential._reached(counts, len(stack),
+                                        lambda i, _: moves[i]), tol)
+                assert sound.tolist() == [
+                    normalform.check_soundness(g, t, tol)
+                    for g, t in zip(stack, tables)]
+                verdicts.update(sound.tolist())
+    assert verdicts == {True, False}
+    assert max(map(len, stacks.values())) > 20
+
+    # The fuzz families, with a pair that does not attain in some games,
+    # in stacks of at most 20 payoff entries: groups are cut, and games of
+    # more entries are stacks of one.
+    monkeypatch.setattr(fuzz, "_round_pair", _attains_nothing)
+    monkeypatch.setattr(fuzz, "_STACK_ENTRIES", 20)
+    plan = fuzz._families(3, 3, (-9, 9), 10**6)
+    for name, family in plan.items():
+        rng = random.Random(5)
+        drawn = [family.draw(rng) for _ in range(300)]
+        want = [family.certify(g, None) for g in drawn]
+        assert fuzz._verdicts(family, drawn).tolist() == want
+        assert (name == "bbc") == all(want)
+
+
+def test_stage_stacks_match_one_stage_functions():
+    rng = random.Random(31)
+    kinds = (max_quantifier(), min_quantifier(), fixed_point_quantifier())
+    verdicts = set()
+    for nx, ny, phi, psi, selections in itertools.product(
+            (1, 2, 3), (1, 2, 4), kinds, kinds,
+            ((argmax_selection(), argmin_selection()),
+             (argmin_selection(), argmax_selection()))):
+        stages = [stage_from([rng.randrange(4) for _ in range(nx * ny)], nx,
+                             ny, quantifiers=(phi, psi), selections=selections)
+                  for _ in range(12)]
+        q = np.stack([s.payoffs[0] for s in stages])
+        pairs, products = minimax._pairs(q, *selections)
+        for k, stage in enumerate(stages):
+            report = minimax.compare_bbc_vs_product(stage)
+            assert ((int(pairs[0][k]), int(pairs[1][k])) == minimax.bbc(stage)
+                    == tuple(report["bbc"]["pair"]))
+            assert [int(products[0][k]), int(products[1][k])] == (
+                report["product"]["pair"])
+        if {phi.kind, psi.kind} - set(minimax._WORST_CASE):
+            continue
+        for tol in (0.0, 1.0):
+            a = np.array([rng.randrange(nx) for _ in stages])
+            b = np.array([rng.randrange(ny) for _ in stages])
+            for pair in (pairs, (a, b)):
+                ok = minimax._reply_robust(q, pair, phi, psi, tol)
+                assert ok.tolist() == [
+                    minimax.is_psi_phi_profile(
+                        s, (int(pair[0][k]), int(pair[1][k])), tol)
+                    for k, s in enumerate(stages)]
+                verdicts.update(ok.tolist())
+    assert verdicts == {True, False}
