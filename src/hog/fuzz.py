@@ -7,21 +7,28 @@ package's own checkers, so a failure means either a checker bug or a genuine
 counterexample to a theorem (the latter should never happen). A sequential
 game whose plays exceed the budget is refused before its payoffs are drawn.
 
-``run_fuzz`` certifies a family's games in stacks of games of one shape, so
-a round costs one kernel call per distinct quantifier or selection of a
-stack, not one per game: one backward pass per stack of sequential games,
-which checks optimality as it goes or is followed by one on-path soundness
-walk, and one BBC pair and reply-robustness check per stack of stages. The
-one-game certifiers, which certify what ``run_fuzz`` shrinks, run the same
-pass, walk and pairs on a stack of one, and the same per-round checks.
+Every value is drawn by ``_draw``, which reads a seed's ``random.Random``
+exactly as one ``randint`` or ``choice`` call per value would, with one
+``getrandbits`` call per try. ``run_fuzz`` draws each family's games as
+plain values: move counts, integer payoffs in a float array, and each
+round's quantifier and selection. It certifies them in stacks of games of
+one shape, whose payoffs are one float array, so a round costs one kernel
+call per distinct quantifier or selection of a stack, not one per game: one
+backward pass per stack of sequential games, which checks optimality as it
+goes or is followed by one on-path soundness walk, and one BBC pair and
+reply-robustness check per stack of stages. A game object is built only
+when it is read: a failing game, which the one-game certifiers shrink, or a
+game of the result's corpus. The one-game certifiers run the same pass,
+walk and pairs on a stack of one, and the same per-round checks.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -33,7 +40,8 @@ from .core import (argmax_selection, argmin_selection, average_quantifier,
                    quiet)
 from .errors import BudgetExceededError
 from .sequential import SequentialGame
-from .simultaneous import SimultaneousGame, default_move_labels
+from .simultaneous import (SimultaneousGame, default_move_labels,
+                           overflow_scale)
 
 FAMILIES = ("seq", "normal-form", "bbc")
 
@@ -50,6 +58,47 @@ def _round_pair(kind: str):
     raise ValueError(f"unknown round kind {kind!r}")
 
 
+def _draw(rng: random.Random, lo: int, hi: int, size: int | None = None):
+    """``rng.randint(lo, hi)``, or a list of ``size`` such draws, read from
+    ``rng`` exactly as those calls read it: the same values, and the same
+    state after. A draw from n = hi - lo + 1 values tries
+    ``getrandbits(k)``, for k = n.bit_length(), until a try is below n."""
+    n = hi - lo + 1
+    if n <= 0:
+        raise ValueError(f"empty range for randint({lo}, {hi})")
+    k, getrandbits = n.bit_length(), rng.getrandbits
+    if size is None:
+        v = getrandbits(k)
+        while v >= n:
+            v = getrandbits(k)
+        return lo + v
+    values = []
+    for _ in range(size):
+        v = getrandbits(k)
+        while v >= n:
+            v = getrandbits(k)
+        values.append(lo + v)
+    return values
+
+
+def _draw_sequential(rng: random.Random, max_rounds: int, max_moves: int,
+                     min_moves: int, payoff_range: tuple[int, int], kinds,
+                     budget: int | None):
+    """The values of random_sequential_game: move counts, row-major
+    payoffs (integers, as a float array), quantifiers and selections."""
+    n = _draw(rng, 1, max_rounds)
+    counts = tuple(_draw(rng, min_moves, max_moves) for _ in range(n))
+    plays = math.prod(counts)
+    check_budget(plays, budget, "plays")
+    lo, hi = payoff_range
+    payoffs = np.array(_draw(rng, lo, hi, plays), dtype=float)
+    # rng.choice(kinds), once per round.
+    pairs = [_round_pair(kinds[_draw(rng, 0, len(kinds) - 1)])
+             for _ in range(n)]
+    quantifiers, selections = zip(*pairs)
+    return counts, payoffs, quantifiers, selections
+
+
 def random_sequential_game(rng: random.Random, max_rounds: int = 4,
                            max_moves: int = 3, min_moves: int = 2,
                            payoff_range: tuple[int, int] = (-9, 9),
@@ -58,48 +107,50 @@ def random_sequential_game(rng: random.Random, max_rounds: int = 4,
     """Random sequential game with integer payoffs and one stock kind per
     round. Its plays are checked against the budget before any payoff is
     drawn, so a refused game costs only its shape."""
-    n = rng.randint(1, max_rounds)
-    counts = [rng.randint(min_moves, max_moves) for _ in range(n)]
-    plays = math.prod(counts)
-    check_budget(plays, budget, "plays")
-    lo, hi = payoff_range
-    tensor = [rng.randint(lo, hi) for _ in range(plays)]
-    quantifiers, selections = [], []
-    for _ in range(n):
-        phi, eps = _round_pair(rng.choice(kinds))
-        quantifiers.append(phi)
-        selections.append(eps)
-    return SequentialGame.from_tensor(counts, tensor, quantifiers, selections)
+    return SequentialGame.from_tensor(*_draw_sequential(
+        rng, max_rounds, max_moves, min_moves, payoff_range, kinds, budget))
 
 
 def random_max_game(rng: random.Random, players: int = 2, max_moves: int = 4,
                     min_moves: int = 2,
                     payoff_range: tuple[int, int] = (-9, 9)) -> SimultaneousGame:
     """Random finite game with max quantifiers and integer payoffs."""
-    counts = [rng.randint(min_moves, max_moves) for _ in range(players)]
+    counts = [_draw(rng, min_moves, max_moves) for _ in range(players)]
     size = math.prod(counts)
     lo, hi = payoff_range
-    tensors = [[rng.randint(lo, hi) for _ in range(size)] for _ in range(players)]
+    tensors = [_draw(rng, lo, hi, size) for _ in range(players)]
     return SimultaneousGame.from_tensors(
         counts, tensors, [max_quantifier() for _ in range(players)]
+    )
+
+
+def _draw_stage(rng: random.Random, max_moves: int, min_moves: int,
+                payoff_range: tuple[int, int]):
+    """The values of random_stage: move counts and row-major payoffs
+    (integers, as a float array)."""
+    counts = (_draw(rng, min_moves, max_moves),
+              _draw(rng, min_moves, max_moves))
+    lo, hi = payoff_range
+    return counts, np.array(_draw(rng, lo, hi, counts[0] * counts[1]),
+                            dtype=float)
+
+
+def _stage(counts: tuple[int, int], payoffs) -> SimultaneousGame:
+    """The max/min stage with argmax/argmin selections and these payoffs."""
+    grid = np.array(payoffs, dtype=float).reshape(counts)
+    return SimultaneousGame(
+        moves=tuple(map(default_move_labels, counts)),
+        payoffs=np.broadcast_to(grid, (2, *counts)),
+        quantifiers=(max_quantifier(), min_quantifier()),
+        single_outcome_space=True,
+        selections=(argmax_selection(), argmin_selection()),
     )
 
 
 def random_stage(rng: random.Random, max_moves: int = 4, min_moves: int = 2,
                  payoff_range: tuple[int, int] = (-9, 9)) -> SimultaneousGame:
     """Random stage with max/min quantifiers and argmax/argmin selections."""
-    nx = rng.randint(min_moves, max_moves)
-    ny = rng.randint(min_moves, max_moves)
-    lo, hi = payoff_range
-    tensor = [rng.randint(lo, hi) for _ in range(nx * ny)]
-    grid = np.array(tensor, dtype=float).reshape(nx, ny)
-    return SimultaneousGame(
-        moves=(default_move_labels(nx), default_move_labels(ny)),
-        payoffs=np.broadcast_to(grid, (2, nx, ny)),
-        quantifiers=(max_quantifier(), min_quantifier()),
-        single_outcome_space=True,
-        selections=(argmax_selection(), argmin_selection()),
-    )
+    return _stage(*_draw_stage(rng, max_moves, min_moves, payoff_range))
 
 
 def certify_sequential(g: SequentialGame, budget: int | None = None) -> bool:
@@ -220,6 +271,27 @@ class FuzzFailure:
     game: SequentialGame | SimultaneousGame
 
 
+class _Corpus(Sequence):
+    """The games a sweep recorded, in order, as (family, index, game); each
+    game is built from its drawn values whenever it is read."""
+
+    def __init__(self):
+        self._items = []
+
+    def record(self, family: str, index: int, build: Callable,
+               values: tuple) -> None:
+        self._items.append((family, index, build, values))
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        family, index, build, values = self._items[i]
+        return family, index, build(*values)
+
+
 @dataclass
 class FuzzResult:
     seed: int
@@ -228,7 +300,8 @@ class FuzzResult:
     checked: int = 0
     failures: list[FuzzFailure] = field(default_factory=list)
     # Every generated game, for corpus export: (family, index, game).
-    corpus: list = field(default_factory=list)
+    # run_fuzz's corpus builds each game when it is read.
+    corpus: Sequence = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -241,59 +314,61 @@ class FuzzResult:
 _STACK_ENTRIES = 1 << 15
 
 
-def _certify_sequential_stack(games: list[SequentialGame],
-                              sound: bool) -> np.ndarray:
-    """certify_sequential (certify_normal_form if ``sound``) on each game of
-    a stack with equal payoff shapes, without budget checks: one backward
-    pass over all of them, which checks optimality as it goes, or is
-    followed by one on-path soundness walk."""
-    flat = np.concatenate([g.flat_payoffs() for g in games])
-    counts, stack = games[0].move_counts, len(games)
-    selections = sequential._groups([g.selections for g in games])
-    quantifiers = sequential._groups([g.quantifiers for g in games])
-    with quiet(any(g.payoff_scale != 1.0 for g in games)):
-        if not sound:
-            return sequential._optimal_moves(flat, counts, stack, selections,
-                                             quantifiers)[2]
-        moves, reached, _ = sequential._optimal_moves(flat, counts, stack,
-                                                      selections)
-        return normalform._sound_verdicts(flat, counts, stack, quantifiers,
-                                          moves, reached, 0.0)
+def _certify_sequential_stack(payoffs: np.ndarray, counts: tuple[int, ...],
+                              drawn: list[tuple], sound: bool) -> np.ndarray:
+    """certify_sequential (certify_normal_form if ``sound``) on each drawn
+    game of a stack with these move counts, without budget checks: one
+    backward pass over all of them, which checks optimality as it goes, or
+    is followed by one on-path soundness walk."""
+    flat, stack = payoffs.reshape(-1), len(drawn)
+    quantifiers = sequential._groups([values[2] for values in drawn])
+    selections = sequential._groups([values[3] for values in drawn])
+    if not sound:
+        return sequential._optimal_moves(flat, counts, stack, selections,
+                                         quantifiers)[2]
+    moves, reached, _ = sequential._optimal_moves(flat, counts, stack,
+                                                  selections)
+    return normalform._sound_verdicts(flat, counts, stack, quantifiers, moves,
+                                      reached, 0.0)
 
 
-def _certify_stage_stack(stages: list[SimultaneousGame]) -> np.ndarray:
-    """certify_stage on each stage of a stack with equal shapes, quantifiers
-    and selections (max and min quantifiers, scalar outcomes), without
-    budget checks: one BBC pair and one reply-robustness check over all."""
-    q = np.stack([stage.payoffs[0] for stage in stages])
-    phi, psi = stages[0].quantifiers
-    with quiet(any(stage.payoff_scale != 1.0 for stage in stages)):
-        pairs, _ = minimax._pairs(q, *stages[0].selections)
-        return minimax._reply_robust(q, pairs, phi, psi, 0.0)
+def _certify_stage_stack(payoffs: np.ndarray, counts: tuple[int, int],
+                         drawn: list[tuple]) -> np.ndarray:
+    """certify_stage on each drawn stage of a stack with these move counts,
+    without budget checks: one BBC pair and one reply-robustness check over
+    all of them."""
+    q = payoffs.reshape(-1, *counts)
+    pairs, _ = minimax._pairs(q, argmax_selection(), argmin_selection())
+    return minimax._reply_robust(q, pairs, max_quantifier(), min_quantifier(),
+                                 0.0)
 
 
-def _sequential_budget(g: SequentialGame):
+def _sequential_budget(counts: tuple[int, ...]):
     """certify_sequential's budget checks: the strategy pass, then the
     optimality check."""
-    n = sequential._deviation_count(g)
+    n = sequential._deviation_count(counts)
     return (n, "histories"), (n, "optimality checks")
 
 
-def _normal_form_budget(g: SequentialGame):
+def _normal_form_budget(counts: tuple[int, ...]):
     """certify_normal_form's budget checks: the strategy pass, then the
     soundness check."""
-    return (sequential._deviation_count(g), "histories"), (g.play_count(),
-                                                           "plays")
+    return ((sequential._deviation_count(counts), "histories"),
+            (math.prod(counts), "plays"))
 
 
 @dataclass(frozen=True)
 class _Family:
+    # One game's values from the family's rng: its move counts, then its
+    # row-major payoffs as a float array, then what else builds the game.
     draw: Callable
-    # Games with equal keys are certified in one stack.
-    key: Callable
+    # The game object of those values, built by the public constructors.
+    build: Callable
+    # (payoffs of a stack with one row per game, the move counts, the
+    # games' values) -> each game's verdict.
     certify_stack: Callable
-    # The (count, label) pairs that certifying one game checks against the
-    # budget, in order.
+    # The (count, label) pairs that certifying a game of these move counts
+    # checks against the budget, in order.
     planned: Callable
     certify: Callable
     shrink: Callable
@@ -303,46 +378,53 @@ def _families(max_rounds: int, max_moves: int, payoff_range: tuple[int, int],
               budget: int | None) -> dict[str, _Family]:
     return {
         "seq": _Family(
-            partial(random_sequential_game, max_rounds=max_rounds,
-                    max_moves=max_moves, payoff_range=payoff_range,
+            partial(_draw_sequential, max_rounds=max_rounds,
+                    max_moves=max_moves, min_moves=2,
+                    payoff_range=payoff_range, kinds=_SEQ_KINDS,
                     budget=budget),
-            lambda g: (g.move_counts, g.payoffs.shape),
+            SequentialGame.from_tensor,
             partial(_certify_sequential_stack, sound=False),
             _sequential_budget,
             certify_sequential, shrink_sequential),
         "normal-form": _Family(
-            partial(random_sequential_game, max_rounds=min(max_rounds, 3),
-                    max_moves=max_moves, payoff_range=payoff_range,
+            partial(_draw_sequential, max_rounds=min(max_rounds, 3),
+                    max_moves=max_moves, min_moves=2,
+                    payoff_range=payoff_range, kinds=_SEQ_KINDS,
                     budget=budget),
-            lambda g: (g.move_counts, g.payoffs.shape),
+            SequentialGame.from_tensor,
             partial(_certify_sequential_stack, sound=True),
             _normal_form_budget,
             certify_normal_form, shrink_sequential),
         # Max/min stages enumerate no reply functions.
         "bbc": _Family(
-            partial(random_stage, max_moves=max_moves,
+            partial(_draw_stage, max_moves=max_moves, min_moves=2,
                     payoff_range=payoff_range),
-            lambda s: (s.payoffs.shape, *map(id, s.quantifiers),
-                       *map(id, s.selections)),
-            _certify_stage_stack,
-            lambda s: ((0, "reply functions"),),
+            _stage, _certify_stage_stack,
+            lambda counts: ((0, "reply functions"),),
             certify_stage, shrink_stage),
     }
 
 
-def _verdicts(family: _Family, games: list) -> np.ndarray:
-    """Each game's certification, stack by stack: games grouped by key, in
-    index order within a group, and cut into stacks of at most
-    ``_STACK_ENTRIES`` payoff entries."""
+def _verdicts(family: _Family, drawn: list[tuple]) -> np.ndarray:
+    """Each drawn game's certification, stack by stack: games grouped by
+    move counts, in index order within a group, and cut into stacks of at
+    most ``_STACK_ENTRIES`` payoff entries. numpy's warnings are off on a
+    stack if a kernel may overflow on one of its games, as they are on that
+    game (every count is at least 2, so a stage's player axis decides
+    nothing)."""
     groups = {}
-    for index, game in enumerate(games):
-        groups.setdefault(family.key(game), []).append(index)
-    ok = np.empty(len(games), dtype=bool)
-    for indices in groups.values():
-        size = max(1, _STACK_ENTRIES // games[indices[0]].payoffs.size)
+    for index, values in enumerate(drawn):
+        groups.setdefault(values[0], []).append(index)
+    ok = np.empty(len(drawn), dtype=bool)
+    for counts, indices in groups.items():
+        size = max(1, _STACK_ENTRIES // math.prod(counts))
         for start in range(0, len(indices), size):
             stack = indices[start:start + size]
-            ok[stack] = family.certify_stack([games[i] for i in stack])
+            games = [drawn[i] for i in stack]
+            payoffs = np.array([values[1] for values in games])
+            peak = float(np.abs(payoffs).max())
+            with quiet(overflow_scale(peak, counts) != 1.0):
+                ok[stack] = family.certify_stack(payoffs, counts, games)
     return ok
 
 
@@ -352,15 +434,16 @@ def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
     """Certify ``count`` random games per family. Failing games are shrunk
     before being recorded. The normal-form family caps rounds at 3.
 
-    Each family draws its games first, up to the first one the budget
-    refuses, to draw or to certify. It certifies them in stacks of games of
-    one shape, then walks them in index order: it makes each game's budget
-    checks, records the game, and shrinks a failing one with the one-game
-    certifier. A refusal is raised at the game it refuses, after the games
-    before it are recorded.
+    Each family draws its games' values first, up to the first game the
+    budget refuses, to draw or to certify. It certifies them in stacks of
+    games of one shape, then walks them in index order: it makes each
+    game's budget checks, records the game, and builds a failing one to
+    shrink it with the one-game certifier. A refusal is raised at the game
+    it refuses, after the games before it are recorded. The corpus builds
+    each recorded game when it is read.
     """
     families = tuple(families)
-    result = FuzzResult(seed, count, families)
+    result = FuzzResult(seed, count, families, corpus=_Corpus())
     if count:
         # Read HOG_BUDGET once per run, and only if a game is drawn.
         budget = resolve_budget(budget)
@@ -371,28 +454,35 @@ def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
         family = plan[name]
         # Hashing strings is salted per process; derive integer seeds.
         rng = random.Random(seed * 7919 + FAMILIES.index(name))
-        games, planned, refused = [], [], None
+
+        @cache
+        def planned(counts):
+            """A game's planned budget checks, and whether one is refused."""
+            checks = family.planned(counts)
+            return checks, any(n > budget for n, _ in checks)
+
+        drawn, refused, over = [], None, False
         for _ in range(count):
             try:
-                games.append(family.draw(rng))
+                drawn.append(family.draw(rng))
             except BudgetExceededError as exc:
                 refused = exc
                 break
-            planned.append(family.planned(games[-1]))
-            if any(n > budget for n, _ in planned[-1]):
+            over = planned(drawn[-1][0])[1]
+            if over:
                 break
         # A game whose certification the budget refuses is the last one
         # drawn, and the walk raises at it before reading its verdict.
-        ok = _verdicts(family, [game for game, checks in zip(games, planned)
-                                if all(n <= budget for n, _ in checks)])
-        for index, game in enumerate(games):
-            for n, what in planned[index]:
+        ok = _verdicts(family, drawn[:len(drawn) - over]).tolist()
+        for index, values in enumerate(drawn):
+            for n, what in planned(values[0])[0]:
                 check_budget(n, budget, what)
-            result.corpus.append((name, index, game))
+            result.corpus.record(name, index, family.build, values)
             result.checked += 1
             if ok[index]:
                 continue
-            small = family.shrink(game, lambda g: not family.certify(g, budget))
+            small = family.shrink(family.build(*values),
+                                  lambda g: not family.certify(g, budget))
             result.failures.append(FuzzFailure(name, index, seed, small))
             if stop_on_failure:
                 return result

@@ -124,12 +124,19 @@ class SequentialGame(PayoffArray):
                     f"round {i} table has {len(table)} entries, expected "
                     f"{self.history_count(i)}"
                 )
-            # Test each distinct move once; walk the table only to name the
-            # first bad one. NaN fails the test, as 0 <= nan is false.
-            if not all(0 <= move < m for move in set(table)):
-                bad = next(move for move in table if not 0 <= move < m)
+            # Test each distinct type and move once; walk the table only to
+            # name the first bad one. A move is a Python or numpy integer,
+            # not a bool; the types go first, as 1.0 and True equal 1.
+            if not (all(map(_is_move_type, set(map(type, table))))
+                    and all(0 <= move < m for move in set(table))):
+                bad = next(move for move in table if not (
+                    _is_move_type(type(move)) and 0 <= move < m))
                 raise StructuralError(f"move {bad} invalid in round {i}")
         return strategy
+
+
+def _is_move_type(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and kind is not bool
 
 
 def strategic_play(g: SequentialGame, strategy: Sequence[Sequence[int]]) -> Play:
@@ -137,8 +144,10 @@ def strategic_play(g: SequentialGame, strategy: Sequence[Sequence[int]]) -> Play
     empty history."""
     play, history = (), 0
     for moves, m in zip(g.validate_strategy(strategy), g.move_counts):
-        play += (moves[history],)
-        history = history * m + moves[history]
+        # A Python int: a narrow numpy move would wrap the history index.
+        move = int(moves[history])
+        play += (move,)
+        history = history * m + move
     return play
 
 
@@ -192,10 +201,11 @@ def _grouped(groups: list[tuple], stack: int, call, *arrays) -> np.ndarray:
     return out.reshape(-1, *out.shape[2:])
 
 
-def _deviation_count(g: SequentialGame) -> int:
-    """The entries of all one-round deviation tables: the budget unit of
-    the strategy pass and of the optimality check."""
-    return sum(g.history_count(i) * m for i, m in enumerate(g.move_counts))
+def _deviation_count(counts: Sequence[int]) -> int:
+    """The entries of all one-round deviation tables of a game with these
+    move counts: the budget unit of the strategy pass and of the optimality
+    check."""
+    return sum(math.prod(counts[:i]) * m for i, m in enumerate(counts))
 
 
 def is_optimal_strategy(g: SequentialGame, strategy: Sequence[Sequence[int]],
@@ -206,7 +216,7 @@ def is_optimal_strategy(g: SequentialGame, strategy: Sequence[Sequence[int]],
     Rounds, then histories, are checked in index order; a custom test is
     called up to the first history it rejects."""
     strategy = g.validate_strategy(strategy)
-    check_budget(_deviation_count(g), budget, "optimality checks")
+    check_budget(_deviation_count(g.move_counts), budget, "optimality checks")
     flat = g.flat_payoffs()
     quantifiers = _groups([g.quantifiers])
     with g.quiet():
@@ -300,7 +310,7 @@ def compute_optimal_strategy(g: SequentialGame,
     """Apply each round's selection at every history, last round first, so
     the optimality condition holds pointwise, each table continued by the
     later rounds' selections. The budget counts histories."""
-    check_budget(_deviation_count(g), budget, "histories")
+    check_budget(_deviation_count(g.move_counts), budget, "histories")
     return _optimal_tables(g)
 
 

@@ -55,9 +55,7 @@ class PayoffArray:
         """Replace ``payoffs`` by a read-only float64 array of shape
         ``counts`` plus at most one trailing axis of vector outcomes (shared
         if read-only, else copied), refusing NaN and infinities, and decide
-        once whether a kernel may overflow on it: no difference of
-        outcomes, nor sum of m entries, does while every payoff is at most
-        the largest float over 2 (m + 1)."""
+        once whether a kernel may overflow on it (``overflow_scale``)."""
         arr = np.asarray(self.payoffs, dtype=float)
         k = len(counts)
         if arr.shape[:k] != counts or arr.ndim > k + 1 or 0 in arr.shape[k:]:
@@ -71,15 +69,22 @@ class PayoffArray:
             arr.setflags(write=False)
         object.__setattr__(self, "payoffs", arr)
         object.__setattr__(self, "payoff_peak", peak)
-        scale = 1.0
-        if peak * 2 * (max(counts) + 1) > sys.float_info.max:
-            scale = math.ldexp(1.0, -math.frexp(peak)[1])
-        object.__setattr__(self, "payoff_scale", scale)
+        object.__setattr__(self, "payoff_scale", overflow_scale(peak, counts))
 
     def quiet(self):
         """numpy's overflow and invalid warnings off if a kernel may
         overflow on these payoffs."""
         return quiet(self.payoff_scale != 1.0)
+
+
+def overflow_scale(peak: float, counts: Sequence[int]) -> float:
+    """The exact power of two that brings ``peak`` into [0.5, 1) if a kernel
+    may overflow on payoffs of at most ``peak`` over these move counts, else
+    1.0: no difference of outcomes, nor sum of m entries, overflows while
+    ``peak`` is at most the largest float over 2 (m + 1)."""
+    if peak * 2 * (max(counts) + 1) > sys.float_info.max:
+        return math.ldexp(1.0, -math.frexp(peak)[1])
+    return 1.0
 
 
 def flat_tensor(tensor, counts: tuple[int, ...], what: str) -> np.ndarray:

@@ -17,6 +17,7 @@ from hog.fuzz import (FAMILIES, FuzzFailure, FuzzResult, certify_sequential,
                       random_sequential_game, random_stage, run_fuzz,
                       shrink_sequential, shrink_stage)
 from hog.sequential import SequentialGame
+from hog.simultaneous import PayoffArray
 from test_minimax import stage_from
 from test_sequential import _oracle_game
 
@@ -100,6 +101,29 @@ def test_sequential_draw_checks_budget_before_payoffs():
     counts = [shape.randint(2, 3) for _ in range(n)]
     assert rng.getstate() == shape.getstate()
     assert err.value.count == math.prod(counts)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (5, 5), (0, 1), (-9, 9),
+    # 2**31 + 1 values: 32 bits a try. 2**32 values: 33 bits a try.
+    (-2 ** 31, 0), (0, 2 ** 32 - 1),
+    (-10 ** 308, 10 ** 308), (2 ** 60, 2 ** 60 + 10)],
+    ids=["1", "2", "19", "2**31+1", "2**32", "2e308+1", "11-past-2**53"])
+def test_draw_reads_the_stream_as_per_call_draws(lo, hi):
+    kinds = fuzz._SEQ_KINDS
+    for seed in range(300):
+        calls, helper = random.Random(seed), random.Random(seed)
+        for size in (0, 1, 7, 40):
+            assert fuzz._draw(helper, lo, hi) == calls.randint(lo, hi)
+            values = fuzz._draw(helper, lo, hi, size)
+            assert values == [calls.randint(lo, hi) for _ in range(size)]
+            assert all(type(v) is int for v in values)
+            assert kinds[fuzz._draw(helper, 0, len(kinds) - 1)] == (
+                calls.choice(kinds))
+        assert helper.getstate() == calls.getstate()
+        assert helper.random() == calls.random()
+    with pytest.raises(ValueError):
+        fuzz._draw(random.Random(0), hi + 1, hi, 3)
 
 
 def _reference_run_fuzz(seed, count, families=FAMILIES, max_rounds=4,
@@ -190,9 +214,11 @@ def test_stacked_sweep_matches_reference_loop():
         assert got[1] is True and got[0] == 3 * count
         shapes += len({key[0] for _, _, key in got[3]})
     assert shapes > 100
-    # Payoffs near the float range, where the kernels overflow quietly.
-    got = _assert_same_sweep(4, 50, payoff_range=(-10 ** 308, 10 ** 308))
-    assert got[1] is True
+    # Payoffs near the float range, where the kernels overflow quietly, and
+    # integers that float64 rounds.
+    for payoff_range in ((-10 ** 308, 10 ** 308), (2 ** 60, 2 ** 60 + 10)):
+        got = _assert_same_sweep(4, 50, payoff_range=payoff_range)
+        assert got[1] is True
 
 
 def test_stacked_sweep_matches_reference_on_failures(monkeypatch):
@@ -207,6 +233,40 @@ def test_stacked_sweep_matches_reference_on_failures(monkeypatch):
         failures.update((family, stop) for family, *_ in got[2])
     assert failures == {(family, stop) for family in ("seq", "normal-form")
                         for stop in (True, False)}
+
+
+def test_corpus_games_are_built_when_read(monkeypatch):
+    take = PayoffArray._take_payoffs
+    built = []
+
+    def counted(self, counts):
+        built.append(self)
+        take(self, counts)
+
+    monkeypatch.setattr(PayoffArray, "_take_payoffs", counted)
+    result = run_fuzz(3, 40, max_rounds=3)
+    assert result.ok and not built
+    read = [(family, index, _game_key(game))
+            for family, index, game in result.corpus]
+    assert len(built) == len(result.corpus) == 120
+    assert read == [(family, index, _game_key(game))
+                    for family, index, game in result.corpus]
+    assert read == _sweep(_reference_run_fuzz, 3, 40, max_rounds=3)[3]
+    family, index, game = result.corpus[-1]
+    assert (family, index, _game_key(game)) == read[-1]
+    assert [(f, i) for f, i, _ in result.corpus[40:43]] == [
+        (f, i) for f, i, _ in read[40:43]]
+
+    # A failing game is built and shrunk as it is walked; the corpus waits.
+    monkeypatch.setattr(fuzz, "_round_pair", _attains_nothing)
+    built.clear()
+    result = run_fuzz(1, 50)
+    assert not result.ok and built
+    failure, = result.failures
+    drawn = [game for family, index, game in result.corpus
+             if (family, index) == (failure.family, failure.index)]
+    assert failure.game.payoffs.size <= drawn[0].payoffs.size
+    assert _sweep(run_fuzz, 1, 50) == _sweep(_reference_run_fuzz, 1, 50)
 
 
 def test_stacked_sweep_refuses_where_reference_refuses(monkeypatch):
@@ -281,7 +341,8 @@ def test_stacks_match_one_game_functions(monkeypatch):
     for name, family in plan.items():
         rng = random.Random(5)
         drawn = [family.draw(rng) for _ in range(300)]
-        want = [family.certify(g, None) for g in drawn]
+        want = [family.certify(family.build(*values), None)
+                for values in drawn]
         assert fuzz._verdicts(family, drawn).tolist() == want
         assert (name == "bbc") == all(want)
 

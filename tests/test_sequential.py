@@ -234,6 +234,40 @@ def test_validate_strategy_messages():
         assert str(err.value) == message
 
 
+def test_strategies_refuse_non_integer_moves():
+    from hog.normalform import check_soundness
+    g = SequentialGame.from_tensor([2, 2], [1, 2, 3, 4],
+                                   [max_quantifier()] * 2,
+                                   [argmax_selection()] * 2)
+    for strategy, message in (
+            (((1,), (1.5, 1)), "move 1.5 invalid in round 1"),
+            (((True,), (1, 1)), "move True invalid in round 0"),
+            # 1.0 and True equal 1, a valid move, so each type is tested.
+            (((1,), (1, 1.0)), "move 1.0 invalid in round 1"),
+            (((1,), (0, True)), "move True invalid in round 1"),
+            (((1,), (np.float64(1.0), 1)), "move 1.0 invalid in round 1"),
+            (((np.bool_(True),), (1, 1)), "move True invalid in round 0"),
+            (((1,), ("1", 1)), "move 1 invalid in round 1")):
+        for check in (strategic_play, is_optimal_strategy, check_soundness):
+            with pytest.raises(StructuralError) as err:
+                check(g, strategy)
+            assert str(err.value) == message
+    # numpy integers are moves.
+    strategy = ((np.int64(1),), (np.int32(1), np.uint8(1)))
+    assert strategic_play(g, strategy) == (1, 1)
+    assert is_optimal_strategy(g, strategy)
+    assert check_soundness(g, strategy)
+    # A uint8 history index would wrap past 255.
+    g = SequentialGame.from_tensor([20, 20, 2], list(range(800)),
+                                   [max_quantifier()] * 3,
+                                   [argmax_selection()] * 3)
+    strategy = ((19,), (19,) * 20, tuple(int(h == 399) for h in range(400)))
+    narrow = tuple(tuple(map(np.uint8, table)) for table in strategy)
+    play = strategic_play(g, narrow)
+    assert play == strategic_play(g, strategy) == (19, 19, 1)
+    assert all(type(move) is int for move in play)
+
+
 def test_selection_product_grid_checks():
     q = [[1, 2], [3, 4]]
     assert (selection_product(argmax_selection(), argmin_selection(),
