@@ -49,6 +49,18 @@ MoveId = int
 Outcome = float | tuple[float, ...]
 
 
+def is_move_type(kind: type) -> bool:
+    """Whether values of this type may be move ids: Python and numpy
+    integers, not bools. Test it before a value, as 1.0 and True equal 1."""
+    return kind is int or (issubclass(kind, (int, np.integer))
+                           and kind is not bool)
+
+
+def is_move(move, count: int) -> bool:
+    """Whether ``move`` is a move id of a set of ``count`` moves."""
+    return is_move_type(type(move)) and 0 <= move < count
+
+
 def as_outcome(value) -> float | tuple[float, ...]:
     """Normalize a raw value to a scalar float or a tuple of floats."""
     if isinstance(value, bool) or isinstance(value, str):

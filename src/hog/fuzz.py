@@ -11,15 +11,19 @@ Every value is drawn by ``_draw``, which reads a seed's ``random.Random``
 exactly as one ``randint`` or ``choice`` call per value would, with one
 ``getrandbits`` call per try. ``run_fuzz`` draws each family's games as
 plain values: move counts, integer payoffs in a float array, and each
-round's quantifier and selection. It certifies them in stacks of games of
-one shape, whose payoffs are one float array, so a round costs one kernel
-call per distinct quantifier or selection of a stack, not one per game: one
-backward pass per stack of sequential games, which checks optimality as it
-goes or is followed by one on-path soundness walk, and one BBC pair and
-reply-robustness check per stack of stages. A game object is built only
-when it is read: a failing game, which the one-game certifiers shrink, or a
-game of the result's corpus. The one-game certifiers run the same pass,
-walk and pairs on a stack of one, and the same per-round checks.
+round's kind, an index into ``_SEQ_KINDS``. It certifies them in stacks of
+games of one shape, whose payoffs are one float array: one backward pass
+per stack of sequential games, which checks optimality as it goes or is
+followed by one on-path soundness walk, and one BBC pair and
+reply-robustness check per stack of stages. Each round of a stack takes one
+quantifier and one selection, as a round of one game does. Where its games
+drew several kinds, their kernels run each drawn kind's stock kernel on
+every row and keep, for each row, the answer of its own game's kind; stock
+kernels treat rows independently, so that answer is the one-game answer. A
+game object is built only when it is read: a failing game, which the
+one-game certifiers shrink, or a game of the result's corpus. The one-game
+certifiers run the same pass, walk and pairs on a stack of one, and the
+same per-round checks.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ import numpy as np
 
 from . import minimax, normalform, sequential
 from .budget import check_budget, resolve_budget
-from .core import (argmax_selection, argmin_selection, average_quantifier,
-                   max_quantifier, min_quantifier, nearest_mean_selection,
-                   quiet)
+from .core import (Quantifier, SelectionFunction, argmax_selection,
+                   argmin_selection, average_quantifier, max_quantifier,
+                   min_quantifier, nearest_mean_selection, quiet)
 from .errors import BudgetExceededError
 from .sequential import SequentialGame
 from .simultaneous import (SimultaneousGame, default_move_labels,
@@ -85,7 +89,8 @@ def _draw_sequential(rng: random.Random, max_rounds: int, max_moves: int,
                      min_moves: int, payoff_range: tuple[int, int], kinds,
                      budget: int | None):
     """The values of random_sequential_game: move counts, row-major
-    payoffs (integers, as a float array), quantifiers and selections."""
+    payoffs (integers, as a float array) and each round's index in
+    ``kinds``."""
     n = _draw(rng, 1, max_rounds)
     counts = tuple(_draw(rng, min_moves, max_moves) for _ in range(n))
     plays = math.prod(counts)
@@ -93,10 +98,16 @@ def _draw_sequential(rng: random.Random, max_rounds: int, max_moves: int,
     lo, hi = payoff_range
     payoffs = np.array(_draw(rng, lo, hi, plays), dtype=float)
     # rng.choice(kinds), once per round.
-    pairs = [_round_pair(kinds[_draw(rng, 0, len(kinds) - 1)])
-             for _ in range(n)]
-    quantifiers, selections = zip(*pairs)
-    return counts, payoffs, quantifiers, selections
+    return counts, payoffs, _draw(rng, 0, len(kinds) - 1, n)
+
+
+def _sequential(counts: tuple[int, ...], payoffs, rounds: list[int],
+                kinds=_SEQ_KINDS) -> SequentialGame:
+    """The game of these drawn values, each round with the ``_round_pair``
+    of its kind."""
+    quantifiers, selections = zip(*(_round_pair(kinds[k]) for k in rounds))
+    return SequentialGame.from_tensor(counts, payoffs, quantifiers,
+                                      selections)
 
 
 def random_sequential_game(rng: random.Random, max_rounds: int = 4,
@@ -107,21 +118,9 @@ def random_sequential_game(rng: random.Random, max_rounds: int = 4,
     """Random sequential game with integer payoffs and one stock kind per
     round. Its plays are checked against the budget before any payoff is
     drawn, so a refused game costs only its shape."""
-    return SequentialGame.from_tensor(*_draw_sequential(
-        rng, max_rounds, max_moves, min_moves, payoff_range, kinds, budget))
-
-
-def random_max_game(rng: random.Random, players: int = 2, max_moves: int = 4,
-                    min_moves: int = 2,
-                    payoff_range: tuple[int, int] = (-9, 9)) -> SimultaneousGame:
-    """Random finite game with max quantifiers and integer payoffs."""
-    counts = [_draw(rng, min_moves, max_moves) for _ in range(players)]
-    size = math.prod(counts)
-    lo, hi = payoff_range
-    tensors = [_draw(rng, lo, hi, size) for _ in range(players)]
-    return SimultaneousGame.from_tensors(
-        counts, tensors, [max_quantifier() for _ in range(players)]
-    )
+    return _sequential(*_draw_sequential(
+        rng, max_rounds, max_moves, min_moves, payoff_range, kinds, budget),
+        kinds)
 
 
 def _draw_stage(rng: random.Random, max_moves: int, min_moves: int,
@@ -173,87 +172,64 @@ def certify_stage(stage: SimultaneousGame, budget: int | None = None) -> bool:
     return minimax.is_psi_phi_profile(stage, pair, 0.0, budget)
 
 
+def _shrink(game, failing, candidates):
+    """Greedy shrink: the first of ``candidates(game)``, smaller games in
+    order, that still fails replaces the game, until none does."""
+    while True:
+        for candidate in candidates(game):
+            if failing(candidate):
+                game = candidate
+                break
+        else:
+            return game
+
+
 def shrink_sequential(g: SequentialGame, failing) -> SequentialGame:
-    """Greedy shrink: drop rounds (fixing their move to 0), drop moves, zero
-    payoffs, as long as the certification keeps failing."""
-    current = g
-    changed = True
-    while changed:
-        changed = False
-        # Drop a whole round by pinning it to move 0.
-        for r in range(current.rounds - 1, -1, -1):
-            if current.rounds == 1:
-                break
-            cand = _drop_round(current, r)
-            if not failing(cand):
-                continue
-            current, changed = cand, True
-            break
-        if changed:
-            continue
-        # Drop the last move of some round.
-        for r in range(current.rounds):
-            if current.move_counts[r] <= 1:
-                continue
-            cand = _drop_move(current, r)
-            if not failing(cand):
-                continue
-            current, changed = cand, True
-            break
-        if changed:
-            continue
-        # Zero payoff entries.
-        for idx in np.flatnonzero(current.payoffs):
-            cand_tensor = current.payoffs.copy()
-            cand_tensor.flat[idx] = 0
-            cand = replace(current, payoffs=cand_tensor)
-            if failing(cand):
-                current, changed = cand, True
-                break
-    return current
+    """Drop rounds (fixing their move to 0), drop moves, zero payoffs, as
+    long as the certification keeps failing."""
+    return _shrink(g, failing, _sequential_candidates)
 
 
-def _drop_round(g: SequentialGame, r: int) -> SequentialGame:
-    """Pin round r to its first move."""
-    return SequentialGame(
-        g.moves[:r] + g.moves[r + 1:], g.payoffs.take(0, axis=r),
-        g.quantifiers[:r] + g.quantifiers[r + 1:],
-        g.selections[:r] + g.selections[r + 1:],
-    )
-
-
-def _drop_move(g: SequentialGame, r: int) -> SequentialGame:
-    """Drop round r's last move."""
-    moves = g.moves[:r] + (g.moves[r][:-1],) + g.moves[r + 1:]
-    return replace(g, moves=moves, payoffs=g.payoffs.take(
-        range(g.move_counts[r] - 1), axis=r))
+def _sequential_candidates(g: SequentialGame):
+    """Smaller games than ``g``, in the order shrink_sequential tries them.
+    First, pin a round to its first move, last round first."""
+    if g.rounds > 1:
+        for r in range(g.rounds - 1, -1, -1):
+            yield SequentialGame(
+                g.moves[:r] + g.moves[r + 1:], g.payoffs.take(0, axis=r),
+                g.quantifiers[:r] + g.quantifiers[r + 1:],
+                g.selections[:r] + g.selections[r + 1:])
+    # Drop the last move of a round.
+    for r, m in enumerate(g.move_counts):
+        if m > 1:
+            yield replace(g, moves=g.moves[:r] + (g.moves[r][:-1],)
+                          + g.moves[r + 1:],
+                          payoffs=g.payoffs.take(range(m - 1), axis=r))
+    # Zero a payoff.
+    for idx in np.flatnonzero(g.payoffs):
+        payoffs = g.payoffs.copy()
+        payoffs.flat[idx] = 0
+        yield replace(g, payoffs=payoffs)
 
 
 def shrink_stage(stage: SimultaneousGame, failing) -> SimultaneousGame:
-    current = stage
-    changed = True
-    while changed:
-        changed = False
-        nx, ny = current.move_counts
-        outcomes = current.payoffs[0]
-        if nx > 1:
-            cand = _stage_from_grid(current, outcomes[:-1])
-            if failing(cand):
-                current, changed = cand, True
-                continue
-        if ny > 1:
-            cand = _stage_from_grid(current, outcomes[:, :-1])
-            if failing(cand):
-                current, changed = cand, True
-                continue
-        for idx in np.flatnonzero(outcomes):
-            grid = outcomes.copy()
-            grid.flat[idx] = 0
-            cand = _stage_from_grid(current, grid)
-            if failing(cand):
-                current, changed = cand, True
-                break
-    return current
+    """Drop the last row or column, zero outcomes, as long as the
+    certification keeps failing."""
+    return _shrink(stage, failing, _stage_candidates)
+
+
+def _stage_candidates(stage: SimultaneousGame):
+    """Smaller stages, in the order shrink_stage tries them."""
+    outcomes = stage.payoffs[0]
+    nx, ny = stage.move_counts
+    if nx > 1:
+        yield _stage_from_grid(stage, outcomes[:-1])
+    if ny > 1:
+        yield _stage_from_grid(stage, outcomes[:, :-1])
+    for idx in np.flatnonzero(outcomes):
+        grid = outcomes.copy()
+        grid.flat[idx] = 0
+        yield _stage_from_grid(stage, grid)
 
 
 def _stage_from_grid(stage: SimultaneousGame,
@@ -321,8 +297,10 @@ def _certify_sequential_stack(payoffs: np.ndarray, counts: tuple[int, ...],
     backward pass over all of them, which checks optimality as it goes, or
     is followed by one on-path soundness walk."""
     flat, stack = payoffs.reshape(-1), len(drawn)
-    quantifiers = sequential._groups([values[2] for values in drawn])
-    selections = sequential._groups([values[3] for values in drawn])
+    pairs = [_round_pair(kind) for kind in _SEQ_KINDS]
+    kinds = np.array([values[2] for values in drawn])
+    quantifiers, selections = zip(*(_stacked_round(column, pairs)
+                                    for column in kinds.T))
     if not sound:
         return sequential._optimal_moves(flat, counts, stack, selections,
                                          quantifiers)[2]
@@ -330,6 +308,33 @@ def _certify_sequential_stack(payoffs: np.ndarray, counts: tuple[int, ...],
                                                   selections)
     return normalform._sound_verdicts(flat, counts, stack, quantifiers, moves,
                                       reached, 0.0)
+
+
+def _stacked_round(column: np.ndarray, pairs: list[tuple]) -> tuple:
+    """The quantifier and selection of a round of a stack whose games drew
+    the kinds ``column`` (indices into ``pairs``): the kind's own pair if
+    every game drew it, else a pair whose kernels run each drawn kind's
+    kernel on every row (rows go game by game, the same number per game)
+    and keep, for each row, the answer of its game's kind."""
+    drawn = np.flatnonzero(np.bincount(column, minlength=len(pairs)))
+    if len(drawn) == 1:
+        return pairs[drawn[0]]
+
+    def row_chosen(call):
+        def kernel(tables, *args):
+            kind = np.repeat(column, len(tables) // len(column))
+            out = call(pairs[drawn[0]], tables, *args)
+            for k in drawn[1:]:
+                own = kind == k
+                out[own] = call(pairs[k], tables, *args)[own]
+            return out
+        return kernel
+
+    phi, eps = pairs[drawn[0]]
+    return (Quantifier(phi.kind, row_chosen(
+                lambda pair, *args: pair[0].kernel(*args))),
+            SelectionFunction(eps.kind, row_chosen(
+                lambda pair, tables: pair[1].kernel(tables))))
 
 
 def _certify_stage_stack(payoffs: np.ndarray, counts: tuple[int, int],
@@ -382,8 +387,7 @@ def _families(max_rounds: int, max_moves: int, payoff_range: tuple[int, int],
                     max_moves=max_moves, min_moves=2,
                     payoff_range=payoff_range, kinds=_SEQ_KINDS,
                     budget=budget),
-            SequentialGame.from_tensor,
-            partial(_certify_sequential_stack, sound=False),
+            _sequential, partial(_certify_sequential_stack, sound=False),
             _sequential_budget,
             certify_sequential, shrink_sequential),
         "normal-form": _Family(
@@ -391,8 +395,7 @@ def _families(max_rounds: int, max_moves: int, payoff_range: tuple[int, int],
                     max_moves=max_moves, min_moves=2,
                     payoff_range=payoff_range, kinds=_SEQ_KINDS,
                     budget=budget),
-            SequentialGame.from_tensor,
-            partial(_certify_sequential_stack, sound=True),
+            _sequential, partial(_certify_sequential_stack, sound=True),
             _normal_form_budget,
             certify_normal_form, shrink_sequential),
         # Max/min stages enumerate no reply functions.

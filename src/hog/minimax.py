@@ -137,10 +137,7 @@ def is_psi_phi_profile(g: SimultaneousGame, pair: tuple[int, int],
     quantifier, which tests every entry of every line against its line.
     """
     outcomes = stage_outcomes(g, False)
-    a, b = pair
-    nx, ny = g.move_counts
-    if not (0 <= a < nx and 0 <= b < ny):
-        raise StructuralError(f"pair {pair} outside {nx}x{ny} stage")
+    a, b = g.validate_profile(pair)
     phi, psi = g.quantifiers
     scalar = outcomes.ndim == 2
 

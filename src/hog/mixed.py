@@ -95,7 +95,8 @@ import math
 import numpy as np
 
 from .budget import check_budget
-from .core import OutcomeTable, QuantifierKind, SelectionFunction, as_outcome
+from .core import (OutcomeTable, QuantifierKind, SelectionFunction, as_outcome,
+                   is_move)
 from .errors import StructuralError
 from .simultaneous import SimultaneousGame
 
@@ -144,7 +145,7 @@ def mixed_profile(g: SimultaneousGame, per_player) -> MixedProfile:
 
 def vertex(count: int, move: int) -> np.ndarray:
     """The simplex vertex placing all mass on ``move``."""
-    if not 0 <= move < count:
+    if not is_move(move, count):
         raise StructuralError(f"move {move} outside 0..{count - 1}")
     v = np.zeros(count)
     v[move] = 1.0

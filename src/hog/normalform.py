@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import check_budget
-from .core import OutcomeTable, Quantifier
+from .core import OutcomeTable, Quantifier, is_move
 from .errors import StructuralError
-from .sequential import (SeqStrategy, SequentialGame, _accepted, _groups,
-                         _reached, histories)
+from .sequential import (SeqStrategy, SequentialGame, _accepted, _reached,
+                         histories)
 from .simultaneous import SimultaneousGame
 
 
@@ -44,10 +44,10 @@ class ContingentMoveSet:
     def table(self, index: int) -> tuple[int, ...]:
         """Decode an index into a history table (first history most
         significant)."""
-        if not 0 <= index < self.size:
+        if not is_move(index, self.size):
             raise StructuralError(
-                f"contingent move {index} outside 0..{self.size - 1}"
-            )
+                f"contingent move {index} outside 0..{self.size - 1} in "
+                f"round {self.round_index}")
         digits = []
         for _ in range(self.history_count):
             index, d = divmod(index, self.base_move_count)
@@ -62,9 +62,10 @@ class ContingentMoveSet:
             )
         idx = 0
         for move in table:
-            if not 0 <= move < self.base_move_count:
-                raise StructuralError(f"move {move} invalid in contingent table")
-            idx = idx * self.base_move_count + move
+            if not is_move(move, self.base_move_count):
+                raise StructuralError(
+                    f"move {move} invalid in round {self.round_index}'s table")
+            idx = idx * self.base_move_count + int(move)
         return idx
 
     def constant_index(self, move: int) -> int:
@@ -208,18 +209,18 @@ def check_soundness(g: SequentialGame, strategy: SeqStrategy, tol: float = 0.0,
     moves = [np.asarray(table) for table in strategy]
     with g.quiet():
         return bool(_sound_verdicts(
-            g.flat_payoffs(), g.move_counts, 1, _groups([g.quantifiers]), moves,
+            g.flat_payoffs(), g.move_counts, 1, g.quantifiers, moves,
             _reached(g.move_counts, 1, lambda i, _: moves[i]), tol)[0])
 
 
 def _sound_verdicts(flat: np.ndarray, counts, stack: int,
-                    quantifiers: list[list[tuple]], moves, reached,
+                    quantifiers: tuple[Quantifier, ...], moves, reached,
                     tol: float) -> np.ndarray:
     """check_soundness on each game of a stack, without budget checks, laid
     out as for ``sequential._optimal_moves``, which gives the strategies'
     tables ``moves`` and their ``reached`` arrays: one on-path history per
-    game, and per round one kernel call per stock quantifier on the
-    deviation tables at those histories. Rounds go in order, up to one
+    game, and per round one call of the round's one quantifier on every
+    game's deviation table at its history. Rounds go in order, up to one
     where every game has failed."""
     games = np.arange(stack)
     history = np.zeros(stack, dtype=np.intp)

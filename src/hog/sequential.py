@@ -13,9 +13,9 @@ and move, and its outcomes are the round's deviation tables, which one
 kernel call tests or chooses on. Both the optimal strategy and the optimal
 play come from one such pass. The pass runs on a stack of games with the
 same move counts, whose flat payoffs lie end to end: the rows of an index
-array go game by game, and a round calls each distinct quantifier or
-selection of the stack once, on the rows of the games that use it. The
-public functions run it on a stack of one.
+array go game by game, and each round takes one quantifier and one
+selection, whose kernels see the rows of every game of the stack at once.
+The public functions run it on a stack of one.
 
 History tables are dense arrays in mixed-radix order over the preceding move
 sets, first round most significant. The outcome function is stored as one
@@ -34,7 +34,7 @@ import numpy as np
 
 from .budget import check_budget
 from .core import (Quantifier, QuantifierKind, SelectionFunction, as_outcome,
-                   quiet)
+                   is_move, is_move_type, quiet)
 from .errors import StructuralError
 from .simultaneous import PayoffArray, default_move_labels, flat_tensor
 
@@ -124,19 +124,13 @@ class SequentialGame(PayoffArray):
                     f"round {i} table has {len(table)} entries, expected "
                     f"{self.history_count(i)}"
                 )
-            # Test each distinct type and move once; walk the table only to
-            # name the first bad one. A move is a Python or numpy integer,
-            # not a bool; the types go first, as 1.0 and True equal 1.
-            if not (all(map(_is_move_type, set(map(type, table))))
+            # Test each distinct type, then each distinct move, once; walk
+            # the table only to name the first bad one.
+            if not (all(map(is_move_type, set(map(type, table))))
                     and all(0 <= move < m for move in set(table))):
-                bad = next(move for move in table if not (
-                    _is_move_type(type(move)) and 0 <= move < m))
+                bad = next(move for move in table if not is_move(move, m))
                 raise StructuralError(f"move {bad} invalid in round {i}")
         return strategy
-
-
-def _is_move_type(kind: type) -> bool:
-    return issubclass(kind, (int, np.integer)) and kind is not bool
 
 
 def strategic_play(g: SequentialGame, strategy: Sequence[Sequence[int]]) -> Play:
@@ -167,40 +161,6 @@ def _reached(counts: Sequence[int], stack: int,
     return reached
 
 
-def _groups(per_game: Sequence[Sequence]) -> list[list[tuple]]:
-    """Per round, each distinct quantifier or selection of a stack of games
-    (by identity, in order of first use) with the indices of the games that
-    use it, or None when every game does."""
-    rounds = []
-    for objs in zip(*per_game):
-        first = objs[0]
-        if all(obj is first for obj in objs):
-            rounds.append([(first, None)])
-            continue
-        users = {}
-        for index, obj in enumerate(objs):
-            users.setdefault(id(obj), (obj, []))[1].append(index)
-        rounds.append([(obj, np.array(games)) for obj, games in users.values()])
-    return rounds
-
-
-def _grouped(groups: list[tuple], stack: int, call, *arrays) -> np.ndarray:
-    """``call(obj, *arrays)`` on the rows of each group's games, put back
-    into one array. The rows of each array, and of each call's result, go
-    game by game, the same number per game."""
-    if groups[0][1] is None:
-        return call(groups[0][0], *arrays)
-    arrays = [a.reshape(stack, -1, *a.shape[1:]) for a in arrays]
-    out = None
-    for obj, games in groups:
-        part = call(obj, *(a[games].reshape(-1, *a.shape[2:]) for a in arrays))
-        part = part.reshape(len(games), -1, *part.shape[1:])
-        if out is None:
-            out = np.empty((stack, *part.shape[1:]), dtype=part.dtype)
-        out[games] = part
-    return out.reshape(-1, *out.shape[2:])
-
-
 def _deviation_count(counts: Sequence[int]) -> int:
     """The entries of all one-round deviation tables of a game with these
     move counts: the budget unit of the strategy pass and of the optimality
@@ -218,34 +178,28 @@ def is_optimal_strategy(g: SequentialGame, strategy: Sequence[Sequence[int]],
     strategy = g.validate_strategy(strategy)
     check_budget(_deviation_count(g.move_counts), budget, "optimality checks")
     flat = g.flat_payoffs()
-    quantifiers = _groups([g.quantifiers])
     with g.quiet():
         for i, (reached, followed) in enumerate(
                 _reached(g.move_counts, 1, lambda i, _: strategy[i])):
-            if not _accepted(quantifiers[i], 1, flat[reached],
+            if not _accepted(g.quantifiers[i], 1, flat[reached],
                              flat[followed][:, None], tol)[0]:
                 return False
     return True
 
 
-def _accepted(quantifiers: list[tuple], stack: int, tables: np.ndarray,
+def _accepted(phi: Quantifier, stack: int, tables: np.ndarray,
               values: np.ndarray, tol: float) -> np.ndarray:
     """Whether each game of a stack accepts the values on every one of its
-    deviation tables of a round (rows game by game), given the round's
-    ``_groups``. A stock kernel sees a group's tables at once; a custom
-    test sees one table at a time, up to a game's first rejection."""
+    deviation tables of a round (rows game by game) by the round's
+    quantifier. A stock kernel sees every table at once; a custom test
+    sees one table at a time, up to a game's first rejection."""
     per_game = len(tables) // stack
-
-    def accepts(phi, tables, values):
-        if phi.kind is not QuantifierKind.CUSTOM:
-            return phi.kernel(tables, values, tol).reshape(
-                -1, per_game).all(axis=1)
-        return np.array([
-            all(phi.kernel(tables[h:h + 1], values[h:h + 1], tol)[0, 0]
-                for h in range(start, start + per_game))
-            for start in range(0, len(tables), per_game)], dtype=bool)
-
-    return _grouped(quantifiers, stack, accepts, tables, values)
+    if phi.kind is not QuantifierKind.CUSTOM:
+        return phi.kernel(tables, values, tol).reshape(-1, per_game).all(axis=1)
+    return np.array([
+        all(phi.kernel(tables[h:h + 1], values[h:h + 1], tol)[0, 0]
+            for h in range(start, start + per_game))
+        for start in range(0, len(tables), per_game)], dtype=bool)
 
 
 def _product_grid(q) -> np.ndarray:
@@ -318,23 +272,23 @@ def _optimal_tables(g: SequentialGame) -> SeqStrategy:
     """compute_optimal_strategy without its budget check."""
     with g.quiet():
         moves = _optimal_moves(g.flat_payoffs(), g.move_counts, 1,
-                               _groups([g.selections]))[0]
+                               g.selections)[0]
     return tuple(tuple(table.tolist()) for table in moves)
 
 
 def _optimal_moves(flat: np.ndarray, counts: Sequence[int], stack: int,
-                   selections: list[list[tuple]],
-                   quantifiers: list[list[tuple]] | None = None,
+                   selections: Sequence[SelectionFunction],
+                   quantifiers: Sequence[Quantifier] | None = None,
                    tol: float = 0.0):
     """compute_optimal_strategy on each game of a stack of games with these
     move counts, without budget checks, in one backward pass. ``flat``
-    holds the games' flat payoffs end to end and ``selections`` is the
-    stack's ``_groups``; each round calls each of its selections once.
+    holds the games' flat payoffs end to end; each round calls its one
+    selection of ``selections`` once, on every game's tables.
 
     Returns, per round, each game's table in turn, and the pass's
-    ``_reached`` arrays. With the stack's quantifier ``_groups``, it also
-    returns whether each game passes is_optimal_strategy with its tables
-    at ``tol``, each round checked as soon as its moves are chosen (the
+    ``_reached`` arrays. With one quantifier per round, it also returns
+    whether each game passes is_optimal_strategy with its tables at
+    ``tol``, each round checked as soon as its moves are chosen (the
     deviation tables of a strategy's pass are the ones it is checked on);
     else None."""
     moves = [None] * len(counts)
@@ -342,8 +296,7 @@ def _optimal_moves(flat: np.ndarray, counts: Sequence[int], stack: int,
 
     def choose(i: int, reached: np.ndarray) -> np.ndarray:
         tables = flat[reached]
-        moves[i] = _grouped(selections[i], stack,
-                            lambda eps, tables: eps.kernel(tables), tables)
+        moves[i] = selections[i].kernel(tables)
         if ok is not None:
             values = tables[np.arange(len(tables)), moves[i]][:, None]
             np.logical_and(ok, _accepted(quantifiers[i], stack, tables, values,

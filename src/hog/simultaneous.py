@@ -28,7 +28,7 @@ import numpy as np
 
 from .budget import check_budget
 from .core import (Outcome, OutcomeTable, Quantifier, SelectionFunction,
-                   as_outcome, quiet)
+                   as_outcome, is_move, quiet)
 from .errors import StructuralError
 
 PureProfile = tuple[int, ...]
@@ -196,7 +196,7 @@ class SimultaneousGame(PayoffArray):
                 f"profile has {len(profile)} moves for {self.num_players} players"
             )
         for i, (m, c) in enumerate(zip(profile, self.move_counts)):
-            if not 0 <= m < c:
+            if not is_move(m, c):
                 raise StructuralError(f"move {m} invalid for player {i} (size {c})")
         return profile
 

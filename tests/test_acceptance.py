@@ -13,7 +13,7 @@ from hog.core import (OutcomeTable, argmax_selection, argmin_selection,
                       average_quantifier, constant_selection,
                       eps_ball_quantifier, max_quantifier, min_quantifier,
                       nearest_mean_selection)
-from hog.fuzz import (random_max_game, random_sequential_game, random_stage)
+from hog.fuzz import random_sequential_game, random_stage
 from hog.gamefile import load_game, parse_strategy
 from hog.minimax import bbc, is_psi_phi_profile
 from hog.mixed import (is_mixed_nash, lift_selection, mixed_strategy,
@@ -22,6 +22,7 @@ from hog.normalform import check_soundness
 from hog.sequential import (compute_optimal_play, compute_optimal_strategy,
                             is_optimal_strategy, strategic_play)
 from hog.simultaneous import SimultaneousGame, is_generalised_nash
+from random_games import random_max_game
 from test_sequential import _reference_compute_optimal_play
 
 NF_BUDGET = 4_000_000  # worst case for 3 rounds of 3 moves is 3^13 profiles

@@ -236,7 +236,7 @@ def test_fuzz_mutation_self_test(capsys, tmp_path, monkeypatch):
     # Corrupt the optimality check that is_optimal_strategy and the stacked
     # sweep share: fuzz must detect it, shrink, and write the failing game.
     monkeypatch.setattr(hog.sequential, "_accepted",
-                        lambda quantifiers, stack, *a: np.zeros(stack, bool))
+                        lambda phi, stack, *a: np.zeros(stack, bool))
     out_dir = tmp_path / "corpus"
     out_dir.mkdir()
     code, out, _ = run(capsys, [

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import json
 import math
 import random
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from hog import fuzz, minimax, normalform, sequential
 from hog.budget import resolve_budget
-from hog.cli import main
+from hog.cli import _game_document, main
 from hog.core import (argmax_selection, argmin_selection, fixed_point_quantifier,
                       max_quantifier, min_quantifier)
 from hog.errors import BudgetExceededError
@@ -80,6 +82,42 @@ def test_stage_shrinker():
 
     small = shrink_stage(stage, failing)
     assert small.move_counts[0] * small.move_counts[1] == 2
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def test_shrunk_failures_are_pinned(monkeypatch):
+    # Every failure of these sweeps, shrunk and serialised as 'hog fuzz'
+    # writes it, as the two shrinkers gave them before they shared one loop.
+    monkeypatch.setattr(fuzz, "_round_pair", _attains_nothing)
+    failures = []
+    for max_rounds in (2, 4):
+        for seed in range(1, 5):
+            result = run_fuzz(seed, 50, max_rounds=max_rounds,
+                              stop_on_failure=False)
+            failures += [[f.family, f.index,
+                          _game_document(f.family, f.game)]
+                         for f in result.failures]
+    assert len(failures) == 373
+    assert _digest(failures) == (
+        "c477ab2ed772dcac778af25a009ee9f72982146a39ec761ef0435edb081b7247")
+
+
+def test_stage_shrinks_are_pinned():
+    # shrink_stage on 200 stages of 1-5 moves a side, under two predicates
+    # that drop rows, columns and outcomes, as before the shared loop.
+    rng = random.Random(3)
+    stages = [random_stage(rng, max_moves=5, min_moves=1) for _ in range(200)]
+    predicates = (
+        lambda s: s.payoffs[0].sum() >= 4,
+        lambda s: (np.count_nonzero(s.payoffs[0]) >= 2
+                   and s.payoffs[0].max() > 3))
+    shrunk = [[shrink_stage(s, failing).payoffs[0].tolist() for s in stages]
+              for failing in predicates]
+    assert _digest(shrunk) == (
+        "c2e17d57a1a2991ca2c58eddb31b1f1500ace042a7ccf79847e63f5c537c0a87")
 
 
 def test_certifier_agrees_with_direct_checks():
@@ -289,21 +327,50 @@ def test_stacked_sweep_refuses_where_reference_refuses(monkeypatch):
     assert midway > 10
 
 
+def _row_chosen(objs):
+    """One quantifier or selection for a round of a stack whose games use
+    ``objs``, one each: its kernel runs each distinct object's kernel on
+    every row (rows go game by game, the same number per game) and keeps
+    the answer of each row's own game's object."""
+    distinct = list({id(obj): obj for obj in objs}.values())
+    if len(distinct) == 1:
+        return distinct[0]
+    which = np.array([[d is obj for d in distinct].index(True)
+                      for obj in objs])
+
+    def kernel(tables, *args):
+        own = np.repeat(which, len(tables) // len(objs))
+        out = distinct[0].kernel(tables, *args)
+        for k, obj in enumerate(distinct[1:], 1):
+            out[own == k] = obj.kernel(tables, *args)[own == k]
+        return out
+
+    return replace(distinct[0], kernel=kernel)
+
+
 def test_stacks_match_one_game_functions(monkeypatch):
-    # Stacks of games of one shape, each round with up to five kinds.
+    # Stacks of games of one shape, each round with up to four stock kinds
+    # and one row-chosen quantifier and selection. A custom test sees one
+    # table at a time, up to its own game's first rejection, so a game
+    # with a custom kind is a stack of one.
     rng = random.Random(77)
     kinds = ("max", "min", "average", "eps_ball", "custom")
     games = [_oracle_game(rng, kinds) for _ in range(400)]
     games += [_oracle_game(rng, ("eps_ball",), dim=2) for _ in range(40)]
     stacks = {}
     for g in games:
-        stacks.setdefault((g.move_counts, g.payoffs.shape), []).append(g)
-    verdicts = set()
+        custom = "custom" in [x.kind for x in g.quantifiers + g.selections]
+        stacks.setdefault((g.move_counts, g.payoffs.shape,
+                           id(g) if custom else None), []).append(g)
+    verdicts, mixed = set(), 0
     for stack in stacks.values():
         flat = np.concatenate([g.flat_payoffs() for g in stack])
         counts = stack[0].move_counts
-        selections = sequential._groups([g.selections for g in stack])
-        quantifiers = sequential._groups([g.quantifiers for g in stack])
+        selections = tuple(map(_row_chosen,
+                               zip(*(g.selections for g in stack))))
+        quantifiers = tuple(map(_row_chosen,
+                                zip(*(g.quantifiers for g in stack))))
+        mixed += sum(phi not in stack[0].quantifiers for phi in quantifiers)
         strategies = [sequential.compute_optimal_strategy(g) for g in stack]
         for tol in (0.0, 2.0):
             moves, reached, ok = sequential._optimal_moves(
@@ -330,7 +397,7 @@ def test_stacks_match_one_game_functions(monkeypatch):
                     for g, t in zip(stack, tables)]
                 verdicts.update(sound.tolist())
     assert verdicts == {True, False}
-    assert max(map(len, stacks.values())) > 20
+    assert max(map(len, stacks.values())) > 20 and mixed > 20
 
     # The fuzz families, with a pair that does not attain in some games,
     # in stacks of at most 20 payoff entries: groups are cut, and games of

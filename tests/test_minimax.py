@@ -558,3 +558,14 @@ def test_cli_bbc_json_is_pinned(capsys, games_dir, tmp_path):
         assert main(["bbc", str(path), "--json"]) == 0
         out = capsys.readouterr()
         assert (out.out, out.err) == (want, "")
+
+
+def test_psi_phi_pair_moves_are_integers():
+    stage = stage_from([1, 2, 3, 4], 2, 2)
+    for bad, player in (((True, 0), 0), ((1.5, 0), 0), ((0, 1.0), 1),
+                        ((0, 2), 1)):
+        with pytest.raises(StructuralError,
+                           match=f"invalid for player {player}"):
+            is_psi_phi_profile(stage, bad)
+    assert is_psi_phi_profile(stage, (np.int64(1), np.int8(0))) == (
+        is_psi_phi_profile(stage, (1, 0)))

@@ -14,12 +14,12 @@ from hog.core import (QuantifierKind, argmax_selection, argmin_selection,
                       average_quantifier, OutcomeTable, as_outcome,
                       outcome_distance, quiet)
 from hog.errors import BudgetExceededError, StructuralError
-from hog.fuzz import random_max_game
 from hog.mixed import (_dedupe_sorted, expected_outcome, is_mixed_nash,
                        lift_selection, mixed_profile, mixed_strategy,
                        mixed_unilateral_table, solve_generic,
                        solve_support_enumeration_2p, vertex, vertex_profile)
 from hog.simultaneous import SimultaneousGame, is_generalised_nash
+from random_games import random_max_game
 
 MP = [[1, -1, -1, 1], [-1, 1, 1, -1]]
 RPS = [
@@ -1191,3 +1191,12 @@ def test_solve_generic_raises_only_where_reference_raises():
             want = _result_or_error(_reference_solve_generic, g, depth)
             assert isinstance(want, str) == (g in raising)
             _assert_identical(_result_or_error(solve_generic, g, depth), want)
+
+
+def test_vertex_moves_are_integers():
+    for bad in (True, 1.0, 0.5, 2, -1):
+        with pytest.raises(StructuralError, match="outside 0..1"):
+            vertex(2, bad)
+    assert vertex(2, np.int64(1)).tolist() == [0.0, 1.0]
+    with pytest.raises(StructuralError, match="invalid for player 1"):
+        vertex_profile(matching_pennies(), (0, False))

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from hog.core import argmax_selection, max_quantifier
@@ -188,3 +189,21 @@ def test_budget_guard_names_cardinality():
     with pytest.raises(BudgetExceededError) as err:
         to_normal_form(g, budget=100)
     assert err.value.count == 2 * 4 * 16
+
+
+def test_contingent_moves_are_integers():
+    cms = ContingentMoveSet(1, 2, 2)
+    for bad in (1.5, 1.0, True, 4, -1):
+        with pytest.raises(StructuralError, match="in round 1"):
+            cms.table(bad)
+    for bad in ((1.0, 0), (True, 0), (0, 2)):
+        with pytest.raises(StructuralError, match="in round 1"):
+            cms.index(bad)
+    with pytest.raises(StructuralError, match="in round 1"):
+        cms.constant_index(True)
+    assert cms.table(np.int64(2)) == (1, 0)
+    assert cms.index((np.int64(1), np.uint8(0))) == 2
+    assert cms.constant_index(np.int32(1)) == 3
+    # numpy moves add up in Python ints: 3^50 - 1 is past int64.
+    assert ContingentMoveSet(1, 3, 50).index((np.int64(2),) * 50) == (
+        3 ** 50 - 1)

@@ -203,3 +203,19 @@ def test_enumeration_budget():
     )
     with pytest.raises(BudgetExceededError):
         enumerate_pure_equilibria(g, budget=100)
+
+
+def test_profile_moves_are_integers():
+    # Types are checked before values: 1.0 and True equal 1.
+    g = matching_pennies()
+    for bad in ((1.5, 0), (1.0, 0), (True, 0), (0, np.float64(1))):
+        with pytest.raises(StructuralError, match="invalid for player"):
+            unilateral_map(g, 0, bad)
+        with pytest.raises(StructuralError, match="invalid for player"):
+            best_response_set(g, bad)
+        with pytest.raises(StructuralError, match="invalid for player"):
+            is_generalised_nash(g, bad)
+    assert unilateral_map(g, 0, (np.int64(1), np.uint8(0))).entries == (
+        1.0, -1.0)
+    assert best_response_set(g, (np.int32(0), 1)) == best_response_set(
+        g, (0, 1))
