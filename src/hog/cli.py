@@ -37,9 +37,18 @@ EXIT_NO_SOLUTION = 5
 EXIT_FUZZ_FAILED = 6
 
 
+def _dump(value) -> str:
+    """The one JSON writer: reports, artifacts and game files."""
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _write(path: Path, value) -> None:
+    path.write_text(_dump(value) + "\n")
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dump(report))
         return
     for line in _text_lines(report):
         print(line)
@@ -150,26 +159,23 @@ def _write_artifact(args, payload: dict, default_name: str) -> str | None:
     out = Path(args.out)
     if out.is_dir():
         out = out / default_name
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(out, payload)
     return str(out)
 
 
+def _finish(args, report: dict, default_name: str) -> None:
+    """Write the report as the --out artifact, then print it."""
+    path = _write_artifact(args, report, default_name)
+    if path:
+        report["artifact"] = path
+    _emit(report, args.json)
+
+
 def cmd_solve(args) -> int:
+    """'solve --mode M', and the 'bbc' and 'normal-form' subcommands."""
     document = gamefile.load_game(args.game)
-    mode = args.mode
-    tol = _tol(args, document)
-    budget = _budget(args, document)
-    if mode == "pure":
-        return _solve_pure(args, document, tol, budget)
-    if mode == "mixed":
-        return _solve_mixed(args, document, tol, budget)
-    if mode == "seq":
-        return _solve_seq(args, document, tol, budget)
-    if mode == "bbc":
-        return _solve_bbc(args, document, tol, budget)
-    if mode == "normal-form":
-        return _solve_normal_form(args, document, budget)
-    raise GameFileError(f"unknown mode {mode!r}", "mode")
+    return _MODES[args.mode](args, document, _tol(args, document),
+                             _budget(args, document))
 
 
 def _as_simultaneous(document) -> simultaneous.SimultaneousGame:
@@ -187,10 +193,7 @@ def _solve_pure(args, document, tol, budget) -> int:
         "equilibria": [list(p) for p in equilibria],
         "count": len(equilibria),
     }
-    path = _write_artifact(args, report, "pure_equilibria.json")
-    if path:
-        report["artifact"] = path
-    _emit(report, args.json)
+    _finish(args, report, "pure_equilibria.json")
     return EXIT_OK
 
 
@@ -219,10 +222,7 @@ def _solve_mixed(args, document, tol, budget) -> int:
         "equilibria": results,
         "count": len(results),
     }
-    path = _write_artifact(args, report, "mixed_equilibria.json")
-    if path:
-        report["artifact"] = path
-    _emit(report, args.json)
+    _finish(args, report, "mixed_equilibria.json")
     if support_eligible and not results:
         print("error: no equilibrium found although the existence theorem "
               "guarantees one for this game; this indicates a solver bug",
@@ -250,10 +250,7 @@ def _solve_seq(args, document, tol, budget) -> int:
         "strategic_play_matches": True,
         "optimal": sequential.is_optimal_strategy(game, strategy, tol, budget),
     }
-    path = _write_artifact(args, report, "optimal_play.json")
-    if path:
-        report["artifact"] = path
-    _emit(report, args.json)
+    _finish(args, report, "optimal_play.json")
     return EXIT_OK
 
 
@@ -279,14 +276,11 @@ def _solve_bbc(args, document, tol, budget) -> int:
         "reply_robust": minimax.is_psi_phi_profile(stage, pair, tol, budget),
         "comparison": comparison,
     }
-    path = _write_artifact(args, report, "bbc.json")
-    if path:
-        report["artifact"] = path
-    _emit(report, args.json)
+    _finish(args, report, "bbc.json")
     return EXIT_OK
 
 
-def _solve_normal_form(args, document, budget) -> int:
+def _solve_normal_form(args, document, tol, budget) -> int:
     if document.kind != "sequential":
         raise GameFileError("mode normal-form requires a sequential game", "mode")
     nf = normalform.to_normal_form(document.game, budget)
@@ -301,19 +295,12 @@ def _solve_normal_form(args, document, budget) -> int:
         report["artifact"] = path
         _emit(report, args.json)
     else:
-        print(json.dumps(nf_doc, indent=2, sort_keys=True))
+        print(_dump(nf_doc))
     return EXIT_OK
 
 
-def cmd_normal_form(args) -> int:
-    document = gamefile.load_game(args.game)
-    return _solve_normal_form(args, document, _budget(args, document))
-
-
-def cmd_bbc(args) -> int:
-    document = gamefile.load_game(args.game)
-    return _solve_bbc(args, document, _tol(args, document),
-                      _budget(args, document))
+_MODES = {"pure": _solve_pure, "mixed": _solve_mixed, "seq": _solve_seq,
+          "bbc": _solve_bbc, "normal-form": _solve_normal_form}
 
 
 def cmd_fuzz(args) -> int:
@@ -346,8 +333,7 @@ def cmd_fuzz(args) -> int:
         for family, index, game in result.corpus:
             doc = _game_document(family, game)
             name = f"{family.replace('-', '_')}_{index:04d}.json"
-            (corpus_dir / name).write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            _write(corpus_dir / name, doc)
         report["corpus_dir"] = str(corpus_dir)
         report["corpus_size"] = len(result.corpus)
     for failure in result.failures:
@@ -355,7 +341,7 @@ def cmd_fuzz(args) -> int:
         out = Path(args.out) if args.out else Path("fuzz_failure.json")
         if out.is_dir():
             out = out / f"fuzz_failure_{failure.family}_{failure.index}.json"
-        out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write(out, doc)
         report["failures"].append({
             "family": failure.family,
             "index": failure.index,
@@ -425,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a game")
     common(p_solve)
-    p_solve.add_argument("--mode", required=True,
-                         choices=["pure", "mixed", "seq", "bbc", "normal-form"])
+    p_solve.add_argument("--mode", required=True, choices=list(_MODES))
     p_solve.add_argument("--grid-depth", type=_int_at_least(1), default=None,
                          help="simplex grid denominator for the generic solver")
     p_solve.set_defaults(fn=cmd_solve)
@@ -434,11 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_nf = sub.add_parser("normal-form",
                           help="export the normal form of a sequential game")
     common(p_nf)
-    p_nf.set_defaults(fn=cmd_normal_form)
+    p_nf.set_defaults(fn=cmd_solve, mode="normal-form")
 
     p_bbc = sub.add_parser("bbc", help="run the independent-pair functional")
     common(p_bbc)
-    p_bbc.set_defaults(fn=cmd_bbc)
+    p_bbc.set_defaults(fn=cmd_solve, mode="bbc")
 
     p_fuzz = sub.add_parser("fuzz", help="certify random games against the checkers")
     p_fuzz.add_argument("--seed", type=int, default=0)

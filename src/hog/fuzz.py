@@ -44,8 +44,7 @@ from .core import (Quantifier, SelectionFunction, argmax_selection,
                    min_quantifier, nearest_mean_selection, quiet)
 from .errors import BudgetExceededError
 from .sequential import SequentialGame
-from .simultaneous import (SimultaneousGame, default_move_labels,
-                           overflow_scale)
+from .simultaneous import SimultaneousGame, move_labels, overflow_scale
 
 FAMILIES = ("seq", "normal-form", "bbc")
 
@@ -138,7 +137,7 @@ def _stage(counts: tuple[int, int], payoffs) -> SimultaneousGame:
     """The max/min stage with argmax/argmin selections and these payoffs."""
     grid = np.array(payoffs, dtype=float).reshape(counts)
     return SimultaneousGame(
-        moves=tuple(map(default_move_labels, counts)),
+        moves=move_labels(counts),
         payoffs=np.broadcast_to(grid, (2, *counts)),
         quantifiers=(max_quantifier(), min_quantifier()),
         single_outcome_space=True,

@@ -1,21 +1,26 @@
 """JSON game file format.
 
-One document describes one game. Common fields:
+One document describes one game, and one reader reads every kind. Fields:
 
-    version       format version (currently 1)
+    version       the integer 1
     kind          "simultaneous" | "sequential" | "two_player_stage"
-    params        optional solver defaults: tol, grid_depth, budget, seed
+    moves         per-player move label lists ("rounds" in a sequential game)
+    payoffs       dense row-major tensors: one per player, or a single one
+                  in a sequential game, a stage, or a simultaneous game with
+                  "single_outcome_space": true
+    quantifiers   one descriptor per player or round
+    selections    one descriptor per player or round; optional only in a
+                  simultaneous game
+    players       optional player names (simultaneous games only)
+    params        optional solver defaults: tol, grid_depth, budget; a
+                  "seed" is accepted and ignored
 
-Simultaneous games carry per-player move label lists under "moves", dense
-row-major payoff tensors under "payoffs" (a list of tensors, or a single
-tensor when "single_outcome_space" is true), and per-player quantifier
-descriptors; "selections" is optional. Sequential games use "rounds" for
-per-round move labels, a single payoff tensor over plays, and per-round
-quantifier and selection descriptors. Two-player stages are the simultaneous
-layout restricted to 2 players with a single shared tensor and required
-selections; they parse to a 2-player single-outcome ``SimultaneousGame``
-with selections. Parsed games hold each tensor as one read-only float64
-array; serializing flattens those arrays back to row-major lists.
+Labels are compared as strings and must be distinct within one move set. A
+two-player stage is the simultaneous layout restricted to 2 players with a
+single shared tensor and required selections; it parses to a 2-player
+single-outcome ``SimultaneousGame`` with selections. Parsed games hold each
+tensor as one read-only float64 array; serializing writes the same layout
+back, each array flattened to a row-major list.
 
 Quantifier descriptors: {"kind": "max"}, {"kind": "min"},
 {"kind": "fixed_point"}, {"kind": "average"},
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -40,10 +45,12 @@ from .core import (Quantifier, SelectionFunction, make_standard_quantifier,
 from .errors import GameFileError, StructuralError
 from .normalform import ContingentMoveSet, lift_round_quantifier
 from .sequential import SequentialGame
-from .simultaneous import SimultaneousGame, flat_tensor
+from .simultaneous import SimultaneousGame
 from .mixed import MixedProfile, mixed_profile
 
 FORMAT_VERSION = 1
+
+_KINDS = ("simultaneous", "sequential", "two_player_stage")
 
 _PARAM_KEYS = {"tol", "grid_depth", "budget", "seed"}
 
@@ -67,62 +74,58 @@ def _get(doc: dict, key: str, types, required: bool = True, default=None):
         _expect(not required, "missing required field", key)
         return default
     value = doc[key]
-    _expect(isinstance(value, types), f"unexpected type {type(value).__name__}", key)
+    # bool is a subclass of int, but true is no version number.
+    _expect(isinstance(value, types)
+            and not (types is int and isinstance(value, bool)),
+            f"unexpected type {type(value).__name__}", key)
     return value
 
 
 def parse_quantifier(desc, fieldname: str = "quantifiers") -> Quantifier:
-    _expect(isinstance(desc, dict) and "kind" in desc,
-            "quantifier descriptor must be an object with a 'kind'", fieldname)
-    kind = desc["kind"]
-    try:
-        if kind == "eps_ball":
-            return make_standard_quantifier("eps_ball", center=desc["center"],
-                                            radius=desc["radius"])
-        if kind == "seq_lift":
-            inner = parse_quantifier(desc["inner"], fieldname + ".inner")
-            cms = ContingentMoveSet(0, int(desc["base_moves"]),
-                                    int(desc["histories"]))
-            return lift_round_quantifier(inner, cms)
-        return make_standard_quantifier(kind)
-    except KeyError as exc:
-        raise GameFileError(f"missing quantifier parameter {exc}", fieldname)
-    except (StructuralError, ValueError) as exc:
-        raise GameFileError(str(exc), fieldname)
+    return _parse_descriptor(desc, fieldname, "quantifier")
 
 
 def parse_selection(desc, fieldname: str = "selections") -> SelectionFunction:
-    _expect(isinstance(desc, dict) and "kind" in desc,
-            "selection descriptor must be an object with a 'kind'", fieldname)
+    return _parse_descriptor(desc, fieldname, "selection")
+
+
+def _parse_descriptor(desc, fieldname: str, what: str):
+    """A stock quantifier or selection from its descriptor: the kind, plus
+    the kind's parameters under their own names."""
+    if not (isinstance(desc, dict) and "kind" in desc):
+        raise GameFileError(
+            f"{what} descriptor must be an object with a 'kind'", fieldname)
     kind = desc["kind"]
     try:
-        if kind == "constant":
-            return make_standard_selection("constant", move=desc["move"])
-        return make_standard_selection(kind)
+        if what == "quantifier" and kind == "seq_lift":
+            inner = parse_quantifier(desc["inner"], fieldname + ".inner")
+            sizes = desc["base_moves"], desc["histories"]
+            _expect(all(type(v) is int and v >= 1 for v in sizes),
+                    "seq_lift base_moves and histories must be integers >= 1")
+            return lift_round_quantifier(inner, ContingentMoveSet(0, *sizes))
+        make = (make_standard_quantifier if what == "quantifier"
+                else make_standard_selection)
+        return make(**desc)
     except KeyError as exc:
-        raise GameFileError(f"missing selection parameter {exc}", fieldname)
+        raise GameFileError(f"missing {what} parameter {exc}", fieldname)
     except (StructuralError, ValueError) as exc:
         raise GameFileError(str(exc), fieldname)
 
 
-def _serialize_quantifier(phi: Quantifier) -> dict:
-    if phi.descriptor is None:
-        raise GameFileError("custom quantifier has no serializable descriptor",
-                            "quantifiers")
-    return dict(phi.descriptor)
+def _serialize_descriptors(items, key: str) -> list[dict]:
+    """The descriptors of a game's quantifiers or selections."""
+    if any(item.descriptor is None for item in items):
+        raise GameFileError(
+            f"custom {key[:-1]} has no serializable descriptor", key)
+    return [dict(item.descriptor) for item in items]
 
 
-def _serialize_selection(eps: SelectionFunction) -> dict:
-    if eps.descriptor is None:
-        raise GameFileError("custom selection has no serializable descriptor",
-                            "selections")
-    return dict(eps.descriptor)
-
-
-def _check_tensor(tensor, size: int, fieldname: str) -> np.ndarray:
-    """A flat tensor of finite JSON numbers as a float array. Numbers are
-    checked in one pass; only a tensor that fails it is walked entry by
-    entry, so the error names the first bad entry's fault."""
+def _check_tensor(tensor, counts: tuple[int, ...], fieldname: str) -> np.ndarray:
+    """A flat tensor of finite JSON numbers as a float array of shape
+    ``counts``. Numbers are checked in one pass; only a tensor that fails it
+    is walked entry by entry, so the error names the first bad entry's
+    fault."""
+    size = math.prod(counts)
     _expect(isinstance(tensor, list), "payoff tensor must be a list", fieldname)
     _expect(len(tensor) == size,
             f"tensor has {len(tensor)} entries, expected {size}", fieldname)
@@ -132,13 +135,13 @@ def _check_tensor(tensor, size: int, fieldname: str) -> np.ndarray:
         except OverflowError:  # an integer too large for a float
             out = None
         if out is not None and np.isfinite(out).all():
-            return out
+            return out.reshape(counts)
     for v in tensor:
         _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
                 "tensor entries must be numbers", fieldname)
         _expect(_finite(v), "tensor entries must be finite", fieldname)
     # Only finite numbers of a subclass of int or float get here.
-    return np.array([float(v) for v in tensor])
+    return np.array([float(v) for v in tensor]).reshape(counts)
 
 
 def _finite(v: int | float) -> bool:
@@ -157,8 +160,23 @@ def _parse_move_labels(raw, fieldname: str) -> tuple[tuple[str, ...], ...]:
         _expect(isinstance(labels, list) and labels,
                 "each move set must be a nonempty list of labels",
                 f"{fieldname}[{i}]")
-        out.append(tuple(str(l) for l in labels))
+        labels = tuple(map(str, labels))
+        if len(set(labels)) < len(labels):
+            # A repeated label would name only its first move.
+            raise GameFileError("move labels must be distinct",
+                                f"{fieldname}[{i}]")
+        out.append(labels)
     return tuple(out)
+
+
+def _parse_each(doc: dict, key: str, n: int, parse, required: bool = True):
+    """The per-player or per-round descriptor list under ``key``."""
+    raw = _get(doc, key, list, required)
+    if raw is None:
+        return None
+    if len(raw) != n:
+        raise GameFileError(f"need {n} {key}, got {len(raw)}", key)
+    return tuple([parse(d, f"{key}[{i}]") for i, d in enumerate(raw)])
 
 
 def _parse_params(doc: dict) -> dict:
@@ -183,100 +201,37 @@ def parse_game(doc: dict) -> GameDocument:
     version = _get(doc, "version", int)
     _expect(version == FORMAT_VERSION, f"unsupported version {version}", "version")
     kind = _get(doc, "kind", str)
-
-    if kind == "simultaneous":
-        return _parse_simultaneous(doc)
-    if kind == "sequential":
-        return _parse_sequential(doc)
-    if kind == "two_player_stage":
-        return _parse_stage(doc)
-    raise GameFileError(f"unknown game kind {kind!r}", "kind")
-
-
-def _parse_simultaneous(doc: dict) -> GameDocument:
-    moves = _parse_move_labels(_get(doc, "moves", list), "moves")
-    counts = [len(ms) for ms in moves]
-    size = math.prod(counts)
-    single = _get(doc, "single_outcome_space", bool, required=False, default=False)
-    payoffs_raw = _get(doc, "payoffs", list)
-    if single:
-        tensors = [_check_tensor(payoffs_raw, size, "payoffs")] * len(moves)
+    _expect(kind in _KINDS, f"unknown game kind {kind!r}", "kind")
+    sequential = kind == "sequential"
+    simultaneous = kind == "simultaneous"
+    key = "rounds" if sequential else "moves"
+    moves = _parse_move_labels(_get(doc, key, list), key)
+    _expect(kind != "two_player_stage" or len(moves) == 2,
+            "a stage has exactly 2 players", "moves")
+    n, counts = len(moves), tuple(map(len, moves))
+    shared = not simultaneous or _get(doc, "single_outcome_space", bool,
+                                      required=False, default=False)
+    raw = _get(doc, "payoffs", list)
+    if shared:
+        payoffs = _check_tensor(raw, counts, "payoffs")
     else:
-        _expect(len(payoffs_raw) == len(moves),
-                f"need {len(moves)} payoff tensors, got {len(payoffs_raw)}",
+        _expect(len(raw) == n, f"need {n} payoff tensors, got {len(raw)}",
                 "payoffs")
-        tensors = [
-            _check_tensor(t, size, f"payoffs[{i}]")
-            for i, t in enumerate(payoffs_raw)
-        ]
-    q_raw = _get(doc, "quantifiers", list)
-    _expect(len(q_raw) == len(moves), "one quantifier per player", "quantifiers")
-    quantifiers = [
-        parse_quantifier(d, f"quantifiers[{i}]") for i, d in enumerate(q_raw)
-    ]
-    players = _get(doc, "players", list, required=False)
-    selections = _parse_optional_selections(doc, len(moves))
-    game = SimultaneousGame.from_tensors(
-        counts, tensors, quantifiers, moves=moves,
-        players=[str(p) for p in players] if players else None,
-        single_outcome_space=bool(single),
-    )
-    if selections is not None:
-        game = replace(game, selections=selections)
-    return GameDocument("simultaneous", game, _parse_params(doc))
-
-
-def _parse_optional_selections(doc: dict, n: int):
-    raw = _get(doc, "selections", list, required=False)
-    if raw is None:
-        return None
-    _expect(len(raw) == n, f"need {n} selections, got {len(raw)}", "selections")
-    return tuple(
-        parse_selection(d, f"selections[{i}]") for i, d in enumerate(raw)
-    )
-
-
-def _parse_sequential(doc: dict) -> GameDocument:
-    rounds = _parse_move_labels(_get(doc, "rounds", list), "rounds")
-    counts = [len(ms) for ms in rounds]
-    tensor = _check_tensor(_get(doc, "payoffs", list), math.prod(counts),
-                           "payoffs")
-    q_raw = _get(doc, "quantifiers", list)
-    _expect(len(q_raw) == len(rounds), "one quantifier per round", "quantifiers")
-    quantifiers = [
-        parse_quantifier(d, f"quantifiers[{i}]") for i, d in enumerate(q_raw)
-    ]
-    s_raw = _get(doc, "selections", list)
-    _expect(len(s_raw) == len(rounds), "one selection per round", "selections")
-    selections = [
-        parse_selection(d, f"selections[{i}]") for i, d in enumerate(s_raw)
-    ]
-    game = SequentialGame.from_tensor(counts, tensor, quantifiers, selections,
-                                      moves=rounds)
-    return GameDocument("sequential", game, _parse_params(doc))
-
-
-def _parse_stage(doc: dict) -> GameDocument:
-    moves = _parse_move_labels(_get(doc, "moves", list), "moves")
-    _expect(len(moves) == 2, "a stage has exactly 2 players", "moves")
-    size = len(moves[0]) * len(moves[1])
-    tensor = _check_tensor(_get(doc, "payoffs", list), size, "payoffs")
-    q_raw = _get(doc, "quantifiers", list)
-    _expect(len(q_raw) == 2, "a stage has exactly 2 quantifiers", "quantifiers")
-    quantifiers = [
-        parse_quantifier(d, f"quantifiers[{i}]") for i, d in enumerate(q_raw)
-    ]
-    s_raw = _get(doc, "selections", list)
-    _expect(len(s_raw) == 2, "a stage has exactly 2 selections", "selections")
-    selections = [
-        parse_selection(d, f"selections[{i}]") for i, d in enumerate(s_raw)
-    ]
-    grid = flat_tensor(tensor, (len(moves[0]), len(moves[1])), "payoffs")
-    stage = SimultaneousGame(
-        moves=moves, payoffs=np.broadcast_to(grid, (2, *grid.shape)),
-        quantifiers=tuple(quantifiers), single_outcome_space=True,
-        selections=tuple(selections))
-    return GameDocument("two_player_stage", stage, _parse_params(doc))
+        payoffs = np.stack([_check_tensor(t, counts, f"payoffs[{i}]")
+                            for i, t in enumerate(raw)])
+    payoffs.setflags(write=False)  # a fresh array: the game takes it uncopied
+    quantifiers = _parse_each(doc, "quantifiers", n, parse_quantifier)
+    players = _get(doc, "players", list, required=False) if simultaneous else None
+    selections = _parse_each(doc, "selections", n, parse_selection,
+                             required=not simultaneous)
+    if sequential:
+        game = SequentialGame(moves, payoffs, quantifiers, selections)
+    else:
+        game = SimultaneousGame(
+            moves=moves, quantifiers=quantifiers, selections=selections,
+            payoffs=np.broadcast_to(payoffs, (n, *counts)) if shared else payoffs,
+            players=tuple(map(str, players or ())), single_outcome_space=shared)
+    return GameDocument(kind, game, _parse_params(doc))
 
 
 def load_game(path) -> GameDocument:
@@ -300,30 +255,28 @@ def _flat(tensor: np.ndarray, axes: int) -> list:
 
 
 def serialize_game(document: GameDocument) -> dict:
-    """Reconstruct the JSON document for a parsed game; payoff tensors are
-    the games' stored arrays, flattened row-major."""
-    game = document.game
-    out: dict = {"version": FORMAT_VERSION, "kind": document.kind}
-    if document.kind == "sequential":
-        out["rounds"] = [list(ms) for ms in game.moves]
-        out["payoffs"] = _flat(game.payoffs, game.rounds)
-        out["quantifiers"] = [_serialize_quantifier(q) for q in game.quantifiers]
-        out["selections"] = [_serialize_selection(s) for s in game.selections]
+    """Reconstruct the JSON document for a parsed game, in the layout
+    parse_game reads; payoff tensors are the games' stored arrays, flattened
+    row-major."""
+    game, kind = document.game, document.kind
+    sequential = kind == "sequential"
+    n = len(game.moves)
+    out: dict = {"version": FORMAT_VERSION, "kind": kind,
+                 "rounds" if sequential else "moves":
+                     [list(ms) for ms in game.moves]}
+    if kind == "simultaneous":
+        out["players"] = list(game.players)
+        out["single_outcome_space"] = game.single_outcome_space
+    if sequential:
+        out["payoffs"] = _flat(game.payoffs, n)
+    elif game.single_outcome_space:
+        out["payoffs"] = _flat(game.payoffs[0], n)
     else:
-        out["moves"] = [list(ms) for ms in game.moves]
-        if document.kind == "simultaneous":
-            out["players"] = list(game.players)
-            out["single_outcome_space"] = game.single_outcome_space
-        n = game.num_players
-        if game.single_outcome_space:
-            out["payoffs"] = _flat(game.payoffs[0], n)
-        else:
-            out["payoffs"] = [_flat(tensor, n) for tensor in game.payoffs]
-        out["quantifiers"] = [_serialize_quantifier(q) for q in game.quantifiers]
-        if game.selections is not None:
-            out["selections"] = [
-                _serialize_selection(s) for s in game.selections
-            ]
+        out["payoffs"] = [_flat(tensor, n) for tensor in game.payoffs]
+    out["quantifiers"] = _serialize_descriptors(game.quantifiers, "quantifiers")
+    if game.selections is not None:
+        out["selections"] = _serialize_descriptors(game.selections,
+                                                   "selections")
     if document.params:
         out["params"] = dict(document.params)
     return out

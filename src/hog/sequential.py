@@ -36,7 +36,7 @@ from .budget import check_budget
 from .core import (Quantifier, QuantifierKind, SelectionFunction, as_outcome,
                    is_move, is_move_type, quiet)
 from .errors import StructuralError
-from .simultaneous import PayoffArray, default_move_labels, flat_tensor
+from .simultaneous import PayoffArray, flat_tensor, move_labels
 
 Play = tuple[int, ...]
 # Strategy: per round, a dense move table indexed by history (mixed-radix).
@@ -84,14 +84,7 @@ class SequentialGame(PayoffArray):
         counts = tuple(int(c) for c in move_counts)
         tensor = flat_tensor(payoffs, counts, "payoff tensor")
         tensor.setflags(write=False)  # a fresh array: take it uncopied
-        if moves is None:
-            moves = tuple(default_move_labels(c) for c in counts)
-        else:
-            moves = tuple(tuple(ms) for ms in moves)
-            for ms, c in zip(moves, counts):
-                if len(ms) != c:
-                    raise StructuralError("move labels must match move counts")
-        return cls(moves=moves, payoffs=tensor,
+        return cls(moves=move_labels(counts, moves), payoffs=tensor,
                    quantifiers=tuple(quantifiers), selections=tuple(selections))
 
     @property

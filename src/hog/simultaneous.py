@@ -44,6 +44,19 @@ def default_move_labels(count: int) -> tuple[str, ...]:
     return tuple(f"m{i}" for i in range(count))
 
 
+def move_labels(counts: Sequence[int],
+                moves: Sequence[Sequence[str]] | None = None
+                ) -> tuple[tuple[str, ...], ...]:
+    """``moves`` as tuples, checked to have one label per move, or the
+    default labels m0, m1, ... of each count when ``moves`` is None."""
+    if moves is None:
+        return tuple(map(default_move_labels, counts))
+    moves = tuple(tuple(ms) for ms in moves)
+    if any(len(ms) != c for ms, c in zip(moves, counts)):
+        raise StructuralError("move labels must match move counts")
+    return moves
+
+
 class PayoffArray:
     """What both game classes do with their payoffs: hold them as one
     checked read-only array, and run the kernels on it inside
@@ -163,14 +176,7 @@ class SimultaneousGame(PayoffArray):
         else:
             stacked = np.stack(tensors)
             stacked.setflags(write=False)  # a fresh array: take it uncopied
-        if moves is None:
-            moves = tuple(default_move_labels(c) for c in counts)
-        else:
-            moves = tuple(tuple(ms) for ms in moves)
-            for ms, c in zip(moves, counts):
-                if len(ms) != c:
-                    raise StructuralError("move labels must match move counts")
-        return cls(moves=moves, payoffs=stacked,
+        return cls(moves=move_labels(counts, moves), payoffs=stacked,
                    quantifiers=tuple(quantifiers),
                    players=tuple(players) if players else (),
                    single_outcome_space=single_outcome_space)

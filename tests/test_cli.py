@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -718,3 +719,81 @@ def test_solve_mixed_certifies_each_profile_once(capsys, games_dir, tmp_path,
             assert report["solver"] == solver
             assert report["count"] >= 1
             assert len(certified) == len(checked) >= report["count"]
+
+
+def _pinned_commands(doc):
+    """The commands the pinned-output test runs on a shipped game: the
+    flags after the game path, and whether the command writes an artifact."""
+    if doc["kind"] == "sequential":
+        return [(["solve", "--mode", "seq"], True),
+                (["solve", "--mode", "normal-form"], True),
+                (["normal-form"], True)]
+    counts = [len(moves) for moves in doc["moves"]]
+    pure = json.dumps([0] * len(counts))
+    uniform = json.dumps([[1 / c] * c for c in counts])
+    return [(["check-eq", "--profile", pure], False),
+            (["check-eq", "--profile", uniform], False),
+            *((["solve", "--mode", mode], True)
+              for mode in ("pure", "mixed", "bbc")),
+            (["bbc"], True)]
+
+
+def test_shipped_games_output_is_pinned(capsys, games_dir, tmp_path):
+    # Exit code, stdout, stderr and every --out artifact of each command on
+    # each shipped game, in text and --json, as one digest: the reader and
+    # the report writer may change shape, but not what a user sees.
+    records = []
+    for path in sorted(games_dir.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "kind" not in doc:
+            continue
+        for (command, *flags), writes in _pinned_commands(doc):
+            for as_json in ([], ["--json"]):
+                for out in ([[], ["--out"]] if writes else [[]]):
+                    out_dir = tmp_path / str(len(records))
+                    argv = [command, str(path), *flags, *as_json, *out]
+                    if out:
+                        out_dir.mkdir()
+                        argv.append(str(out_dir))
+                    code, stdout, stderr = run(capsys, argv)
+                    artifacts = sorted(
+                        (f.name, hashlib.sha256(f.read_bytes()).hexdigest())
+                        for f in out_dir.glob("*"))
+                    records.append([
+                        [command, path.name, *flags, *as_json,
+                         *out, *(["OUT"] if out else [])],
+                        code, stdout.replace(str(out_dir), "OUT"),
+                        stderr.replace(str(out_dir), "OUT"), artifacts])
+    assert len(records) == 156
+    digest = hashlib.sha256(
+        json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == (
+        "67e4e2f5ca6c924667ab75901337b056fb0cf7ab67692c1a69134f5f54900b84")
+
+
+def test_version_true_exits_2(capsys, games_dir, tmp_path):
+    # bool is a subclass of int, but true is no version number.
+    doc = json.loads((games_dir / "matching_pennies.json").read_text())
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(dict(doc, version=True)))
+    assert run(capsys, ["solve", str(game), "--mode", "pure"]) == (
+        2, "", "error: version: unexpected type bool\n")
+
+
+@pytest.mark.parametrize("name, key, index, labels, command", [
+    ("matching_pennies.json", "moves", 0, ["H", "H"],
+     ["check-eq", "--profile", '["H", "H"]']),
+    ("matching_pennies.json", "moves", 1, [1, "1"], ["solve", "--mode", "pure"]),
+    ("stage_matching_pennies.json", "moves", 1, ["T", "T"], ["bbc"]),
+    ("seq_2x_plus_y.json", "rounds", 1, ["y", "y"], ["solve", "--mode", "seq"]),
+])
+def test_repeated_move_labels_exit_2(capsys, games_dir, tmp_path, name, key,
+                                     index, labels, command):
+    # A repeated label would name only the first of its moves; labels are
+    # compared as the strings they load as.
+    doc = json.loads((games_dir / name).read_text())
+    doc[key][index] = labels
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(doc))
+    assert run(capsys, [command[0], str(game), *command[1:]]) == (
+        2, "", f"error: {key}[{index}]: move labels must be distinct\n")

@@ -80,6 +80,20 @@ def test_seq_lift_descriptor_round_trip(games_dir):
         enumerate_pure_equilibria(to_normal_form(g))
 
 
+@pytest.mark.parametrize("bad", [None, [], 1.5, "2", True, 0])
+def test_seq_lift_sizes_must_be_integers(games_dir, bad):
+    from hog.gamefile import normal_form_document
+    from hog.normalform import to_normal_form
+
+    g = load_game(games_dir / "seq_2x_plus_y.json").game
+    nf_doc = serialize_game(normal_form_document(to_normal_form(g)))
+    for key in ("base_moves", "histories"):
+        doc = json.loads(json.dumps(nf_doc))
+        doc["quantifiers"][1][key] = bad
+        with pytest.raises(GameFileError, match=r"quantifiers\[1\]: seq_lift"):
+            parse_game(doc)
+
+
 def test_bad_tensor_length():
     doc = {
         "version": 1,
@@ -215,3 +229,21 @@ def test_custom_quantifier_not_serializable():
     )
     with pytest.raises(GameFileError):
         serialize_game(GameDocument("simultaneous", g))
+
+
+def test_stage_is_the_restricted_simultaneous_layout(games_dir):
+    # A two_player_stage document loads as the game of a simultaneous
+    # document with the same fields and a single outcome space.
+    doc = json.loads((games_dir / "stage_matching_pennies.json").read_text())
+    stage = parse_game(doc).game
+    game = parse_game(dict(doc, kind="simultaneous",
+                           single_outcome_space=True)).game
+    for g in (stage, game):
+        assert isinstance(g, SimultaneousGame) and g.single_outcome_space
+        assert not g.payoffs.flags.writeable
+    assert stage.moves == game.moves and stage.players == game.players
+    assert (stage.payoffs == game.payoffs).all()
+    assert stage.quantifiers == game.quantifiers
+    assert stage.selections == game.selections
+    with pytest.raises(GameFileError, match="moves: a stage has exactly 2"):
+        parse_game(dict(doc, moves=[["H", "T"]] * 3))
