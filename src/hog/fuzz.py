@@ -5,7 +5,8 @@ certification, and shrinks any failing game before reporting it. All
 randomness flows from an explicit seed; the certifications exercise the
 package's own checkers, so a failure means either a checker bug or a genuine
 counterexample to a theorem (the latter should never happen). A sequential
-game whose plays exceed the budget is refused before its payoffs are drawn.
+game whose plays, or a stage whose profiles, exceed the budget is refused
+before its payoffs are drawn.
 
 Every value is drawn by ``_draw``, which reads a seed's ``random.Random``
 exactly as one ``randint`` or ``choice`` call per value would, with one
@@ -123,14 +124,15 @@ def random_sequential_game(rng: random.Random, max_rounds: int = 4,
 
 
 def _draw_stage(rng: random.Random, max_moves: int, min_moves: int,
-                payoff_range: tuple[int, int]):
+                payoff_range: tuple[int, int], budget: int | None):
     """The values of random_stage: move counts and row-major payoffs
     (integers, as a float array)."""
     counts = (_draw(rng, min_moves, max_moves),
               _draw(rng, min_moves, max_moves))
+    profiles = counts[0] * counts[1]
+    check_budget(profiles, budget, "profiles")
     lo, hi = payoff_range
-    return counts, np.array(_draw(rng, lo, hi, counts[0] * counts[1]),
-                            dtype=float)
+    return counts, np.array(_draw(rng, lo, hi, profiles), dtype=float)
 
 
 def _stage(counts: tuple[int, int], payoffs) -> SimultaneousGame:
@@ -146,9 +148,13 @@ def _stage(counts: tuple[int, int], payoffs) -> SimultaneousGame:
 
 
 def random_stage(rng: random.Random, max_moves: int = 4, min_moves: int = 2,
-                 payoff_range: tuple[int, int] = (-9, 9)) -> SimultaneousGame:
-    """Random stage with max/min quantifiers and argmax/argmin selections."""
-    return _stage(*_draw_stage(rng, max_moves, min_moves, payoff_range))
+                 payoff_range: tuple[int, int] = (-9, 9),
+                 budget: int | None = None) -> SimultaneousGame:
+    """Random stage with max/min quantifiers and argmax/argmin selections.
+    Its profiles are checked against the budget before any payoff is
+    drawn."""
+    return _stage(*_draw_stage(rng, max_moves, min_moves, payoff_range,
+                               budget))
 
 
 def certify_sequential(g: SequentialGame, budget: int | None = None) -> bool:
@@ -400,7 +406,7 @@ def _families(max_rounds: int, max_moves: int, payoff_range: tuple[int, int],
         # Max/min stages enumerate no reply functions.
         "bbc": _Family(
             partial(_draw_stage, max_moves=max_moves, min_moves=2,
-                    payoff_range=payoff_range),
+                    payoff_range=payoff_range, budget=budget),
             _stage, _certify_stage_stack,
             lambda counts: ((0, "reply functions"),),
             certify_stage, shrink_stage),

@@ -81,28 +81,39 @@ def _get(doc: dict, key: str, types, required: bool = True, default=None):
     return value
 
 
-def parse_quantifier(desc, fieldname: str = "quantifiers") -> Quantifier:
-    return _parse_descriptor(desc, fieldname, "quantifier")
+def parse_quantifier(desc, moves: int,
+                     fieldname: str = "quantifiers") -> Quantifier:
+    """A quantifier over ``moves`` moves from its descriptor."""
+    return _parse_descriptor(desc, fieldname, "quantifier", moves)
 
 
 def parse_selection(desc, fieldname: str = "selections") -> SelectionFunction:
     return _parse_descriptor(desc, fieldname, "selection")
 
 
-def _parse_descriptor(desc, fieldname: str, what: str):
+def _parse_descriptor(desc, fieldname: str, what: str, moves: int = 0):
     """A stock quantifier or selection from its descriptor: the kind, plus
-    the kind's parameters under their own names."""
+    the kind's parameters under their own names. A seq_lift quantifier must
+    range over base_moves ** histories moves, which is tested without
+    building a power larger than moves ** moves.bit_length(): for
+    base_moves >= 2, a power equal to ``moves`` has fewer histories than
+    that bit length."""
     if not (isinstance(desc, dict) and "kind" in desc):
         raise GameFileError(
             f"{what} descriptor must be an object with a 'kind'", fieldname)
     kind = desc["kind"]
     try:
         if what == "quantifier" and kind == "seq_lift":
-            inner = parse_quantifier(desc["inner"], fieldname + ".inner")
-            sizes = desc["base_moves"], desc["histories"]
-            _expect(all(type(v) is int and v >= 1 for v in sizes),
+            base, hist = desc["base_moves"], desc["histories"]
+            _expect(all(type(v) is int and v >= 1 for v in (base, hist)),
                     "seq_lift base_moves and histories must be integers >= 1")
-            return lift_round_quantifier(inner, ContingentMoveSet(0, *sizes))
+            _expect(base <= moves
+                    and base ** min(hist, moves.bit_length()) == moves,
+                    f"seq_lift base_moves ** histories must equal the "
+                    f"{moves} moves it ranges over")
+            inner = parse_quantifier(desc["inner"], base, fieldname + ".inner")
+            return lift_round_quantifier(inner,
+                                         ContingentMoveSet(0, base, hist))
         make = (make_standard_quantifier if what == "quantifier"
                 else make_standard_selection)
         return make(**desc)
@@ -169,14 +180,17 @@ def _parse_move_labels(raw, fieldname: str) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
-def _parse_each(doc: dict, key: str, n: int, parse, required: bool = True):
-    """The per-player or per-round descriptor list under ``key``."""
+def _parse_each(doc: dict, key: str, counts: tuple[int, ...], parse,
+                required: bool = True):
+    """The per-player or per-round descriptor list under ``key``, each
+    descriptor read by ``parse(desc, its move count, fieldname)``."""
     raw = _get(doc, key, list, required)
     if raw is None:
         return None
-    if len(raw) != n:
-        raise GameFileError(f"need {n} {key}, got {len(raw)}", key)
-    return tuple([parse(d, f"{key}[{i}]") for i, d in enumerate(raw)])
+    if len(raw) != len(counts):
+        raise GameFileError(f"need {len(counts)} {key}, got {len(raw)}", key)
+    return tuple([parse(d, c, f"{key}[{i}]")
+                  for i, (d, c) in enumerate(zip(raw, counts))])
 
 
 def _parse_params(doc: dict) -> dict:
@@ -220,9 +234,10 @@ def parse_game(doc: dict) -> GameDocument:
         payoffs = np.stack([_check_tensor(t, counts, f"payoffs[{i}]")
                             for i, t in enumerate(raw)])
     payoffs.setflags(write=False)  # a fresh array: the game takes it uncopied
-    quantifiers = _parse_each(doc, "quantifiers", n, parse_quantifier)
+    quantifiers = _parse_each(doc, "quantifiers", counts, parse_quantifier)
     players = _get(doc, "players", list, required=False) if simultaneous else None
-    selections = _parse_each(doc, "selections", n, parse_selection,
+    selections = _parse_each(doc, "selections", counts,
+                             lambda d, _, f: parse_selection(d, f),
                              required=not simultaneous)
     if sequential:
         game = SequentialGame(moves, payoffs, quantifiers, selections)

@@ -34,54 +34,54 @@ the tests of every later player happen, and raise, exactly where a
 per-point loop would meet them. Every survivor is certified by
 is_mixed_nash in grid order.
 
-Support enumeration takes the support shapes one at a time and solves the
-indifference systems of each in stacks, not one system at a time: square
-shapes by one batched exact solve that covers both players' systems (pair
-by pair when a stack holds a singular system), rectangular
-shapes by the residual of each overdetermined system's minimum-norm
-solution, so that only pairs that may be consistent are solved pair by
-pair. One-off shapes, one equation more than unknowns, are first screened
-by one batched LU solve for each system's left null vector. A vectorised
-regret screen drops candidates that are clearly not equilibria. The
-screens only discard; every profile returned is still built by
-mixed_profile and certified by is_mixed_nash, in enumeration order. On
+Support enumeration (von Stengel 2002; Porter, Nudelman & Shoham 2008)
+takes the support shapes (k, l) in order, k outer and l inner, and the
+pairs of a shape in stacks. Before any screen or solve, a pair (R, C) is
+dropped when one of its moves is strictly dominated by more than a margin
+given the opponent's support (conditional dominance): a column of C that
+some column beats on every row of R, or a row of R that some row beats on
+every column of C. Such a pair gives no profile that is_mixed_nash accepts
+(see _dominance_margin). Square shapes test both sides, rectangular shapes
+only the long one. The dominance table is built once per call and side: for
+every support, indexed by its bitmask, the bitmask of the opponent's moves
+dominated given it, by one pass over the supports in which each support's
+table is its lower part's ANDed with one move's. A shape's live pairs are
+selected by one broadcast per block of rows and cut into stacks; the
+support combinations and their bitmasks are read-only tables cached per
+(moves, size) across calls.
+
+A square stack is solved by one batched exact solve that covers both
+players' systems. A rectangular stack is first screened on its
+overdetermined side by the residual of each system's minimum-norm solution,
+and one-off shapes, one equation more than unknowns, by one batched LU
+solve for each system's left null vector before that. Each system of the
+survivors, and each system of a square stack that holds a singular one, is
+then solved on its own, from the stack that holds it: exactly when square,
+by least squares when rectangular or singular, and accepted when its
+max-residual is at most _RESIDUAL_TOL.
+
+A shape whose long side is at least its short side + 2 is enumerated only
+when the shape one shorter on its long side had a pair that passed the
+residual half of its screen; otherwise all its pairs are pruned by subsets.
+This is conservative. A solution of the system of (R, C') also solves the
+system of every (R, C) with C inside C', which keeps the unknowns and drops
+equations: where the solution of an accepted pair has a max-residual of at
+most _RESIDUAL_TOL, each subsystem of r equations has a least-squares
+residual of at most sqrt(r) * _RESIDUAL_TOL, inside its shape's screen,
+which adds _SCREEN_MARGIN for rounding. No move of such a subpair's long
+side is dominated given R, as it is not in (R, C'), so by induction on C
+every subpair down to short side + 1 reaches the screen and passes it. The
+negative-probability half of the screen stays out of this test: the
+minimum-norm solution of a rank-deficient subsystem can be negative where
+the wider system has a nonnegative one. On a nondegenerate game no one-off
+system is consistent, so no wider shape is enumerated.
+
+A vectorised regret screen then drops candidates that are clearly not
+equilibria. The screens only discard; every profile returned is still built
+by mixed_profile and certified by is_mixed_nash, in enumeration order. On
 payoffs that may overflow, the enumeration runs once more on the payoffs
 scaled by an exact power of two, where rounding stays inside the absolute
 tolerances.
-
-Rectangular shapes are also pruned by their subsets (von Stengel 2002;
-Porter, Nudelman & Shoham 2008). A solution of the system of (R, C) also
-solves the system of every (R, C') with C' inside C, since that system
-keeps the same unknowns and drops equations. So a shape whose long side is
-at least its short side + 2 screens only the pairs whose every subset one
-shorter on the long side passed the residual half of its own screen, and
-inductively every subset down to short side + 1; a shape with no such pair
-is skipped outright. The negative-probability half of the screen stays out
-of this test: the minimum-norm solution of a rank-deficient subsystem can
-be negative where the wider system has a nonnegative one. The pruning is
-conservative: a pair that _indifference_solve accepts has a max-residual of
-at most _RESIDUAL_TOL on its system, so on a subsystem of r equations its
-least-squares residual is at most sqrt(r) * _RESIDUAL_TOL, inside that
-shape's threshold, which adds _SCREEN_MARGIN for rounding.
-
-Before any screen or solve, a support pair is dropped when one of its moves
-is strictly dominated by more than a margin given the opponent's support
-(conditional dominance; Porter, Nudelman & Shoham 2008): a column c of C
-such that some column c' beats it on every row of R, or a row of R that
-some row beats on every column of C. Such a pair gives no profile that
-is_mixed_nash accepts (see _dominance_margin). Square shapes test both
-sides, rectangular shapes only the long one: a column dominated given R
-stays dominated in every (R, C') with C' containing C, so a pair dropped by
-its long side is recorded as inconsistent in the subset table above and
-prunes its wider shapes with it, while a row dominated given C need not
-stay dominated given a wider C'. The dominance table is built once per
-call and side: for every support, indexed by its bitmask, the bitmask of
-the opponent's moves dominated given it, by one pass over the supports in
-which each support's table is its lower part's ANDed with one move's. A
-shape's live pairs (not dominated, and inside its subset table) are then
-selected by one broadcast per block of rows, taken with np.nonzero and cut
-into stacks; the support combinations, their bitmasks and the subset ranks
-are read-only tables cached per (moves, size) across calls.
 """
 
 from __future__ import annotations
@@ -295,49 +295,24 @@ def _residual(mats: np.ndarray, sols: np.ndarray) -> np.ndarray:
     return np.abs(res, out=res).max(axis=1)
 
 
-def _indifference_solve(payoff: np.ndarray, own: tuple[int, ...],
-                        other: tuple[int, ...]) -> np.ndarray | None:
-    """Solve for the probabilities on ``own`` that equalize the opponent's
-    payoff across ``other``.
-
-    System (k = len(own), l = len(other); unknowns p_1..p_k, v):
-
-        sum_i p_i * payoff[own_i, other_j] - v = 0   for each j
-        sum_i p_i                              = 1
-
-    Square systems use an exact solve; rectangular or singular ones fall back
-    to least squares and are accepted only when the residual vanishes.
-    """
-    k = len(own)
-    mat = _indifference_systems(payoff, np.array([own]), np.array([other]))[0]
-    rhs = np.zeros(len(mat))
+def _solve_each(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each system of a stack of indifference systems on its own: an exact
+    solve when square, least squares when rectangular or singular. Returns
+    the probabilities, (N, k), and the mask of systems whose max-residual is
+    at most _RESIDUAL_TOL."""
+    rhs = np.zeros(mats.shape[1])
     rhs[-1] = 1.0
-    if mat.shape[0] == mat.shape[1]:
+    probs = np.zeros((len(mats), mats.shape[2] - 1))
+    ok = np.zeros(len(mats), dtype=bool)
+    for n, mat in enumerate(mats):
         try:
+            if mat.shape[0] != mat.shape[1]:
+                raise np.linalg.LinAlgError
             sol = np.linalg.solve(mat, rhs)
         except np.linalg.LinAlgError:
-            logger.debug("singular indifference system for support %s/%s", own, other)
-            sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    else:
-        sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    if np.max(np.abs(mat @ sol - rhs)) > _RESIDUAL_TOL:
-        logger.debug("inconsistent indifference system for support %s/%s, "
-                     "skipped", own, other)
-        return None
-    return sol[:k]
-
-
-def _pair_by_pair(payoff: np.ndarray, own: np.ndarray,
-                  other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_indifference_solve on each pair of a stack: the probabilities
-    (N, k) and a mask of the solvable pairs."""
-    probs = np.zeros(own.shape)
-    ok = np.zeros(len(own), dtype=bool)
-    for n, (o, t) in enumerate(zip(own.tolist(), other.tolist())):
-        sol = _indifference_solve(payoff, tuple(o), tuple(t))
-        if sol is not None:
-            probs[n] = sol
-            ok[n] = True
+            sol = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+        probs[n] = sol[:-1]
+        ok[n] = np.max(np.abs(mat @ sol - rhs)) <= _RESIDUAL_TOL
     return probs, ok
 
 
@@ -348,8 +323,7 @@ def _solve_square(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     second player's indifference fixes the row probabilities p, the first
     player's the column probabilities q. Returns p, the mask of pairs whose
     p solved, q and its mask. A stack holding a singular system is solved
-    pair by pair instead, with _indifference_solve's least-squares
-    fallback."""
+    system by system instead, by _solve_each."""
     n, k = rows.shape
     mats = np.zeros((2 * n, k + 1, k + 1))
     _indifference_systems(b, rows, cols, mats[:n])
@@ -358,12 +332,12 @@ def _solve_square(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     rhs[-1] = 1.0
     try:
         sols = np.linalg.solve(mats, rhs)[..., 0]
+        probs, ok = sols[:, :-1], _residual(mats, sols) <= _RESIDUAL_TOL
     except np.linalg.LinAlgError:
         logger.debug("singular system in a stack of %d; solving pair by pair",
                      len(mats))
-        return (*_pair_by_pair(b, rows, cols), *_pair_by_pair(a.T, cols, rows))
-    ok = _residual(mats, sols) <= _RESIDUAL_TOL
-    return sols[:n, :-1], ok[:n], sols[n:, :-1], ok[n:]
+        probs, ok = _solve_each(mats)
+    return probs[:n], ok[:n], probs[n:], ok[n:]
 
 
 def _left_null_screen(mats: np.ndarray, bound: float) -> np.ndarray:
@@ -395,7 +369,7 @@ def _may_be_consistent(payoff: np.ndarray, own: np.ndarray,
     """Stacked least-squares test of overdetermined systems (more equations
     than unknowns) by the residual of each one's minimum-norm solution, with
     a margin that leaves the decision on every pair it keeps to
-    _indifference_solve. Returns two masks: the pairs whose system may be
+    _solve_each. Returns two masks: the pairs whose system may be
     consistent, and those of them whose system may also have no negative
     probability. One-off systems, one equation more than unknowns (the only
     rectangular shapes a nondegenerate game reaches), are first screened by
@@ -430,23 +404,6 @@ def _supports(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     combos.setflags(write=False)
     bits.setflags(write=False)
     return combos, bits
-
-
-@functools.cache
-def _drop_one_ranks(m: int, k: int) -> np.ndarray:
-    """For each k-combination of range(m) in _supports order, the ranks of
-    its k subsets of size k - 1 in that order, as a read-only (C(m, k), k)
-    array. The lexicographic rank of (c_0 < ... < c_{j-1}) is
-    C(m, j) - 1 - sum_i C(m - 1 - c_i, j - i)."""
-    keep = np.array([[j for j in range(k) if j != drop] for drop in range(k)],
-                    dtype=np.intp).reshape(k, k - 1)
-    subsets = _supports(m, k)[0][:, keep]
-    binom = np.array([[math.comb(n, r) for r in range(k)] for n in range(m)],
-                     dtype=np.intp)
-    ranks = (math.comb(m, k - 1) - 1
-             - binom[m - 1 - subsets, k - 1 - np.arange(k - 1)].sum(axis=-1))
-    ranks.setflags(write=False)
-    return ranks
 
 
 def _scatter(support: np.ndarray, probs: np.ndarray, moves: int) -> np.ndarray:
@@ -544,46 +501,32 @@ def _dedupe_sorted(profiles: list[MixedProfile], tol: float) -> list[MixedProfil
     return [cand for _, cand in kept]
 
 
-def _live_stacks(m0: int, m1: int, k: int, l: int, subsets, beaten0,
-                 beaten1, counts: collections.Counter):
-    """The support pairs of shape (k, l) that neither the subset table nor
-    dominance drops, in enumeration order (row support outer, column
-    support inner), as index arrays into the shape's row and column
-    combinations, in stacks of at most _STACK systems: _STACK pairs, or
-    half as many in square shapes, whose pairs put both players' systems
-    into one solve. ``subsets`` is the residual table of the shape one
-    shorter on the long side, or None; ``beaten0`` and ``beaten1`` are the
-    _dominated_moves tables of the two sides. The pairs are selected in
-    blocks of whole rows, about _STACK pairs each, so that memory stays
-    bounded; the pairs each test drops are added to ``counts``."""
+def _live_stacks(m0: int, m1: int, k: int, l: int, beaten0, beaten1,
+                 counts: collections.Counter):
+    """The support pairs of shape (k, l) that dominance does not drop, in
+    enumeration order (row support outer, column support inner), as index
+    arrays into the shape's row and column combinations, in stacks of at
+    most _STACK systems: _STACK pairs, or half as many in square shapes,
+    whose pairs put both players' systems into one solve. ``beaten0`` and
+    ``beaten1`` are the _dominated_moves tables of the two sides. The pairs
+    are selected in blocks of whole rows, about _STACK pairs each, so that
+    memory stays bounded; the dropped pairs are added to ``counts``."""
     row_bits, col_bits = _supports(m0, k)[1], _supports(m1, l)[1]
-    if subsets is not None:
-        drop = _drop_one_ranks(m1, l) if l > k else _drop_one_ranks(m0, k)
     if k >= l:
         beaten_rows = beaten0[col_bits]
     stack = max(1, _STACK // 2) if k == l else _STACK
     step = max(1, _STACK // len(col_bits))
     for start in range(0, len(row_bits), step):
-        rows = slice(start, start + step)
-        bits = row_bits[rows, None]
-        # Only the long side's test carries over to wider shapes through
-        # the subset table; square shapes test both.
+        bits = row_bits[start:start + step, None]
+        # Rectangular shapes test only the long side, square shapes both.
         if k > l:
             cut = (bits & beaten_rows) != 0
         else:
             cut = (beaten1[bits] & col_bits) != 0
             if k == l:
                 cut |= (bits & beaten_rows) != 0
-        if subsets is None:
-            live = ~cut
-        else:
-            live = (subsets[rows, drop].all(axis=2) if l > k
-                    else subsets[drop[rows]].all(axis=1))
-            counts["pruned"] += live.size - np.count_nonzero(live)
-            cut &= live
-            live ^= cut
         counts["dominated"] += np.count_nonzero(cut)
-        r, c = np.nonzero(live)
+        r, c = np.nonzero(~cut)
         r += start
         for at in range(0, len(r), stack):
             yield r[at:at + stack], c[at:at + stack]
@@ -602,45 +545,34 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
     # dominated given it.
     beaten1 = _dominated_moves(b, margin)
     beaten0 = _dominated_moves(a.T, margin)
-    # Residual verdicts of the rectangular shapes of the current and the
-    # previous row-support size, as (row combination, column combination)
-    # booleans, False for a pair dropped by dominance; a shape none of
-    # whose pairs passed has no entry.
-    consistent: dict[tuple[int, int], np.ndarray] = {}
+    # The rectangular shapes with a pair that passed the residual half of
+    # the least-squares screen.
+    consistent: set[tuple[int, int]] = set()
     counts = collections.Counter()
     found: list[MixedProfile] = []
     for k in range(1, m0 + 1):
-        for key in [key for key in consistent if key[0] < k - 1]:
-            del consistent[key]
         row_sets = _supports(m0, k)[0]
         for l in range(1, m1 + 1):
             col_sets = _supports(m1, l)[0]
-            shape = (len(row_sets), len(col_sets))
-            # Shapes at least 2 wider on one side only screen the pairs
-            # whose every subset one shorter on that side was consistent.
-            subsets = None
-            if abs(k - l) >= 2:
-                subsets = consistent.get((k, l - 1) if l > k else (k - 1, l))
-                if subsets is None:
-                    counts["pruned"] += shape[0] * shape[1]
-                    continue
-            if k != l:
-                verdicts = np.zeros(shape, dtype=bool)
-            for r, c in _live_stacks(m0, m1, k, l, subsets, beaten0, beaten1,
-                                     counts):
+            if (abs(k - l) >= 2 and
+                    ((k, l - 1) if l > k else (k - 1, l)) not in consistent):
+                counts["pruned"] += len(row_sets) * len(col_sets)
+                continue
+            for r, c in _live_stacks(m0, m1, k, l, beaten0, beaten1, counts):
                 s0, s1 = row_sets[r], col_sets[c]
                 if k == l:
                     p, ok_p, q, ok_q = _solve_square(a, b, s0, s1)
                 else:
                     over = (b, s0, s1) if l > k else (a.T, s1, s0)
                     residual_ok, keep = _may_be_consistent(*over, tol)
-                    verdicts[r[residual_ok], c[residual_ok]] = True
+                    if residual_ok.any():
+                        consistent.add((k, l))
                     counts["screened out"] += len(r) - np.count_nonzero(keep)
                     if not keep.any():
                         continue
                     s0, s1 = s0[keep], s1[keep]
-                    p, ok_p = _pair_by_pair(b, s0, s1)
-                    q, ok_q = _pair_by_pair(a.T, s1, s0)
+                    p, ok_p = _solve_each(_indifference_systems(b, s0, s1))
+                    q, ok_q = _solve_each(_indifference_systems(a.T, s1, s0))
                 ok = (ok_p & ok_q & ~(p < -tol).any(axis=1)
                       & ~(q < -tol).any(axis=1))
                 counts["solved"] += np.count_nonzero(ok)
@@ -657,8 +589,6 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
                         continue
                     if is_mixed_nash(g, profile, tol):
                         found.append(profile)
-            if k != l and verdicts.any():
-                consistent[k, l] = verdicts
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "support enumeration %dx%d: %d support pairs enumerated, %d "
@@ -673,59 +603,24 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
 def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
                                  budget: int | None = None) -> list[MixedProfile]:
     """All mixed equilibria of a 2-player game with max or min quantifiers
-    found by enumerating support pairs and solving the indifference systems.
-    A min player's payoffs are negated, which turns its quantifier into max
-    under the mixed lift; every returned profile is certified by
-    is_mixed_nash on ``g`` itself. Supports whose systems are unsolvable or
-    yield negative probabilities are skipped. An empty result contradicts
-    the existence theorem for such games and is logged as a distinguished
-    warning. The (2^m0 - 1)(2^m1 - 1) support pairs are checked against the
-    budget before any is enumerated.
+    that support enumeration finds: the profile of each support pair whose
+    indifference systems are solvable with nonnegative probabilities, if
+    is_mixed_nash certifies it on ``g``, deduplicated and sorted. A min
+    player's payoffs are negated, which turns its quantifier into max under
+    the mixed lift. Each profile returned is a ListedProfile holding the
+    certificate that accepted it. The (2^m0 - 1)(2^m1 - 1) support pairs
+    are checked against the budget before any is enumerated. An empty
+    result contradicts the existence theorem for such games and is logged
+    as a distinguished warning.
 
-    A support pair is dropped before any screen or solve when a move of its
-    long side (both sides for square shapes) is strictly dominated given the
-    other side: for a column c of C, some column beats it by more than
-    _dominance_margin on every row of R; for a row, likewise on C. The
-    margin exceeds twice the drift the residual tolerance, the probability
-    tolerance and the simplex tolerance allow, plus tol and rounding, so a
-    dropped pair gives no profile that is_mixed_nash accepts. Only the long
-    side's test holds for every wider pair with the same short side, so a
-    rectangular pair dropped this way counts as inconsistent for the subset
-    pruning below.
-
-    The dominated moves given each support come from one table per side,
-    built once per call, and each shape's live pairs are selected one shape
-    at a time, by a broadcast over blocks of rows. Each support shape
-    (k, l) is then solved in stacks: square shapes by one batched exact
-    solve per stack that covers both players' systems; rectangular shapes
-    by a stacked
-    least-squares test of the overdetermined side, the residual of each
-    system's minimum-norm solution, after which only the surviving pairs
-    are solved, pair by pair. The one-off shapes (k, k + 1) and (l + 1, l)
-    are first screened by one batched LU solve per stack for each system's
-    left null vector, whose length gives the least-squares residual (see
-    _may_be_consistent). A shape with |k - l| >= 2 screens only the pairs
-    whose every subset one shorter on the long side passed the residual
-    half of that smaller shape's screen; the order (k outer, l inner) screens (k, l - 1) and
-    (k - 1, l) before (k, l). This is conservative, because a solution of
-    the wider system solves every subsystem. On a nondegenerate game no
-    one-off system is consistent, so no wider shape is screened at all. A
-    vectorised regret screen then drops candidates that are clearly not
-    equilibria; the rest are certified one by one, in enumeration order,
-    and each profile returned is a ListedProfile holding the certificate
-    that accepted it, which the CLI report prints. With the ``hog.mixed``
-    logger at DEBUG, one line per enumeration gives
-    the support pairs enumerated, pruned by subsets, screened out by the
-    least-squares screen, solved (both systems, nonnegative), certified and
-    pruned by dominance.
-
-    The enumeration's arithmetic runs inside ``g.quiet()``. When the
-    payoffs may overflow, it runs a second time on the payoffs scaled by
-    ``g.payoff_scale``, still certifying on ``g``: near the largest float,
-    the rounding of a correct solution alone exceeds the absolute residual
-    tolerances, and residuals and regrets overflow. The unscaled pass is
-    kept because it certifies some profiles the scaled one misses. The
-    dominance margin, like the regret screen's bound, is scaled with it.
+    With the ``hog.mixed`` logger at DEBUG, one line per pass gives the
+    support pairs enumerated, pruned by subsets, screened out, solved (both
+    systems, nonnegative), certified and pruned by dominance. The arithmetic
+    runs inside ``g.quiet()``. When the payoffs may overflow, a second pass
+    runs on the payoffs scaled by ``g.payoff_scale``, still certifying on
+    ``g``, with the dominance margin and the regret screen's bound scaled
+    with them: near the largest float, the rounding of a correct solution
+    alone exceeds the absolute residual tolerances.
     """
     if not support_enumeration_applies(g):
         raise StructuralError(

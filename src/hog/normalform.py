@@ -69,8 +69,14 @@ class ContingentMoveSet:
         return idx
 
     def constant_index(self, move: int) -> int:
-        """Index of the table that plays ``move`` at every history."""
-        return self.index((move,) * self.history_count)
+        """Index of the table that plays ``move`` at every history: the
+        base-b repunit times ``move``, move * (b^h - 1) / (b - 1), and 0
+        when b = 1."""
+        b = self.base_move_count
+        if not is_move(move, b):
+            raise StructuralError(
+                f"move {move} invalid in round {self.round_index}'s table")
+        return int(move) * (self.size - 1) // (b - 1) if b > 1 else 0
 
     def all_tables(self) -> list[tuple[int, ...]]:
         return [self.table(k) for k in range(self.size)]

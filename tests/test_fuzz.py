@@ -185,7 +185,7 @@ def _reference_run_fuzz(seed, count, families=FAMILIES, max_rounds=4,
                                 payoff_range=payoff_range, budget=budget),
                         fuzz.certify_normal_form, fuzz.shrink_sequential),
         "bbc": (partial(fuzz.random_stage, max_moves=max_moves,
-                        payoff_range=payoff_range),
+                        payoff_range=payoff_range, budget=budget),
                 fuzz.certify_stage, fuzz.shrink_stage),
     }
     for family in families:
@@ -325,6 +325,14 @@ def test_stacked_sweep_refuses_where_reference_refuses(monkeypatch):
     # the first game of a family.
     assert refused == {"plays", "histories"}
     assert midway > 10
+    # A stage's profiles are refused before its payoffs are drawn.
+    for budget, seed, max_moves in itertools.product((100, 400), (0, 1),
+                                                     (12, 40)):
+        got = _assert_same_sweep(seed, 5, ("bbc",), max_moves=max_moves,
+                                 budget=budget)
+        if max_moves == 40:
+            assert got[0] is BudgetExceededError
+            assert got[1].split()[3] == "profiles"
 
 
 def _row_chosen(objs):

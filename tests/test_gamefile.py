@@ -94,6 +94,48 @@ def test_seq_lift_sizes_must_be_integers(games_dir, bad):
             parse_game(doc)
 
 
+def test_seq_lift_must_range_over_its_players_moves(games_dir, tmp_path,
+                                                   capsys):
+    # Player 1 of the normal form has 4 moves, base_moves 2 and histories 2.
+    # A descriptor whose base_moves ** histories is not the player's move
+    # count is refused at load, before any power or table of its size is
+    # built: these histories used to end in tracebacks (a 30 103-digit
+    # table size in an error message, a tuple of 10**400 entries), and these
+    # base_moves in a load that never ended.
+    from hog.cli import main
+    from hog.gamefile import normal_form_document
+    from hog.normalform import to_normal_form
+
+    g = load_game(games_dir / "seq_2x_plus_y.json").game
+    nf_doc = serialize_game(normal_form_document(to_normal_form(g)))
+    path = tmp_path / "nf.json"
+    cases = [(1, "histories", 100000), (1, "histories", 10 ** 400),
+             (1, "histories", 3), (1, "base_moves", 3), (1, "base_moves", 1),
+             (0, "base_moves", 10 ** 400), (0, "histories", 2),
+             (1, "base_moves", 10 ** 400)]
+    for i, key, value in cases:
+        doc = json.loads(json.dumps(nf_doc))
+        doc["quantifiers"][i][key] = value
+        with pytest.raises(GameFileError,
+                           match=rf"quantifiers\[{i}\]: seq_lift base_moves"):
+            parse_game(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path), "--mode", "pure"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: quantifiers[{i}]: seq_lift base_moves ** histories must "
+            f"equal the {2 * i + 2} moves it ranges over")
+    # 4 ** 1 moves are 4 moves too, and so is an inner lift over the base.
+    doc = json.loads(json.dumps(nf_doc))
+    doc["quantifiers"][1].update(base_moves=4, histories=1)
+    parse_game(doc)
+    doc["quantifiers"][1]["inner"] = {"kind": "seq_lift", "base_moves": 2,
+                                      "histories": 2, "inner": {"kind": "max"}}
+    parse_game(doc)
+    doc["quantifiers"][1]["inner"]["histories"] = 10 ** 400
+    with pytest.raises(GameFileError, match="the 4 moves it ranges over"):
+        parse_game(doc)
+
+
 def test_bad_tensor_length():
     doc = {
         "version": 1,

@@ -14,6 +14,8 @@ import random
 import pytest
 
 from hog.cli import main
+from hog.gamefile import load_game, normal_form_document, serialize_game
+from hog.normalform import to_normal_form
 
 BAD_VALUES = ("x", -1, 10 ** 400, 1.5, None, [], {}, True, float("nan"))
 DELETE = object()
@@ -32,6 +34,10 @@ def _bases(games_dir):
     stage["selections"][1] = {"kind": "constant", "move": 0}
     stage["params"] = {"tol": 1e-9, "budget": 1000, "grid_depth": 2}
     bases["constant_stage"] = stage
+    # An exported normal form, whose quantifiers are seq_lift descriptors.
+    seq = load_game(games_dir / "seq_2x_plus_y.json").game
+    bases["normal_form"] = serialize_game(
+        normal_form_document(to_normal_form(seq)))
     return bases
 
 

@@ -521,22 +521,30 @@ def _drop_one(support):
     return [support[:j] + support[j + 1:] for j in range(len(support))]
 
 
+def _shorter(k, l):
+    """The shape one shorter on the long side of a rectangular shape."""
+    return (k, l - 1) if l > k else (k - 1, l)
+
+
 def test_support_enumeration_subset_pruning_keeps_wide_shapes(monkeypatch,
                                                               caplog):
     # Degenerate games whose wide shapes (long side >= short side + 2) still
-    # hold consistent pairs, so the subset tables prune only part of them;
-    # with stacks of 5 pairs, each table is filled across many stacks.
+    # hold consistent pairs, so the prune skips only some of them; with
+    # stacks of 5 pairs, a shape's pairs reach the screen in many stacks.
     rng = np.random.default_rng(1)
     games = [_degenerate_wide_game(rng, 5, True),
              _degenerate_wide_game(rng, 6, False)]
     wants = {(n, tol): _reference_support_enumeration(g, tol)
              for n, g in enumerate(games) for tol in (1e-9, 1e-6)}
     caplog.set_level(logging.DEBUG, logger="hog.mixed")
-    checked = set()
+    passes_alone = {}
     for stack in (hog.mixed._STACK, 5):
         for n, g in enumerate(games):
             a, b = g.payoffs
             m = g.move_counts[0]
+            wide = [(k, l) for k, l in itertools.product(range(1, m + 1),
+                                                         repeat=2)
+                    if abs(k - l) >= 2]
             for tol in (1e-9, 1e-6):
                 monkeypatch.setattr(hog.mixed, "_STACK", stack)
                 stacks = _recording_screen(monkeypatch)
@@ -547,35 +555,52 @@ def test_support_enumeration_subset_pruning_keeps_wide_shapes(monkeypatch,
                           for rows, cols in stacks}
                 assert any(l >= k + 2 for k, l in shapes)
                 assert any(k >= l + 2 for k, l in shapes)
-                # A wide pair reaches the screen only when every subset one
-                # shorter on its long side passes the residual screen on its
-                # own. (test_support_enumeration_residual_screen_is_lstsq
+                # The shapes with a pair that passes the residual screen on
+                # its own. (test_support_enumeration_residual_screen_is_lstsq
                 # compares that screen with lstsq.)
+                passed = set()
                 for rows, cols in stacks:
                     k, l = rows.shape[1], cols.shape[1]
-                    if abs(k - l) < 2:
-                        continue
                     for r, c in zip(rows.tolist(), cols.tolist()):
-                        if (n, tuple(r), tuple(c)) in checked:
-                            continue
-                        checked.add((n, tuple(r), tuple(c)))
-                        if l > k:
-                            assert all(_residual_passes(b, r, sub, tol)
-                                       for sub in _drop_one(c))
-                        else:
-                            assert all(_residual_passes(a.T, c, sub, tol)
-                                       for sub in _drop_one(r))
-                # Every pair is pruned by subsets or by dominance, screened
-                # or solved as square.
+                        key = n, tuple(r), tuple(c)
+                        if key not in passes_alone:
+                            passes_alone[key] = (
+                                _residual_passes(b, r, c, tol) if l > k
+                                else _residual_passes(a.T, c, r, tol))
+                        if passes_alone[key]:
+                            passed.add((k, l))
+                # A wide shape reaches the screen only when the shape one
+                # shorter on its long side has such a pair; every other wide
+                # shape is pruned by subsets, whole.
+                assert all(_shorter(*shape) in passed
+                           for shape in shapes.intersection(wide))
                 counts = _logged_counts(caplog)
                 enumerated, pruned, dominated = (counts[0], counts[1],
                                                  counts[-1])
+                assert pruned == sum(math.comb(m, k) * math.comb(m, l)
+                                     for k, l in wide
+                                     if _shorter(k, l) not in passed)
+                # Every pair is pruned by subsets or by dominance, screened
+                # or solved as square.
                 (reached,) = [pairs for _, _, pairs in passes]
                 screened = sum(len(rows) for rows, _ in stacks)
                 square = len(reached) - screened
                 assert 0 < square <= sum(math.comb(m, k) ** 2
                                          for k in range(1, m + 1))
                 assert pruned + dominated == enumerated - square - screened
+
+
+def test_support_enumeration_prunes_every_wide_pair_of_a_generic_game(
+        caplog):
+    # In a nondegenerate game no one-off system is consistent, so every pair
+    # of a shape with |k - l| >= 2 is pruned by subsets, and no other.
+    g = _continuous_game(np.random.default_rng(1), 6, 6)
+    with caplog.at_level(logging.DEBUG, logger="hog.mixed"):
+        assert solve_support_enumeration_2p(g)
+    wide = sum(math.comb(6, k) * math.comb(6, l)
+               for k, l in itertools.product(range(1, 7), repeat=2)
+               if abs(k - l) >= 2)
+    assert _logged_counts(caplog)[1] == wide == 1474
 
 
 def test_support_enumeration_residual_screen_is_lstsq():

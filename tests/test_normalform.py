@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -189,6 +190,17 @@ def test_budget_guard_names_cardinality():
     with pytest.raises(BudgetExceededError) as err:
         to_normal_form(g, budget=100)
     assert err.value.count == 2 * 4 * 16
+
+
+def test_constant_index_is_the_repunit():
+    for base, hist in itertools.product(range(1, 5), range(1, 5)):
+        cms = ContingentMoveSet(0, base, hist)
+        for move in range(base):
+            assert cms.constant_index(move) == cms.index((move,) * hist)
+    # No loop over the histories: a million of them take one power.
+    assert ContingentMoveSet(0, 1, 10 ** 400).constant_index(0) == 0
+    assert ContingentMoveSet(0, 2, 10 ** 6).constant_index(1) == (
+        2 ** 10 ** 6 - 1)
 
 
 def test_contingent_moves_are_integers():
