@@ -135,7 +135,7 @@ def cmd_check_eq(args) -> int:
     else:
         report["profile"] = list(profile)
     report["mixed"] = mixed_mode
-    _emit(report, args.json)
+    _finish(args, report, "check_eq.json")
     return EXIT_OK if report["equilibrium"] else EXIT_NOT_EQUILIBRIUM
 
 

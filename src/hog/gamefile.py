@@ -20,7 +20,8 @@ two-player stage is the simultaneous layout restricted to 2 players with a
 single shared tensor and required selections; it parses to a 2-player
 single-outcome ``SimultaneousGame`` with selections. Parsed games hold each
 tensor as one read-only float64 array; serializing writes the same layout
-back, each array flattened to a row-major list.
+back, each array flattened to a row-major list. Outcomes are scalars: a game
+with vector outcomes is refused, by the reader and the writer alike.
 
 Quantifier descriptors: {"kind": "max"}, {"kind": "min"},
 {"kind": "fixed_point"}, {"kind": "average"},
@@ -263,19 +264,15 @@ def load_game(path) -> GameDocument:
     return parse_game(doc)
 
 
-def _flat(tensor: np.ndarray, axes: int) -> list:
-    """A payoff array as the file's row-major list over its first ``axes``
-    axes (vector outcomes stay lists)."""
-    return tensor.reshape(-1, *tensor.shape[axes:]).tolist()
-
-
 def serialize_game(document: GameDocument) -> dict:
     """Reconstruct the JSON document for a parsed game, in the layout
     parse_game reads; payoff tensors are the games' stored arrays, flattened
-    row-major."""
+    row-major. The format holds scalar outcomes only, so a game with vector
+    outcomes is refused."""
     game, kind = document.game, document.kind
     sequential = kind == "sequential"
-    n = len(game.moves)
+    _expect(game.payoffs.ndim == len(game.moves) + (not sequential),
+            "vector outcomes cannot be written to a game file", "payoffs")
     out: dict = {"version": FORMAT_VERSION, "kind": kind,
                  "rounds" if sequential else "moves":
                      [list(ms) for ms in game.moves]}
@@ -283,11 +280,11 @@ def serialize_game(document: GameDocument) -> dict:
         out["players"] = list(game.players)
         out["single_outcome_space"] = game.single_outcome_space
     if sequential:
-        out["payoffs"] = _flat(game.payoffs, n)
+        out["payoffs"] = game.payoffs.ravel().tolist()
     elif game.single_outcome_space:
-        out["payoffs"] = _flat(game.payoffs[0], n)
+        out["payoffs"] = game.payoffs[0].ravel().tolist()
     else:
-        out["payoffs"] = [_flat(tensor, n) for tensor in game.payoffs]
+        out["payoffs"] = [tensor.ravel().tolist() for tensor in game.payoffs]
     out["quantifiers"] = _serialize_descriptors(game.quantifiers, "quantifiers")
     if game.selections is not None:
         out["selections"] = _serialize_descriptors(game.selections,

@@ -27,12 +27,13 @@ contradiction.
 
 The grid search screens, then certifies. For each player, one contraction
 per other player gives the deviation tables at every grid combination of
-the others, and one more gives the values; one kernel call tests them all
-at once, with slack for rounding. Only the longest prefix of players whose
-quantifier is of a screened kind and applies to the game is screened, so
-the tests of every later player happen, and raise, exactly where a
-per-point loop would meet them. Every survivor is certified by
-is_mixed_nash in grid order.
+the others, each built once, and one more gives the values of all the
+player's own grid points on each; the kernel tests each table once against
+those values, with slack for rounding, in calls of at most _STACK candidate
+values. Only the longest prefix of players whose quantifier is of a
+screened kind and applies to the game is screened, so the tests of every
+later player happen, and raise, exactly where a per-point loop would meet
+them. Every survivor is certified by is_mixed_nash in grid order.
 
 Support enumeration (von Stengel 2002; Porter, Nudelman & Shoham 2008)
 takes the support shapes (k, l) in order, k outer and l inner, and the
@@ -707,51 +708,44 @@ def _grid_survivors(g: SimultaneousGame, grids: list[np.ndarray],
     pass the stacked membership test of each of the first ``screened``
     players at tolerance ``bound``.
 
-    Player i's deviation tables at every combination of the other players'
-    grid points are einsum contractions of its payoff tensor with their grid
-    matrices; one more contraction with its own grid matrix gives the
-    values. The grid is swept in blocks along player 0's axis, so that a
-    block holds about _STACK profiles, or one row of player 0 when the
-    other players' grids are larger than that."""
+    Player i's deviation tables, one per grid combination of the other
+    players, are einsum contractions of its payoff tensor with their grid
+    matrices, built once. Each table serves all of player i's own grid
+    points: the kernel tests it against their values, which one more
+    contraction with player i's grid matrix gives, and the verdicts go into
+    one mask over the grid. No kernel call sees more than _STACK candidate
+    values. The budget bounds every other array: each grid has at least as
+    many points as its player has moves, so a contraction has at most one
+    entry per grid profile and outcome coordinate, and the mask and the
+    survivors' indices have at most n per grid profile."""
     n = g.num_players
     sizes = [len(grid) for grid in grids]
-    if not screened:
-        yield from itertools.product(*map(range, sizes))
-        return
+    mask = np.ones(sizes, dtype=bool)
     # Labels: move axes 0..n-1, grid axes n..2n-1, the outcome axis 2n.
     axes = list(range(n)) + ([2 * n] if g.payoffs.ndim > n + 1 else [])
-    out = [n + j for j in range(n)] + axes[n:]
-    partial = []
     for i in range(screened):
+        if not mask.any():
+            break
         t, labels = g.payoffs[i], axes
-        for j in range(1, n):
+        for j in range(n):
             if j != i:
                 t, labels = _contract_grid(t, labels, grids[j], j, n + j)
-        partial.append((t, labels))
-    inner = math.prod(sizes[1:])
-    block = max(1, _STACK // inner)
-    for start in range(0, sizes[0], block):
-        rows = grids[0][start:start + block]
-        shape = (len(rows), *sizes[1:])
-        mask = np.ones(shape, dtype=bool)
-        for i, (t, labels) in enumerate(partial):
-            if not mask.any():
-                break
-            if i:
-                t, labels = _contract_grid(t, labels, rows, 0, n)
-            own = rows if i == 0 else grids[i]
-            values = np.einsum(t, labels, own, [n + i, i], out)
-            # Move axis last, then the player's own grid axis broadcast in.
-            tables = np.expand_dims(np.moveaxis(t, i, n - 1), i)
-            tables = np.broadcast_to(tables, shape + tables.shape[n:])
-            with g.quiet():
-                mask &= g.quantifiers[i].kernel(
-                    tables.reshape(-1, *tables.shape[n:]),
-                    values.reshape(-1, 1, *values.shape[n:]),
-                    bound).reshape(shape)
-        for idx in np.argwhere(mask):
-            idx[0] += start
-            yield tuple(idx.tolist())
+        # One row per grid combination of the others, in grid order.
+        t = np.moveaxis(t, i, n - 1)
+        tables = t.reshape(-1, *t.shape[n - 1:])
+        verdict = np.empty((len(tables), sizes[i]), dtype=bool)
+        rows = max(1, _STACK // sizes[i])
+        for r in range(0, len(tables), rows):
+            chunk = tables[r:r + rows]
+            for c in range(0, sizes[i], _STACK):
+                values = np.einsum("rm...,cm->rc...", chunk,
+                                   grids[i][c:c + _STACK])
+                with g.quiet():
+                    verdict[r:r + rows, c:c + _STACK] = (
+                        g.quantifiers[i].kernel(chunk, values, bound))
+        mask &= np.moveaxis(verdict.reshape(*t.shape[:n - 1], -1), -1, i)
+    for idx in np.argwhere(mask):
+        yield tuple(idx.tolist())
 
 
 def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
@@ -762,23 +756,25 @@ def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
     grid (three-player equilibria can be irrational) is not found. For
     2-player max-quantifier games use solve_support_enumeration_2p.
 
-    The grid is screened, then certified. The screen tests every grid
-    profile at once for the longest prefix of players whose quantifier is
-    of a screened kind and applies to the game, with the support
-    enumeration's slack; it only discards profiles that is_mixed_nash would
-    reject at one of those players. Every survivor is then certified by
-    is_mixed_nash, in itertools.product order, and each profile returned
-    is a ListedProfile holding the certificate that accepted it. A player
-    after the prefix is never screened, so each membership test outside the
-    prefix, and each error one raises, happens at the grid point where the
-    per-point loop would meet it.
+    The grid profiles, and the entries of the grid matrices (grid points
+    times moves, summed over the players), are checked against the budget
+    before any grid is built. The grid is screened, then certified. The
+    screen tests every grid profile for the longest prefix of players whose
+    quantifier is of a screened kind and applies to the game, with the
+    support enumeration's slack; it only discards profiles that
+    is_mixed_nash would reject at one of those players. Every survivor is
+    then certified by is_mixed_nash, in itertools.product order, and each
+    profile returned is a ListedProfile holding the certificate that
+    accepted it. A player after the prefix is never screened, so each
+    membership test outside the prefix, and each error one raises, happens
+    at the grid point where the per-point loop would meet it.
     """
     if grid_depth < 1:
         raise StructuralError("grid_depth must be >= 1")
-    per_player_counts = [
-        math.comb(grid_depth + c - 1, c - 1) for c in g.move_counts
-    ]
-    check_budget(math.prod(per_player_counts), budget, "grid profiles")
+    sizes = [math.comb(grid_depth + c - 1, c - 1) for c in g.move_counts]
+    check_budget(math.prod(sizes), budget, "grid profiles")
+    check_budget(sum(s * c for s, c in zip(sizes, g.move_counts)), budget,
+                 "grid matrix entries")
     grids = [_simplex_grid(c, grid_depth) for c in g.move_counts]
     found = []
     for idx in _grid_survivors(g, grids, _screened_players(g),

@@ -102,14 +102,21 @@ def overflow_scale(peak: float, counts: Sequence[int]) -> float:
 
 def flat_tensor(tensor, counts: tuple[int, ...], what: str) -> np.ndarray:
     """A copy of a dense row-major tensor (first coordinate most significant)
-    reshaped to ``counts``; vector outcomes keep a trailing axis."""
+    reshaped to ``counts``; vector outcomes keep a trailing axis. Entries
+    are numbers: a bool or a string is refused, as core.as_outcome refuses
+    it, and only a numeric numpy array is taken without a look at each
+    entry."""
     size = math.prod(counts)
     if len(tensor) != size:
         raise StructuralError(f"{what} has {len(tensor)} entries, expected {size}")
     try:
         arr = np.array(tensor, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StructuralError(f"{what}: {exc}")
+    if not (isinstance(tensor, np.ndarray) and tensor.dtype.kind in "iuf"):
+        for v in np.asarray(tensor, dtype=object).flat:
+            if isinstance(v, (bool, np.bool_, str, bytes)):
+                raise StructuralError(f"{what}: not an outcome: {v!r}")
     return arr.reshape(counts + arr.shape[1:])
 
 

@@ -48,6 +48,24 @@ def test_check_eq_labels_and_profile_file(capsys, games_dir, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("profile, code", [
+    ("[[0.5,0.5],[0.5,0.5]]", 0), ("[0,0]", 3),
+])
+def test_check_eq_writes_its_report_to_out(capsys, games_dir, tmp_path,
+                                           profile, code):
+    # The artifact is the report printed with --json, which adds its path.
+    artifact = tmp_path / "check.json"
+    got, out, _ = run(capsys, [
+        "check-eq", str(games_dir / "matching_pennies.json"),
+        "--profile", profile, "--json", "--out", str(artifact),
+    ])
+    assert got == code
+    report = json.loads(out)
+    assert report.pop("artifact") == str(artifact)
+    assert json.loads(artifact.read_text()) == report
+    assert report["equilibrium"] is (code == 0)
+
+
 def test_check_eq_malformed_tensor_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -797,3 +815,45 @@ def test_repeated_move_labels_exit_2(capsys, games_dir, tmp_path, name, key,
     game.write_text(json.dumps(doc))
     assert run(capsys, [command[0], str(game), *command[1:]]) == (
         2, "", f"error: {key}[{index}]: move labels must be distinct\n")
+
+
+@pytest.mark.parametrize("name, edit, command, field", [
+    ("matching_pennies.json", None,
+     ["check-eq", "--profile", "not json"], "profile"),
+    ("matching_pennies.json", None, ["check-eq", "--profile", "{}"], "profile"),
+    ("matching_pennies.json", None, ["check-eq", "--profile", "[]"], "profile"),
+    ("matching_pennies.json", None, ["solve", "--mode", "seq"], "mode"),
+    ("matching_pennies.json", None, ["solve", "--mode", "normal-form"], "mode"),
+    ("matching_pennies.json", None, ["normal-form"], "mode"),
+    ("matching_pennies.json", ("quantifiers", [1, {"kind": "max"}]),
+     ["solve", "--mode", "pure"], "quantifiers[0]"),
+    ("matching_pennies.json", ("quantifiers", [{"kind": "max"}]),
+     ["solve", "--mode", "pure"], "quantifiers"),
+])
+def test_refused_inputs_exit_2_naming_the_field(capsys, games_dir, tmp_path,
+                                                name, edit, command, field):
+    doc = json.loads((games_dir / name).read_text())
+    if edit:
+        doc[edit[0]] = edit[1]
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(doc))
+    code, out, err = run(capsys, [command[0], str(game), *command[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+
+def test_grid_matrices_beyond_the_budget_exit_4(capsys, tmp_path):
+    # 1100 grid profiles at depth 1, but the third player's grid matrix
+    # alone has 1100 x 1100 entries: refused before any grid is built.
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({
+        "version": 1, "kind": "simultaneous",
+        "moves": [["a"], ["a"], [f"m{k}" for k in range(1100)]],
+        "payoffs": [[0] * 1100] * 3,
+        "quantifiers": [{"kind": "max"}] * 3,
+    }))
+    code, out, err = run(capsys, ["solve", str(game), "--mode", "mixed",
+                                  "--grid-depth", "1"])
+    assert (code, out) == (4, "")
+    assert err == ("error: enumeration of 1210002 grid matrix entries "
+                   "exceeds budget 1000000\n")

@@ -27,6 +27,45 @@ def test_round_trip_is_identity_on_structured_form(games_dir):
         assert first == second, path.name
 
 
+def test_every_serialized_document_reads_back(games_dir):
+    # What the writer returns, the reader reads, to the same document: on
+    # every shipped game and each sequential one's normal form. The format
+    # holds scalar outcomes only, so the writer refuses vector outcomes.
+    from hog.core import argmax_selection, eps_ball_quantifier
+    from hog.gamefile import normal_form_document
+    from hog.normalform import to_normal_form
+
+    documents = []
+    for path in sorted(games_dir.glob("*.json")):
+        if not path.name.endswith("_strategy.json"):
+            document = load_game(path)
+            documents.append((path.name, document))
+            if document.kind == "sequential":
+                documents.append((f"{path.name} normal form",
+                                  normal_form_document(
+                                      to_normal_form(document.game))))
+    ball = [eps_ball_quantifier(0, 1.0)]
+    vectors = [
+        ("vector simultaneous", GameDocument(
+            "simultaneous",
+            SimultaneousGame.from_tensors([2], [[[1, 2], [3, 4]]], ball))),
+        ("vector sequential", GameDocument(
+            "sequential", SequentialGame.from_tensor(
+                [2], [[1, 2], [3, 4]], ball, [argmax_selection()]))),
+    ]
+    refused = []
+    for name, document in documents + vectors:
+        try:
+            doc = serialize_game(document)
+        except GameFileError as exc:
+            assert exc.field == "payoffs", name
+            refused.append(name)
+            continue
+        assert serialize_game(parse_game(json.loads(json.dumps(doc)))) == doc, name
+    assert refused == [name for name, _ in vectors]
+    assert len(documents) == 12
+
+
 def test_simultaneous_parse_shapes(games_dir):
     document = load_game(games_dir / "matching_pennies.json")
     g = document.game

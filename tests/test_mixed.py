@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import hog.mixed
-from hog.core import (QuantifierKind, argmax_selection, argmin_selection,
-                      constant_selection, custom_quantifier,
+from hog.core import (Quantifier, QuantifierKind, argmax_selection,
+                      argmin_selection, constant_selection, custom_quantifier,
                       eps_ball_quantifier, fixed_point_quantifier,
                       max_quantifier, min_quantifier, nearest_mean_selection,
                       average_quantifier, OutcomeTable, as_outcome,
@@ -1161,6 +1161,32 @@ def test_solve_generic_screen_blocks_match_reference(monkeypatch):
             for tol in (0.0, 1e-9):
                 _assert_identical(solve_generic(g, depth, tol),
                                   _reference_solve_generic(g, depth, tol))
+
+
+@pytest.mark.parametrize("stack", [1, 5, 7])
+def test_solve_generic_kernel_calls_see_at_most_stack_values(monkeypatch,
+                                                             stack):
+    # Each player's tables are tested once, in calls of at most _STACK
+    # candidate values, whether a player's own grid is larger than _STACK
+    # (depth 3 over 3 moves has 10 points) or smaller; the answers are the
+    # reference loop's.
+    monkeypatch.setattr(hog.mixed, "_STACK", stack)
+    seen = []
+
+    def kernel(tables, values, tol):
+        seen.append(values.shape[0] * values.shape[1])
+        return max_quantifier().kernel(tables, values, tol)
+
+    counting = Quantifier(QuantifierKind.MAX, kernel)
+    rng = random.Random(43)
+    for players in (1, 2, 3):
+        g = random_max_game(rng, players=players, max_moves=3,
+                            payoff_range=(0, 2))
+        counted = SimultaneousGame(g.moves, g.payoffs, (counting,) * players)
+        for depth in (1, 3):
+            _assert_identical(solve_generic(counted, depth),
+                              _reference_solve_generic(g, depth))
+    assert max(seen) == stack
 
 
 def test_solve_generic_screen_slack_keeps_rounding_ties():

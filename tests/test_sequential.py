@@ -557,3 +557,20 @@ def test_games_refuse_non_finite_payoffs():
             with pytest.raises(StructuralError) as err:
                 build()
             assert str(err.value) == "payoffs must be finite numbers"
+
+
+@pytest.mark.parametrize("payoffs", [
+    ["1", "2"], [True, False], [1, False], np.array([True, False]),
+    np.array(["1", "2"]),
+])
+def test_from_tensor_refuses_bools_and_strings(payoffs):
+    with pytest.raises(StructuralError, match="payoff tensor: not an outcome"):
+        SequentialGame.from_tensor([2], payoffs, [max_quantifier()],
+                                   [argmax_selection()])
+
+
+def test_from_tensor_takes_numeric_arrays():
+    for tensor in (np.array([3, 4]), np.array([3.0, 4.0])):
+        g = SequentialGame.from_tensor([2], tensor, [max_quantifier()],
+                                       [argmax_selection()])
+        assert g.payoffs.tolist() == [3.0, 4.0]

@@ -219,3 +219,28 @@ def test_profile_moves_are_integers():
         1.0, -1.0)
     assert best_response_set(g, (np.int32(0), 1)) == best_response_set(
         g, (0, 1))
+
+
+@pytest.mark.parametrize("payoffs", [
+    [["1", "2"]], [[True, False]], [[1, True]], [np.array([True, False])],
+    [np.array(["1", "2"])], [[[1.0, True], [2.0, 3.0]]],
+])
+def test_from_tensors_refuses_bools_and_strings(payoffs):
+    # core.as_outcome's rule: 1.0 == True and float('1') == 1.0, but
+    # neither a bool nor a string is an outcome.
+    with pytest.raises(StructuralError,
+                       match="payoff tensor for player 0: not an outcome"):
+        SimultaneousGame.from_tensors([2], payoffs, [max_quantifier()])
+
+
+def test_from_tensors_refuses_integers_beyond_the_float_range():
+    with pytest.raises(StructuralError, match="payoff tensor for player 0: "
+                                              "int too large"):
+        SimultaneousGame.from_tensors([1], [[10 ** 400]], [max_quantifier()])
+
+
+def test_from_tensors_takes_numeric_arrays():
+    for tensor in (np.array([1, 2]), np.array([1, 2], dtype=np.uint8),
+                   np.array([1.5, 2.0]), np.array([1, 2], dtype=object)):
+        g = SimultaneousGame.from_tensors([2], [tensor], [max_quantifier()])
+        assert g.payoffs.tolist() == [[float(tensor[0]), 2.0]]
