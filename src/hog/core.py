@@ -37,7 +37,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -61,24 +61,31 @@ def is_move(move, count: int) -> bool:
     return is_move_type(type(move)) and 0 <= move < count
 
 
-def as_outcome(value) -> float | tuple[float, ...]:
-    """Normalize a raw value to a scalar float or a tuple of floats."""
-    if isinstance(value, bool) or isinstance(value, str):
+def _real(value) -> float:
+    """``value`` as a float, if it is a real number: not a bool, a string
+    or bytes, and within the float range."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
         raise StructuralError(f"not an outcome: {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, Sequence) or hasattr(value, "__len__"):
-        try:
-            vec = tuple(float(v) for v in value)
-        except (TypeError, ValueError):
-            raise StructuralError(f"not an outcome: {value!r}")
-        if not vec:
-            raise StructuralError("outcome vectors must be nonempty")
-        return vec
     try:
-        return float(value)  # numpy and similar scalar types
+        return float(value)
+    except OverflowError:
+        raise StructuralError("outcome beyond the float range") from None
     except (TypeError, ValueError):
-        raise StructuralError(f"not an outcome: {value!r}")
+        raise StructuralError(f"not an outcome: {value!r}") from None
+
+
+def as_outcome(value) -> float | tuple[float, ...]:
+    """Normalize a raw value to a scalar float or a tuple of floats; a
+    vector's entries follow the scalar rule."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__len__"):
+        return _real(value)
+    try:
+        vec = tuple(map(_real, value))
+    except TypeError:  # sized but not iterable, as a 0-d array
+        raise StructuralError(f"not an outcome: {value!r}") from None
+    if not vec:
+        raise StructuralError("outcome vectors must be nonempty")
+    return vec
 
 
 def outcome_dim(r) -> int:
@@ -495,11 +502,19 @@ def nearest_mean_selection() -> SelectionFunction:
 
 def custom_selection(select: Callable) -> SelectionFunction:
     """Wrap a user selection ``select(p)``, called with one OutcomeTable at
-    a time."""
+    a time; an answer that is_move refuses for the table raises
+    StructuralError."""
 
     def kernel(tables):
-        return np.array([select(p) for p in _each_table(tables)],
-                        dtype=np.intp)
+        moves = []
+        for p in _each_table(tables):
+            move = select(p)
+            if not is_move(move, len(p)):
+                raise StructuralError(
+                    f"custom selection chose {move!r}, not a move of a "
+                    f"table of size {len(p)}")
+            moves.append(move)
+        return np.array(moves, dtype=np.intp)
 
     return SelectionFunction(SelectionKind.CUSTOM, kernel)
 

@@ -14,17 +14,17 @@ exactly as one ``randint`` or ``choice`` call per value would, with one
 plain values: move counts, integer payoffs in a float array, and each
 round's kind, an index into ``_SEQ_KINDS``. It certifies them in stacks of
 games of one shape, whose payoffs are one float array: one backward pass
-per stack of sequential games, which checks optimality as it goes or is
-followed by one on-path soundness walk, and one BBC pair and
-reply-robustness check per stack of stages. Each round of a stack takes one
-quantifier and one selection, as a round of one game does. Where its games
-drew several kinds, their kernels run each drawn kind's stock kernel on
-every row and keep, for each row, the answer of its own game's kind; stock
-kernels treat rows independently, so that answer is the one-game answer. A
-game object is built only when it is read: a failing game, which the
-one-game certifiers shrink, or a game of the result's corpus. The one-game
-certifiers run the same pass, walk and pairs on a stack of one, and the
-same per-round checks.
+per stack of sequential games, then one walk of its deviation tables, at
+every history (optimality) or on each game's path (normal-form soundness),
+and one BBC pair and reply-robustness check per stack of stages. Each
+round of a stack takes one quantifier and one selection, as a round of one
+game does. Where its games drew several kinds, their kernels run each drawn
+kind's stock kernel on every row and keep, for each row, the answer of its
+own game's kind; stock kernels treat rows independently, so that answer is
+the one-game answer. A game object is built only when it is read: a failing
+game, which the one-game certifiers shrink, or a game of the result's
+corpus. The one-game certifiers run the same pass, walk and pairs on a
+stack of one.
 """
 
 from __future__ import annotations
@@ -296,23 +296,19 @@ _STACK_ENTRIES = 1 << 15
 
 
 def _certify_sequential_stack(payoffs: np.ndarray, counts: tuple[int, ...],
-                              drawn: list[tuple], sound: bool) -> np.ndarray:
-    """certify_sequential (certify_normal_form if ``sound``) on each drawn
+                              drawn: list[tuple], on_path: bool) -> np.ndarray:
+    """certify_sequential (certify_normal_form if ``on_path``) on each drawn
     game of a stack with these move counts, without budget checks: one
-    backward pass over all of them, which checks optimality as it goes, or
-    is followed by one on-path soundness walk."""
+    backward pass over all of them, then one walk of its deviation tables,
+    at every history or only on each game's path."""
     flat, stack = payoffs.reshape(-1), len(drawn)
     pairs = [_round_pair(kind) for kind in _SEQ_KINDS]
     kinds = np.array([values[2] for values in drawn])
     quantifiers, selections = zip(*(_stacked_round(column, pairs)
                                     for column in kinds.T))
-    if not sound:
-        return sequential._optimal_moves(flat, counts, stack, selections,
-                                         quantifiers)[2]
-    moves, reached, _ = sequential._optimal_moves(flat, counts, stack,
-                                                  selections)
-    return normalform._sound_verdicts(flat, counts, stack, quantifiers, moves,
-                                      reached, 0.0)
+    reached = sequential._optimal_moves(flat, counts, stack, selections)[1]
+    return sequential._strategy_verdicts(flat, quantifiers, reached, 0.0,
+                                         on_path)
 
 
 def _stacked_round(column: np.ndarray, pairs: list[tuple]) -> tuple:
@@ -392,7 +388,7 @@ def _families(max_rounds: int, max_moves: int, payoff_range: tuple[int, int],
                     max_moves=max_moves, min_moves=2,
                     payoff_range=payoff_range, kinds=_SEQ_KINDS,
                     budget=budget),
-            _sequential, partial(_certify_sequential_stack, sound=False),
+            _sequential, partial(_certify_sequential_stack, on_path=False),
             _sequential_budget,
             certify_sequential, shrink_sequential),
         "normal-form": _Family(
@@ -400,7 +396,7 @@ def _families(max_rounds: int, max_moves: int, payoff_range: tuple[int, int],
                     max_moves=max_moves, min_moves=2,
                     payoff_range=payoff_range, kinds=_SEQ_KINDS,
                     budget=budget),
-            _sequential, partial(_certify_sequential_stack, sound=True),
+            _sequential, partial(_certify_sequential_stack, on_path=True),
             _normal_form_budget,
             certify_normal_form, shrink_sequential),
         # Max/min stages enumerate no reply functions.

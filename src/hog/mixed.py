@@ -99,7 +99,7 @@ from .budget import check_budget
 from .core import (OutcomeTable, QuantifierKind, SelectionFunction, as_outcome,
                    is_move)
 from .errors import StructuralError
-from .simultaneous import SimultaneousGame
+from .simultaneous import SimultaneousGame, real_array
 
 logger = logging.getLogger(__name__)
 
@@ -110,8 +110,9 @@ MixedProfile = tuple[np.ndarray, ...]
 
 def mixed_strategy(probs, tol_simplex: float = TOL_SIMPLEX) -> np.ndarray:
     """Validate and normalize a probability vector: coordinates >= -tol are
-    clipped to 0 and the vector is rescaled to sum exactly to 1."""
-    vec = np.asarray(probs, dtype=float)
+    clipped to 0 and the vector is rescaled to sum exactly to 1. Entries
+    are numbers, as ``real_array`` takes them."""
+    vec = real_array(probs, "mixed strategy", "a probability")
     if vec.ndim != 1 or vec.size == 0:
         raise StructuralError("a mixed strategy is a nonempty 1-d probability vector")
     if np.any(vec < -tol_simplex):
@@ -493,13 +494,19 @@ def _dominated_moves(payoff: np.ndarray, margin: float) -> np.ndarray:
 
 
 def _dedupe_sorted(profiles: list[MixedProfile], tol: float) -> list[MixedProfile]:
-    kept: list[tuple[np.ndarray, MixedProfile]] = []
-    for cand in profiles:
-        flat = np.concatenate(cand)
-        if not any(np.max(np.abs(flat - seen)) <= tol for seen, _ in kept):
-            kept.append((flat, cand))
-    kept.sort(key=lambda item: item[0].tolist())
-    return [cand for _, cand in kept]
+    """The profiles, each dropped if an earlier kept one is within ``tol``
+    of it in every coordinate, sorted by their coordinates. Each candidate
+    is compared with every kept profile at once."""
+    if not profiles:
+        return []
+    flats = np.array([np.concatenate(cand) for cand in profiles])
+    seen, kept = np.empty_like(flats), []
+    for k, flat in enumerate(flats):
+        if not (np.abs(seen[:len(kept)] - flat).max(axis=1) <= tol).any():
+            seen[len(kept)] = flat
+            kept.append(k)
+    kept.sort(key=lambda k: flats[k].tolist())
+    return [profiles[k] for k in kept]
 
 
 def _live_stacks(m0: int, m1: int, k: int, l: int, beaten0, beaten1,

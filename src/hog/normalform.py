@@ -5,10 +5,13 @@ history -> move tables), the outcome function evaluates the original game on
 the strategic play, and each round's quantifier is lifted so that membership
 only consults the outcomes of constant contingent strategies. The normal
 form is materialised as one dense outcome tensor over contingent-strategy
-profiles only by to_normal_form; check_soundness reads the sequential
-tensor directly. Optimal
-strategies of the sequential game are equilibria of its normal form; the
-converse fails (equilibria may rest on non-credible off-path behaviour).
+profiles only by to_normal_form. Optimal strategies of the sequential game
+are equilibria of its normal form; the converse fails (equilibria may rest
+on non-credible off-path behaviour). check_soundness tests this without the
+normal form: it is the sequential optimality walk restricted to the
+strategy's on-path histories, since a lifted quantifier reads only the
+constant contingent strategies, whose outcomes are the one-round deviation
+table there.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 from .budget import check_budget
 from .core import OutcomeTable, Quantifier, is_move
 from .errors import StructuralError
-from .sequential import (SeqStrategy, SequentialGame, _accepted, _reached,
-                         histories)
+from .sequential import (SeqStrategy, SequentialGame, _reached,
+                         _strategy_verdicts, histories)
 from .simultaneous import SimultaneousGame
 
 
@@ -212,32 +215,8 @@ def check_soundness(g: SequentialGame, strategy: SeqStrategy, tol: float = 0.0,
     budget counts the plays whose outcomes it reads."""
     check_budget(g.play_count(), budget, "plays")
     strategy = g.validate_strategy(strategy)
-    moves = [np.asarray(table) for table in strategy]
     with g.quiet():
-        return bool(_sound_verdicts(
-            g.flat_payoffs(), g.move_counts, 1, g.quantifiers, moves,
-            _reached(g.move_counts, 1, lambda i, _: moves[i]), tol)[0])
-
-
-def _sound_verdicts(flat: np.ndarray, counts, stack: int,
-                    quantifiers: tuple[Quantifier, ...], moves, reached,
-                    tol: float) -> np.ndarray:
-    """check_soundness on each game of a stack, without budget checks, laid
-    out as for ``sequential._optimal_moves``, which gives the strategies'
-    tables ``moves`` and their ``reached`` arrays: one on-path history per
-    game, and per round one call of the round's one quantifier on every
-    game's deviation table at its history. Rounds go in order, up to one
-    where every game has failed."""
-    games = np.arange(stack)
-    history = np.zeros(stack, dtype=np.intp)
-    ok = np.ones(stack, dtype=bool)
-    for i, ((here, _), m) in enumerate(zip(reached, counts)):
-        rows = games * (len(here) // stack) + history
-        move = moves[i][rows]
-        tables = flat[here[rows]]
-        ok &= _accepted(quantifiers[i], stack, tables,
-                        tables[games, move][:, None], tol)
-        if not ok.any():
-            break
-        history = history * m + move
-    return ok
+        return bool(_strategy_verdicts(
+            g.flat_payoffs(), g.quantifiers,
+            _reached(g.move_counts, 1, lambda i, _: strategy[i]), tol,
+            on_path=True)[0])

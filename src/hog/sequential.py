@@ -9,13 +9,17 @@ strategy's play from the empty history.
 
 A strategy is followed in one backward pass: round i's index array, of
 shape ``(history_count(i), m)``, holds the play reached from each history
-and move, and its outcomes are the round's deviation tables, which one
-kernel call tests or chooses on. Both the optimal strategy and the optimal
-play come from one such pass. The pass runs on a stack of games with the
-same move counts, whose flat payoffs lie end to end: the rows of an index
-array go game by game, and each round takes one quantifier and one
+and move, and its outcomes are the round's deviation tables. The pass of
+the optimal strategy only chooses: one selection kernel call per round
+gives the strategy's tables, and the play its root reaches is the optimal
+play. One walk tests a strategy's pass, rounds in order, one quantifier
+kernel call per round: at every history, which is optimality, or only at
+the strategy's on-path history, which is soundness in the normal form (see
+``normalform.check_soundness``). Pass and walk run on a stack of games with
+the same move counts, whose flat payoffs lie end to end: the rows of an
+index array go game by game, and each round takes one quantifier and one
 selection, whose kernels see the rows of every game of the stack at once.
-The public functions run it on a stack of one.
+The public functions run them on a stack of one.
 
 History tables are dense arrays in mixed-radix order over the preceding move
 sets, first round most significant. The outcome function is stored as one
@@ -170,14 +174,32 @@ def is_optimal_strategy(g: SequentialGame, strategy: Sequence[Sequence[int]],
     called up to the first history it rejects."""
     strategy = g.validate_strategy(strategy)
     check_budget(_deviation_count(g.move_counts), budget, "optimality checks")
-    flat = g.flat_payoffs()
     with g.quiet():
-        for i, (reached, followed) in enumerate(
-                _reached(g.move_counts, 1, lambda i, _: strategy[i])):
-            if not _accepted(g.quantifiers[i], 1, flat[reached],
-                             flat[followed][:, None], tol)[0]:
-                return False
-    return True
+        return bool(_strategy_verdicts(
+            g.flat_payoffs(), g.quantifiers,
+            _reached(g.move_counts, 1, lambda i, _: strategy[i]), tol)[0])
+
+
+def _strategy_verdicts(flat: np.ndarray, quantifiers: Sequence[Quantifier],
+                       reached, tol: float, on_path: bool = False) -> np.ndarray:
+    """Whether each game of a stack passes is_optimal_strategy, given the
+    ``_reached`` arrays of its strategy's pass: every history's deviation
+    table accepts the strategy's outcome there. If ``on_path``, only each
+    game's on-path history is tested, which is check_soundness; at round i
+    it is the prefix of the play that round 0 reaches. Rounds go in order
+    through ``_accepted``, each with one call of its one quantifier on
+    every game's tables, up to a round where every game has failed."""
+    plays = reached[0][1]  # one per game
+    stack = len(plays)
+    ok = np.ones(stack, dtype=bool)
+    for phi, (here, followed) in zip(quantifiers, reached):
+        if on_path:
+            rows = plays // (len(flat) // len(here))
+            here, followed = here[rows], followed[rows]
+        ok &= _accepted(phi, stack, flat[here], flat[followed][:, None], tol)
+        if not ok.any():
+            break
+    return ok
 
 
 def _accepted(phi: Quantifier, stack: int, tables: np.ndarray,
@@ -247,9 +269,14 @@ def compute_optimal_play(g: SequentialGame, budget: int | None = None) -> Play:
     """The play computed by the right-nested iterated product of the
     per-round selections applied to the outcome function: the strategic
     play of the strategy that applies each round's selection at every
-    history. The budget counts plays."""
+    history, which its pass reaches from the root. The budget counts
+    plays."""
     check_budget(g.play_count(), budget, "plays")
-    return strategic_play(g, _optimal_tables(g))
+    with g.quiet():
+        reached = _optimal_moves(g.flat_payoffs(), g.move_counts, 1,
+                                 g.selections)[1]
+    # Round 0's one history reaches the play.
+    return tuple(map(int, np.unravel_index(reached[0][1][0], g.move_counts)))
 
 
 def compute_optimal_strategy(g: SequentialGame,
@@ -258,11 +285,6 @@ def compute_optimal_strategy(g: SequentialGame,
     the optimality condition holds pointwise, each table continued by the
     later rounds' selections. The budget counts histories."""
     check_budget(_deviation_count(g.move_counts), budget, "histories")
-    return _optimal_tables(g)
-
-
-def _optimal_tables(g: SequentialGame) -> SeqStrategy:
-    """compute_optimal_strategy without its budget check."""
     with g.quiet():
         moves = _optimal_moves(g.flat_payoffs(), g.move_counts, 1,
                                g.selections)[0]
@@ -270,30 +292,18 @@ def _optimal_tables(g: SequentialGame) -> SeqStrategy:
 
 
 def _optimal_moves(flat: np.ndarray, counts: Sequence[int], stack: int,
-                   selections: Sequence[SelectionFunction],
-                   quantifiers: Sequence[Quantifier] | None = None,
-                   tol: float = 0.0):
+                   selections: Sequence[SelectionFunction]):
     """compute_optimal_strategy on each game of a stack of games with these
     move counts, without budget checks, in one backward pass. ``flat``
     holds the games' flat payoffs end to end; each round calls its one
     selection of ``selections`` once, on every game's tables.
 
     Returns, per round, each game's table in turn, and the pass's
-    ``_reached`` arrays. With one quantifier per round, it also returns
-    whether each game passes is_optimal_strategy with its tables at
-    ``tol``, each round checked as soon as its moves are chosen (the
-    deviation tables of a strategy's pass are the ones it is checked on);
-    else None."""
+    ``_reached`` arrays, which ``_strategy_verdicts`` tests."""
     moves = [None] * len(counts)
-    ok = None if quantifiers is None else np.ones(stack, dtype=bool)
 
     def choose(i: int, reached: np.ndarray) -> np.ndarray:
-        tables = flat[reached]
-        moves[i] = selections[i].kernel(tables)
-        if ok is not None:
-            values = tables[np.arange(len(tables)), moves[i]][:, None]
-            np.logical_and(ok, _accepted(quantifiers[i], stack, tables, values,
-                                         tol), out=ok)
+        moves[i] = selections[i].kernel(flat[reached])
         return moves[i]
 
-    return moves, _reached(counts, stack, choose), ok
+    return moves, _reached(counts, stack, choose)

@@ -103,21 +103,28 @@ def overflow_scale(peak: float, counts: Sequence[int]) -> float:
 def flat_tensor(tensor, counts: tuple[int, ...], what: str) -> np.ndarray:
     """A copy of a dense row-major tensor (first coordinate most significant)
     reshaped to ``counts``; vector outcomes keep a trailing axis. Entries
-    are numbers: a bool or a string is refused, as core.as_outcome refuses
-    it, and only a numeric numpy array is taken without a look at each
-    entry."""
+    are numbers, as ``real_array`` takes them."""
     size = math.prod(counts)
     if len(tensor) != size:
         raise StructuralError(f"{what} has {len(tensor)} entries, expected {size}")
-    try:
-        arr = np.array(tensor, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise StructuralError(f"{what}: {exc}")
-    if not (isinstance(tensor, np.ndarray) and tensor.dtype.kind in "iuf"):
-        for v in np.asarray(tensor, dtype=object).flat:
-            if isinstance(v, (bool, np.bool_, str, bytes)):
-                raise StructuralError(f"{what}: not an outcome: {v!r}")
+    arr = real_array(tensor, what, "an outcome")
     return arr.reshape(counts + arr.shape[1:])
+
+
+def real_array(values, what: str, entry: str) -> np.ndarray:
+    """A float array copy of ``values``, whose entries are numbers: a bool,
+    a string or bytes is refused, as core.as_outcome refuses it, and so is
+    a number beyond the float range. Only a numeric numpy array is taken
+    without a look at each entry."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StructuralError(f"{what}: {exc}") from None
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        for v in np.asarray(values, dtype=object).flat:
+            if isinstance(v, (bool, np.bool_, str, bytes)):
+                raise StructuralError(f"{what}: not {entry}: {v!r}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +132,9 @@ class SimultaneousGame(PayoffArray):
     """Finite simultaneous game with per-player payoff tensors and
     quantifiers. ``single_outcome_space`` flags that all players share one
     outcome tensor (as normal forms of sequential games do); ``payoffs`` is
-    then a zero-copy broadcast of it. ``selections``, when given, holds one
-    selection function per player."""
+    then a zero-copy broadcast of it, and per-player tensors that differ
+    are refused. ``selections``, when given, holds one selection function
+    per player."""
 
     moves: tuple[tuple[str, ...], ...]
     payoffs: np.ndarray
@@ -153,6 +161,13 @@ class SimultaneousGame(PayoffArray):
             raise StructuralError(
                 "moves and selections must have one entry per player")
         self._take_payoffs((n, *self.move_counts))
+        if self.single_outcome_space and self.payoffs.strides[0]:
+            shared = self.payoffs[0]
+            if any(not np.array_equal(t, shared) for t in self.payoffs[1:]):
+                raise StructuralError(
+                    "a single outcome space needs identical payoff tensors")
+            object.__setattr__(self, "payoffs",
+                               np.broadcast_to(shared, self.payoffs.shape))
         if not self.players:
             object.__setattr__(self, "players", _default_players(n))
         elif len(self.players) != n:
@@ -174,15 +189,8 @@ class SimultaneousGame(PayoffArray):
             flat_tensor(t, counts, f"payoff tensor for player {i}")
             for i, t in enumerate(payoffs)
         ]
-        if single_outcome_space:
-            if any(not np.array_equal(t, tensors[0], equal_nan=True)
-                   for t in tensors[1:]):
-                raise StructuralError(
-                    "a single outcome space needs identical payoff tensors")
-            stacked = np.broadcast_to(tensors[0], (len(counts), *tensors[0].shape))
-        else:
-            stacked = np.stack(tensors)
-            stacked.setflags(write=False)  # a fresh array: take it uncopied
+        stacked = np.stack(tensors)
+        stacked.setflags(write=False)  # a fresh array: take it uncopied
         return cls(moves=move_labels(counts, moves), payoffs=stacked,
                    quantifiers=tuple(quantifiers),
                    players=tuple(players) if players else (),

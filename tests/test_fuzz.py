@@ -381,8 +381,10 @@ def test_stacks_match_one_game_functions(monkeypatch):
         mixed += sum(phi not in stack[0].quantifiers for phi in quantifiers)
         strategies = [sequential.compute_optimal_strategy(g) for g in stack]
         for tol in (0.0, 2.0):
-            moves, reached, ok = sequential._optimal_moves(
-                flat, counts, len(stack), selections, quantifiers, tol)
+            moves, reached = sequential._optimal_moves(
+                flat, counts, len(stack), selections)
+            ok = sequential._strategy_verdicts(flat, quantifiers, reached,
+                                               tol)
             for b, (g, strategy) in enumerate(zip(stack, strategies)):
                 assert tuple(tuple(m.reshape(len(stack), -1)[b].tolist())
                              for m in moves) == strategy
@@ -396,10 +398,11 @@ def test_stacks_match_one_game_functions(monkeypatch):
             for tables in (strategies, randoms):
                 moves = [np.concatenate([t[i] for t in tables])
                          for i in range(len(counts))]
-                sound = normalform._sound_verdicts(
-                    flat, counts, len(stack), quantifiers, moves,
+                sound = sequential._strategy_verdicts(
+                    flat, quantifiers,
                     sequential._reached(counts, len(stack),
-                                        lambda i, _: moves[i]), tol)
+                                        lambda i, _: moves[i]), tol,
+                    on_path=True)
                 assert sound.tolist() == [
                     normalform.check_soundness(g, t, tol)
                     for g, t in zip(stack, tables)]

@@ -44,6 +44,10 @@ def test_every_serialized_document_reads_back(games_dir):
                 documents.append((f"{path.name} normal form",
                                   normal_form_document(
                                       to_normal_form(document.game))))
+    # Solver defaults go out under "params" and come back.
+    params = GameDocument("simultaneous", load_game(
+        games_dir / "matching_pennies.json").game,
+        {"tol": 0.5, "grid_depth": 2, "budget": 1000})
     ball = [eps_ball_quantifier(0, 1.0)]
     vectors = [
         ("vector simultaneous", GameDocument(
@@ -54,7 +58,7 @@ def test_every_serialized_document_reads_back(games_dir):
                 [2], [[1, 2], [3, 4]], ball, [argmax_selection()]))),
     ]
     refused = []
-    for name, document in documents + vectors:
+    for name, document in documents + [("params", params)] + vectors:
         try:
             doc = serialize_game(document)
         except GameFileError as exc:
@@ -64,6 +68,7 @@ def test_every_serialized_document_reads_back(games_dir):
         assert serialize_game(parse_game(json.loads(json.dumps(doc)))) == doc, name
     assert refused == [name for name, _ in vectors]
     assert len(documents) == 12
+    assert serialize_game(params)["params"] == params.params
 
 
 def test_simultaneous_parse_shapes(games_dir):

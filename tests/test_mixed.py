@@ -1251,3 +1251,37 @@ def test_vertex_moves_are_integers():
     assert vertex(2, np.int64(1)).tolist() == [0.0, 1.0]
     with pytest.raises(StructuralError, match="invalid for player 1"):
         vertex_profile(matching_pennies(), (0, False))
+
+
+def _reference_dedupe_sorted(profiles, tol):
+    """The profile-by-profile dedupe: keep a profile unless a kept one is
+    within tol in every coordinate, then sort by coordinates."""
+    kept = []
+    for cand in profiles:
+        flat = np.concatenate(cand)
+        if not any(np.max(np.abs(flat - seen)) <= tol for seen, _ in kept):
+            kept.append((flat, cand))
+    kept.sort(key=lambda item: item[0].tolist())
+    return [cand for _, cand in kept]
+
+
+def test_dedupe_matches_reference_loop():
+    rng = np.random.default_rng(26)
+    cases = 0
+    for n in (0, 1, 2, 5, 40, 200):
+        for counts in ((2,), (2, 3), (3, 1, 2)):
+            base = [tuple(rng.dirichlet(np.ones(c)) for c in counts)
+                    for _ in range(max(1, n // 3))]
+            # Copies of earlier profiles nudged by 0, 1e-10, 1e-9, or more.
+            profiles = [
+                tuple(s + rng.choice([0.0, 1e-10, 1e-9, 3e-9, 0.2])
+                      * rng.uniform(-1, 1, s.shape)
+                      for s in base[rng.integers(len(base))])
+                for _ in range(n)]
+            for tol in (0.0, 1e-9, 0.5):
+                got = _dedupe_sorted(profiles, tol)
+                want = _reference_dedupe_sorted(profiles, tol)
+                assert [id(p) for p in got] == [id(p) for p in want]
+                cases += 0 < len(want) < n
+    # Some lists lose some profiles but not all.
+    assert cases > 10

@@ -244,3 +244,18 @@ def test_from_tensors_takes_numeric_arrays():
                    np.array([1.5, 2.0]), np.array([1, 2], dtype=object)):
         g = SimultaneousGame.from_tensors([2], [tensor], [max_quantifier()])
         assert g.payoffs.tolist() == [[float(tensor[0]), 2.0]]
+
+
+def test_single_outcome_space_needs_one_tensor():
+    tensor = np.array([[1.0, 2.0], [3.0, 4.0]])
+    q = (max_quantifier(), max_quantifier())
+    moves = (("a", "b"), ("c", "d"))
+    with pytest.raises(StructuralError, match="identical payoff tensors"):
+        SimultaneousGame(moves, np.stack([tensor, np.full((2, 2), 9.0)]), q,
+                         single_outcome_space=True)
+    # Equal copies are taken as one tensor; a broadcast is taken as it is.
+    for payoffs in (np.stack([tensor, tensor]),
+                    np.broadcast_to(tensor, (2, 2, 2))):
+        g = SimultaneousGame(moves, payoffs, q, single_outcome_space=True)
+        assert g.payoffs.strides[0] == 0
+        assert np.array_equal(g.payoffs[1], tensor)
