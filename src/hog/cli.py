@@ -25,7 +25,6 @@ from pathlib import Path
 from . import fuzz as fuzz_mod
 from . import gamefile, minimax, mixed, normalform, sequential, simultaneous
 from .budget import check_budget
-from .core import as_outcome
 from .errors import (BudgetExceededError, GameFileError, HogError,
                      StructuralError)
 
@@ -37,9 +36,30 @@ EXIT_NO_SOLUTION = 5
 EXIT_FUZZ_FAILED = 6
 
 
-def _dump(value) -> str:
-    """The one JSON writer: reports, artifacts and game files."""
-    return json.dumps(value, indent=2, sort_keys=True)
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _numbers(values) -> bool:
+    """Whether every entry of a list is an int or a float (a bool is
+    neither)."""
+    return set(map(type, values)) <= {int, float}
+
+
+def _dump(value, pad: str = "\n") -> str:
+    """The one JSON writer: reports, artifacts and game files. The layout
+    of json.dumps(value, indent=2, sort_keys=True), except that a list whose
+    entries are all numbers goes on one line through the C encoder; the
+    JSON value is the same."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        return "{" + ",".join([
+            f"{inner}{_encode(key if isinstance(key, str) else _encode(key))}"
+            f": {_dump(item, inner)}"
+            for key, item in sorted(value.items())]) + pad + "}"
+    if isinstance(value, (list, tuple)) and not _numbers(value):
+        return ("[" + ",".join([inner + _dump(item, inner) for item in value])
+                + pad + "]")
+    return _encode(value)
 
 
 def _write(path: Path, value) -> None:
@@ -90,9 +110,11 @@ def _read_profile_arg(raw: str):
 
 
 def _mixed_rows(certificates):
-    """Report rows of player_certificates' (table, value, ok) arrays."""
-    return (([as_outcome(v) for v in table.tolist()], as_outcome(value.tolist()),
-             ok) for table, value, ok in certificates)
+    """Report rows of player_certificates' (table, value, ok) arrays. Game
+    files hold scalar outcomes only, so tolist() gives a list of floats and
+    a float, as core.as_outcome would."""
+    return ((table.tolist(), value.tolist(), ok)
+            for table, value, ok in certificates)
 
 
 def _membership_report(game, rows) -> dict:

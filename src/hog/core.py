@@ -33,6 +33,7 @@ import functools
 import itertools
 import numbers
 import sys
+from collections import abc
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
@@ -76,9 +77,12 @@ def _real(value) -> float:
 
 def as_outcome(value) -> float | tuple[float, ...]:
     """Normalize a raw value to a scalar float or a tuple of floats; a
-    vector's entries follow the scalar rule."""
+    vector's entries follow the scalar rule. A mapping or a set is no
+    vector: it has no order of entries."""
     if isinstance(value, (str, bytes)) or not hasattr(value, "__len__"):
         return _real(value)
+    if isinstance(value, (abc.Mapping, abc.Set)):
+        raise StructuralError(f"not an outcome: {value!r}")
     try:
         vec = tuple(map(_real, value))
     except TypeError:  # sized but not iterable, as a 0-d array
@@ -434,13 +438,21 @@ def average_quantifier() -> Quantifier:
 def custom_quantifier(contains: Callable, canonical: Callable | None = None,
                       in_domain: Callable | None = None) -> Quantifier:
     """Wrap a user membership test ``contains(p, r, tol)``, called with one
-    OutcomeTable and one outcome at a time. Totality is the caller's
+    OutcomeTable and one outcome at a time; an answer that is not a bool or
+    a numpy bool raises StructuralError. Totality is the caller's
     responsibility: a partial intent that is not expressed through
     ``in_domain`` cannot be detected by the exhaustive checkers."""
 
+    def answer(p, r, tol):
+        verdict = contains(p, as_outcome(r), tol)
+        if not isinstance(verdict, (bool, np.bool_)):
+            raise StructuralError(
+                f"custom quantifier answered {verdict!r}, not a bool")
+        return verdict
+
     def kernel(tables, values, tol):
         return np.array(
-            [[contains(p, as_outcome(r), tol) for r in row]
+            [[answer(p, r, tol) for r in row]
              for p, row in zip(_each_table(tables), values.tolist())],
             dtype=bool).reshape(values.shape[:2])
 

@@ -10,9 +10,11 @@ strategies.
 
 Every profile that either solver returns passes is_mixed_nash, which reads
 one certificate per player at the profile validated once
-(player_certificates). The solvers return ListedProfile tuples, which keep
-the rows of the certificate that accepted them; the CLI prints those rows,
-so no listed profile is certified twice. Support enumeration handles
+(player_certificates). The solvers build each profile they certify with
+mixed_profile, once, and return ListedProfile tuples: is_mixed_nash does
+not validate them again, only rescales them as validation would, and they
+keep the rows of the certificate that accepted them; the CLI prints those
+rows, so no listed profile is certified twice. Support enumeration handles
 2-player games whose quantifiers are max or min, where it finds every
 equilibrium with a solvable support pair; the existence
 theorem promises one, so an empty result signals a bug. Under the mixed
@@ -52,14 +54,18 @@ support combinations and their bitmasks are read-only tables cached per
 (moves, size) across calls.
 
 A square stack is solved by one batched exact solve that covers both
-players' systems. A rectangular stack is first screened on its
-overdetermined side by the residual of each system's minimum-norm solution,
-and one-off shapes, one equation more than unknowns, by one batched LU
-solve for each system's left null vector before that. Each system of the
-survivors, and each system of a square stack that holds a singular one, is
-then solved on its own, from the stack that holds it: exactly when square,
-by least squares when rectangular or singular, and accepted when its
-max-residual is at most _RESIDUAL_TOL.
+players' systems; when it holds a singular system, one batched slogdet
+finds every such system, the others are solved in one batched solve, and
+only the singular ones on their own. A rectangular stack is first screened
+on its overdetermined side by the residual of each system's minimum-norm
+solution, and one-off shapes, one equation more than unknowns, by one
+batched LU solve for each system's left null vector before that. The
+one-off shapes (k, k + 1) and (k + 1, k) build systems of one shape,
+(k + 2) x (k + 1), so one screen per stack serves the live pairs of both,
+and its masks are split back per shape. Each system of the survivors is
+then solved on its own, from the stack that holds it. Singular and
+rectangular systems are solved by least squares; a system is accepted when
+its max-residual is at most _RESIDUAL_TOL.
 
 A shape whose long side is at least its short side + 2 is enumerated only
 when the shape one shorter on its long side had a pair that passed the
@@ -77,9 +83,13 @@ minimum-norm solution of a rank-deficient subsystem can be negative where
 the wider system has a nonnegative one. On a nondegenerate game no one-off
 system is consistent, so no wider shape is enumerated.
 
-A vectorised regret screen then drops candidates that are clearly not
-equilibria. The screens only discard; every profile returned is still built
-by mixed_profile and certified by is_mixed_nash, in enumeration order. On
+The candidates of every stack, pairs whose systems both solved with no
+negative probability, are collected for the pass, and one vectorised regret
+screen, in chunks of at most _STACK candidates, drops those that are
+clearly not equilibria. The screens only discard; every profile returned is
+still built by mixed_profile and certified by is_mixed_nash, in enumeration
+order, shapes k outer and l inner, which decides which of two
+near-duplicates _dedupe_sorted keeps. On
 payoffs that may overflow, the enumeration runs once more on the payoffs
 scaled by an exact power of two, where rounding stays inside the absolute
 tolerances.
@@ -120,7 +130,14 @@ def mixed_strategy(probs, tol_simplex: float = TOL_SIMPLEX) -> np.ndarray:
     total = float(vec.sum())
     if not (1 - tol_simplex <= total <= 1 + tol_simplex):
         raise StructuralError(f"probabilities sum to {total}, expected 1")
-    vec = np.clip(vec, 0.0, None)
+    return _rescaled(np.clip(vec, 0.0, None))
+
+
+def _rescaled(vec: np.ndarray) -> np.ndarray:
+    """``vec`` divided by its sum, read-only: the last step of
+    mixed_strategy. On a vector mixed_strategy returned, which holds no
+    negative entry or -0.0, it gives exactly what mixed_strategy gives when
+    that vector is passed to it again."""
     vec = vec / vec.sum()
     vec.setflags(write=False)
     return vec
@@ -197,8 +214,17 @@ def player_certificates(g: SimultaneousGame, profile: MixedProfile,
                         tol: float = 1e-9):
     """Player by player, at the profile validated once: the deviation table
     and the expected outcome (the arrays of mixed_unilateral_table and
-    expected_outcome) and whether the player's quantifier accepts them."""
-    profile = mixed_profile(g, profile)
+    expected_outcome) and whether the player's quantifier accepts them. A
+    solver's ListedProfile, which mixed_profile built, is not validated
+    again on a game of its move counts, only rescaled as validation would
+    rescale it: the certificate is read at the point where check-eq and the
+    public functions read the printed profile. Any other profile is
+    validated."""
+    if (isinstance(profile, ListedProfile)
+            and tuple(map(len, profile)) == tuple(g.move_counts)):
+        profile = tuple(map(_rescaled, profile))
+    else:
+        profile = mixed_profile(g, profile)
     for i, phi in enumerate(g.quantifiers):
         with g.quiet():
             table = _contract(g, i, profile, keep=i)
@@ -208,9 +234,10 @@ def player_certificates(g: SimultaneousGame, profile: MixedProfile,
 
 
 class ListedProfile(tuple):
-    """A validated mixed profile as a solver lists it. ``certificates``
-    holds the rows of player_certificates with which is_mixed_nash accepted
-    it, so a report prints them without certifying the profile again."""
+    """A mixed profile as a solver lists it: the strategies of
+    mixed_profile, validated and read-only. ``certificates`` holds the rows
+    of player_certificates with which is_mixed_nash accepted it, so a report
+    prints them without certifying the profile again."""
 
     certificates: tuple = ()
 
@@ -229,7 +256,6 @@ def is_mixed_nash(g: SimultaneousGame, profile: MixedProfile,
     if isinstance(profile, ListedProfile):
         profile.certificates = tuple(rows)
     return True
-
 
 
 class LiftedSelection:
@@ -298,21 +324,15 @@ def _residual(mats: np.ndarray, sols: np.ndarray) -> np.ndarray:
 
 
 def _solve_each(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each system of a stack of indifference systems on its own: an exact
-    solve when square, least squares when rectangular or singular. Returns
-    the probabilities, (N, k), and the mask of systems whose max-residual is
-    at most _RESIDUAL_TOL."""
+    """Each system of a stack of rectangular or singular indifference
+    systems on its own, by least squares. Returns the probabilities, (N, k),
+    and the mask of systems whose max-residual is at most _RESIDUAL_TOL."""
     rhs = np.zeros(mats.shape[1])
     rhs[-1] = 1.0
     probs = np.zeros((len(mats), mats.shape[2] - 1))
     ok = np.zeros(len(mats), dtype=bool)
     for n, mat in enumerate(mats):
-        try:
-            if mat.shape[0] != mat.shape[1]:
-                raise np.linalg.LinAlgError
-            sol = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+        sol = np.linalg.lstsq(mat, rhs, rcond=None)[0]
         probs[n] = sol[:-1]
         ok[n] = np.max(np.abs(mat @ sol - rhs)) <= _RESIDUAL_TOL
     return probs, ok
@@ -324,8 +344,10 @@ def _solve_square(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     batched solve, which gives the same bits as one solve per system: the
     second player's indifference fixes the row probabilities p, the first
     player's the column probabilities q. Returns p, the mask of pairs whose
-    p solved, q and its mask. A stack holding a singular system is solved
-    system by system instead, by _solve_each."""
+    p solved, q and its mask. When the stack holds a singular system, one
+    batched slogdet finds every such system (a sign of 0 comes from the
+    same LU zero pivot that makes the solve raise); the others are solved
+    in one batched solve and the singular ones by _solve_each."""
     n, k = rows.shape
     mats = np.zeros((2 * n, k + 1, k + 1))
     _indifference_systems(b, rows, cols, mats[:n])
@@ -336,9 +358,17 @@ def _solve_square(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
         sols = np.linalg.solve(mats, rhs)[..., 0]
         probs, ok = sols[:, :-1], _residual(mats, sols) <= _RESIDUAL_TOL
     except np.linalg.LinAlgError:
-        logger.debug("singular system in a stack of %d; solving pair by pair",
-                     len(mats))
-        probs, ok = _solve_each(mats)
+        singular = np.linalg.slogdet(mats)[0] == 0
+        logger.debug("%d singular systems in a stack of %d; solving pair by "
+                     "pair by least squares, the others in one solve",
+                     np.count_nonzero(singular), len(mats))
+        probs = np.empty((len(mats), k))
+        ok = np.empty(len(mats), dtype=bool)
+        regular = ~singular
+        sols = np.linalg.solve(mats[regular], rhs)[..., 0]
+        probs[regular] = sols[:, :-1]
+        ok[regular] = _residual(mats[regular], sols) <= _RESIDUAL_TOL
+        probs[singular], ok[singular] = _solve_each(mats[singular])
     return probs[:n], ok[:n], probs[n:], ok[n:]
 
 
@@ -365,18 +395,25 @@ def _left_null_screen(mats: np.ndarray, bound: float) -> np.ndarray:
     return ~(res > _LEFT_NULL_MARGIN * bound)
 
 
-def _may_be_consistent(payoff: np.ndarray, own: np.ndarray,
-                       other: np.ndarray,
-                       tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _may_be_consistent(parts, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Stacked least-squares test of overdetermined systems (more equations
     than unknowns) by the residual of each one's minimum-norm solution, with
     a margin that leaves the decision on every pair it keeps to
-    _solve_each. Returns two masks: the pairs whose system may be
-    consistent, and those of them whose system may also have no negative
-    probability. One-off systems, one equation more than unknowns (the only
-    rectangular shapes a nondegenerate game reaches), are first screened by
+    _solve_each. ``parts`` lists (payoff, own, other) stacks, as
+    _indifference_systems takes them, whose systems have one shape; the two
+    one-off shapes (k, k + 1) and (k + 1, k) share theirs. Returns two masks
+    over the parts' pairs in turn: the pairs whose system may be consistent,
+    and those of them whose system may also have no negative probability.
+    One-off systems, one equation more than unknowns (the only rectangular
+    shapes a nondegenerate game reaches), are first screened by
     _left_null_screen, which keeps every pair within the bound."""
-    mats = _indifference_systems(payoff, own, other)
+    _, own, other = parts[0]
+    mats = np.zeros((sum(len(part[1]) for part in parts), other.shape[1] + 1,
+                     own.shape[1] + 1))
+    at = 0
+    for payoff, own, other in parts:
+        _indifference_systems(payoff, own, other, mats[at:at + len(own)])
+        at += len(own)
     bound = math.sqrt(mats.shape[1]) * _RESIDUAL_TOL + _SCREEN_MARGIN
     if mats.shape[1] == mats.shape[2] + 1:
         consistent = _left_null_screen(mats, bound)
@@ -540,6 +577,20 @@ def _live_stacks(m0: int, m1: int, k: int, l: int, beaten0, beaten1,
             yield r[at:at + stack], c[at:at + stack]
 
 
+def _packed(pieces):
+    """Consecutive stacks of support pairs, (shape, rows, cols), packed into
+    groups of at most _STACK pairs; no stack is split."""
+    group, size = [], 0
+    for piece in pieces:
+        if group and size + len(piece[1]) > _STACK:
+            yield group
+            group, size = [], 0
+        group.append(piece)
+        size += len(piece[1])
+    if group:
+        yield group
+
+
 def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
                         tol: float, regret_bound: float,
                         margin: float) -> list[MixedProfile]:
@@ -557,46 +608,79 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
     # the least-squares screen.
     consistent: set[tuple[int, int]] = set()
     counts = collections.Counter()
-    found: list[MixedProfile] = []
-    for k in range(1, m0 + 1):
-        row_sets = _supports(m0, k)[0]
-        for l in range(1, m1 + 1):
-            col_sets = _supports(m1, l)[0]
-            if (abs(k - l) >= 2 and
-                    ((k, l - 1) if l > k else (k - 1, l)) not in consistent):
-                counts["pruned"] += len(row_sets) * len(col_sets)
-                continue
+    # Per shape, the stacks of candidates: pairs whose systems both solved
+    # with no negative probability, as full-length row and column
+    # strategies.
+    candidates = collections.defaultdict(list)
+
+    def stacks(*shapes):
+        for k, l in shapes:
+            row_sets, col_sets = _supports(m0, k)[0], _supports(m1, l)[0]
             for r, c in _live_stacks(m0, m1, k, l, beaten0, beaten1, counts):
-                s0, s1 = row_sets[r], col_sets[c]
-                if k == l:
-                    p, ok_p, q, ok_q = _solve_square(a, b, s0, s1)
-                else:
-                    over = (b, s0, s1) if l > k else (a.T, s1, s0)
-                    residual_ok, keep = _may_be_consistent(*over, tol)
-                    if residual_ok.any():
-                        consistent.add((k, l))
-                    counts["screened out"] += len(r) - np.count_nonzero(keep)
-                    if not keep.any():
-                        continue
-                    s0, s1 = s0[keep], s1[keep]
-                    p, ok_p = _solve_each(_indifference_systems(b, s0, s1))
-                    q, ok_q = _solve_each(_indifference_systems(a.T, s1, s0))
-                ok = (ok_p & ok_q & ~(p < -tol).any(axis=1)
-                      & ~(q < -tol).any(axis=1))
-                counts["solved"] += np.count_nonzero(ok)
-                if not ok.any():
+                yield (k, l), row_sets[r], col_sets[c]
+
+    def add(shape, s0, s1, p, ok_p, q, ok_q):
+        ok = (ok_p & ok_q & ~(p < -tol).any(axis=1)
+              & ~(q < -tol).any(axis=1))
+        counts["solved"] += np.count_nonzero(ok)
+        if ok.any():
+            candidates[shape].append((_scatter(s0[ok], p[ok], m0),
+                                      _scatter(s1[ok], q[ok], m1)))
+
+    def screen(group):
+        # Each pair's overdetermined system: the column player's
+        # indifference fixes p when l > k, the row player's q when k > l.
+        parts = [(b, s0, s1) if l > k else (a.T, s1, s0)
+                 for (k, l), s0, s1 in group]
+        residual_ok, keep = _may_be_consistent(parts, tol)
+        at = 0
+        for shape, s0, s1 in group:
+            part = slice(at, at + len(s0))
+            at = part.stop
+            if residual_ok[part].any():
+                consistent.add(shape)
+            counts["screened out"] += len(s0) - np.count_nonzero(keep[part])
+            if keep[part].any():
+                s0, s1 = s0[keep[part]], s1[keep[part]]
+                add(shape, s0, s1,
+                    *_solve_each(_indifference_systems(b, s0, s1)),
+                    *_solve_each(_indifference_systems(a.T, s1, s0)))
+
+    for k in range(1, m0 + 1):
+        for l in range(1, m1 + 1):
+            if k == l:
+                for shape, s0, s1 in stacks((k, l)):
+                    add(shape, s0, s1, *_solve_square(a, b, s0, s1))
+            elif (abs(k - l) >= 2 and
+                    ((k, l - 1) if l > k else (k - 1, l)) not in consistent):
+                counts["pruned"] += math.comb(m0, k) * math.comb(m1, l)
+            elif l == k - 1 and k <= m1:
+                pass  # screened with the shape (l, k)
+            else:
+                # The one-off shapes (k, k + 1) and (k + 1, k) build systems
+                # of one shape, (k + 2) x (k + 1): one screen serves both.
+                shapes = [(k, l), (l, k)] if l == k + 1 <= m0 else [(k, l)]
+                for group in _packed(stacks(*shapes)):
+                    screen(group)
+    # The regret screen in chunks, then certification in enumeration order:
+    # shapes k outer, l inner.
+    found: list[MixedProfile] = []
+    shapes = sorted(candidates)
+    if shapes:
+        rows = np.concatenate([r for s in shapes for r, _ in candidates[s]])
+        cols = np.concatenate([c for s in shapes for _, c in candidates[s]])
+        for at in range(0, len(rows), _STACK):
+            chunk = slice(at, at + _STACK)
+            passed = _regret_screen(a, b, rows[chunk], cols[chunk],
+                                    regret_bound)
+            for n in at + np.flatnonzero(passed):
+                try:
+                    profile = ListedProfile(
+                        mixed_profile(g, (rows[n], cols[n])))
+                except StructuralError:
                     continue
-                rows = _scatter(s0[ok], p[ok], m0)
-                cols = _scatter(s1[ok], q[ok], m1)
-                screen = _regret_screen(a, b, rows, cols, regret_bound)
-                for n in np.flatnonzero(screen):
-                    try:
-                        profile = ListedProfile(
-                            mixed_profile(g, (rows[n], cols[n])))
-                    except StructuralError:
-                        continue
-                    if is_mixed_nash(g, profile, tol):
-                        found.append(profile)
+                if is_mixed_nash(g, profile, tol):
+                    found.append(profile)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "support enumeration %dx%d: %d support pairs enumerated, %d "

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -756,11 +757,20 @@ def _pinned_commands(doc):
             (["bbc"], True)]
 
 
+def _json_or_text(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
 def test_shipped_games_output_is_pinned(capsys, games_dir, tmp_path):
     # Exit code, stdout, stderr and every --out artifact of each command on
     # each shipped game, in text and --json, as one digest: the reader and
-    # the report writer may change shape, but not what a user sees.
-    records = []
+    # the report writer may change shape, but not what a user sees. A second
+    # digest reads each JSON output as its value, which the layout of the
+    # JSON writer does not change.
+    records, values = [], []
     for path in sorted(games_dir.glob("*.json")):
         doc = json.loads(path.read_text())
         if "kind" not in doc:
@@ -774,19 +784,99 @@ def test_shipped_games_output_is_pinned(capsys, games_dir, tmp_path):
                         out_dir.mkdir()
                         argv.append(str(out_dir))
                     code, stdout, stderr = run(capsys, argv)
-                    artifacts = sorted(
+                    files = sorted(out_dir.glob("*"))
+                    artifacts = [
                         (f.name, hashlib.sha256(f.read_bytes()).hexdigest())
-                        for f in out_dir.glob("*"))
-                    records.append([
-                        [command, path.name, *flags, *as_json,
-                         *out, *(["OUT"] if out else [])],
-                        code, stdout.replace(str(out_dir), "OUT"),
-                        stderr.replace(str(out_dir), "OUT"), artifacts])
+                        for f in files]
+                    command_line = [command, path.name, *flags, *as_json,
+                                    *out, *(["OUT"] if out else [])]
+                    stdout = stdout.replace(str(out_dir), "OUT")
+                    stderr = stderr.replace(str(out_dir), "OUT")
+                    records.append([command_line, code, stdout, stderr,
+                                    artifacts])
+                    values.append([command_line, code, _json_or_text(stdout),
+                                   stderr, [(f.name, json.loads(f.read_text()))
+                                            for f in files]])
     assert len(records) == 156
     digest = hashlib.sha256(
         json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == (
-        "67e4e2f5ca6c924667ab75901337b056fb0cf7ab67692c1a69134f5f54900b84")
+        "779934698d6ad8661c6c0d04e4c5e2457cd3a3f136e73176aca5a7c1b976f272")
+    digest = hashlib.sha256(
+        json.dumps(values, sort_keys=True).encode()).hexdigest()
+    assert digest == (
+        "0c8a3221dfd7d918ffcb97bae2b3ad5ee7f76cee31a6dc2a4fb3022ead2cfbc3")
+
+
+# A number as json.dumps writes it, NaN and the infinities included.
+_NUMBER = r"-?(?:Infinity|NaN|\d[\d.eE+-]*)"
+_NUMBER_LIST = re.compile(rf"\[\n *({_NUMBER}(?:,\n *{_NUMBER})*)\n *\]")
+
+
+def _documented_layout(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) with each list whose
+    entries are all numbers joined onto one line, as the README documents
+    the --json layout."""
+    return _NUMBER_LIST.sub(
+        lambda m: "[" + re.sub(r",\n *", ", ", m.group(1)) + "]",
+        json.dumps(value, indent=2, sort_keys=True))
+
+
+def test_json_writer_puts_number_lists_on_one_line(capsys, games_dir,
+                                                   tmp_path, monkeypatch):
+    # Every --json report, --out artifact, normal-form document and fuzz
+    # corpus file: the JSON value of json.dumps(value, indent=2,
+    # sort_keys=True), in its layout except that each list of numbers sits
+    # on one line.
+    written = {}
+    dump = hog.cli._dump
+
+    def recording(value, *pad):
+        text = dump(value, *pad)
+        if not pad:
+            indented = json.dumps(value, indent=2, sort_keys=True)
+            assert json.loads(text) == json.loads(indented)
+            assert text == _documented_layout(value)
+            written[text + "\n"] = indented.count("\n") - text.count("\n")
+        return text
+
+    monkeypatch.setattr(hog.cli, "_dump", recording)
+    outputs = []
+    for path in sorted(games_dir.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "kind" not in doc:
+            continue
+        for (command, *flags), _ in _pinned_commands(doc):
+            for out in ([], ["--json"], ["--json", "--out"]):
+                out_dir = tmp_path / str(len(outputs))
+                out_dir.mkdir()
+                argv = [command, str(path), *flags, *out]
+                code, stdout, _ = run(capsys, argv + (
+                    [str(out_dir)] if "--out" in out else []))
+                outputs.append((argv, code, stdout,
+                                [f.read_text() for f in out_dir.glob("*")]))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    argv = ["fuzz", "--seed", "3", "--count", "5", "--json", "--out",
+            str(corpus)]
+    code, stdout, _ = run(capsys, argv)
+    outputs.append((argv, code, stdout,
+                    [f.read_text() for f in corpus.glob("*")]))
+    reports = files = 0
+    for argv, code, stdout, artifacts in outputs:
+        if code in (0, 3) and ("--json" in argv or "normal-form" in argv
+                               and "--out" not in argv):
+            assert stdout in written, argv
+            reports += 1
+        for artifact in artifacts:
+            assert artifact in written, argv
+            files += 1
+    assert (reports, files) == (77, 50)
+    # Every document but the fuzz report and the pure reports of the games
+    # with no pure equilibrium has a list of numbers to join: payoffs,
+    # tables, profiles, plays or strategies.
+    assert len(written) == 80
+    assert sum(saved > 0 for saved in written.values()) == 75
 
 
 def test_version_true_exits_2(capsys, games_dir, tmp_path):

@@ -38,7 +38,9 @@ def test_generators_are_seed_deterministic():
 
 def test_fuzz_corpus_is_pinned(tmp_path):
     # The files 'hog fuzz --family all --seed 5 --count 40 --out DIR' wrote
-    # before the generators shared their stock quantifiers and selections.
+    # before the generators shared their stock quantifiers and selections:
+    # their JSON values, and their bytes as the writer lays them out with
+    # each list of numbers on one line.
     code = main(["fuzz", "--family", "all", "--seed", "5", "--count", "40",
                  "--out", str(tmp_path)])
     assert code == 0
@@ -49,7 +51,10 @@ def test_fuzz_corpus_is_pinned(tmp_path):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     assert digest.hexdigest() == (
-        "48b5e79f2f8dbce4afea5e95fb5df63011207614a8125af55cb03c49a734702a")
+        "74ab32a329a5bdec859ceb1dbf51ed3768fbf1cc611e73550302717d0d7ad12f")
+    assert _digest([[path.name, json.loads(path.read_text())]
+                    for path in files]) == (
+        "b42e953982146d9acdaf78b41a696e6b7fe9393156f1be321418b8d8d7fed9ae")
 
 
 def test_run_fuzz_all_families_pass():

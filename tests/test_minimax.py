@@ -415,10 +415,7 @@ PENNIES_JSON = """\
         "H"
       ],
       "outcome": 1.0,
-      "pair": [
-        0,
-        0
-      ]
+      "pair": [0, 0]
     },
     "coincide": false,
     "product": {
@@ -427,10 +424,7 @@ PENNIES_JSON = """\
         "T"
       ],
       "outcome": -1.0,
-      "pair": [
-        0,
-        1
-      ]
+      "pair": [0, 1]
     }
   },
   "mode": "bbc",
@@ -439,10 +433,7 @@ PENNIES_JSON = """\
     "H"
   ],
   "outcome": 1.0,
-  "pair": [
-    0,
-    0
-  ],
+  "pair": [0, 0],
   "reply_robust": true
 }
 """
@@ -456,10 +447,7 @@ SEEDED_8X8_JSON = """\
         "y2"
       ],
       "outcome": 0.0,
-      "pair": [
-        0,
-        2
-      ]
+      "pair": [0, 2]
     },
     "coincide": false,
     "product": {
@@ -468,10 +456,7 @@ SEEDED_8X8_JSON = """\
         "y1"
       ],
       "outcome": 0.0,
-      "pair": [
-        0,
-        1
-      ]
+      "pair": [0, 1]
     }
   },
   "mode": "bbc",
@@ -480,10 +465,7 @@ SEEDED_8X8_JSON = """\
     "y2"
   ],
   "outcome": 0.0,
-  "pair": [
-    0,
-    2
-  ],
+  "pair": [0, 2],
   "reply_robust": true
 }
 """
@@ -500,10 +482,7 @@ OVERFLOW_JSON = """\
         "y1"
       ],
       "outcome": 0.0,
-      "pair": [
-        1,
-        1
-      ]
+      "pair": [1, 1]
     },
     "coincide": false,
     "product": {
@@ -512,10 +491,7 @@ OVERFLOW_JSON = """\
         "y0"
       ],
       "outcome": 0.0,
-      "pair": [
-        1,
-        0
-      ]
+      "pair": [1, 0]
     }
   },
   "mode": "bbc",
@@ -524,10 +500,7 @@ OVERFLOW_JSON = """\
     "y1"
   ],
   "outcome": 0.0,
-  "pair": [
-    1,
-    1
-  ],
+  "pair": [1, 1],
   "reply_robust": true
 }
 """

@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 import math
 import random
@@ -6,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import hog.cli
 import hog.mixed
 from hog.core import (Quantifier, QuantifierKind, argmax_selection,
                       argmin_selection, constant_selection, custom_quantifier,
@@ -444,10 +446,11 @@ def _recording_screen(monkeypatch):
     stacks = []
     screen = hog.mixed._may_be_consistent
 
-    def recording(payoff, own, other, tol):
-        transposed = payoff.strides[0] < payoff.strides[1]
-        stacks.append((other, own) if transposed else (own, other))
-        return screen(payoff, own, other, tol)
+    def recording(parts, tol):
+        for payoff, own, other in parts:
+            transposed = payoff.strides[0] < payoff.strides[1]
+            stacks.append((other, own) if transposed else (own, other))
+        return screen(parts, tol)
 
     monkeypatch.setattr(hog.mixed, "_may_be_consistent", recording)
     return stacks
@@ -476,9 +479,10 @@ def _reached_pairs(monkeypatch, g, tol):
         record(b, rows, cols)
         return solve_square(a, b, rows, cols)
 
-    def screening(payoff, own, other, tol):
-        record(payoff, own, other)
-        return screen(payoff, own, other, tol)
+    def screening(parts, tol):
+        for part in parts:
+            record(*part)
+        return screen(parts, tol)
 
     with monkeypatch.context() as patch:
         patch.setattr(hog.mixed, "_certified_supports", certifying)
@@ -513,7 +517,7 @@ def _degenerate_wide_game(rng, m, constant):
 def _residual_passes(payoff, own, other, tol):
     """The residual half of the least-squares screen on one pair alone."""
     consistent, _ = hog.mixed._may_be_consistent(
-        payoff, np.array([own]), np.array([other]), tol)
+        [(payoff, np.array([own]), np.array([other]))], tol)
     return bool(consistent[0])
 
 
@@ -850,13 +854,11 @@ def _qr_screen_masks(monkeypatch, payoff, own, other, tol):
     QR, then decided by the pseudo-inverse."""
     with monkeypatch.context() as patch:
         patch.setattr(hog.mixed, "_left_null_screen", _qr_screen)
-        return hog.mixed._may_be_consistent(payoff, own, other, tol)
+        return hog.mixed._may_be_consistent([(payoff, own, other)], tol)
 
 
-def test_one_off_screen_matches_qr_screen(monkeypatch, caplog):
-    # The left-null-vector screen of one-off shapes against the QR screen it
-    # replaces: the pseudo-inverse decides every pair either keeps, so the
-    # masks must agree, and every pair that lstsq solves must be kept.
+def _one_off_payoffs():
+    """Payoff matrices, 5x6, of every kind the one-off screen must handle."""
     rng = np.random.default_rng(12)
     continuous = rng.uniform(-1, 1, (5, 6))
     ties = rng.integers(-1, 2, (5, 6)).astype(float)
@@ -873,9 +875,17 @@ def test_one_off_screen_matches_qr_screen(monkeypatch, caplog):
     huge = 1.7e308 * rng.uniform(-1, 1, (5, 6))
     huge_ties = rng.choice([1.7e308, -1.7e308, 1e308, -1e308, 0.0], (5, 6))
     huge_ties[:, 1] = huge_ties[:, 0]
-    kinds = {"continuous": continuous, "ties": ties, "near": near,
-             "singular": singular, "tiny": tiny, "subnormal": subnormal,
-             "huge": huge, "huge ties": huge_ties}
+    return {"continuous": continuous, "ties": ties, "near": near,
+            "singular": singular, "tiny": tiny, "subnormal": subnormal,
+            "huge": huge, "huge ties": huge_ties}
+
+
+def test_one_off_screen_matches_qr_screen(monkeypatch, caplog):
+    # The left-null-vector screen of one-off shapes against the QR screen it
+    # replaces: the pseudo-inverse decides every pair either keeps, so the
+    # masks must agree, and every pair that lstsq solves must be kept.
+    kinds = _one_off_payoffs()
+    subnormal = kinds["subnormal"]
     caplog.set_level(logging.DEBUG, logger="hog.mixed")
     accepted = set()
     for name, payoff in kinds.items():
@@ -886,7 +896,7 @@ def test_one_off_screen_matches_qr_screen(monkeypatch, caplog):
                 # tiny ones must not warn without it.
                 with quiet(name.startswith("huge")):
                     consistent, keep = hog.mixed._may_be_consistent(
-                        payoff, own, other, tol)
+                        [(payoff, own, other)], tol)
                     want = _qr_screen_masks(monkeypatch, payoff, own, other,
                                             tol)
                     solved = [_reference_indifference_solve(payoff, o, t)
@@ -909,6 +919,100 @@ def test_one_off_screen_matches_qr_screen(monkeypatch, caplog):
         top = np.swapaxes(mats[:, :-1], 1, 2)
         nan |= np.isnan(np.linalg.solve(top, -mats[:, -1, :, None])).any()
     assert nan
+
+
+def test_one_off_shapes_screened_together_match_each_alone(caplog):
+    # The shapes (k, k + 1) and (k + 1, k) build systems of one shape, so
+    # support enumeration screens them in one stack. On the payoffs of
+    # test_one_off_screen_matches_qr_screen, paired each with the next kind
+    # and with itself, each part's masks must be those of its stack screened
+    # alone, also where one part's singular top block makes the whole stack
+    # fall back to the pseudo-inverse.
+    kinds = _one_off_payoffs()
+    names = list(kinds)
+    caplog.set_level(logging.DEBUG, logger="hog.mixed")
+    crossed = False
+    for first, second in [*zip(names, names[1:] + names[:1]),
+                          *zip(names, names)]:
+        for (own0, other0), (own1, other1) in zip(
+                _one_off_stacks(kinds[first]), _one_off_stacks(kinds[second])):
+            parts = [(kinds[first], own0, other0),
+                     (kinds[second], own1, other1)]
+            for tol in (1e-9, 0.0):
+                with quiet("huge" in first + second):
+                    caplog.clear()
+                    together = hog.mixed._may_be_consistent(parts, tol)
+                    fell_back = "left to the pseudo-inverse" in caplog.text
+                    alone, fell_back_alone = [], []
+                    for part in parts:
+                        caplog.clear()
+                        alone.append(hog.mixed._may_be_consistent([part], tol))
+                        fell_back_alone.append(
+                            "left to the pseudo-inverse" in caplog.text)
+                # One part's singular top block sent the other's pairs to
+                # the pseudo-inverse too.
+                crossed |= fell_back and not all(fell_back_alone)
+                n = len(own0)
+                for mask, (first_mask, second_mask) in zip(
+                        together, zip(*alone)):
+                    assert np.array_equal(mask[:n], first_mask), first
+                    assert np.array_equal(mask[n:], second_mask), second
+    assert crossed
+
+
+def test_listed_profiles_are_validated_once(monkeypatch, capsys, games_dir):
+    # mixed_profile builds each profile a solver certifies, once: is_mixed_nash
+    # does not validate a ListedProfile again, and the CLI report reads its
+    # certificates. Any other profile is still validated.
+    built, certified = [], []
+    profile = hog.mixed.mixed_profile
+    nash = hog.mixed.is_mixed_nash
+
+    def counting_profile(g, per_player):
+        built.append(profile(g, per_player))
+        return built[-1]
+
+    def counting_nash(g, candidate, tol=1e-9):
+        certified.append(candidate)
+        return nash(g, candidate, tol)
+
+    rng = np.random.default_rng(4)
+    games = [_continuous_game(rng, 4, 4), _degenerate_wide_game(rng, 5, True),
+             SimultaneousGame.from_tensors(
+                 [2, 2, 2], list(rng.uniform(-1, 1, (3, 8))),
+                 [max_quantifier()] * 3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(hog.mixed, "mixed_profile", counting_profile)
+        patch.setattr(hog.mixed, "is_mixed_nash", counting_nash)
+        for g in games:
+            for solve in (solve_support_enumeration_2p, solve_generic):
+                if (solve is solve_support_enumeration_2p
+                        and g.num_players != 2):
+                    continue
+                built.clear()
+                certified.clear()
+                got = solve(g)
+                assert got
+                assert len(built) == len(certified) >= len(got)
+                # Each certified profile holds the arrays mixed_profile built.
+                assert ([[id(s) for s in p] for p in certified]
+                        == [[id(s) for s in p] for p in built])
+        for name in ("matching_pennies.json", "rock_paper_scissors.json"):
+            built.clear()
+            certified.clear()
+            assert hog.cli.main(["solve", str(games_dir / name), "--mode",
+                                 "mixed", "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert len(built) == len(certified) == report["count"]
+    g = games[0]
+    listed = solve_support_enumeration_2p(g)[0]
+    assert type(listed) is hog.mixed.ListedProfile
+    # A raw profile off the simplex, and a listed one of other move counts.
+    with pytest.raises(StructuralError, match="probabilities sum to"):
+        is_mixed_nash(g, [[0.5, 0.6, 0, 0], [1, 0, 0, 0]])
+    with pytest.raises(StructuralError, match="4 entries for 2 moves"):
+        is_mixed_nash(matching_pennies(), listed)
+    assert is_mixed_nash(g, [s.tolist() for s in listed])
 
 
 def test_one_off_screen_keeps_residuals_at_the_bound(monkeypatch):
@@ -940,8 +1044,8 @@ def test_one_off_screen_keeps_residuals_at_the_bound(monkeypatch):
                 lo = mid
             else:
                 hi = mid
-        consistent, keep = hog.mixed._may_be_consistent(perturbed(lo), own,
-                                                        other, 1e-9)
+        consistent, keep = hog.mixed._may_be_consistent(
+            [(perturbed(lo), own, other)], 1e-9)
         want = _qr_screen_masks(monkeypatch, perturbed(lo), own, other, 1e-9)
         assert consistent[0] and want[0][0]
         assert keep[0] == want[1][0]

@@ -2,12 +2,15 @@
 with a message that names the cause, never an IndexError, a TypeError or an
 OverflowError from deeper down."""
 
+import re
+
 import numpy as np
 import pytest
 
 from hog import fuzz
 from hog.core import (OutcomeTable, argmax_selection, as_outcome,
-                      attains_exhaustively, custom_selection,
+                      attains_exhaustively, custom_quantifier,
+                      custom_selection,
                       eps_ball_quantifier, make_standard_quantifier,
                       make_standard_selection, max_quantifier)
 from hog.errors import GameFileError, StructuralError
@@ -44,6 +47,12 @@ REFUSALS = {
         lambda: as_outcome([]), StructuralError, "must be nonempty"),
     "outcome with no float": (
         lambda: as_outcome(object()), StructuralError, "not an outcome"),
+    "outcome mapping": (
+        lambda: as_outcome({1: 2}), StructuralError,
+        r"not an outcome: \{1: 2\}"),
+    "outcome set": (
+        lambda: as_outcome({3.0, 1.0}), StructuralError,
+        r"not an outcome: \{1.0, 3.0\}"),
     "stacked table of 0 moves": (
         lambda: MAX.contains_stacked(np.zeros((1, 0)), np.zeros((1, 1)), 0.0),
         StructuralError, "nonempty move set"),
@@ -170,6 +179,26 @@ def test_custom_selection_takes_numpy_moves():
         lambda p: np.int64(len(p) - 1))))
     assert compute_optimal_strategy(g) == ((0,), (1, 1))
     assert compute_optimal_play(g) == (0, 1)
+
+
+# A custom quantifier's answer must be a bool: "no" and NaN would be cast to
+# True, [] would end in a reshape error, and 1 and None are no verdicts.
+@pytest.mark.parametrize("answer", ["no", float("nan"), [], 1, None], ids=repr)
+def test_custom_quantifier_answer_must_be_a_bool(answer):
+    phi = custom_quantifier(lambda p, r, tol: answer)
+    answered = re.escape(f"custom quantifier answered {answer!r}, not a bool")
+    with pytest.raises(StructuralError, match=answered):
+        phi.contains([1.0, 2.0], 1.0, 0.0)
+    g = SimultaneousGame.from_tensors([2], [[1.0, 2.0]], [phi])
+    with pytest.raises(StructuralError, match=answered):
+        is_mixed_nash(g, [[0.5, 0.5]])
+
+
+@pytest.mark.parametrize("answer", [True, False, np.True_, np.False_],
+                         ids=repr)
+def test_custom_quantifier_takes_numpy_bools(answer):
+    phi = custom_quantifier(lambda p, r, tol: answer)
+    assert phi.contains([1.0, 2.0], 1.0, 0.0) is bool(answer)
 
 
 # Every entry point that reads numbers from the caller refuses an integer
