@@ -36,7 +36,32 @@ EXIT_NO_SOLUTION = 5
 EXIT_FUZZ_FAILED = 6
 
 
-_encode = json.JSONEncoder(sort_keys=True).encode
+def _c_encoder():
+    """json.JSONEncoder(sort_keys=True).encode, as the C encoder that the
+    method builds on every call, built once with the same settings; the
+    method itself where the C accelerator is missing. A failed encoding
+    leaves entries in the circular-reference markers, so it clears them."""
+    encoder = json.JSONEncoder(sort_keys=True)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    markers: dict = {}
+    chunks = json.encoder.c_make_encoder(
+        markers, encoder.default, json.encoder.encode_basestring_ascii,
+        encoder.indent, encoder.key_separator, encoder.item_separator,
+        encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)
+
+    def encode(value) -> str:
+        try:
+            return "".join(chunks(value, 0))
+        except BaseException:
+            markers.clear()
+            raise
+
+    return encode
+
+
+_encode = _c_encoder()
+_encode_key = json.encoder.encode_basestring_ascii
 
 
 def _numbers(values) -> bool:
@@ -53,7 +78,7 @@ def _dump(value, pad: str = "\n") -> str:
     inner = pad + "  "
     if isinstance(value, dict) and value:
         return "{" + ",".join([
-            f"{inner}{_encode(key if isinstance(key, str) else _encode(key))}"
+            f"{inner}{_encode_key(key if isinstance(key, str) else _encode(key))}"
             f": {_dump(item, inner)}"
             for key, item in sorted(value.items())]) + pad + "}"
     if isinstance(value, (list, tuple)) and not _numbers(value):
@@ -97,13 +122,10 @@ def _read_profile_arg(raw: str):
     except OSError:
         # Inline JSON can be too long to be a path (ENAMETOOLONG).
         is_file = False
-    if is_file:
-        try:
-            raw = candidate.read_text()
-        except UnicodeDecodeError as exc:
-            raise GameFileError(f"cannot read {candidate}: {exc}", "profile")
     try:
-        return json.loads(raw)
+        if is_file:
+            return gamefile.read_json(candidate, "profile")
+        return gamefile.parse_json(raw, "profile")
     except json.JSONDecodeError as exc:
         raise GameFileError(f"profile is neither a file nor valid JSON: {exc.msg}",
                             "profile")

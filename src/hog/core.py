@@ -531,6 +531,8 @@ def custom_selection(select: Callable) -> SelectionFunction:
     return SelectionFunction(SelectionKind.CUSTOM, kernel)
 
 
+# Keyed by kind: a str-Enum member hashes and compares as its value, so
+# a kind string, as a game file gives it, is looked up as it is.
 _QUANTIFIER_FACTORIES = {
     QuantifierKind.MAX: lambda params: max_quantifier(),
     QuantifierKind.MIN: lambda params: min_quantifier(),
@@ -555,28 +557,32 @@ def make_standard_quantifier(kind, **params) -> Quantifier:
     EPS_BALL takes center (move id) and radius (> 0). The other kinds take no
     parameters. CUSTOM is not constructible here; use custom_quantifier.
     """
-    kind = QuantifierKind(kind)
     try:
         factory = _QUANTIFIER_FACTORIES[kind]
-    except KeyError:
-        raise StructuralError(f"no standard quantifier of kind {kind.value!r}")
+    except (KeyError, TypeError):
+        kind = QuantifierKind(kind)
+        raise StructuralError(
+            f"no standard quantifier of kind {kind.value!r}") from None
     try:
         return factory(params)
     except KeyError as exc:
-        raise StructuralError(f"missing parameter {exc} for {kind.value}")
+        raise StructuralError(
+            f"missing parameter {exc} for {QuantifierKind(kind).value}")
 
 
 def make_standard_selection(kind, **params) -> SelectionFunction:
     """Build a catalogue selection function by kind tag."""
-    kind = SelectionKind(kind)
     try:
         factory = _SELECTION_FACTORIES[kind]
-    except KeyError:
-        raise StructuralError(f"no standard selection of kind {kind.value!r}")
+    except (KeyError, TypeError):
+        kind = SelectionKind(kind)
+        raise StructuralError(
+            f"no standard selection of kind {kind.value!r}") from None
     try:
         return factory(params)
     except KeyError as exc:
-        raise StructuralError(f"missing parameter {exc} for {kind.value}")
+        raise StructuralError(
+            f"missing parameter {exc} for {SelectionKind(kind).value}")
 
 
 def attains(eps: SelectionFunction, phi: Quantifier, p: OutcomeTable,

@@ -36,13 +36,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import (Quantifier, SelectionFunction, make_standard_quantifier,
-                   make_standard_selection)
+from .core import make_standard_quantifier, make_standard_selection
 from .errors import GameFileError, StructuralError
 from .normalform import ContingentMoveSet, lift_round_quantifier
 from .sequential import SequentialGame
@@ -76,20 +74,10 @@ def _get(doc: dict, key: str, types, required: bool = True, default=None):
         return default
     value = doc[key]
     # bool is a subclass of int, but true is no version number.
-    _expect(isinstance(value, types)
-            and not (types is int and isinstance(value, bool)),
-            f"unexpected type {type(value).__name__}", key)
+    if not isinstance(value, types) or (types is int
+                                        and isinstance(value, bool)):
+        raise GameFileError(f"unexpected type {type(value).__name__}", key)
     return value
-
-
-def parse_quantifier(desc, moves: int,
-                     fieldname: str = "quantifiers") -> Quantifier:
-    """A quantifier over ``moves`` moves from its descriptor."""
-    return _parse_descriptor(desc, fieldname, "quantifier", moves)
-
-
-def parse_selection(desc, fieldname: str = "selections") -> SelectionFunction:
-    return _parse_descriptor(desc, fieldname, "selection")
 
 
 def _parse_descriptor(desc, fieldname: str, what: str, moves: int = 0):
@@ -112,7 +100,8 @@ def _parse_descriptor(desc, fieldname: str, what: str, moves: int = 0):
                     and base ** min(hist, moves.bit_length()) == moves,
                     f"seq_lift base_moves ** histories must equal the "
                     f"{moves} moves it ranges over")
-            inner = parse_quantifier(desc["inner"], base, fieldname + ".inner")
+            inner = _parse_descriptor(desc["inner"], fieldname + ".inner",
+                                      "quantifier", base)
             return lift_round_quantifier(inner,
                                          ContingentMoveSet(0, base, hist))
         make = (make_standard_quantifier if what == "quantifier"
@@ -139,8 +128,9 @@ def _check_tensor(tensor, counts: tuple[int, ...], fieldname: str) -> np.ndarray
     fault."""
     size = math.prod(counts)
     _expect(isinstance(tensor, list), "payoff tensor must be a list", fieldname)
-    _expect(len(tensor) == size,
-            f"tensor has {len(tensor)} entries, expected {size}", fieldname)
+    if len(tensor) != size:
+        raise GameFileError(f"tensor has {len(tensor)} entries, expected "
+                            f"{size}", fieldname)
     if {int, float}.issuperset(map(type, tensor)):
         try:
             out = np.array(tensor, dtype=float)
@@ -169,7 +159,8 @@ def _parse_move_labels(raw, fieldname: str) -> tuple[tuple[str, ...], ...]:
     _expect(isinstance(raw, list) and raw, "must be a nonempty list", fieldname)
     out = []
     for i, labels in enumerate(raw):
-        _expect(isinstance(labels, list) and labels,
+        if not (isinstance(labels, list) and labels):
+            raise GameFileError(
                 "each move set must be a nonempty list of labels",
                 f"{fieldname}[{i}]")
         labels = tuple(map(str, labels))
@@ -181,23 +172,25 @@ def _parse_move_labels(raw, fieldname: str) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
-def _parse_each(doc: dict, key: str, counts: tuple[int, ...], parse,
+def _parse_each(doc: dict, key: str, counts: tuple[int, ...], what: str,
                 required: bool = True):
-    """The per-player or per-round descriptor list under ``key``, each
-    descriptor read by ``parse(desc, its move count, fieldname)``."""
+    """The per-player or per-round list of ``what`` descriptors under
+    ``key``, each read with its player's or round's move count."""
     raw = _get(doc, key, list, required)
     if raw is None:
         return None
     if len(raw) != len(counts):
         raise GameFileError(f"need {len(counts)} {key}, got {len(raw)}", key)
-    return tuple([parse(d, c, f"{key}[{i}]")
+    return tuple([_parse_descriptor(d, f"{key}[{i}]", what, c)
                   for i, (d, c) in enumerate(zip(raw, counts))])
 
 
 def _parse_params(doc: dict) -> dict:
     params = _get(doc, "params", dict, required=False, default={})
     unknown = set(params) - _PARAM_KEYS
-    _expect(not unknown, f"unknown solver parameters {sorted(unknown)}", "params")
+    if unknown:
+        raise GameFileError(f"unknown solver parameters {sorted(unknown)}",
+                            "params")
     for key, value in params.items():
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if key == "tol":
@@ -214,9 +207,11 @@ def _parse_params(doc: dict) -> dict:
 def parse_game(doc: dict) -> GameDocument:
     _expect(isinstance(doc, dict), "game file must be a JSON object", None)
     version = _get(doc, "version", int)
-    _expect(version == FORMAT_VERSION, f"unsupported version {version}", "version")
+    if version != FORMAT_VERSION:
+        raise GameFileError(f"unsupported version {version}", "version")
     kind = _get(doc, "kind", str)
-    _expect(kind in _KINDS, f"unknown game kind {kind!r}", "kind")
+    if kind not in _KINDS:
+        raise GameFileError(f"unknown game kind {kind!r}", "kind")
     sequential = kind == "sequential"
     simultaneous = kind == "simultaneous"
     key = "rounds" if sequential else "moves"
@@ -230,15 +225,15 @@ def parse_game(doc: dict) -> GameDocument:
     if shared:
         payoffs = _check_tensor(raw, counts, "payoffs")
     else:
-        _expect(len(raw) == n, f"need {n} payoff tensors, got {len(raw)}",
-                "payoffs")
+        if len(raw) != n:
+            raise GameFileError(f"need {n} payoff tensors, got {len(raw)}",
+                                "payoffs")
         payoffs = np.stack([_check_tensor(t, counts, f"payoffs[{i}]")
                             for i, t in enumerate(raw)])
     payoffs.setflags(write=False)  # a fresh array: the game takes it uncopied
-    quantifiers = _parse_each(doc, "quantifiers", counts, parse_quantifier)
+    quantifiers = _parse_each(doc, "quantifiers", counts, "quantifier")
     players = _get(doc, "players", list, required=False) if simultaneous else None
-    selections = _parse_each(doc, "selections", counts,
-                             lambda d, _, f: parse_selection(d, f),
+    selections = _parse_each(doc, "selections", counts, "selection",
                              required=not simultaneous)
     if sequential:
         game = SequentialGame(moves, payoffs, quantifiers, selections)
@@ -250,17 +245,49 @@ def parse_game(doc: dict) -> GameDocument:
     return GameDocument(kind, game, _parse_params(doc))
 
 
+def read_json(path, fieldname: str | None = None):
+    """The JSON value in a file: its bytes, decoded once as UTF-8, then
+    parsed. Bytes that are not UTF-8 raise GameFileError, and so does a
+    value nested too deeply for the parser; an OSError and a
+    json.JSONDecodeError propagate."""
+    with open(path, "rb", buffering=0) as file:
+        data = file.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise GameFileError(f"cannot read {path}: {exc}", fieldname)
+    return parse_json(text, fieldname)
+
+
+def parse_json(text: str, fieldname: str | None = None):
+    """json.loads, except that a value nested deeper than the parser's
+    recursion reaches raises GameFileError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise GameFileError("invalid JSON: nested too deeply to parse",
+                            fieldname) from None
+
+
+def _position(exc: json.JSONDecodeError) -> str:
+    """The line and column of a parse error, counted in universal newlines
+    mode: a lone carriage return ends a line, as CRLF and LF do."""
+    before = exc.doc[:exc.pos]
+    if "\r" in before:
+        before = before.replace("\r\n", "\n").replace("\r", "\n")
+    line = before.count("\n") + 1
+    column = len(before) - before.rfind("\n")
+    return f"line {line}, column {column}"
+
+
 def load_game(path) -> GameDocument:
     """Parse a game file from disk."""
     try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        doc = read_json(path)
+    except OSError as exc:
         raise GameFileError(f"cannot read {path}: {exc}")
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise GameFileError(f"invalid JSON at line {exc.lineno}, column "
-                            f"{exc.colno}: {exc.msg}")
+        raise GameFileError(f"invalid JSON at {_position(exc)}: {exc.msg}")
     return parse_game(doc)
 
 

@@ -591,6 +591,23 @@ def _packed(pieces):
         yield group
 
 
+def _listed_profiles(rows: np.ndarray,
+                     cols: np.ndarray) -> list[ListedProfile]:
+    """mixed_profile of each (row, column) pair of two stacks of _scatter's
+    strategies, as one stack: the pairs whose rows both sum to within
+    TOL_SIMPLEX of 1, each row divided by its sum, read-only. The rows hold
+    no negative entry, so mixed_strategy's clip changes nothing, and numpy
+    sums each row of a C-contiguous stack as it sums the row alone: the
+    arrays are those mixed_profile returns, bit for bit."""
+    sums = np.stack([rows.sum(axis=1), cols.sum(axis=1)], axis=1)
+    ok = ((1 - TOL_SIMPLEX <= sums) & (sums <= 1 + TOL_SIMPLEX)).all(axis=1)
+    rows = rows[ok] / sums[ok, :1]
+    cols = cols[ok] / sums[ok, 1:]
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return [ListedProfile(pair) for pair in zip(rows, cols)]
+
+
 def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
                         tol: float, regret_bound: float,
                         margin: float) -> list[MixedProfile]:
@@ -671,14 +688,9 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
         cols = np.concatenate([c for s in shapes for _, c in candidates[s]])
         for at in range(0, len(rows), _STACK):
             chunk = slice(at, at + _STACK)
-            passed = _regret_screen(a, b, rows[chunk], cols[chunk],
-                                    regret_bound)
-            for n in at + np.flatnonzero(passed):
-                try:
-                    profile = ListedProfile(
-                        mixed_profile(g, (rows[n], cols[n])))
-                except StructuralError:
-                    continue
+            passed = at + np.flatnonzero(_regret_screen(
+                a, b, rows[chunk], cols[chunk], regret_bound))
+            for profile in _listed_profiles(rows[passed], cols[passed]):
                 if is_mixed_nash(g, profile, tol):
                     found.append(profile)
     if logger.isEnabledFor(logging.DEBUG):
@@ -748,9 +760,12 @@ def solve_support_enumeration_2p(g: SimultaneousGame, tol: float = 1e-9,
     return result
 
 
+@functools.cache
 def _simplex_grid(moves: int, depth: int) -> np.ndarray:
     """All probability vectors with denominators ``depth`` over ``moves``
-    coordinates, one per row, lexicographic by numerator tuple."""
+    coordinates, one per row, lexicographic by numerator tuple; read-only
+    and shared by every call, as _supports is. solve_generic checks each
+    grid's size against the budget before it is built."""
     rows = []
     for combo in itertools.combinations(range(depth + moves - 1), moves - 1):
         numerators = []
@@ -760,7 +775,9 @@ def _simplex_grid(moves: int, depth: int) -> np.ndarray:
             prev = cut
         numerators.append(depth + moves - 2 - prev)
         rows.append(np.array(numerators, dtype=float) / depth)
-    return np.array(rows)
+    grid = np.array(rows)
+    grid.setflags(write=False)
+    return grid
 
 
 # Kinds whose acceptance only widens with the tolerance; average's exact

@@ -448,6 +448,34 @@ def test_file_that_is_not_utf8_exits_2(capsys, games_dir, tmp_path, flag):
     assert f"cannot read {path}" in err and "can't decode byte 0xff" in err
 
 
+def test_game_file_line_endings_and_bom(capsys, games_dir, tmp_path):
+    # Game files are read as UTF-8 bytes. CRLF and lone CR line endings
+    # read as LF does, and a parse error's line and column count either as
+    # a line end; a UTF-8 byte order mark is refused.
+    game = games_dir / "matching_pennies.json"
+    text = game.read_bytes()
+    want = run(capsys, ["solve", str(game), "--mode", "mixed", "--json"])
+    assert want[0] == 0
+    for name, data in (("crlf", text.replace(b"\n", b"\r\n")),
+                       ("cr", text.replace(b"\n", b"\r"))):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        assert run(capsys, ["solve", str(path), "--mode", "mixed",
+                            "--json"]) == want
+    for name, data in (("crlf_bad", b'{\r\n"a":\r\n\r\n 1,\r\n\r\n  x}'),
+                       ("cr_bad", b'{\r"a":\r\r 1,\r\r\n  x}')):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        assert run(capsys, ["solve", str(path), "--mode", "pure"]) == (
+            2, "", "error: invalid JSON at line 6, column 3: Expecting "
+            "property name enclosed in double quotes\n")
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + text)
+    assert run(capsys, ["solve", str(path), "--mode", "pure"]) == (
+        2, "", "error: invalid JSON at line 1, column 1: Unexpected UTF-8 "
+        "BOM (decode using utf-8-sig)\n")
+
+
 def test_malformed_env_var_budget_exits_2(capsys, games_dir, monkeypatch):
     monkeypatch.setenv("HOG_BUDGET", "abc")
     code, out, err = run(capsys, [

@@ -133,3 +133,31 @@ def test_malformed_profiles_exit_with_documented_codes(capsys, games_dir):
             pytest.fail(f"{path.name} {list(leaf)} <- {value!r}: raised {exc!r}")
         capsys.readouterr()
         assert code in DOCUMENTED_EXITS, (path.name, leaf, value)
+
+
+DEEP = 100_000
+
+
+def test_deeply_nested_game_file_exits_2(capsys, tmp_path):
+    # Nesting past the parser's recursion limit ended in a RecursionError
+    # traceback with exit 1.
+    game = tmp_path / "deep.json"
+    game.write_text("[" * DEEP + "]" * DEEP)
+    assert main(["solve", str(game), "--mode", "mixed"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: invalid JSON: nested too deeply to parse\n"
+
+
+@pytest.mark.parametrize("as_file", [True, False])
+def test_deeply_nested_profile_exits_2(capsys, games_dir, tmp_path, as_file):
+    profile = "[" * DEEP + "]" * DEEP
+    if as_file:
+        path = tmp_path / "deep_profile.json"
+        path.write_text(profile)
+        profile = str(path)
+    assert main(["check-eq", str(games_dir / "matching_pennies.json"),
+                 "--profile", profile]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: profile: invalid JSON: nested too deeply to parse\n"

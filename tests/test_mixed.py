@@ -806,6 +806,24 @@ def test_support_enumeration_prune_audit_can_fail(monkeypatch):
                   if name == "near duplicate"]
     assert any(certified for _, _, dropped in audits
                for _, _, certified in dropped)
+    # A margin of only the screen bound, at tol 0.05. Against the column
+    # player's one move, row 1 loses to row 0 by about 4e-8 more than that
+    # bound, and row 2 beats row 1 by 1.8e-7, a least-squares residual of
+    # 9e-8, within _RESIDUAL_TOL. So the pair ({1, 2}, {0}) is dropped,
+    # though its profile, half on rows 1 and 2, has regret 0.05 - 5e-8 and
+    # is certified. The margin as it stands keeps the pair.
+    g = SimultaneousGame.from_tensors(
+        [3, 1], [[0.05 + 4e-8, 0.0, 1.8e-7], [0.0] * 3],
+        [max_quantifier()] * 2)
+    got, want, dropped = _prune_audit(monkeypatch, g, 0.05)
+    _assert_same_profiles(got, want)
+    assert not [pair for pair in dropped if pair[2]]
+    with monkeypatch.context() as patch:
+        patch.setattr(hog.mixed, "_dominance_margin",
+                      lambda g, tol, regret_bound: regret_bound)
+        got, want, dropped = _prune_audit(monkeypatch, g, 0.05)
+    assert (0, ((1, 2), (0,)), True) in dropped
+    assert len(got) == len(want) - 1
 
 
 def test_support_enumeration_certifies_max_min_games():
@@ -961,16 +979,24 @@ def test_one_off_shapes_screened_together_match_each_alone(caplog):
 
 
 def test_listed_profiles_are_validated_once(monkeypatch, capsys, games_dir):
-    # mixed_profile builds each profile a solver certifies, once: is_mixed_nash
-    # does not validate a ListedProfile again, and the CLI report reads its
-    # certificates. Any other profile is still validated.
+    # Each profile a solver certifies is validated once, by mixed_profile in
+    # the grid solver and by the stacked _listed_profiles in support
+    # enumeration: is_mixed_nash does not validate a ListedProfile again,
+    # and the CLI report reads its certificates. Any other profile is still
+    # validated.
     built, certified = [], []
     profile = hog.mixed.mixed_profile
+    stacked = hog.mixed._listed_profiles
     nash = hog.mixed.is_mixed_nash
 
     def counting_profile(g, per_player):
         built.append(profile(g, per_player))
         return built[-1]
+
+    def counting_listed(rows, cols):
+        profiles = stacked(rows, cols)
+        built.extend(profiles)
+        return profiles
 
     def counting_nash(g, candidate, tol=1e-9):
         certified.append(candidate)
@@ -983,6 +1009,7 @@ def test_listed_profiles_are_validated_once(monkeypatch, capsys, games_dir):
                  [max_quantifier()] * 3)]
     with monkeypatch.context() as patch:
         patch.setattr(hog.mixed, "mixed_profile", counting_profile)
+        patch.setattr(hog.mixed, "_listed_profiles", counting_listed)
         patch.setattr(hog.mixed, "is_mixed_nash", counting_nash)
         for g in games:
             for solve in (solve_support_enumeration_2p, solve_generic):
@@ -994,7 +1021,7 @@ def test_listed_profiles_are_validated_once(monkeypatch, capsys, games_dir):
                 got = solve(g)
                 assert got
                 assert len(built) == len(certified) >= len(got)
-                # Each certified profile holds the arrays mixed_profile built.
+                # Each certified profile holds the arrays validation built.
                 assert ([[id(s) for s in p] for p in certified]
                         == [[id(s) for s in p] for p in built])
         for name in ("matching_pennies.json", "rock_paper_scissors.json"):
@@ -1013,6 +1040,41 @@ def test_listed_profiles_are_validated_once(monkeypatch, capsys, games_dir):
     with pytest.raises(StructuralError, match="4 entries for 2 moves"):
         is_mixed_nash(matching_pennies(), listed)
     assert is_mixed_nash(g, [s.tolist() for s in listed])
+
+
+def test_listed_profiles_match_mixed_profile_bit_for_bit():
+    # Support enumeration validates its regret-screen survivors as one
+    # stack. Each pair it keeps must be mixed_profile's, bit for bit, and it
+    # must drop the pairs mixed_profile refuses. Rows of 8 to 12 moves:
+    # from 8 entries up, numpy sums by unrolled pairwise summation.
+    rng = np.random.default_rng(28)
+    for m0, m1 in ((8, 9), (10, 12), (12, 11), (3, 8)):
+        g = _continuous_game(rng, m0, m1)
+        stacks = []
+        for m in (m0, m1):
+            # _scatter's rows: nonnegative, some entries zero, summed in
+            # another order than numpy's, then some pushed off the simplex.
+            rows = rng.uniform(0, 1, (300, m)) * (rng.random((300, m)) < 0.7)
+            rows[:, 0] += 1e-3
+            rows /= np.array([math.fsum(row) for row in rows])[:, None]
+            off = rng.choice([-3e-9, 3e-9, 5e-10], (len(rows[::7]), 1))
+            rows[::7] *= 1 + off
+            rows[::50, 1] = np.nan
+            stacks.append(rows)
+        listed = hog.mixed._listed_profiles(*stacks)
+        want = []
+        for pair in zip(*stacks):
+            try:
+                want.append(mixed_profile(g, pair))
+            except StructuralError:
+                pass
+        assert 0 < len(want) < 300
+        assert len(listed) == len(want)
+        for got, ref in zip(listed, want):
+            assert type(got) is hog.mixed.ListedProfile
+            for strat, ref_strat in zip(got, ref):
+                assert not strat.flags.writeable
+                assert strat.tobytes() == ref_strat.tobytes()
 
 
 def test_one_off_screen_keeps_residuals_at_the_bound(monkeypatch):
