@@ -64,17 +64,31 @@ _encode = _c_encoder()
 _encode_key = json.encoder.encode_basestring_ascii
 
 
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _numbers(values) -> bool:
     """Whether every entry of a list is an int or a float (a bool is
     neither)."""
-    return set(map(type, values)) <= {int, float}
+    return _NUMBER_TYPES.issuperset(map(type, values))
+
+
+# The text of each leaf type that needs no encoder call, as the C encoder
+# writes it: a str escaped to ASCII, and an int by int.__repr__.
+_LEAVES = {str: _encode_key, bool: {True: "true", False: "false"}.__getitem__,
+           int: int.__repr__, type(None): {None: "null"}.__getitem__}
 
 
 def _dump(value, pad: str = "\n") -> str:
     """The one JSON writer: reports, artifacts and game files. The layout
     of json.dumps(value, indent=2, sort_keys=True), except that a list whose
     entries are all numbers goes on one line through the C encoder; the
-    JSON value is the same."""
+    JSON value is the same. str, bool, int and None leaves are written from
+    _LEAVES, with the encoder's bytes, and every other leaf by the
+    encoder."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
     inner = pad + "  "
     if isinstance(value, dict) and value:
         return "{" + ",".join([
@@ -426,8 +440,13 @@ def _int_at_least(low: int):
     return parse
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    return _parser_tree()[0]
+
+
+@functools.cache
+def _parser_tree():
+    """The parser, built once, and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="hog",
         description="Build, solve, transform, and verify higher-order games.",
@@ -470,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bbc.set_defaults(fn=cmd_solve, mode="bbc")
 
     p_fuzz = sub.add_parser("fuzz", help="certify random games against the checkers")
-    p_fuzz.add_argument("--seed", type=int, default=0)
+    # random.Random seeds with a seed's absolute value, so a negative seed
+    # would repeat games of its positive twin.
+    p_fuzz.add_argument("--seed", type=_int_at_least(0), default=0)
     p_fuzz.add_argument("--count", type=_int_at_least(0), default=50)
     p_fuzz.add_argument("--family", default="all",
                         choices=["all", *fuzz_mod.FAMILIES])
@@ -485,11 +506,28 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory or file for failing games")
     p_fuzz.set_defaults(fn=cmd_fuzz, parser=p_fuzz)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with the same namespace, output and
+    exit. The top-level parser hands every argument after a command's name
+    to that command's parser and refuses what it leaves over, so when argv
+    starts with a command's name, its parser takes the rest directly and
+    the leftovers go to the top-level parser's error."""
+    parser, commands = _parser_tree()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.fn(args)
     except BudgetExceededError as exc:

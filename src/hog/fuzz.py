@@ -43,7 +43,7 @@ from .budget import check_budget, resolve_budget
 from .core import (Quantifier, SelectionFunction, argmax_selection,
                    argmin_selection, average_quantifier, max_quantifier,
                    min_quantifier, nearest_mean_selection, quiet)
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, StructuralError
 from .sequential import SequentialGame
 from .simultaneous import SimultaneousGame, move_labels, overflow_scale
 
@@ -445,7 +445,13 @@ def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
     shrink it with the one-game certifier. A refusal is raised at the game
     it refuses, after the games before it are recorded. The corpus builds
     each recorded game when it is read.
+
+    The seed must be >= 0: random.Random seeds with a seed's absolute
+    value, so a negative seed would repeat the seq games of its positive
+    twin.
     """
+    if seed < 0:
+        raise StructuralError(f"fuzz seed must be >= 0, got {seed}")
     families = tuple(families)
     result = FuzzResult(seed, count, families, corpus=_Corpus())
     if count:

@@ -10,11 +10,12 @@ strategies.
 
 Every profile that either solver returns passes is_mixed_nash, which reads
 one certificate per player at the profile validated once
-(player_certificates). The solvers build each profile they certify with
-mixed_profile, once, and return ListedProfile tuples: is_mixed_nash does
-not validate them again, only rescales them as validation would, and they
-keep the rows of the certificate that accepted them; the CLI prints those
-rows, so no listed profile is certified twice. Support enumeration handles
+(player_certificates). The solvers validate the profiles they certify once,
+as one stack per chunk (_listed_profiles, bit for bit what mixed_profile
+builds), and return ListedProfile tuples: is_mixed_nash does not validate
+them again, only rescales them as validation would, and they keep the rows
+of the certificate that accepted them; the CLI prints those rows, so no
+listed profile is certified twice. Support enumeration handles
 2-player games whose quantifiers are max or min, where it finds every
 equilibrium with a solvable support pair; the existence
 theorem promises one, so an empty result signals a bug. Under the mixed
@@ -29,13 +30,20 @@ contradiction.
 
 The grid search screens, then certifies. For each player, one contraction
 per other player gives the deviation tables at every grid combination of
-the others, each built once, and one more gives the values of all the
-player's own grid points on each; the kernel tests each table once against
-those values, with slack for rounding, in calls of at most _STACK candidate
-values. Only the longest prefix of players whose quantifier is of a
-screened kind and applies to the game is screened, so the tests of every
-later player happen, and raise, exactly where a per-point loop would meet
-them. Every survivor is certified by is_mixed_nash in grid order.
+the others, each built once; the last one writes the others' grid axes
+first, in player order, and the player's move axis last, so the tables are
+rows in grid order. One matrix product of those rows with the player's own
+grid matrix (an einsum for vector outcomes) gives the values of all its
+grid points on each table; the kernel tests each table once against those
+values, with slack for rounding, in calls of at most _STACK candidate
+values, and the verdicts are ANDed into the grid mask through one
+transposed view. Only the longest prefix of players whose quantifier is of
+a screened kind and applies to the game is screened; the screen's own
+kernel call decides the latter, as a StructuralError ends the prefix. So
+the tests of every later player happen, and raise, exactly where a
+per-point loop would meet them. The survivors, one argwhere array, are
+validated as one stack per chunk of _STACK and certified by is_mixed_nash
+in grid order.
 
 Support enumeration (von Stengel 2002; Porter, Nudelman & Shoham 2008)
 takes the support shapes (k, l) in order, k outer and l inner, and the
@@ -87,9 +95,9 @@ The candidates of every stack, pairs whose systems both solved with no
 negative probability, are collected for the pass, and one vectorised regret
 screen, in chunks of at most _STACK candidates, drops those that are
 clearly not equilibria. The screens only discard; every profile returned is
-still built by mixed_profile and certified by is_mixed_nash, in enumeration
-order, shapes k outer and l inner, which decides which of two
-near-duplicates _dedupe_sorted keeps. On
+still validated as mixed_profile would validate it and certified by
+is_mixed_nash, in enumeration order, shapes k outer and l inner, which
+decides which of two near-duplicates _dedupe_sorted keeps. On
 payoffs that may overflow, the enumeration runs once more on the payoffs
 scaled by an exact power of two, where rounding stays inside the absolute
 tolerances.
@@ -591,21 +599,22 @@ def _packed(pieces):
         yield group
 
 
-def _listed_profiles(rows: np.ndarray,
-                     cols: np.ndarray) -> list[ListedProfile]:
-    """mixed_profile of each (row, column) pair of two stacks of _scatter's
-    strategies, as one stack: the pairs whose rows both sum to within
-    TOL_SIMPLEX of 1, each row divided by its sum, read-only. The rows hold
-    no negative entry, so mixed_strategy's clip changes nothing, and numpy
-    sums each row of a C-contiguous stack as it sums the row alone: the
-    arrays are those mixed_profile returns, bit for bit."""
-    sums = np.stack([rows.sum(axis=1), cols.sum(axis=1)], axis=1)
-    ok = ((1 - TOL_SIMPLEX <= sums) & (sums <= 1 + TOL_SIMPLEX)).all(axis=1)
-    rows = rows[ok] / sums[ok, :1]
-    cols = cols[ok] / sums[ok, 1:]
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return [ListedProfile(pair) for pair in zip(rows, cols)]
+def _listed_profiles(*stacks: np.ndarray) -> list[ListedProfile]:
+    """mixed_profile of each profile of n C-contiguous stacks of
+    strategies, one stack per player and one row per profile, as one stack:
+    the profiles whose rows all sum to within TOL_SIMPLEX of 1, each row
+    divided by its own sum, read-only. The rows (_scatter's, or grid points)
+    hold no negative entry or -0.0, so mixed_strategy's clip changes
+    nothing, and numpy sums each row of a C-contiguous stack as it sums the
+    row alone: the arrays are those mixed_profile returns, bit for bit."""
+    sums = np.array([stack.sum(axis=1) for stack in stacks])
+    ok = ((1 - TOL_SIMPLEX <= sums) & (sums <= 1 + TOL_SIMPLEX)).all(axis=0)
+    if not ok.all():
+        stacks, sums = [stack[ok] for stack in stacks], sums[:, ok]
+    strategies = [stack / total[:, None] for stack, total in zip(stacks, sums)]
+    for strategy in strategies:
+        strategy.setflags(write=False)
+    return [ListedProfile(profile) for profile in zip(*strategies)]
 
 
 def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
@@ -786,74 +795,71 @@ _SCREENED_KINDS = {QuantifierKind.MAX, QuantifierKind.MIN,
                    QuantifierKind.EPS_BALL, QuantifierKind.FIXED_POINT}
 
 
-def _screened_players(g: SimultaneousGame) -> int:
-    """Length of the longest prefix of players whose quantifier is of a
-    screened kind and accepts tables of this game's shape, which one zero
-    table of that shape decides."""
-    outcome = g.payoffs.shape[g.num_players + 1:]
-    for i, phi in enumerate(g.quantifiers):
-        if phi.kind not in _SCREENED_KINDS:
-            return i
-        try:
-            phi.kernel(np.zeros((1, g.move_counts[i], *outcome)),
-                       np.zeros((1, 1, *outcome)), 0.0)
-        except StructuralError:
-            return i
-    return g.num_players
-
-
-def _contract_grid(t: np.ndarray, labels: list[int], grid: np.ndarray,
-                   move: int, grid_label: int) -> tuple[np.ndarray, list[int]]:
-    """Contract the move axis labelled ``move`` of ``t`` with a grid matrix
-    (one strategy per row); the grid axis takes the move axis's place."""
-    out = [grid_label if label == move else label for label in labels]
-    return np.einsum(t, labels, grid, [grid_label, move], out), out
+def _deviation_tables(g: SimultaneousGame, i: int,
+                      grids: list[np.ndarray]) -> np.ndarray:
+    """Player i's deviation tables at every grid combination of the other
+    players, one row per combination in grid order: its payoff tensor
+    contracted with their grid matrices (one strategy per row) in turn. The
+    last contraction writes the others' grid axes first, in player order,
+    then player i's move axis and the outcome axis of vector outcomes, so
+    the rows are one reshape away."""
+    n = g.num_players
+    # Labels: move axes 0..n-1, grid axes n..2n-1, the outcome axis 2n.
+    tail = [2 * n] if g.payoffs.ndim > n + 1 else []
+    others = [j for j in range(n) if j != i]
+    t, labels = g.payoffs[i], list(range(n)) + tail
+    for j in others:
+        out = [n + j if label == j else label for label in labels]
+        if j == others[-1]:
+            out = [n + k for k in others] + [i] + tail
+        t, labels = np.einsum(t, labels, grids[j], [n + j, j], out), out
+    return t.reshape(-1, *t.shape[n - 1:])
 
 
 def _grid_survivors(g: SimultaneousGame, grids: list[np.ndarray],
-                    screened: int, bound: float):
-    """Index tuples of the grid profiles, in itertools.product order, that
-    pass the stacked membership test of each of the first ``screened``
-    players at tolerance ``bound``.
+                    bound: float) -> np.ndarray:
+    """The index rows of the grid profiles, in itertools.product order,
+    that pass the stacked membership test of each player of the screened
+    prefix at tolerance ``bound``, as one (survivors, players) array.
 
-    Player i's deviation tables, one per grid combination of the other
-    players, are einsum contractions of its payoff tensor with their grid
-    matrices, built once. Each table serves all of player i's own grid
-    points: the kernel tests it against their values, which one more
-    contraction with player i's grid matrix gives, and the verdicts go into
-    one mask over the grid. No kernel call sees more than _STACK candidate
-    values. The budget bounds every other array: each grid has at least as
-    many points as its player has moves, so a contraction has at most one
-    entry per grid profile and outcome coordinate, and the mask and the
-    survivors' indices have at most n per grid profile."""
+    The prefix runs up to the first player whose quantifier is not of a
+    screened kind or refuses the game's table shape: the StructuralError of
+    that player's first kernel call ends it, before its verdicts reach the
+    mask. Player i's deviation tables (_deviation_tables) are built once.
+    Each serves all of player i's own grid points: the kernel tests it
+    against their values, one matrix product of the tables with player i's
+    grid matrix for scalar outcomes and one einsum for vector outcomes, and
+    the verdicts are ANDed into the mask through one transposed view. No
+    kernel call sees more than _STACK candidate values. The budget bounds
+    every other array: each grid has at least as many points as its player
+    has moves, so a table stack has at most one entry per grid profile and
+    outcome coordinate, and the mask and the survivors' indices have at
+    most n per grid profile."""
     n = g.num_players
     sizes = [len(grid) for grid in grids]
     mask = np.ones(sizes, dtype=bool)
-    # Labels: move axes 0..n-1, grid axes n..2n-1, the outcome axis 2n.
-    axes = list(range(n)) + ([2 * n] if g.payoffs.ndim > n + 1 else [])
-    for i in range(screened):
-        if not mask.any():
+    scalar = g.payoffs.ndim == n + 1
+    for i, phi in enumerate(g.quantifiers):
+        if phi.kind not in _SCREENED_KINDS or not mask.any():
             break
-        t, labels = g.payoffs[i], axes
-        for j in range(n):
-            if j != i:
-                t, labels = _contract_grid(t, labels, grids[j], j, n + j)
-        # One row per grid combination of the others, in grid order.
-        t = np.moveaxis(t, i, n - 1)
-        tables = t.reshape(-1, *t.shape[n - 1:])
+        tables = _deviation_tables(g, i, grids)
         verdict = np.empty((len(tables), sizes[i]), dtype=bool)
         rows = max(1, _STACK // sizes[i])
-        for r in range(0, len(tables), rows):
-            chunk = tables[r:r + rows]
-            for c in range(0, sizes[i], _STACK):
-                values = np.einsum("rm...,cm->rc...", chunk,
-                                   grids[i][c:c + _STACK])
-                with g.quiet():
-                    verdict[r:r + rows, c:c + _STACK] = (
-                        g.quantifiers[i].kernel(chunk, values, bound))
-        mask &= np.moveaxis(verdict.reshape(*t.shape[:n - 1], -1), -1, i)
-    for idx in np.argwhere(mask):
-        yield tuple(idx.tolist())
+        try:
+            with g.quiet():
+                for r in range(0, len(tables), rows):
+                    chunk = tables[r:r + rows]
+                    for c in range(0, sizes[i], _STACK):
+                        own = grids[i][c:c + _STACK]
+                        values = (chunk @ own.T if scalar else
+                                  np.einsum("rm...,cm->rc...", chunk, own))
+                        verdict[r:r + rows, c:c + _STACK] = (
+                            phi.kernel(chunk, values, bound))
+        except StructuralError:
+            break
+        view = mask.transpose([j for j in range(n) if j != i] + [i])
+        view &= verdict.reshape(view.shape)
+    return np.argwhere(mask)
 
 
 def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
@@ -870,12 +876,14 @@ def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
     screen tests every grid profile for the longest prefix of players whose
     quantifier is of a screened kind and applies to the game, with the
     support enumeration's slack; it only discards profiles that
-    is_mixed_nash would reject at one of those players. Every survivor is
-    then certified by is_mixed_nash, in itertools.product order, and each
-    profile returned is a ListedProfile holding the certificate that
-    accepted it. A player after the prefix is never screened, so each
-    membership test outside the prefix, and each error one raises, happens
-    at the grid point where the per-point loop would meet it.
+    is_mixed_nash would reject at one of those players. The survivors are
+    validated as one stack per chunk of at most _STACK profiles
+    (_listed_profiles), then certified by is_mixed_nash, in
+    itertools.product order, and each profile returned is a ListedProfile
+    holding the certificate that accepted it. A player after the prefix is
+    never screened, so each membership test outside the prefix, and each
+    error one raises, happens at the grid point where the per-point loop
+    would meet it.
     """
     if grid_depth < 1:
         raise StructuralError("grid_depth must be >= 1")
@@ -884,11 +892,12 @@ def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
     check_budget(sum(s * c for s, c in zip(sizes, g.move_counts)), budget,
                  "grid matrix entries")
     grids = [_simplex_grid(c, grid_depth) for c in g.move_counts]
+    survivors = _grid_survivors(g, grids, _screen_bound(g, tol))
     found = []
-    for idx in _grid_survivors(g, grids, _screened_players(g),
-                               _screen_bound(g, tol)):
-        profile = ListedProfile(
-            mixed_profile(g, [grid[k] for grid, k in zip(grids, idx)]))
-        if is_mixed_nash(g, profile, tol):
-            found.append(profile)
+    for at in range(0, len(survivors), _STACK):
+        chunk = survivors[at:at + _STACK].T
+        for profile in _listed_profiles(*(grid[k]
+                                          for grid, k in zip(grids, chunk))):
+            if is_mixed_nash(g, profile, tol):
+                found.append(profile)
     return _dedupe_sorted(found, max(tol, 1e-9))

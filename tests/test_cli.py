@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -905,6 +906,147 @@ def test_json_writer_puts_number_lists_on_one_line(capsys, games_dir,
     # tables, profiles, plays or strategies.
     assert len(written) == 80
     assert sum(saved > 0 for saved in written.values()) == 75
+
+
+def test_json_writer_lays_out_adversarial_leaves():
+    # The rule above on leaves no shipped report holds: escapes, booleans
+    # and null among numbers, integers past 64 bits, the smallest subnormal,
+    # negative zero, empty containers, a tuple and keys that are not
+    # strings.
+    value = {
+        "text": ["café ☃ \U0001F600", "\x00\x1f\"\\/\t\n", ""],
+        "flags": [True, False, None],
+        "mixed": [1, True, 2.5, None, "1", -0.0],
+        "numbers": [2 ** 70, -2 ** 70, -0.0, 5e-324, 1.7976931348623157e308,
+                    0, -1],
+        "leaves": [True, False, None, 2 ** 70, -0.0, 5e-324, "é"],
+        "empty": {"dict": {}, "list": [], "nested": [[], {}, [[]]]},
+        "tuple": (1, "a", (2.5, 3), ()),
+        "keys": {3: "int", 2.5: "float", False: "bool", -1: [1, 2]},
+        "null key": {None: [None, 0.5]},
+        "bool leaf": True,
+        "int leaf": 2 ** 70,
+        "null leaf": None,
+        "float leaf": 5e-324,
+    }
+    text = hog.cli._dump(value)
+    assert text == _documented_layout(value)
+    assert json.loads(text) == json.loads(
+        json.dumps(value, indent=2, sort_keys=True))
+    for leaf in (True, False, None, 0, -2 ** 70, "é\x00", -0.0, 5e-324,
+                 [], {}, ()):
+        assert hog.cli._dump(leaf) == json.dumps(leaf, indent=2,
+                                                 sort_keys=True)
+
+
+# What the command-line edge prints on usage errors and help, as argparse
+# lays it out on a terminal 80 columns wide: exit code, stdout, stderr.
+_TOP_USAGE = "usage: hog [-h] {check-eq,solve,normal-form,bbc,fuzz} ...\n"
+_BBC_USAGE = ("usage: hog bbc [-h] [--tol TOL] [--budget BUDGET] [--json] "
+              "[--out OUT] game\n")
+_ARGV_EDGES = {
+    "no arguments": (
+        [], 2, "",
+        _TOP_USAGE + "hog: error: the following arguments are required: "
+        "command\n"),
+    "unknown command": (
+        ["nope"], 2, "",
+        _TOP_USAGE + "hog: error: argument command: invalid choice: 'nope' "
+        "(choose from 'check-eq', 'solve', 'normal-form', 'bbc', 'fuzz')\n"),
+    "command without its game": (
+        ["bbc"], 2, "",
+        _BBC_USAGE + "hog bbc: error: the following arguments are required: "
+        "game\n"),
+    "unrecognized flag": (
+        ["bbc", "GAME", "--bogus"], 2, "",
+        _TOP_USAGE + "hog: error: unrecognized arguments: --bogus\n"),
+    "refused flag value": (
+        ["bbc", "GAME", "--tol=-1"], 2, "",
+        _BBC_USAGE + "hog bbc: error: argument --tol: not a finite number "
+        ">= 0: '-1'\n"),
+    "missing required flag": (
+        ["solve", "PENNIES"], 2, "",
+        "usage: hog solve [-h] [--tol TOL] [--budget BUDGET] [--json] "
+        "[--out OUT]\n"
+        "                 --mode {pure,mixed,seq,bbc,normal-form}\n"
+        "                 [--grid-depth GRID_DEPTH]\n"
+        "                 game\n"
+        "hog solve: error: the following arguments are required: --mode\n"),
+    "top-level help": (
+        ["-h"], 0,
+        _TOP_USAGE + "\n"
+        "Build, solve, transform, and verify higher-order games.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {check-eq,solve,normal-form,bbc,fuzz}\n"
+        "    check-eq            certify a profile as an equilibrium\n"
+        "    solve               solve a game\n"
+        "    normal-form         export the normal form of a sequential game\n"
+        "    bbc                 run the independent-pair functional\n"
+        "    fuzz                certify random games against the checkers\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n", ""),
+    "command help": (
+        ["bbc", "-h"], 0,
+        _BBC_USAGE + "\n"
+        "positional arguments:\n"
+        "  game             path to a game file (JSON)\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --tol TOL        membership tolerance (default from file, else "
+        "1e-9)\n"
+        "  --budget BUDGET  enumeration budget (default 10^6 or HOG_BUDGET)\n"
+        "  --json           emit the report as JSON\n"
+        "  --out OUT        write the result artifact to this path\n", ""),
+    "refused count": (
+        ["fuzz", "--count", "-1"], 2, "",
+        "usage: hog fuzz [-h] [--seed SEED] [--count COUNT]\n"
+        "                [--family {all,seq,normal-form,bbc}] "
+        "[--max-rounds MAX_ROUNDS]\n"
+        "                [--max-moves MAX_MOVES] [--payoff-min PAYOFF_MIN]\n"
+        "                [--payoff-max PAYOFF_MAX] [--budget BUDGET] "
+        "[--json]\n"
+        "                [--out OUT]\n"
+        "hog fuzz: error: argument --count: not an integer >= 0: '-1'\n"),
+}
+
+
+def _exit_and_streams(capsys, call):
+    """Exit code, stdout and stderr of a call of main that may exit."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _edge_argv(argv, games_dir):
+    paths = {"GAME": games_dir / "stage_matching_pennies.json",
+             "PENNIES": games_dir / "matching_pennies.json"}
+    return [str(paths.get(arg, arg)) for arg in argv]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _ARGV_EDGES.values(),
+                         ids=_ARGV_EDGES.keys())
+def test_argv_edges_are_pinned(capsys, games_dir, monkeypatch, argv, code,
+                               out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = _edge_argv(argv, games_dir)
+    assert _exit_and_streams(capsys, lambda: main(argv)) == (code, out, err)
+    # main() reads sys.argv past the program name.
+    monkeypatch.setattr(sys, "argv", ["hog", *argv])
+    assert _exit_and_streams(capsys, main) == (code, out, err)
+
+
+def test_main_reads_sys_argv(capsys, games_dir, monkeypatch):
+    argv = ["bbc", str(games_dir / "stage_matching_pennies.json"), "--json"]
+    want = _exit_and_streams(capsys, lambda: main(argv))
+    assert want[0] == 0 and json.loads(want[1])["mode"] == "bbc"
+    monkeypatch.setattr(sys, "argv", ["hog", *argv])
+    assert _exit_and_streams(capsys, main) == want
 
 
 def test_version_true_exits_2(capsys, games_dir, tmp_path):

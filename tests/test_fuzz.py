@@ -14,7 +14,7 @@ from hog.budget import resolve_budget
 from hog.cli import _game_document, main
 from hog.core import (argmax_selection, argmin_selection, fixed_point_quantifier,
                       max_quantifier, min_quantifier)
-from hog.errors import BudgetExceededError
+from hog.errors import BudgetExceededError, StructuralError
 from hog.fuzz import (FAMILIES, FuzzFailure, FuzzResult, certify_sequential,
                       random_sequential_game, random_stage, run_fuzz,
                       shrink_sequential, shrink_stage)
@@ -55,6 +55,31 @@ def test_fuzz_corpus_is_pinned(tmp_path):
     assert _digest([[path.name, json.loads(path.read_text())]
                     for path in files]) == (
         "b42e953982146d9acdaf78b41a696e6b7fe9393156f1be321418b8d8d7fed9ae")
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    # random.Random seeds with a seed's absolute value, so family seq (index
+    # 0, seeded with seed * 7919) drew the same games for --seed -1 as for
+    # --seed 1, and wrote the same seq_000*.json files.
+    assert (random.Random(-1 * 7919 + 0).random()
+            == random.Random(1 * 7919 + 0).random())
+    positive, negative = tmp_path / "A", tmp_path / "B"
+    positive.mkdir()
+    negative.mkdir()
+    assert main(["fuzz", "--seed", "1", "--count", "3", "--out",
+                 str(positive)]) == 0
+    assert len(list(positive.glob("seq_000*.json"))) == 3
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--seed", "-1", "--count", "3", "--out", str(negative)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(
+        "hog fuzz: error: argument --seed: not an integer >= 0: '-1'\n")
+    assert not any(negative.iterdir())
+    with pytest.raises(StructuralError, match="fuzz seed must be >= 0, got -1"):
+        run_fuzz(-1, 3)
 
 
 def test_run_fuzz_all_families_pass():

@@ -979,11 +979,11 @@ def test_one_off_shapes_screened_together_match_each_alone(caplog):
 
 
 def test_listed_profiles_are_validated_once(monkeypatch, capsys, games_dir):
-    # Each profile a solver certifies is validated once, by mixed_profile in
-    # the grid solver and by the stacked _listed_profiles in support
-    # enumeration: is_mixed_nash does not validate a ListedProfile again,
-    # and the CLI report reads its certificates. Any other profile is still
-    # validated.
+    # Each profile a solver certifies is validated once, by the stacked
+    # _listed_profiles in both solvers: is_mixed_nash does not validate a
+    # ListedProfile again, and the CLI report reads its certificates; a call
+    # of mixed_profile on the way would count as a second validation. Any
+    # other profile is still validated.
     built, certified = [], []
     profile = hog.mixed.mixed_profile
     stacked = hog.mixed._listed_profiles
@@ -993,8 +993,8 @@ def test_listed_profiles_are_validated_once(monkeypatch, capsys, games_dir):
         built.append(profile(g, per_player))
         return built[-1]
 
-    def counting_listed(rows, cols):
-        profiles = stacked(rows, cols)
+    def counting_listed(*stacks):
+        profiles = stacked(*stacks)
         built.extend(profiles)
         return profiles
 
@@ -1358,12 +1358,45 @@ def test_solve_generic_kernel_calls_see_at_most_stack_values(monkeypatch,
 def test_solve_generic_screen_slack_keeps_rounding_ties():
     # With constant payoffs every grid point is an equilibrium, but at tol 0
     # is_mixed_nash accepts only those whose rounding happens to tie; the
-    # screen's own rounding differs, and its slack must keep them all.
-    g = SimultaneousGame.from_tensors([2, 2, 2], [[0.1] * 8] * 3,
-                                      [max_quantifier()] * 3)
-    want = _reference_solve_generic(g, 5, 0.0)
-    assert 0 < len(want) < 6 ** 3
-    _assert_identical(solve_generic(g, 5, 0.0), want)
+    # screen's own rounding (contractions, and a matrix product for the
+    # values) differs, and its slack must keep them all. Near 1e300 the
+    # rounding dwarfs tol 1e-9 too; near 1.7e308 the game is one whose
+    # kernels may overflow (payoff_scale below 1), and a min player mixes
+    # in.
+    rng = np.random.default_rng(5)
+    mix = [max_quantifier(), min_quantifier(), max_quantifier()]
+    games = [
+        SimultaneousGame.from_tensors([2, 2, 2], [[0.1] * 8] * 3,
+                                      [max_quantifier()] * 3),
+        SimultaneousGame.from_tensors(
+            [2, 2, 2], list(1e300 * (1 + rng.integers(0, 3, (3, 8)) * 1e-16)),
+            [max_quantifier()] * 3),
+        SimultaneousGame.from_tensors(
+            [2, 2, 2], [[1.7e308] * 8, [-1.7e308] * 8, [1.7e308] * 8], mix),
+    ]
+    assert games[2].payoff_scale < 1.0
+    for g in games:
+        for tol in (0.0, 1e-9):
+            want = _reference_solve_generic(g, 5, tol)
+            # At tol 1e-9 every grid point of the first game passes.
+            assert 0 < len(want) < 6 ** 3 or (g is games[0] and tol)
+            _assert_identical(solve_generic(g, 5, tol), want)
+
+
+def test_solve_generic_four_players_of_unequal_move_counts():
+    # Move counts (2, 3, 2, 4): each player's last contraction writes the
+    # others' grid axes in player order around grids of unequal sizes.
+    rng = np.random.default_rng(7)
+    counts = [2, 3, 2, 4]
+    for kinds in ([max_quantifier()] * 4,
+                  [max_quantifier(), min_quantifier(),
+                   eps_ball_quantifier(1, 0.5), max_quantifier()]):
+        payoffs = rng.integers(0, 3, (4, 48)) * 1.0
+        g = SimultaneousGame.from_tensors(counts, list(payoffs), kinds)
+        for tol in (0.0, 1e-9):
+            want = _reference_solve_generic(g, 2, tol)
+            assert want
+            _assert_identical(solve_generic(g, 2, tol), want)
 
 
 def test_solve_generic_certifies_only_screen_survivors(monkeypatch):

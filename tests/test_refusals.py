@@ -134,6 +134,9 @@ REFUSALS = {
     "unknown fuzz round kind": (
         lambda: fuzz._round_pair("median"), ValueError,
         "unknown round kind 'median'"),
+    "negative fuzz seed": (
+        lambda: fuzz.run_fuzz(-1, 1), StructuralError,
+        "fuzz seed must be >= 0, got -1"),
     "unknown fuzz family": (
         lambda: fuzz.run_fuzz(1, 1, families=("stages",)), ValueError,
         "unknown family 'stages'"),
