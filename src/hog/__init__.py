@@ -2,6 +2,8 @@
 certification for finite simultaneous, sequential, and mixed-extension games.
 """
 
+import logging
+
 from .budget import DEFAULT_BUDGET, resolve_budget
 from .core import (DiagonalPoint, OutcomeTable, Quantifier, QuantifierKind,
                    SelectionFunction, SelectionKind, argmax_selection,
@@ -30,3 +32,5 @@ from .simultaneous import (SimultaneousGame, best_response_set,
                            unilateral_map)
 
 __version__ = "0.1.0"
+# Log records reach only the handlers an application installs.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -171,28 +171,23 @@ def cmd_check_eq(args) -> int:
     raw = _read_profile_arg(args.profile)
     if not isinstance(raw, list) or not raw:
         raise GameFileError("profile must be a nonempty JSON list", "profile")
+    tol = _tol(args, document)
     mixed_mode = all(isinstance(v, list) for v in raw)
     if mixed_mode:
-        profile = gamefile.parse_mixed_profile(document, raw)
-    else:
-        profile = gamefile.parse_pure_profile(document, raw)
-    tol = _tol(args, document)
-    if mixed_mode:
+        shown = [s.tolist() for s in gamefile.parse_mixed_profile(document, raw)]
         # The profile is certified as given, once it is known valid, so it
         # is normalised once, as the certificate of a profile 'solve' lists
         # is.
         rows = _mixed_rows(mixed.player_certificates(game, raw, tol))
     else:
+        profile = gamefile.parse_pure_profile(document, raw)
         tables = (simultaneous.unilateral_map(game, i, profile)
                   for i in range(game.num_players))
         rows = ((list(t.entries), t[m], phi.contains(t, t[m], tol))
                 for t, m, phi in zip(tables, profile, game.quantifiers))
-    report = _membership_report(game, rows)
-    if mixed_mode:
-        report["profile"] = [[float(x) for x in s] for s in profile]
-    else:
-        report["profile"] = list(profile)
-    report["mixed"] = mixed_mode
+        shown = list(profile)
+    report = {**_membership_report(game, rows), "profile": shown,
+              "mixed": mixed_mode}
     _finish(args, report, "check_eq.json")
     return EXIT_OK if report["equilibrium"] else EXIT_NOT_EQUILIBRIUM
 
@@ -440,10 +435,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parser_tree()[0]
-
-
 @functools.cache
 def _parser_tree():
     """The parser, built once, and its subcommands' parsers by name."""
@@ -453,20 +444,20 @@ def _parser_tree():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, game_arg: bool = True):
-        if game_arg:
-            p.add_argument("game", help="path to a game file (JSON)")
+    def common(p, budget: bool = True):
+        p.add_argument("game", help="path to a game file (JSON)")
         p.add_argument("--tol", type=_tolerance, default=None,
                        help="membership tolerance (default from file, else 1e-9)")
-        p.add_argument("--budget", type=_int_at_least(0), default=None,
-                       help="enumeration budget (default 10^6 or HOG_BUDGET)")
+        if budget:
+            p.add_argument("--budget", type=_int_at_least(0), default=None,
+                           help="enumeration budget (default 10^6 or HOG_BUDGET)")
         p.add_argument("--json", action="store_true",
                        help="emit the report as JSON")
         p.add_argument("--out", default=None,
                        help="write the result artifact to this path")
 
     p_check = sub.add_parser("check-eq", help="certify a profile as an equilibrium")
-    common(p_check)
+    common(p_check, budget=False)
     p_check.add_argument("--profile", required=True,
                          help="pure profile [0,1], mixed profile [[..],[..]], "
                               "inline JSON or a file path")
@@ -479,14 +470,12 @@ def _parser_tree():
                          help="simplex grid denominator for the generic solver")
     p_solve.set_defaults(fn=cmd_solve)
 
-    p_nf = sub.add_parser("normal-form",
-                          help="export the normal form of a sequential game")
-    common(p_nf)
-    p_nf.set_defaults(fn=cmd_solve, mode="normal-form")
-
-    p_bbc = sub.add_parser("bbc", help="run the independent-pair functional")
-    common(p_bbc)
-    p_bbc.set_defaults(fn=cmd_solve, mode="bbc")
+    for mode, text in (("normal-form",
+                        "export the normal form of a sequential game"),
+                       ("bbc", "run the independent-pair functional")):
+        p_mode = sub.add_parser(mode, help=text)
+        common(p_mode)
+        p_mode.set_defaults(fn=cmd_solve, mode=mode)
 
     p_fuzz = sub.add_parser("fuzz", help="certify random games against the checkers")
     # random.Random seeds with a seed's absolute value, so a negative seed
@@ -510,11 +499,11 @@ def _parser_tree():
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), with the same namespace, output and
-    exit. The top-level parser hands every argument after a command's name
-    to that command's parser and refuses what it leaves over, so when argv
-    starts with a command's name, its parser takes the rest directly and
-    the leftovers go to the top-level parser's error."""
+    """The top-level parser's parse_args(argv), with the same namespace,
+    output and exit. The top-level parser hands every argument after a
+    command's name to that command's parser and refuses what it leaves
+    over, so when argv starts with a command's name, its parser takes the
+    rest directly and the leftovers go to the top-level parser's error."""
     parser, commands = _parser_tree()
     command = commands.get(argv[0]) if argv else None
     if command is None:

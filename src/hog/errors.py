@@ -22,9 +22,11 @@ class BudgetExceededError(HogError):
         self.count = count
         self.budget = budget
         self.what = what
-        super().__init__(
-            f"enumeration of {count} {what} exceeds budget {budget}"
-        )
+        try:
+            shown = str(count)
+        except ValueError:  # more digits than str() prints
+            shown = f"at least 2^{count.bit_length() - 1}"
+        super().__init__(f"enumeration of {shown} {what} exceeds budget {budget}")
 
 
 class NoFixedPointError(HogError):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
@@ -90,8 +91,12 @@ def _draw_sequential(rng: random.Random, max_rounds: int, max_moves: int,
                      budget: int | None):
     """The values of random_sequential_game: move counts, row-major
     payoffs (integers, as a float array) and each round's index in
-    ``kinds``."""
+    ``kinds``. Plays too many for ``str()`` even at ``min_moves`` per round
+    are refused, as ``10 ** digits``, before their slow product is formed."""
     n = _draw(rng, 1, max_rounds)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if digits and min_moves > 1 and n > digits / math.log10(min_moves):
+        check_budget(10 ** digits, budget, "plays")
     counts = tuple(_draw(rng, min_moves, max_moves) for _ in range(n))
     plays = math.prod(counts)
     check_budget(plays, budget, "plays")
@@ -434,9 +439,9 @@ def _verdicts(family: _Family, drawn: list[tuple]) -> np.ndarray:
 
 def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
              max_moves: int = 3, payoff_range: tuple[int, int] = (-9, 9),
-             budget: int | None = None, stop_on_failure: bool = True) -> FuzzResult:
-    """Certify ``count`` random games per family. Failing games are shrunk
-    before being recorded. The normal-form family caps rounds at 3.
+             budget: int | None = None) -> FuzzResult:
+    """Certify ``count`` random games per family up to the first failure,
+    which is shrunk before being recorded. Normal-form games have <= 3 rounds.
 
     Each family draws its games' values first, up to the first game the
     budget refuses, to draw or to certify. It certifies them in stacks of
@@ -489,12 +494,10 @@ def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
                 check_budget(n, budget, what)
             result.corpus.record(name, index, family.build, values)
             result.checked += 1
-            if ok[index]:
-                continue
-            small = family.shrink(family.build(*values),
-                                  lambda g: not family.certify(g, budget))
-            result.failures.append(FuzzFailure(name, index, seed, small))
-            if stop_on_failure:
+            if not ok[index]:
+                small = family.shrink(family.build(*values),
+                                      lambda g: not family.certify(g, budget))
+                result.failures.append(FuzzFailure(name, index, seed, small))
                 return result
         if refused is not None:
             raise refused

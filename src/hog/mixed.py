@@ -10,23 +10,23 @@ strategies.
 
 Every profile that either solver returns passes is_mixed_nash, which reads
 one certificate per player at the profile validated once
-(player_certificates). The solvers validate the profiles they certify once,
-as one stack per chunk (_listed_profiles, bit for bit what mixed_profile
-builds), and return ListedProfile tuples: is_mixed_nash does not validate
-them again, only rescales them as validation would, and they keep the rows
-of the certificate that accepted them; the CLI prints those rows, so no
-listed profile is certified twice. Support enumeration handles
-2-player games whose quantifiers are max or min, where it finds every
-equilibrium with a solvable support pair; the existence
-theorem promises one, so an empty result signals a bug. Under the mixed
-lift a min quantifier on payoff u is a max quantifier on -u (IEEE negation
-is exact, so the min test reads the same bits as the max test on the
-negated table), so the enumeration runs on the payoffs with each min
-player's negated and certifies on the game itself. Every other game goes to
-the grid search, which certifies the points of a simplex grid and nothing
-else: the existence theorem does not promise a grid point (three-player
-equilibria can be irrational), so an empty grid result is an answer, not a
-contradiction.
+(player_certificates). Both solvers end in one certify step, _certified: a
+chunk of profiles is validated as one stack (_listed_profiles, bit for bit
+what mixed_profile builds), and the ListedProfile tuples that is_mixed_nash
+certifies are kept. is_mixed_nash does not validate them again, only
+rescales them as validation would, and they keep the rows of the
+certificate that accepted them; the CLI prints those rows, so no listed
+profile is certified twice. Support enumeration handles 2-player games
+whose quantifiers are max or min, where it finds every equilibrium with a
+solvable support pair; the existence theorem promises one, so an empty
+result signals a bug. Under the mixed lift a min quantifier on payoff u is
+a max quantifier on -u (IEEE negation is exact, so the min test reads the
+same bits as the max test on the negated table), so the enumeration runs on
+the payoffs with each min player's negated and certifies on the game
+itself. Every other game goes to the grid search, which certifies the
+points of a simplex grid and nothing else: the existence theorem does not
+promise a grid point (three-player equilibria can be irrational), so an
+empty grid result is an answer, not a contradiction.
 
 The grid search screens, then certifies. For each player, one contraction
 per other player gives the deviation tables at every grid combination of
@@ -41,9 +41,8 @@ transposed view. Only the longest prefix of players whose quantifier is of
 a screened kind and applies to the game is screened; the screen's own
 kernel call decides the latter, as a StructuralError ends the prefix. So
 the tests of every later player happen, and raise, exactly where a
-per-point loop would meet them. The survivors, one argwhere array, are
-validated as one stack per chunk of _STACK and certified by is_mixed_nash
-in grid order.
+per-point loop would meet them. The survivors, one argwhere array, go
+through the certify step chunk by chunk, in grid order.
 
 Support enumeration (von Stengel 2002; Porter, Nudelman & Shoham 2008)
 takes the support shapes (k, l) in order, k outer and l inner, and the
@@ -126,17 +125,17 @@ TOL_SIMPLEX = 1e-9
 MixedProfile = tuple[np.ndarray, ...]
 
 
-def mixed_strategy(probs, tol_simplex: float = TOL_SIMPLEX) -> np.ndarray:
-    """Validate and normalize a probability vector: coordinates >= -tol are
-    clipped to 0 and the vector is rescaled to sum exactly to 1. Entries
-    are numbers, as ``real_array`` takes them."""
+def mixed_strategy(probs) -> np.ndarray:
+    """Validate and normalize a probability vector: coordinates >=
+    -TOL_SIMPLEX are clipped to 0 and the vector is rescaled to sum exactly
+    to 1. Entries are numbers, as ``real_array`` takes them."""
     vec = real_array(probs, "mixed strategy", "a probability")
     if vec.ndim != 1 or vec.size == 0:
         raise StructuralError("a mixed strategy is a nonempty 1-d probability vector")
-    if np.any(vec < -tol_simplex):
+    if np.any(vec < -TOL_SIMPLEX):
         raise StructuralError(f"negative probability beyond tolerance: {vec}")
     total = float(vec.sum())
-    if not (1 - tol_simplex <= total <= 1 + tol_simplex):
+    if not (1 - TOL_SIMPLEX <= total <= 1 + TOL_SIMPLEX):
         raise StructuralError(f"probabilities sum to {total}, expected 1")
     return _rescaled(np.clip(vec, 0.0, None))
 
@@ -617,6 +616,13 @@ def _listed_profiles(*stacks: np.ndarray) -> list[ListedProfile]:
     return [ListedProfile(profile) for profile in zip(*strategies)]
 
 
+def _certified(g: SimultaneousGame, tol: float,
+               *stacks: np.ndarray) -> list[ListedProfile]:
+    """The profiles of _listed_profiles(*stacks) that is_mixed_nash certifies."""
+    return [profile for profile in _listed_profiles(*stacks)
+            if is_mixed_nash(g, profile, tol)]
+
+
 def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
                         tol: float, regret_bound: float,
                         margin: float) -> list[MixedProfile]:
@@ -699,9 +705,7 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
             chunk = slice(at, at + _STACK)
             passed = at + np.flatnonzero(_regret_screen(
                 a, b, rows[chunk], cols[chunk], regret_bound))
-            for profile in _listed_profiles(rows[passed], cols[passed]):
-                if is_mixed_nash(g, profile, tol):
-                    found.append(profile)
+            found += _certified(g, tol, rows[passed], cols[passed])
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "support enumeration %dx%d: %d support pairs enumerated, %d "
@@ -876,9 +880,8 @@ def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
     screen tests every grid profile for the longest prefix of players whose
     quantifier is of a screened kind and applies to the game, with the
     support enumeration's slack; it only discards profiles that
-    is_mixed_nash would reject at one of those players. The survivors are
-    validated as one stack per chunk of at most _STACK profiles
-    (_listed_profiles), then certified by is_mixed_nash, in
+    is_mixed_nash would reject at one of those players. The survivors go
+    through the certify step (_certified) in chunks of at most _STACK, in
     itertools.product order, and each profile returned is a ListedProfile
     holding the certificate that accepted it. A player after the prefix is
     never screened, so each membership test outside the prefix, and each
@@ -896,8 +899,6 @@ def solve_generic(g: SimultaneousGame, grid_depth: int = 3, tol: float = 1e-9,
     found = []
     for at in range(0, len(survivors), _STACK):
         chunk = survivors[at:at + _STACK].T
-        for profile in _listed_profiles(*(grid[k]
-                                          for grid, k in zip(grids, chunk))):
-            if is_mixed_nash(g, profile, tol):
-                found.append(profile)
+        found += _certified(g, tol,
+                            *(grid[k] for grid, k in zip(grids, chunk)))
     return _dedupe_sorted(found, max(tol, 1e-9))

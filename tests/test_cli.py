@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hog.cli
+import hog.errors
 import hog.fuzz
 import hog.gamefile
 import hog.mixed
@@ -1000,6 +1004,9 @@ _ARGV_EDGES = {
         "  --budget BUDGET  enumeration budget (default 10^6 or HOG_BUDGET)\n"
         "  --json           emit the report as JSON\n"
         "  --out OUT        write the result artifact to this path\n", ""),
+    "check-eq takes no budget": (
+        ["check-eq", "PENNIES", "--profile", "[0, 0]", "--budget", "5"], 2, "",
+        _TOP_USAGE + "hog: error: unrecognized arguments: --budget 5\n"),
     "refused count": (
         ["fuzz", "--count", "-1"], 2, "",
         "usage: hog fuzz [-h] [--seed SEED] [--count COUNT]\n"
@@ -1117,3 +1124,71 @@ def test_grid_matrices_beyond_the_budget_exit_4(capsys, tmp_path):
     assert (code, out) == (4, "")
     assert err == ("error: enumeration of 1210002 grid matrix entries "
                    "exceeds budget 1000000\n")
+
+
+def _hog(*argv, timeout=60):
+    """The CLI in a process of its own, where nothing but the program
+    installs a logging handler, and a traceback reaches stderr."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("HOG_BUDGET", None)
+    return subprocess.run([sys.executable, "-m", "hog.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env)
+
+
+def test_budget_counts_too_long_to_print_exit_4(tmp_path):
+    # Each count has more digits than str() prints: 2^16384 contingent
+    # moves of one 15-round player, (2^15000 - 1) support pairs, and the
+    # plays of a game of tens of thousands of rounds.
+    rounds = 15
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({
+        "version": 1, "kind": "sequential", "rounds": [["a", "b"]] * rounds,
+        "payoffs": [0] * 2 ** rounds,
+        "quantifiers": [{"kind": "max"}] * rounds,
+        "selections": [{"kind": "argmax"}] * rounds}))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({
+        "version": 1, "kind": "simultaneous",
+        "moves": [[f"m{k}" for k in range(15000)], ["a"]],
+        "payoffs": [[0] * 15000] * 2, "quantifiers": [{"kind": "max"}] * 2}))
+    for argv, err in [
+            (["normal-form", seq], "at least 2^16384 contingent moves"),
+            (["solve", wide, "--mode", "mixed"], "at least 2^14999 support pairs"),
+            (["fuzz", "--family", "seq", "--max-rounds", "100000", "--count",
+              "3", "--seed", "1"], "at least 2^14284 plays")]:
+        done = _hog(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            4, "", f"error: enumeration of {err} exceeds budget 1000000\n")
+    # The count itself stays exact.
+    exc = hog.errors.BudgetExceededError(3 ** 9100, 5, "plays")
+    assert exc.count == 3 ** 9100
+    assert str(exc) == "enumeration of at least 2^14423 plays exceeds budget 5"
+
+
+def test_fuzz_of_millions_of_rounds_is_refused_at_once():
+    # The fewest plays of the drawn rounds already have more digits than
+    # str() prints, so the sweep refuses before it draws a move count.
+    done = _hog("fuzz", "--family", "seq", "--max-rounds", "3000000",
+                "--count", "3", "--seed", "1", timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        4, "", "error: enumeration of at least 2^14284 plays exceeds budget "
+        "1000000\n")
+
+
+def test_exit_5_reports_once(tmp_path):
+    # At tol 0 support enumeration certifies nothing on this game; the
+    # solver's warning goes to the package's logger, and only the CLI's
+    # own error line reaches stderr.
+    rng = np.random.default_rng(0)
+    payoffs = [rng.uniform(-1, 1, (2, 9)) for _ in range(3)][-1]
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({
+        "version": 1, "kind": "simultaneous", "moves": [["a", "b", "c"]] * 2,
+        "payoffs": payoffs.tolist(), "quantifiers": [{"kind": "max"}] * 2}))
+    done = _hog("solve", game, "--mode", "mixed", "--tol", "0")
+    assert done.returncode == 5
+    assert done.stderr == (
+        "error: no equilibrium found although the existence theorem "
+        "guarantees one for this game; this indicates a solver bug\n")
