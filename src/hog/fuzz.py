@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
@@ -44,7 +43,7 @@ from .budget import check_budget, resolve_budget
 from .core import (Quantifier, SelectionFunction, argmax_selection,
                    argmin_selection, average_quantifier, max_quantifier,
                    min_quantifier, nearest_mean_selection, quiet)
-from .errors import BudgetExceededError, StructuralError
+from .errors import PRINTED_DIGITS, BudgetExceededError, StructuralError
 from .sequential import SequentialGame
 from .simultaneous import SimultaneousGame, move_labels, overflow_scale
 
@@ -91,12 +90,13 @@ def _draw_sequential(rng: random.Random, max_rounds: int, max_moves: int,
                      budget: int | None):
     """The values of random_sequential_game: move counts, row-major
     payoffs (integers, as a float array) and each round's index in
-    ``kinds``. Plays too many for ``str()`` even at ``min_moves`` per round
-    are refused, as ``10 ** digits``, before their slow product is formed."""
+    ``kinds``. Plays of more than PRINTED_DIGITS digits even at
+    ``min_moves`` per round, which the budget error writes as a power of
+    two, are refused, as ``10 ** PRINTED_DIGITS``, before their slow
+    product is formed."""
     n = _draw(rng, 1, max_rounds)
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if digits and min_moves > 1 and n > digits / math.log10(min_moves):
-        check_budget(10 ** digits, budget, "plays")
+    if min_moves > 1 and n > PRINTED_DIGITS / math.log10(min_moves):
+        check_budget(10 ** PRINTED_DIGITS, budget, "plays")
     counts = tuple(_draw(rng, min_moves, max_moves) for _ in range(n))
     plays = math.prod(counts)
     check_budget(plays, budget, "plays")

@@ -45,8 +45,10 @@ per-point loop would meet them. The survivors, one argwhere array, go
 through the certify step chunk by chunk, in grid order.
 
 Support enumeration (von Stengel 2002; Porter, Nudelman & Shoham 2008)
-takes the support shapes (k, l) in order, k outer and l inner, and the
-pairs of a shape in stacks. Before any screen or solve, a pair (R, C) is
+walks system sizes s = 2, 3, ...: at size s, the square shape (s - 1,
+s - 1), whose two indifference systems per pair are s x s, and the one-off
+shapes (s - 1, s) and (s, s - 1), whose (s + 1) x s systems are screened
+by an s x s solve each. Before any screen or solve, a pair (R, C) is
 dropped when one of its moves is strictly dominated by more than a margin
 given the opponent's support (conditional dominance): a column of C that
 some column beats on every row of R, or a row of R that some row beats on
@@ -55,49 +57,55 @@ every column of C. Such a pair gives no profile that is_mixed_nash accepts
 only the long one. The dominance table is built once per call and side: for
 every support, indexed by its bitmask, the bitmask of the opponent's moves
 dominated given it, by one pass over the supports in which each support's
-table is its lower part's ANDed with one move's. A shape's live pairs are
-selected by one broadcast per block of rows and cut into stacks; the
-support combinations and their bitmasks are read-only tables cached per
-(moves, size) across calls.
+table is its lower part's ANDed with one move's. The live pairs of a size's
+three shapes are selected by one broadcast per side; the support
+combinations and their bitmasks are read-only tables cached per (moves,
+size) across calls.
 
-A square stack is solved by one batched exact solve that covers both
-players' systems; when it holds a singular system, one batched slogdet
-finds every such system, the others are solved in one batched solve, and
-only the singular ones on their own. A rectangular stack is first screened
-on its overdetermined side by the residual of each system's minimum-norm
-solution, and one-off shapes, one equation more than unknowns, by one
-batched LU solve for each system's left null vector before that. The
-one-off shapes (k, k + 1) and (k + 1, k) build systems of one shape,
-(k + 2) x (k + 1), so one screen per stack serves the live pairs of both,
-and its masks are split back per shape. Each system of the survivors is
-then solved on its own, from the stack that holds it. Singular and
-rectangular systems are solved by least squares; a system is accepted when
-its max-residual is at most _RESIDUAL_TOL.
+All s x s systems of a size go into one stack, solved by one batched LU
+solve with a right-hand side per system (_solve_size): both players'
+square systems, and for each one-off pair the transposed top block of its
+system, whose solution gives a left null vector and so the system's
+least-squares residual (_left_null_screen). Batched LU factors each matrix
+on its own, so every system gets the bits of a solve of its own; no system
+is padded to another size, which would change them. A stack holds at most
+_STACK systems, so the larger sizes of large games take several. When a
+stack holds a singular matrix, one batched slogdet finds every such matrix,
+the others are solved in one batched solve, a singular square system is
+solved on its own and a one-off pair with a singular top block is kept.
+Only the one-off pairs the screen keeps build their full systems, for the
+stacked least-squares test by the residual of each one's minimum-norm
+solution; each system of its survivors is then solved on its own. Singular
+and rectangular systems are solved by least squares; a system is accepted
+when its max-residual is at most _RESIDUAL_TOL.
 
-A shape whose long side is at least its short side + 2 is enumerated only
-when the shape one shorter on its long side had a pair that passed the
-residual half of its screen; otherwise all its pairs are pruned by subsets.
-This is conservative. A solution of the system of (R, C') also solves the
-system of every (R, C) with C inside C', which keeps the unknowns and drops
-equations: where the solution of an accepted pair has a max-residual of at
-most _RESIDUAL_TOL, each subsystem of r equations has a least-squares
-residual of at most sqrt(r) * _RESIDUAL_TOL, inside its shape's screen,
-which adds _SCREEN_MARGIN for rounding. No move of such a subpair's long
-side is dominated given R, as it is not in (R, C'), so by induction on C
-every subpair down to short side + 1 reaches the screen and passes it. The
-negative-probability half of the screen stays out of this test: the
-minimum-norm solution of a rank-deficient subsystem can be negative where
-the wider system has a nonnegative one. On a nondegenerate game no one-off
-system is consistent, so no wider shape is enumerated.
+A shape whose long side is at least its short side + 2 comes after the
+sizes, and is enumerated only when the shape one shorter on its long side
+had a pair that passed the residual half of its screen; otherwise all its
+pairs are pruned by subsets. This is conservative. A solution of the system
+of (R, C') also solves the system of every (R, C) with C inside C', which
+keeps the unknowns and drops equations: where the solution of an accepted
+pair has a max-residual of at most _RESIDUAL_TOL, each subsystem of r
+equations has a least-squares residual of at most sqrt(r) * _RESIDUAL_TOL,
+inside its shape's screen, which adds _SCREEN_MARGIN for rounding. No move
+of such a subpair's long side is dominated given R, as it is not in
+(R, C'), so by induction on C every subpair down to short side + 1 reaches
+the screen and passes it. The negative-probability half of the screen
+stays out of this test: the minimum-norm solution of a rank-deficient
+subsystem can be negative where the wider system has a nonnegative one.
+An enumerated wide shape's systems are screened by the left-null solve of
+their one-off subsystem before the minimum-norm test (_may_be_consistent).
+On a nondegenerate game no one-off system is consistent, so no wider shape
+is enumerated.
 
 The candidates of every stack, pairs whose systems both solved with no
-negative probability, are collected for the pass, and one vectorised regret
-screen, in chunks of at most _STACK candidates, drops those that are
-clearly not equilibria. The screens only discard; every profile returned is
-still validated as mixed_profile would validate it and certified by
-is_mixed_nash, in enumeration order, shapes k outer and l inner, which
-decides which of two near-duplicates _dedupe_sorted keeps. On
-payoffs that may overflow, the enumeration runs once more on the payoffs
+negative probability, are collected for the pass and scattered into
+full-length strategies once, and one vectorised regret screen, in chunks of
+at most _STACK candidates, drops those that are clearly not equilibria. The
+screens only discard; every profile returned is still validated as
+mixed_profile would validate it and certified by is_mixed_nash, in
+enumeration order, shapes k outer and l inner, which decides which of two
+near-duplicates _dedupe_sorted keeps. On payoffs that may overflow, the enumeration runs once more on the payoffs
 scaled by an exact power of two, where rounding stays inside the absolute
 tolerances.
 """
@@ -292,9 +300,10 @@ def support_enumeration_applies(g: SimultaneousGame) -> bool:
 
 
 _RESIDUAL_TOL = 1e-7
-# Systems per stacked linear-algebra call: bounds memory whatever the budget.
-# The stacks of support enumeration are cut after its dominance prune, so
-# they are fuller than windows of as many pairs cut before it.
+# Systems per stacked linear-algebra call: bounds the stacks' memory whatever
+# the budget. The stacks of support enumeration are cut after its dominance
+# prune, so they are fuller than windows of as many pairs cut before it; its
+# index arrays of a size's live pairs, 16 bytes a pair, are not cut.
 _STACK = 1 << 14
 # Margin by which the stacked least-squares test widens the residual and
 # probability thresholds, far above the rounding gap between its
@@ -324,10 +333,11 @@ def _indifference_systems(payoff: np.ndarray, own: np.ndarray,
 
 
 def _residual(mats: np.ndarray, sols: np.ndarray) -> np.ndarray:
-    """max |mats[n] @ sols[n] - e_last| for every system of a stack."""
+    """|mats[n] @ sols[n] - e_last| for every system of a stack, one row
+    per system."""
     res = np.matmul(mats, sols[..., None])[..., 0]
     res[:, -1] -= 1.0
-    return np.abs(res, out=res).max(axis=1)
+    return np.abs(res, out=res)
 
 
 def _solve_each(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,38 +355,98 @@ def _solve_each(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return probs, ok
 
 
-def _solve_square(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
-                  cols: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Both players' square systems of a stack of support pairs in one
-    batched solve, which gives the same bits as one solve per system: the
-    second player's indifference fixes the row probabilities p, the first
-    player's the column probabilities q. Returns p, the mask of pairs whose
-    p solved, q and its mask. When the stack holds a singular system, one
-    batched slogdet finds every such system (a sign of 0 comes from the
-    same LU zero pivot that makes the solve raise); the others are solved
-    in one batched solve and the singular ones by _solve_each."""
+def _residual_bound(rows: int) -> float:
+    """The least-squares screen's residual threshold for systems of
+    ``rows`` equations: the residual of an accepted solution, at most
+    _RESIDUAL_TOL per equation, plus _SCREEN_MARGIN for rounding."""
+    return math.sqrt(rows) * _RESIDUAL_TOL + _SCREEN_MARGIN
+
+
+def _left_null_verdict(w: np.ndarray, bound: float) -> np.ndarray:
+    """The verdicts of _left_null_screen from the solutions ``w`` of its
+    transposed top blocks, one row per system: the residual 1 / |(w, 1)|
+    exceeds _LEFT_NULL_MARGIN * ``bound`` just when |w|^2 falls short of
+    1 / (_LEFT_NULL_MARGIN * bound)^2 - 1. A non-finite |w|^2 keeps its
+    pair."""
+    with np.errstate(over="ignore"):
+        norms = np.einsum("ij,ij->i", w, w)
+    return ~(norms < (_LEFT_NULL_MARGIN * bound) ** -2 - 1.0)
+
+
+@functools.cache
+def _right_hand_sides(s: int) -> np.ndarray:
+    """The two right-hand sides of _solve_size's systems of size s, as
+    (2, s, 1): the last unit vector and (-1, ..., -1, -0.0)."""
+    rhs = np.zeros((2, s, 1))
+    rhs[0, -1] = 1.0
+    rhs[1] = -1.0
+    rhs[1, -1] = -0.0
+    rhs.setflags(write=False)
+    return rhs
+
+
+def _solve_size(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
+                cols: np.ndarray, parts, tol: float) -> tuple[np.ndarray, ...]:
+    """One stack of s x s systems in one batched LU solve, each system with
+    a right-hand side of its own. Batched LU factors each matrix on its own,
+    so every system gets the bits of a solve on its own; no system is padded
+    to another size. The stack holds:
+
+    - both players' indifference systems of the square support pairs
+      (rows, cols), of shape (s - 1, s - 1), with the last unit vector. The
+      second player's indifference fixes the row probabilities p, the first
+      player's the column probabilities q;
+    - for each pair of ``parts``, (payoff, own, other) stacks as
+      _indifference_systems takes them with ``other`` one move longer than
+      ``own``, the solve of _left_null_screen: the transposed top block of
+      the pair's one-off system, its payoff rows then a row of -1, with
+      minus the sum row, (-1, ..., -1, -0.0).
+
+    Returns p, q, the mask of square pairs whose systems both solved with no
+    probability below -``tol``, and the left-null screen's verdicts on the
+    parts' pairs in turn. When the stack holds a singular matrix, one
+    batched slogdet finds every such matrix (a sign of 0 comes from the same
+    LU zero pivot that makes the solve raise) and the others are solved in
+    one batched solve: a singular square system is solved by _solve_each,
+    and a pair whose top block is singular is kept, as _left_null_screen
+    keeps it."""
     n, k = rows.shape
-    mats = np.zeros((2 * n, k + 1, k + 1))
+    square = 2 * n
+    tops = sum(len(own) for _, own, _ in parts)
+    mats = np.zeros((square + tops, k + 1, k + 1))
     _indifference_systems(b, rows, cols, mats[:n])
-    _indifference_systems(a.T, cols, rows, mats[n:])
-    rhs = np.zeros((k + 1, 1))
-    rhs[-1] = 1.0
+    _indifference_systems(a.T, cols, rows, mats[n:square])
+    at = square
+    for payoff, own, other in parts:
+        mats[at:at + len(own), :k] = payoff[own[:, :, None], other[:, None, :]]
+        at += len(own)
+    mats[square:, k] = -1.0
+    rhs = np.repeat(_right_hand_sides(k + 1), [square, tops], axis=0)
     try:
         sols = np.linalg.solve(mats, rhs)[..., 0]
-        probs, ok = sols[:, :-1], _residual(mats, sols) <= _RESIDUAL_TOL
+        singular = None
     except np.linalg.LinAlgError:
         singular = np.linalg.slogdet(mats)[0] == 0
         logger.debug("%d singular systems in a stack of %d; solving pair by "
-                     "pair by least squares, the others in one solve",
-                     np.count_nonzero(singular), len(mats))
-        probs = np.empty((len(mats), k))
-        ok = np.empty(len(mats), dtype=bool)
-        regular = ~singular
-        sols = np.linalg.solve(mats[regular], rhs)[..., 0]
-        probs[regular] = sols[:, :-1]
-        ok[regular] = _residual(mats[regular], sols) <= _RESIDUAL_TOL
-        probs[singular], ok[singular] = _solve_each(mats[singular])
-    return probs[:n], ok[:n], probs[n:], ok[n:]
+                     "pair by least squares where square, leaving the pair to "
+                     "the pseudo-inverse where one-off, the others in one "
+                     "solve", np.count_nonzero(singular), len(mats))
+        sols = np.zeros((len(mats), k + 1))
+        sols[~singular] = np.linalg.solve(mats[~singular],
+                                          rhs[~singular])[..., 0]
+    probs = sols[:square, :-1]
+    # Per square system, the residuals over _RESIDUAL_TOL (or NaN), then
+    # the probabilities below -tol.
+    bad = ~(_residual(mats[:square], sols[:square]) <= _RESIDUAL_TOL)
+    screened = _left_null_verdict(sols[square:], _residual_bound(k + 2))
+    if singular is not None:
+        cut = singular[:square]
+        probs[cut], solved = _solve_each(mats[:square][cut])
+        bad[cut] = ~solved[:, None]
+        screened[singular[square:]] = True
+    bad[:, :-1] |= probs < -tol
+    ok = ~bad.any(axis=1)
+    return probs[:n], probs[n:], ok[:n] & ok[n:], screened
 
 
 def _left_null_screen(mats: np.ndarray, bound: float) -> np.ndarray:
@@ -397,23 +467,12 @@ def _left_null_screen(mats: np.ndarray, bound: float) -> np.ndarray:
         logger.debug("singular top block in a stack of %d one-off systems; "
                      "left to the pseudo-inverse", len(mats))
         return np.ones(len(mats), dtype=bool)
-    with np.errstate(over="ignore"):
-        res = 1.0 / np.sqrt(1.0 + (w * w).sum(axis=1))
-    return ~(res > _LEFT_NULL_MARGIN * bound)
+    return _left_null_verdict(w, bound)
 
 
-def _may_be_consistent(parts, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked least-squares test of overdetermined systems (more equations
-    than unknowns) by the residual of each one's minimum-norm solution, with
-    a margin that leaves the decision on every pair it keeps to
-    _solve_each. ``parts`` lists (payoff, own, other) stacks, as
-    _indifference_systems takes them, whose systems have one shape; the two
-    one-off shapes (k, k + 1) and (k + 1, k) share theirs. Returns two masks
-    over the parts' pairs in turn: the pairs whose system may be consistent,
-    and those of them whose system may also have no negative probability.
-    One-off systems, one equation more than unknowns (the only rectangular
-    shapes a nondegenerate game reaches), are first screened by
-    _left_null_screen, which keeps every pair within the bound."""
+def _stacked_systems(parts) -> np.ndarray:
+    """The indifference systems of ``parts``, (payoff, own, other) stacks as
+    _indifference_systems takes them, all of one shape, in one stack."""
     _, own, other = parts[0]
     mats = np.zeros((sum(len(part[1]) for part in parts), other.shape[1] + 1,
                      own.shape[1] + 1))
@@ -421,11 +480,18 @@ def _may_be_consistent(parts, tol: float) -> tuple[np.ndarray, np.ndarray]:
     for payoff, own, other in parts:
         _indifference_systems(payoff, own, other, mats[at:at + len(own)])
         at += len(own)
-    bound = math.sqrt(mats.shape[1]) * _RESIDUAL_TOL + _SCREEN_MARGIN
-    if mats.shape[1] == mats.shape[2] + 1:
-        consistent = _left_null_screen(mats, bound)
-    else:
-        consistent = np.ones(len(mats), dtype=bool)
+    return mats
+
+
+def _least_squares(mats: np.ndarray, consistent: np.ndarray,
+                   tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pseudo-inverse half of the least-squares screen, on the systems
+    of ``mats`` that ``consistent`` marks (updated in place): by the
+    residual of each one's minimum-norm solution, with a margin that leaves
+    the decision on every pair it keeps to _solve_each. Returns the masks
+    of the systems that may be consistent and of those of them that may
+    also have no negative probability."""
+    bound = _residual_bound(mats.shape[1])
     # The minimum-norm solution is the pseudo-inverse's last column, with
     # singular values cut where lstsq(rcond=None) cuts them.
     idx = np.flatnonzero(consistent)
@@ -437,6 +503,27 @@ def _may_be_consistent(parts, tol: float) -> tuple[np.ndarray, np.ndarray]:
         consistent[idx] = keep[idx] = np.linalg.norm(res, axis=1) <= bound
         keep[idx] &= ~(sols[:, :-1] < -(tol + _SCREEN_MARGIN)).any(axis=1)
     return consistent, keep
+
+
+def _may_be_consistent(parts, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked least-squares test of overdetermined systems (more equations
+    than unknowns). ``parts`` lists (payoff, own, other) stacks, as
+    _indifference_systems takes them, whose systems have one shape. Returns
+    two masks over the parts' pairs in turn: the pairs whose system may be
+    consistent, and those of them whose system may also have no negative
+    probability (see _least_squares). Before the pseudo-inverse, every
+    system is screened by _left_null_screen, which keeps every pair within
+    the bound: a one-off system, one equation more than unknowns, whole, and
+    a wider one by its one-off subsystem, its first k + 1 payoff rows and
+    the sum row, against the full system's bound. The least-squares
+    residual of a system is at least that of any subset of its rows, so a
+    subsystem over the bound puts the whole system over it."""
+    mats = _stacked_systems(parts)
+    unknowns = mats.shape[2]
+    sub = (mats if mats.shape[1] == unknowns + 1
+           else mats[:, [*range(unknowns), -1]])
+    return _least_squares(
+        mats, _left_null_screen(sub, _residual_bound(mats.shape[1])), tol)
 
 
 @functools.cache
@@ -452,12 +539,16 @@ def _supports(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return combos, bits
 
 
-def _scatter(support: np.ndarray, probs: np.ndarray, moves: int) -> np.ndarray:
-    """Full-length strategies with the clipped probabilities on each
+def _scatter(pieces, moves: int) -> np.ndarray:
+    """Full-length strategies, one row per pair of the (supports,
+    probabilities) pieces in turn, with the clipped probabilities on each
     support."""
-    out = np.zeros((len(support), moves))
-    out[np.arange(len(support))[:, None], support] = np.clip(probs, 0.0, None)
-    return out
+    out = np.zeros((sum(len(support) for support, _ in pieces), moves))
+    at = 0
+    for support, probs in pieces:
+        out[np.arange(at, at + len(support))[:, None], support] = probs
+        at += len(support)
+    return np.clip(out, 0.0, None, out=out)
 
 
 def _regret_screen(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
@@ -522,15 +613,15 @@ def _dominated_moves(payoff: np.ndarray, margin: float) -> np.ndarray:
     own, moves = payoff.shape
     bits = 1 << np.arange(moves, dtype=np.int64)
     # gaps[i, c, d]: against own move i, move d beats move c by more than
-    # the margin. No move dominates itself, whatever the margin.
+    # the margin.
     gaps = (payoff[:, None, :] - payoff[:, :, None]) > margin
-    gaps[:, np.arange(moves), np.arange(moves)] = False
     # beaters[s, c]: the moves that beat c against every move of support s,
     # as a bitmask. The supports whose highest move is i are those below i,
-    # each with i added.
+    # each with i added. No move dominates itself, whatever the margin, so
+    # each move's own bit is cleared.
     beaters = np.empty((1 << own, moves), dtype=np.int64)
     beaters[0] = -1
-    gap_bits = gaps @ bits
+    gap_bits = (gaps @ bits) & ~bits
     for i in range(own):
         np.bitwise_and(beaters[:1 << i], gap_bits[i],
                        out=beaters[1 << i:2 << i])
@@ -553,49 +644,78 @@ def _dedupe_sorted(profiles: list[MixedProfile], tol: float) -> list[MixedProfil
     return [profiles[k] for k in kept]
 
 
-def _live_stacks(m0: int, m1: int, k: int, l: int, beaten0, beaten1,
-                 counts: collections.Counter):
-    """The support pairs of shape (k, l) that dominance does not drop, in
-    enumeration order (row support outer, column support inner), as index
-    arrays into the shape's row and column combinations, in stacks of at
-    most _STACK systems: _STACK pairs, or half as many in square shapes,
-    whose pairs put both players' systems into one solve. ``beaten0`` and
-    ``beaten1`` are the _dominated_moves tables of the two sides. The pairs
-    are selected in blocks of whole rows, about _STACK pairs each, so that
-    memory stays bounded; the dropped pairs are added to ``counts``."""
+def _live_pairs(m0: int, m1: int, k: int, l: int, beaten0,
+                beaten1) -> tuple[np.ndarray, np.ndarray]:
+    """The support pairs of a rectangular shape (k, l) that dominance does
+    not drop, in enumeration order (row support outer, column support
+    inner), as index arrays into the shape's row and column combinations,
+    selected by one broadcast that tests the long side only. ``beaten0``
+    and ``beaten1`` are the _dominated_moves tables of the two sides."""
     row_bits, col_bits = _supports(m0, k)[1], _supports(m1, l)[1]
-    if k >= l:
-        beaten_rows = beaten0[col_bits]
-    stack = max(1, _STACK // 2) if k == l else _STACK
-    step = max(1, _STACK // len(col_bits))
-    for start in range(0, len(row_bits), step):
-        bits = row_bits[start:start + step, None]
-        # Rectangular shapes test only the long side, square shapes both.
-        if k > l:
-            cut = (bits & beaten_rows) != 0
-        else:
-            cut = (beaten1[bits] & col_bits) != 0
-            if k == l:
-                cut |= (bits & beaten_rows) != 0
-        counts["dominated"] += np.count_nonzero(cut)
-        r, c = np.nonzero(~cut)
-        r += start
-        for at in range(0, len(r), stack):
-            yield r[at:at + stack], c[at:at + stack]
+    if k < l:
+        return np.nonzero((beaten1[row_bits, None] & col_bits) == 0)
+    return np.nonzero((row_bits[:, None] & beaten0[col_bits]) == 0)
 
 
-def _packed(pieces):
-    """Consecutive stacks of support pairs, (shape, rows, cols), packed into
-    groups of at most _STACK pairs; no stack is split."""
-    group, size = [], 0
-    for piece in pieces:
-        if group and size + len(piece[1]) > _STACK:
-            yield group
-            group, size = [], 0
-        group.append(piece)
-        size += len(piece[1])
-    if group:
-        yield group
+@functools.cache
+def _size_bits(m: int, k: int) -> np.ndarray:
+    """The bitmasks of the supports of k moves out of m, then, if k < m,
+    those of k + 1 moves: one side's supports in the shapes of system size
+    k + 1. Read-only, cached as _supports is."""
+    bits = _supports(m, k)[1]
+    if k < m:
+        bits = np.concatenate([bits, _supports(m, k + 1)[1]])
+        bits.setflags(write=False)
+    return bits
+
+
+def _size_pairs(m0: int, m1: int, k: int, beaten0, beaten1):
+    """The support pairs of system size k + 1 that dominance does not drop,
+    as index arrays into each shape's row and column combinations, in
+    enumeration order, shape by shape: the square shape (k, k), then the
+    one-off shapes (k, k + 1) and (k + 1, k) that fit the game, as (shape,
+    rows, cols). One broadcast per side serves all three shapes: the column side tests the row
+    supports of k moves against the column supports of k and k + 1 moves,
+    and the row side the row supports of k and k + 1 moves against the
+    column supports of k moves. Square shapes test both sides, rectangular
+    shapes only the long one."""
+    rows, cols = _size_bits(m0, k), _size_bits(m1, k)
+    nr, nc = math.comb(m0, k), math.comb(m1, k)
+    col_side = (beaten1[rows[:nr], None] & cols) == 0
+    row_side = (rows[:, None] & beaten0[cols[:nc]]) == 0
+    square = col_side[:, :nc] & row_side[:nr]
+    pairs = [((k, k), *np.nonzero(square))]
+    if k < m1:
+        pairs.append(((k, k + 1), *np.nonzero(col_side[:, nc:])))
+    if k < m0:
+        pairs.append(((k + 1, k), *np.nonzero(row_side[nr:])))
+    return pairs
+
+
+def _size_stacks(m0: int, m1: int, pairs):
+    """The stacks of one system size s, from its _size_pairs. Square pairs
+    come first, two systems each, then one-off pairs, one system each; a
+    stack holds at most _STACK systems, or one square pair's two, and no
+    pair is split. Yields the stack's square pairs, as row and column
+    supports, and its one-off pairs, as (shape, row supports, column
+    supports) per shape."""
+    def supports(shape, r, c):
+        return _supports(m0, shape[0])[0][r], _supports(m1, shape[1])[0][c]
+
+    (shape, r, c), *one_off = pairs
+    total = sum(len(rows) for _, rows, _ in one_off)
+    i = j = 0
+    while i < len(r) or j < total:
+        di = min(len(r) - i, max(1, _STACK // 2))
+        dj = min(total - j, max(0, _STACK - 2 * di))
+        pieces, at = [], 0
+        for one, rows, cols in one_off:
+            lo, hi = max(j - at, 0), min(j + dj - at, len(rows))
+            if lo < hi:
+                pieces.append((one, *supports(one, rows[lo:hi], cols[lo:hi])))
+            at += len(rows)
+        yield supports(shape, r[i:i + di], c[i:i + di]), pieces
+        i, j = i + di, j + dj
 
 
 def _listed_profiles(*stacks: np.ndarray) -> list[ListedProfile]:
@@ -640,33 +760,26 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
     # the least-squares screen.
     consistent: set[tuple[int, int]] = set()
     counts = collections.Counter()
-    # Per shape, the stacks of candidates: pairs whose systems both solved
-    # with no negative probability, as full-length row and column
-    # strategies.
+    # Per shape, the candidates in enumeration order: pairs whose systems
+    # both solved with no negative probability, as (row supports, p, column
+    # supports, q).
     candidates = collections.defaultdict(list)
 
-    def stacks(*shapes):
-        for k, l in shapes:
-            row_sets, col_sets = _supports(m0, k)[0], _supports(m1, l)[0]
-            for r, c in _live_stacks(m0, m1, k, l, beaten0, beaten1, counts):
-                yield (k, l), row_sets[r], col_sets[c]
+    def overdetermined(shape, s0, s1):
+        # The column player's indifference fixes p when l > k, the row
+        # player's q when k > l.
+        return (b, s0, s1) if shape[1] > shape[0] else (a.T, s1, s0)
 
-    def add(shape, s0, s1, p, ok_p, q, ok_q):
-        ok = (ok_p & ok_q & ~(p < -tol).any(axis=1)
-              & ~(q < -tol).any(axis=1))
+    def add(shape, s0, p, s1, q, ok):
         counts["solved"] += np.count_nonzero(ok)
         if ok.any():
-            candidates[shape].append((_scatter(s0[ok], p[ok], m0),
-                                      _scatter(s1[ok], q[ok], m1)))
+            candidates[shape].append((s0[ok], p[ok], s1[ok], q[ok]))
 
-    def screen(group):
-        # Each pair's overdetermined system: the column player's
-        # indifference fixes p when l > k, the row player's q when k > l.
-        parts = [(b, s0, s1) if l > k else (a.T, s1, s0)
-                 for (k, l), s0, s1 in group]
-        residual_ok, keep = _may_be_consistent(parts, tol)
+    def settle(pieces, residual_ok, keep):
+        # The (shape, s0, s1) pieces of a rectangular stack after its
+        # least-squares screen: each pair it keeps is solved on its own.
         at = 0
-        for shape, s0, s1 in group:
+        for shape, s0, s1 in pieces:
             part = slice(at, at + len(s0))
             at = part.stop
             if residual_ok[part].any():
@@ -674,33 +787,67 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
             counts["screened out"] += len(s0) - np.count_nonzero(keep[part])
             if keep[part].any():
                 s0, s1 = s0[keep[part]], s1[keep[part]]
-                add(shape, s0, s1,
-                    *_solve_each(_indifference_systems(b, s0, s1)),
-                    *_solve_each(_indifference_systems(a.T, s1, s0)))
+                p, ok_p = _solve_each(_indifference_systems(b, s0, s1))
+                q, ok_q = _solve_each(_indifference_systems(a.T, s1, s0))
+                add(shape, s0, p, s1, q,
+                    ok_p & ok_q & ~(p < -tol).any(axis=1)
+                    & ~(q < -tol).any(axis=1))
 
+    for k in range(1, min(m0, m1) + 1):
+        # System size k + 1: the square shape (k, k), and the one-off
+        # shapes (k, k + 1) and (k + 1, k), whose screens solve the
+        # transposed top blocks of their (k + 2) x (k + 1) systems.
+        pairs = _size_pairs(m0, m1, k, beaten0, beaten1)
+        for (k0, l0), rows, _ in pairs:
+            counts["dominated"] += (math.comb(m0, k0) * math.comb(m1, l0)
+                                    - len(rows))
+        for (rows, cols), pieces in _size_stacks(m0, m1, pairs):
+            p, q, ok, screened = _solve_size(
+                a, b, rows, cols, [overdetermined(*piece) for piece in pieces],
+                tol)
+            add((k, k), rows, p, cols, q, ok)
+            # Only the pairs the left-null screen keeps build their one-off
+            # systems, for the pseudo-inverse.
+            survivors, at = [], 0
+            for shape, s0, s1 in pieces:
+                mask = screened[at:at + len(s0)]
+                at += len(s0)
+                counts["screened out"] += len(s0) - np.count_nonzero(mask)
+                if mask.any():
+                    survivors.append((shape, s0[mask], s1[mask]))
+            if survivors:
+                mats = _stacked_systems([overdetermined(*piece)
+                                         for piece in survivors])
+                settle(survivors,
+                       *_least_squares(mats, np.ones(len(mats), dtype=bool),
+                                       tol))
+    # The wider shapes, k outer and l inner, so that the shape one shorter
+    # on the long side is settled first.
     for k in range(1, m0 + 1):
         for l in range(1, m1 + 1):
-            if k == l:
-                for shape, s0, s1 in stacks((k, l)):
-                    add(shape, s0, s1, *_solve_square(a, b, s0, s1))
-            elif (abs(k - l) >= 2 and
-                    ((k, l - 1) if l > k else (k - 1, l)) not in consistent):
+            if abs(k - l) < 2:
+                continue
+            if ((k, l - 1) if l > k else (k - 1, l)) not in consistent:
                 counts["pruned"] += math.comb(m0, k) * math.comb(m1, l)
-            elif l == k - 1 and k <= m1:
-                pass  # screened with the shape (l, k)
-            else:
-                # The one-off shapes (k, k + 1) and (k + 1, k) build systems
-                # of one shape, (k + 2) x (k + 1): one screen serves both.
-                shapes = [(k, l), (l, k)] if l == k + 1 <= m0 else [(k, l)]
-                for group in _packed(stacks(*shapes)):
-                    screen(group)
+                continue
+            shape = k, l
+            r, c = _live_pairs(m0, m1, k, l, beaten0, beaten1)
+            counts["dominated"] += math.comb(m0, k) * math.comb(m1, l) - len(r)
+            row_sets, col_sets = _supports(m0, k)[0], _supports(m1, l)[0]
+            for at in range(0, len(r), _STACK):
+                s0 = row_sets[r[at:at + _STACK]]
+                s1 = col_sets[c[at:at + _STACK]]
+                settle([(shape, s0, s1)],
+                       *_may_be_consistent([overdetermined(shape, s0, s1)],
+                                           tol))
     # The regret screen in chunks, then certification in enumeration order:
     # shapes k outer, l inner.
     found: list[MixedProfile] = []
-    shapes = sorted(candidates)
-    if shapes:
-        rows = np.concatenate([r for s in shapes for r, _ in candidates[s]])
-        cols = np.concatenate([c for s in shapes for _, c in candidates[s]])
+    pieces = [piece for shape in sorted(candidates)
+              for piece in candidates[shape]]
+    if pieces:
+        rows = _scatter([(s0, p) for s0, p, _, _ in pieces], m0)
+        cols = _scatter([(s1, q) for _, _, s1, q in pieces], m1)
         for at in range(0, len(rows), _STACK):
             chunk = slice(at, at + _STACK)
             passed = at + np.flatnonzero(_regret_screen(

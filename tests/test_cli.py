@@ -1126,21 +1126,27 @@ def test_grid_matrices_beyond_the_budget_exit_4(capsys, tmp_path):
                    "exceeds budget 1000000\n")
 
 
-def _hog(*argv, timeout=60):
+def _hog(*argv, timeout=60, digits=None):
     """The CLI in a process of its own, where nothing but the program
-    installs a logging handler, and a traceback reaches stderr."""
+    installs a logging handler, and a traceback reaches stderr. With
+    ``digits``, the interpreter's limit on int-to-decimal conversion is set
+    to it through PYTHONINTMAXSTRDIGITS (0: no limit)."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     env.pop("HOG_BUDGET", None)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if digits is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = str(digits)
     return subprocess.run([sys.executable, "-m", "hog.cli", *map(str, argv)],
                           capture_output=True, text=True, timeout=timeout,
                           env=env)
 
 
 def test_budget_counts_too_long_to_print_exit_4(tmp_path):
-    # Each count has more digits than str() prints: 2^16384 contingent
-    # moves of one 15-round player, (2^15000 - 1) support pairs, and the
-    # plays of a game of tens of thousands of rounds.
+    # Each count has more digits than str() prints by default: 2^16384
+    # contingent moves of one 15-round player, (2^15000 - 1) support pairs,
+    # and the plays of a game of tens of thousands of rounds. The message is
+    # the same when the interpreter prints ints of any size.
     rounds = 15
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps({
@@ -1158,23 +1164,40 @@ def test_budget_counts_too_long_to_print_exit_4(tmp_path):
             (["solve", wide, "--mode", "mixed"], "at least 2^14999 support pairs"),
             (["fuzz", "--family", "seq", "--max-rounds", "100000", "--count",
               "3", "--seed", "1"], "at least 2^14284 plays")]:
-        done = _hog(*argv)
-        assert (done.returncode, done.stdout, done.stderr) == (
-            4, "", f"error: enumeration of {err} exceeds budget 1000000\n")
+        for digits in (None, 0):
+            done = _hog(*argv, digits=digits)
+            assert (done.returncode, done.stdout, done.stderr) == (
+                4, "", f"error: enumeration of {err} exceeds budget 1000000\n")
     # The count itself stays exact.
     exc = hog.errors.BudgetExceededError(3 ** 9100, 5, "plays")
     assert exc.count == 3 ** 9100
     assert str(exc) == "enumeration of at least 2^14423 plays exceeds budget 5"
+    # Up to 4300 digits a count is written out in full, whatever the limit
+    # of the interpreter it runs in; from 4301 digits it never is.
+    for count in (0, 10 ** 600 - 1, 10 ** 600, 7 ** 3000, 10 ** 4300 - 1):
+        # The count is passed in hex, which the limit does not cover.
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from hog.errors import "
+             "BudgetExceededError as E; print(E(int(sys.argv[1], 16), 5))",
+             hex(count)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONINTMAXSTRDIGITS="640",
+                     PYTHONPATH=str(Path(hog.errors.__file__).parent.parent)))
+        assert done.stdout == f"enumeration of {count} items exceeds budget 5\n"
+    assert str(hog.errors.BudgetExceededError(10 ** 4300, 5)) == (
+        "enumeration of at least 2^14284 items exceeds budget 5")
 
 
 def test_fuzz_of_millions_of_rounds_is_refused_at_once():
     # The fewest plays of the drawn rounds already have more digits than
-    # str() prints, so the sweep refuses before it draws a move count.
-    done = _hog("fuzz", "--family", "seq", "--max-rounds", "3000000",
-                "--count", "3", "--seed", "1", timeout=10)
-    assert (done.returncode, done.stdout, done.stderr) == (
-        4, "", "error: enumeration of at least 2^14284 plays exceeds budget "
-        "1000000\n")
+    # str() prints by default, so the sweep refuses before it draws a move
+    # count, also when the interpreter prints ints of any size.
+    for digits in (None, 0):
+        done = _hog("fuzz", "--family", "seq", "--max-rounds", "3000000",
+                    "--count", "3", "--seed", "1", timeout=10, digits=digits)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            4, "", "error: enumeration of at least 2^14284 plays exceeds "
+            "budget 1000000\n")
 
 
 def test_exit_5_reports_once(tmp_path):

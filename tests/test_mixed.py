@@ -438,20 +438,56 @@ def test_support_enumeration_small_stacks_match_reference(monkeypatch):
             _assert_same_profiles(solve_support_enumeration_2p(g), want)
 
 
+def test_support_enumeration_stacks_hold_at_most_stack_systems(monkeypatch):
+    # Each size's stack holds at most _STACK systems, or one square pair's
+    # two when _STACK is 1, with square and one-off pairs in one stack where
+    # both fit, and the answers do not depend on where the stacks end.
+    rng = np.random.default_rng(77)
+    games = [_continuous_game(rng, 4, 5), _degenerate_wide_game(rng, 5, True)]
+    solve_size = hog.mixed._solve_size
+    for g in games:
+        want = _reference_support_enumeration(g)
+        for stack in (1, 3, 7, hog.mixed._STACK):
+            stacks = []
+
+            def sized(a, b, rows, cols, parts, tol):
+                stacks.append((2 * len(rows), sum(len(p[1]) for p in parts)))
+                return solve_size(a, b, rows, cols, parts, tol)
+
+            monkeypatch.setattr(hog.mixed, "_STACK", stack)
+            monkeypatch.setattr(hog.mixed, "_solve_size", sized)
+            _assert_same_profiles(solve_support_enumeration_2p(g), want)
+            monkeypatch.undo()
+            assert all(0 < square + tops <= max(stack, 2)
+                       for square, tops in stacks)
+            assert any(square and tops for square, tops in stacks) == (
+                stack > 2)
+
+
 def _recording_screen(monkeypatch):
     """Record the row and column supports, (N, k) and (N, l), of every stack
-    that reaches the stacked least-squares screen. The row-overdetermined
-    side screens the transpose of the first player's payoffs, with the
-    column supports as unknowns."""
+    that reaches the stacked least-squares screen: the one-off pairs of each
+    size's stack, whose left-null screen runs there, and the stacks of
+    wider shapes. The row-overdetermined side screens the transpose of the
+    first player's payoffs, with the column supports as unknowns."""
     stacks = []
+    solve_size = hog.mixed._solve_size
     screen = hog.mixed._may_be_consistent
 
-    def recording(parts, tol):
+    def record(parts):
         for payoff, own, other in parts:
             transposed = payoff.strides[0] < payoff.strides[1]
             stacks.append((other, own) if transposed else (own, other))
+
+    def sized(a, b, rows, cols, parts, tol):
+        record(parts)
+        return solve_size(a, b, rows, cols, parts, tol)
+
+    def recording(parts, tol):
+        record(parts)
         return screen(parts, tol)
 
+    monkeypatch.setattr(hog.mixed, "_solve_size", sized)
     monkeypatch.setattr(hog.mixed, "_may_be_consistent", recording)
     return stacks
 
@@ -459,10 +495,11 @@ def _recording_screen(monkeypatch):
 def _reached_pairs(monkeypatch, g, tol):
     """solve_support_enumeration_2p's answer and, for each of its passes,
     the payoff matrices and the set of support pairs that reached a square
-    solve or the least-squares screen."""
+    solve or the least-squares screen: the square and one-off pairs of each
+    size's stack, and the pairs of wider shapes."""
     passes = []
     certified = hog.mixed._certified_supports
-    solve_square = hog.mixed._solve_square
+    solve_size = hog.mixed._solve_size
     screen = hog.mixed._may_be_consistent
 
     def record(payoff, own, other):
@@ -475,9 +512,11 @@ def _reached_pairs(monkeypatch, g, tol):
         passes.append((a, b, set()))
         return certified(g, a, b, *args)
 
-    def square(a, b, rows, cols):
+    def sized(a, b, rows, cols, parts, tol):
         record(b, rows, cols)
-        return solve_square(a, b, rows, cols)
+        for part in parts:
+            record(*part)
+        return solve_size(a, b, rows, cols, parts, tol)
 
     def screening(parts, tol):
         for part in parts:
@@ -486,7 +525,7 @@ def _reached_pairs(monkeypatch, g, tol):
 
     with monkeypatch.context() as patch:
         patch.setattr(hog.mixed, "_certified_supports", certifying)
-        patch.setattr(hog.mixed, "_solve_square", square)
+        patch.setattr(hog.mixed, "_solve_size", sized)
         patch.setattr(hog.mixed, "_may_be_consistent", screening)
         got = solve_support_enumeration_2p(g, tol)
     return got, passes
@@ -660,6 +699,132 @@ def test_support_enumeration_screens_no_wide_shape_of_a_generic_game(
     assert stacks
     assert all(abs(rows.shape[1] - cols.shape[1]) == 1
                for rows, cols in stacks)
+
+
+def test_support_enumeration_counts_are_pinned(caplog):
+    # The summary counts on seeded nondegenerate 6x6 games and on degenerate
+    # games whose wide shapes hold consistent pairs, as the enumeration gave
+    # them shape by shape: walking system sizes, and screening systems two
+    # or more equations over by their one-off subsystems, changes none.
+    games = [(_continuous_game(np.random.default_rng(seed), 6, 6), 1e-9)
+             for seed in (1, 2, 3, 606)]
+    rng = np.random.default_rng(1)
+    games += [(g, tol) for g in (_degenerate_wide_game(rng, 5, True),
+                                 _degenerate_wide_game(rng, 6, False))
+              for tol in (1e-9, 1e-6)]
+    caplog.set_level(logging.DEBUG, logger="hog.mixed")
+    counts = []
+    for g, tol in games:
+        solve_support_enumeration_2p(g, tol)
+        counts.append(_logged_counts(caplog))
+    # Enumerated, pruned by subsets, screened out, solved, certified and
+    # pruned by dominance.
+    assert counts == [[3969, 1474, 196, 10, 3, 2222],
+                      [3969, 1474, 168, 11, 1, 2291],
+                      [3969, 1474, 82, 3, 3, 2410],
+                      [3969, 1474, 211, 33, 7, 2172],
+                      [961, 0, 107, 460, 199, 305],
+                      [961, 0, 107, 460, 199, 305],
+                      [3969, 48, 620, 297, 58, 2693],
+                      [3969, 48, 620, 297, 58, 2693]]
+
+
+def test_support_enumeration_solves_each_size_once(monkeypatch):
+    # On a nondegenerate 6x6 game every s x s system of one size, both
+    # players' square systems and the one-off screens' top blocks, goes to
+    # one batched solve, and nothing else calls it.
+    sizes = []
+    solve = np.linalg.solve
+
+    def counting(mats, rhs):
+        sizes.append(mats.shape[-1])
+        return solve(mats, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    assert solve_support_enumeration_2p(
+        _continuous_game(np.random.default_rng(1), 6, 6))
+    assert sizes and len(sizes) == len(set(sizes))
+    assert set(sizes) <= set(range(2, 8))
+
+
+def _near_duplicate_game(seed):
+    """Continuous 6x6 payoffs with column 1 of the second player's and row 1
+    of the first player's 1e-12 above column and row 0: one-off systems that
+    hold both are consistent to rounding, so two-off shapes open, and their
+    top blocks are nearly, but not exactly, singular."""
+    a, b = np.random.default_rng(seed).uniform(-1, 1, (2, 6, 6))
+    b[:, 1] = b[:, 0] + 1e-12
+    a[1] = a[0] + 1e-12
+    return SimultaneousGame.from_tensors([6, 6], [a.ravel(), b.ravel()],
+                                         [max_quantifier()] * 2)
+
+
+def test_support_enumeration_screens_two_off_systems_before_pinv(
+        monkeypatch):
+    # Systems with two or more equations more than unknowns reach the
+    # pseudo-inverse only when their one-off subsystem, the first k + 1
+    # payoff rows and the sum row, passes the left-null screen with the
+    # full system's bound. Here some do and some do not; the answers are
+    # the per-pair reference's.
+    for seed in (0, 1):
+        g = _near_duplicate_game(seed)
+        stacks = _recording_screen(monkeypatch)
+        inverted = []
+        pinv = np.linalg.pinv
+
+        def recording(mats, **kwargs):
+            inverted.append(mats)
+            return pinv(mats, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", recording)
+        got = solve_support_enumeration_2p(g)
+        monkeypatch.undo()
+        _assert_same_profiles(got, _reference_support_enumeration(g))
+        wide = [mats for mats in inverted
+                if mats.shape[1] >= mats.shape[2] + 2]
+        assert wide
+        for mats in wide:
+            rows = [*range(mats.shape[2]), mats.shape[1] - 1]
+            bound = hog.mixed._residual_bound(mats.shape[1])
+            for system in mats:
+                assert hog.mixed._left_null_screen(system[None, rows], bound)[0]
+        reached = sum(len(rows) for rows, cols in stacks
+                      if abs(rows.shape[1] - cols.shape[1]) >= 2)
+        assert 0 < sum(map(len, wide)) < reached
+
+
+def test_size_stack_matches_each_system_alone(caplog):
+    # One size's stack against each of its systems on its own: the square
+    # pairs' probabilities are those of one solve per system (lstsq where
+    # singular), and each one-off pair's verdict is that of
+    # _left_null_screen on its system alone. The payoffs of
+    # test_one_off_screen_matches_qr_screen put exactly singular square
+    # systems and top blocks into some stacks, and non-finite left null
+    # vectors into others.
+    caplog.set_level(logging.DEBUG, logger="hog.mixed")
+    solved = 0
+    for name, payoff in _one_off_payoffs().items():
+        a = b = payoff[:, :5]
+        for k, (own, other) in enumerate(_one_off_stacks(payoff), 1):
+            rows, cols = (np.array(side) for side in zip(*itertools.product(
+                itertools.combinations(range(5), k), repeat=2)))
+            with quiet(True):
+                p, q, ok, screened = hog.mixed._solve_size(
+                    a, b, rows, cols, [(payoff, own, other)], 1e-9)
+                bound = hog.mixed._residual_bound(k + 2)
+                alone = [hog.mixed._left_null_screen(
+                    hog.mixed._indifference_systems(payoff, o[None], t[None]),
+                    bound)[0] for o, t in zip(own, other)]
+                for n in np.flatnonzero(ok):
+                    r, c = rows[n].tolist(), cols[n].tolist()
+                    assert np.array_equal(
+                        p[n], _reference_indifference_solve(b, r, c)), name
+                    assert np.array_equal(
+                        q[n], _reference_indifference_solve(a.T, c, r)), name
+            assert screened.tolist() == alone, (name, k)
+            solved += np.count_nonzero(ok)
+    assert solved
+    assert "solving pair by pair" in caplog.text
 
 
 def test_support_enumeration_logs_its_counts(monkeypatch, caplog):
