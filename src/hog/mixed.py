@@ -66,18 +66,21 @@ All s x s systems of a size go into one stack, solved by one batched LU
 solve with a right-hand side per system (_solve_size): both players'
 square systems, and for each one-off pair the transposed top block of its
 system, whose solution gives a left null vector and so the system's
-least-squares residual (_left_null_screen). Batched LU factors each matrix
-on its own, so every system gets the bits of a solve of its own; no system
-is padded to another size, which would change them. A stack holds at most
-_STACK systems, so the larger sizes of large games take several. When a
-stack holds a singular matrix, one batched slogdet finds every such matrix,
-the others are solved in one batched solve, a singular square system is
-solved on its own and a one-off pair with a singular top block is kept.
-Only the one-off pairs the screen keeps build their full systems, for the
-stacked least-squares test by the residual of each one's minimum-norm
-solution; each system of its survivors is then solved on its own. Singular
-and rectangular systems are solved by least squares; a system is accepted
-when its max-residual is at most _RESIDUAL_TOL.
+least-squares residual. Batched LU factors each matrix on its own, so
+every system gets the bits of a solve of its own; no system is padded to
+another size, which would change them. A stack holds at most _STACK
+systems, so the larger sizes of large games take several. A singular
+matrix decides only for itself: one batched slogdet finds every such
+matrix of the stack, the others are solved in one batched solve, a
+singular square system is solved on its own, and a pair whose own top
+block is singular is kept while the rest of its stack keeps its verdicts.
+
+That left-null solve is the one screen of every overdetermined system.
+Only the pairs it keeps build their full systems, for the stacked
+least-squares test by the residual of each one's minimum-norm solution
+(_least_squares); each system of its survivors is then solved on its own.
+Singular and rectangular systems are solved by least squares; a system is
+accepted when its max-residual is at most _RESIDUAL_TOL.
 
 A shape whose long side is at least its short side + 2 comes after the
 sizes, and is enumerated only when the shape one shorter on its long side
@@ -93,10 +96,12 @@ of such a subpair's long side is dominated given R, as it is not in
 the screen and passes it. The negative-probability half of the screen
 stays out of this test: the minimum-norm solution of a rank-deficient
 subsystem can be negative where the wider system has a nonnegative one.
-An enumerated wide shape's systems are screened by the left-null solve of
-their one-off subsystem before the minimum-norm test (_may_be_consistent).
-On a nondegenerate game no one-off system is consistent, so no wider shape
-is enumerated.
+An enumerated wide shape goes through _solve_size in stacks with no square
+pair: each system is screened by the top block of its one-off subsystem,
+its first k + 1 payoff rows and the sum row, against the full system's
+bound, as the least-squares residual of a system is at least that of any
+subset of its rows. On a nondegenerate game no one-off system is
+consistent, so no wider shape is enumerated.
 
 The candidates of every stack, pairs whose systems both solved with no
 negative probability, are collected for the pass and scattered into
@@ -105,9 +110,9 @@ at most _STACK candidates, drops those that are clearly not equilibria. The
 screens only discard; every profile returned is still validated as
 mixed_profile would validate it and certified by is_mixed_nash, in
 enumeration order, shapes k outer and l inner, which decides which of two
-near-duplicates _dedupe_sorted keeps. On payoffs that may overflow, the enumeration runs once more on the payoffs
-scaled by an exact power of two, where rounding stays inside the absolute
-tolerances.
+near-duplicates _dedupe_sorted keeps. On payoffs that may overflow, the
+enumeration runs once more on the payoffs scaled by an exact power of two,
+where rounding stays inside the absolute tolerances.
 """
 
 from __future__ import annotations
@@ -142,7 +147,8 @@ def mixed_strategy(probs) -> np.ndarray:
         raise StructuralError("a mixed strategy is a nonempty 1-d probability vector")
     if np.any(vec < -TOL_SIMPLEX):
         raise StructuralError(f"negative probability beyond tolerance: {vec}")
-    total = float(vec.sum())
+    with np.errstate(over="ignore"):
+        total = float(vec.sum())
     if not (1 - TOL_SIMPLEX <= total <= 1 + TOL_SIMPLEX):
         raise StructuralError(f"probabilities sum to {total}, expected 1")
     return _rescaled(np.clip(vec, 0.0, None))
@@ -309,9 +315,9 @@ _STACK = 1 << 14
 # probability thresholds, far above the rounding gap between its
 # pseudo-inverse and the per-pair lstsq that decides.
 _SCREEN_MARGIN = 1e-6
-# Factor by which the left-null-vector screen of one-off systems widens the
-# residual threshold: its residual is computed from a solve with the top
-# block, whose rounding the pseudo-inverse that decides does not share.
+# Factor by which the left-null screen widens the residual threshold: its
+# residual is computed from a solve with the top block, whose rounding the
+# pseudo-inverse that decides does not share.
 _LEFT_NULL_MARGIN = 10.0
 
 
@@ -363,8 +369,8 @@ def _residual_bound(rows: int) -> float:
 
 
 def _left_null_verdict(w: np.ndarray, bound: float) -> np.ndarray:
-    """The verdicts of _left_null_screen from the solutions ``w`` of its
-    transposed top blocks, one row per system: the residual 1 / |(w, 1)|
+    """The left-null screen's verdicts (see _solve_size) from the solutions
+    ``w`` of the transposed top blocks, one row per system: 1 / |(w, 1)|
     exceeds _LEFT_NULL_MARGIN * ``bound`` just when |w|^2 falls short of
     1 / (_LEFT_NULL_MARGIN * bound)^2 - 1. A non-finite |w|^2 keeps its
     pair."""
@@ -397,10 +403,11 @@ def _solve_size(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
       second player's indifference fixes the row probabilities p, the first
       player's the column probabilities q;
     - for each pair of ``parts``, (payoff, own, other) stacks as
-      _indifference_systems takes them with ``other`` one move longer than
-      ``own``, the solve of _left_null_screen: the transposed top block of
-      the pair's one-off system, its payoff rows then a row of -1, with
-      minus the sum row, (-1, ..., -1, -0.0).
+      _indifference_systems takes them, all of one system shape with
+      ``other`` longer than ``own``, the left-null screen of the pair's
+      system (_left_null_verdict): the transposed top block of its one-off
+      subsystem, its first s payoff rows and the sum row, with minus the
+      sum row, (-1, ..., -1, -0.0).
 
     Returns p, q, the mask of square pairs whose systems both solved with no
     probability below -``tol``, and the left-null screen's verdicts on the
@@ -408,8 +415,7 @@ def _solve_size(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     batched slogdet finds every such matrix (a sign of 0 comes from the same
     LU zero pivot that makes the solve raise) and the others are solved in
     one batched solve: a singular square system is solved by _solve_each,
-    and a pair whose top block is singular is kept, as _left_null_screen
-    keeps it."""
+    and a pair whose own top block is singular is kept."""
     n, k = rows.shape
     square = 2 * n
     tops = sum(len(own) for _, own, _ in parts)
@@ -418,7 +424,8 @@ def _solve_size(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     _indifference_systems(a.T, cols, rows, mats[n:square])
     at = square
     for payoff, own, other in parts:
-        mats[at:at + len(own), :k] = payoff[own[:, :, None], other[:, None, :]]
+        mats[at:at + len(own), :k] = payoff[own[:, :, None],
+                                            other[:, None, :k + 1]]
         at += len(own)
     mats[square:, k] = -1.0
     rhs = np.repeat(_right_hand_sides(k + 1), [square, tops], axis=0)
@@ -428,9 +435,9 @@ def _solve_size(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     except np.linalg.LinAlgError:
         singular = np.linalg.slogdet(mats)[0] == 0
         logger.debug("%d singular systems in a stack of %d; solving pair by "
-                     "pair by least squares where square, leaving the pair to "
-                     "the pseudo-inverse where one-off, the others in one "
-                     "solve", np.count_nonzero(singular), len(mats))
+                     "pair by least squares where square, keeping the pair "
+                     "for the pseudo-inverse where overdetermined, the others "
+                     "in one solve", np.count_nonzero(singular), len(mats))
         sols = np.zeros((len(mats), k + 1))
         sols[~singular] = np.linalg.solve(mats[~singular],
                                           rhs[~singular])[..., 0]
@@ -438,7 +445,9 @@ def _solve_size(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     # Per square system, the residuals over _RESIDUAL_TOL (or NaN), then
     # the probabilities below -tol.
     bad = ~(_residual(mats[:square], sols[:square]) <= _RESIDUAL_TOL)
-    screened = _left_null_verdict(sols[square:], _residual_bound(k + 2))
+    # A stack's overdetermined systems have one shape, and so one bound.
+    screened = _left_null_verdict(sols[square:], _residual_bound(
+        parts[0][2].shape[1] + 1 if parts else k + 2))
     if singular is not None:
         cut = singular[:square]
         probs[cut], solved = _solve_each(mats[:square][cut])
@@ -447,27 +456,6 @@ def _solve_size(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     bad[:, :-1] |= probs < -tol
     ok = ~bad.any(axis=1)
     return probs[:n], probs[n:], ok[:n] & ok[n:], screened
-
-
-def _left_null_screen(mats: np.ndarray, bound: float) -> np.ndarray:
-    """The pairs of a stack of one-off systems, (n + 1) x n, whose
-    least-squares residual may be within ``bound``, by one batched LU
-    solve. With w solving top^T w = -(sum row), where top is the first n
-    rows and the sum row the last, z = (w, 1) is a left null vector of the
-    system, and the residual of the right-hand side e_last is 1 / |z| when
-    the system has full rank. When it does not, every such w gives at most
-    the residual of the minimum-norm one, which is the least-squares
-    residual, and a top block singular to rounding gives a huge or
-    non-finite w: either way the pair is kept. So is every pair of a stack
-    whose top block is exactly singular."""
-    try:
-        w = np.linalg.solve(np.swapaxes(mats[:, :-1], 1, 2),
-                            -mats[:, -1, :, None])[..., 0]
-    except np.linalg.LinAlgError:
-        logger.debug("singular top block in a stack of %d one-off systems; "
-                     "left to the pseudo-inverse", len(mats))
-        return np.ones(len(mats), dtype=bool)
-    return _left_null_verdict(w, bound)
 
 
 def _stacked_systems(parts) -> np.ndarray:
@@ -483,47 +471,20 @@ def _stacked_systems(parts) -> np.ndarray:
     return mats
 
 
-def _least_squares(mats: np.ndarray, consistent: np.ndarray,
+def _least_squares(mats: np.ndarray,
                    tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The pseudo-inverse half of the least-squares screen, on the systems
-    of ``mats`` that ``consistent`` marks (updated in place): by the
-    residual of each one's minimum-norm solution, with a margin that leaves
-    the decision on every pair it keeps to _solve_each. Returns the masks
-    of the systems that may be consistent and of those of them that may
-    also have no negative probability."""
-    bound = _residual_bound(mats.shape[1])
+    """The pseudo-inverse half of the least-squares screen of a stack of
+    overdetermined systems, by the residual of each one's minimum-norm
+    solution, with a margin that leaves the decision on every pair it keeps
+    to _solve_each. Returns the masks of the systems that may be consistent
+    and of those of them that may also have no negative probability."""
     # The minimum-norm solution is the pseudo-inverse's last column, with
     # singular values cut where lstsq(rcond=None) cuts them.
-    idx = np.flatnonzero(consistent)
-    keep = consistent.copy()
-    if idx.size:
-        sols = np.linalg.pinv(mats[idx], rtol=None)[..., -1]
-        res = np.matmul(mats[idx], sols[..., None])[..., 0]
-        res[:, -1] -= 1.0
-        consistent[idx] = keep[idx] = np.linalg.norm(res, axis=1) <= bound
-        keep[idx] &= ~(sols[:, :-1] < -(tol + _SCREEN_MARGIN)).any(axis=1)
-    return consistent, keep
-
-
-def _may_be_consistent(parts, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked least-squares test of overdetermined systems (more equations
-    than unknowns). ``parts`` lists (payoff, own, other) stacks, as
-    _indifference_systems takes them, whose systems have one shape. Returns
-    two masks over the parts' pairs in turn: the pairs whose system may be
-    consistent, and those of them whose system may also have no negative
-    probability (see _least_squares). Before the pseudo-inverse, every
-    system is screened by _left_null_screen, which keeps every pair within
-    the bound: a one-off system, one equation more than unknowns, whole, and
-    a wider one by its one-off subsystem, its first k + 1 payoff rows and
-    the sum row, against the full system's bound. The least-squares
-    residual of a system is at least that of any subset of its rows, so a
-    subsystem over the bound puts the whole system over it."""
-    mats = _stacked_systems(parts)
-    unknowns = mats.shape[2]
-    sub = (mats if mats.shape[1] == unknowns + 1
-           else mats[:, [*range(unknowns), -1]])
-    return _least_squares(
-        mats, _left_null_screen(sub, _residual_bound(mats.shape[1])), tol)
+    sols = np.linalg.pinv(mats, rtol=None)[..., -1]
+    consistent = (np.linalg.norm(_residual(mats, sols), axis=1)
+                  <= _residual_bound(mats.shape[1]))
+    return consistent, consistent & ~(
+        sols[:, :-1] < -(tol + _SCREEN_MARGIN)).any(axis=1)
 
 
 @functools.cache
@@ -674,11 +635,11 @@ def _size_pairs(m0: int, m1: int, k: int, beaten0, beaten1):
     as index arrays into each shape's row and column combinations, in
     enumeration order, shape by shape: the square shape (k, k), then the
     one-off shapes (k, k + 1) and (k + 1, k) that fit the game, as (shape,
-    rows, cols). One broadcast per side serves all three shapes: the column side tests the row
-    supports of k moves against the column supports of k and k + 1 moves,
-    and the row side the row supports of k and k + 1 moves against the
-    column supports of k moves. Square shapes test both sides, rectangular
-    shapes only the long one."""
+    rows, cols). One broadcast per side serves all three shapes: the column
+    side tests the row supports of k moves against the column supports of k
+    and k + 1 moves, and the row side the row supports of k and k + 1 moves
+    against the column supports of k moves. Square shapes test both sides,
+    rectangular shapes only the long one."""
     rows, cols = _size_bits(m0, k), _size_bits(m1, k)
     nr, nc = math.comb(m0, k), math.comb(m1, k)
     col_side = (beaten1[rows[:nr], None] & cols) == 0
@@ -775,11 +736,29 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
         if ok.any():
             candidates[shape].append((s0[ok], p[ok], s1[ok], q[ok]))
 
-    def settle(pieces, residual_ok, keep):
-        # The (shape, s0, s1) pieces of a rectangular stack after its
-        # least-squares screen: each pair it keeps is solved on its own.
-        at = 0
+    def settle(rows, cols, pieces):
+        # One stack: its square pairs (rows, cols) and its overdetermined
+        # (shape, s0, s1) pieces. Only the pairs the left-null screen keeps
+        # build their systems, for the pseudo-inverse, and each pair the
+        # pseudo-inverse keeps is solved on its own.
+        p, q, ok, screened = _solve_size(
+            a, b, rows, cols, [overdetermined(*piece) for piece in pieces],
+            tol)
+        add((rows.shape[1],) * 2, rows, p, cols, q, ok)
+        counts["screened out"] += len(screened) - np.count_nonzero(screened)
+        survivors, at = [], 0
         for shape, s0, s1 in pieces:
+            mask = screened[at:at + len(s0)]
+            at += len(s0)
+            if mask.any():
+                survivors.append((shape, s0[mask], s1[mask]))
+        if not survivors:
+            return
+        residual_ok, keep = _least_squares(
+            _stacked_systems([overdetermined(*piece) for piece in survivors]),
+            tol)
+        at = 0
+        for shape, s0, s1 in survivors:
             part = slice(at, at + len(s0))
             at = part.stop
             if residual_ok[part].any():
@@ -802,27 +781,9 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
             counts["dominated"] += (math.comb(m0, k0) * math.comb(m1, l0)
                                     - len(rows))
         for (rows, cols), pieces in _size_stacks(m0, m1, pairs):
-            p, q, ok, screened = _solve_size(
-                a, b, rows, cols, [overdetermined(*piece) for piece in pieces],
-                tol)
-            add((k, k), rows, p, cols, q, ok)
-            # Only the pairs the left-null screen keeps build their one-off
-            # systems, for the pseudo-inverse.
-            survivors, at = [], 0
-            for shape, s0, s1 in pieces:
-                mask = screened[at:at + len(s0)]
-                at += len(s0)
-                counts["screened out"] += len(s0) - np.count_nonzero(mask)
-                if mask.any():
-                    survivors.append((shape, s0[mask], s1[mask]))
-            if survivors:
-                mats = _stacked_systems([overdetermined(*piece)
-                                         for piece in survivors])
-                settle(survivors,
-                       *_least_squares(mats, np.ones(len(mats), dtype=bool),
-                                       tol))
+            settle(rows, cols, pieces)
     # The wider shapes, k outer and l inner, so that the shape one shorter
-    # on the long side is settled first.
+    # on the long side is settled first, in stacks with no square pair.
     for k in range(1, m0 + 1):
         for l in range(1, m1 + 1):
             if abs(k - l) < 2:
@@ -830,16 +791,14 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
             if ((k, l - 1) if l > k else (k - 1, l)) not in consistent:
                 counts["pruned"] += math.comb(m0, k) * math.comb(m1, l)
                 continue
-            shape = k, l
             r, c = _live_pairs(m0, m1, k, l, beaten0, beaten1)
             counts["dominated"] += math.comb(m0, k) * math.comb(m1, l) - len(r)
             row_sets, col_sets = _supports(m0, k)[0], _supports(m1, l)[0]
+            no_square = np.empty((0, min(k, l)), dtype=np.intp)
             for at in range(0, len(r), _STACK):
-                s0 = row_sets[r[at:at + _STACK]]
-                s1 = col_sets[c[at:at + _STACK]]
-                settle([(shape, s0, s1)],
-                       *_may_be_consistent([overdetermined(shape, s0, s1)],
-                                           tol))
+                settle(no_square, no_square,
+                       [((k, l), row_sets[r[at:at + _STACK]],
+                         col_sets[c[at:at + _STACK]])])
     # The regret screen in chunks, then certification in enumeration order:
     # shapes k outer, l inner.
     found: list[MixedProfile] = []

@@ -1109,6 +1109,17 @@ def test_refused_inputs_exit_2_naming_the_field(capsys, games_dir, tmp_path,
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
 
 
+def test_check_eq_profile_whose_sum_overflows_exits_2(capsys, games_dir):
+    # A strategy whose probabilities sum past the largest float is refused
+    # by the sum check, with no numpy warning on stderr (nor an error from
+    # one, as pytest turns RuntimeWarning into).
+    code, out, err = run(capsys, [
+        "check-eq", str(games_dir / "matching_pennies.json"),
+        "--profile", "[[1e308, 1e308], [0.5, 0.5]]"])
+    assert (code, out) == (2, "")
+    assert err == "error: profile: probabilities sum to inf, expected 1\n"
+
+
 def test_grid_matrices_beyond_the_budget_exit_4(capsys, tmp_path):
     # 1100 grid profiles at depth 1, but the third player's grid matrix
     # alone has 1100 x 1100 entries: refused before any grid is built.

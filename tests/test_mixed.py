@@ -50,6 +50,14 @@ def test_mixed_strategy_normalization():
         mixed_strategy([-0.2, 1.2])
 
 
+def test_mixed_strategy_refuses_a_sum_that_overflows():
+    # Probabilities near the largest float sum to inf, which the sum check
+    # refuses without numpy's overflow warning (an error under pytest).
+    with pytest.raises(StructuralError,
+                       match="probabilities sum to inf, expected 1"):
+        mixed_strategy([1e308, 1e308])
+
+
 def test_vertex_outcomes_match_pure():
     # At vertex profiles the expected outcome is the pure outcome, for every
     # pure profile of a batch of small games.
@@ -423,10 +431,10 @@ def test_support_enumeration_small_stacks_match_reference(monkeypatch):
         g = _continuous_game(rng, 4, 5)
         _assert_same_profiles(solve_support_enumeration_2p(g),
                               _reference_support_enumeration(g))
-    # Pairs are selected in blocks of whole rows of about _STACK pairs, so a
-    # shape with more column supports than _STACK has blocks of one row,
-    # whose live pairs are cut into stacks in the middle of the row: here
-    # the 10 to 20 column supports of sizes 2-4 of 5 or 6 columns, at
+    # A size's live pairs are selected whole and cut into stacks of at most
+    # _STACK systems, and a wide shape's into stacks of at most _STACK
+    # pairs, so a stack can end in the middle of a row support's pairs:
+    # here the 10 to 20 column supports of sizes 2-4 of 5 or 6 columns, at
     # _STACK 1, 3 and 7, on continuous and on degenerate games.
     games = [_continuous_game(rng, 4, 5), _continuous_game(rng, 3, 6),
              _degenerate_wide_game(rng, 5, True),
@@ -466,41 +474,31 @@ def test_support_enumeration_stacks_hold_at_most_stack_systems(monkeypatch):
 
 def _recording_screen(monkeypatch):
     """Record the row and column supports, (N, k) and (N, l), of every stack
-    that reaches the stacked least-squares screen: the one-off pairs of each
-    size's stack, whose left-null screen runs there, and the stacks of
-    wider shapes. The row-overdetermined side screens the transpose of the
-    first player's payoffs, with the column supports as unknowns."""
+    that reaches the left-null screen in _solve_size: the one-off pairs of
+    each size's stack, and the pairs of wider shapes. The
+    row-overdetermined side screens the transpose of the first player's
+    payoffs, with the column supports as unknowns."""
     stacks = []
     solve_size = hog.mixed._solve_size
-    screen = hog.mixed._may_be_consistent
 
-    def record(parts):
+    def sized(a, b, rows, cols, parts, tol):
         for payoff, own, other in parts:
             transposed = payoff.strides[0] < payoff.strides[1]
             stacks.append((other, own) if transposed else (own, other))
-
-    def sized(a, b, rows, cols, parts, tol):
-        record(parts)
         return solve_size(a, b, rows, cols, parts, tol)
 
-    def recording(parts, tol):
-        record(parts)
-        return screen(parts, tol)
-
     monkeypatch.setattr(hog.mixed, "_solve_size", sized)
-    monkeypatch.setattr(hog.mixed, "_may_be_consistent", recording)
     return stacks
 
 
 def _reached_pairs(monkeypatch, g, tol):
     """solve_support_enumeration_2p's answer and, for each of its passes,
-    the payoff matrices and the set of support pairs that reached a square
-    solve or the least-squares screen: the square and one-off pairs of each
-    size's stack, and the pairs of wider shapes."""
+    the payoff matrices and the set of support pairs that reached
+    _solve_size, as a square pair or to be screened: the square and one-off
+    pairs of each size's stack, and the pairs of wider shapes."""
     passes = []
     certified = hog.mixed._certified_supports
     solve_size = hog.mixed._solve_size
-    screen = hog.mixed._may_be_consistent
 
     def record(payoff, own, other):
         if payoff is not passes[-1][1]:
@@ -518,15 +516,9 @@ def _reached_pairs(monkeypatch, g, tol):
             record(*part)
         return solve_size(a, b, rows, cols, parts, tol)
 
-    def screening(parts, tol):
-        for part in parts:
-            record(*part)
-        return screen(parts, tol)
-
     with monkeypatch.context() as patch:
         patch.setattr(hog.mixed, "_certified_supports", certifying)
         patch.setattr(hog.mixed, "_solve_size", sized)
-        patch.setattr(hog.mixed, "_may_be_consistent", screening)
         got = solve_support_enumeration_2p(g, tol)
     return got, passes
 
@@ -553,9 +545,67 @@ def _degenerate_wide_game(rng, m, constant):
                                          [max_quantifier()] * 2)
 
 
+def _screened(parts, tol):
+    """_solve_size's left-null verdicts on ``parts``, (payoff, own, other)
+    stacks of one system shape, in one stack with no square pair, as
+    support enumeration screens a wide shape's stack."""
+    payoff, own, _ = parts[0]
+    return hog.mixed._solve_size(payoff, payoff, own[:0], own[:0], parts,
+                                 tol)[-1]
+
+
+def _decided(mats, screened, tol):
+    """_least_squares on the systems of ``mats`` that ``screened`` keeps: the
+    masks of the systems that may be consistent and of those of them that
+    may also have no negative probability. A system screened out is in
+    neither."""
+    consistent = np.zeros(len(mats), dtype=bool)
+    keep = consistent.copy()
+    if screened.any():
+        consistent[screened], keep[screened] = hog.mixed._least_squares(
+            mats[screened], tol)
+    return consistent, keep
+
+
+def _screen_masks(parts, tol):
+    """The masks of the least-squares screen on the pairs of ``parts`` in
+    turn, as support enumeration computes them: the left-null screen, then
+    the pseudo-inverse on the systems of the pairs it keeps."""
+    return _decided(hog.mixed._stacked_systems(parts), _screened(parts, tol),
+                    tol)
+
+
+def _top_blocks(mats):
+    """The transposed top blocks of a stack of one-off systems, (N, k + 2,
+    k + 1), and minus their sum rows: the left-null screen's matrices and
+    right-hand sides."""
+    return np.swapaxes(mats[:, :-1], 1, 2), -mats[:, -1, :, None]
+
+
+def _singular_tops(mats):
+    """Whether the top block of each one-off system of ``mats`` is exactly
+    singular, by slogdet, whose sign of 0 comes from the LU zero pivot that
+    makes a solve raise."""
+    return np.linalg.slogdet(_top_blocks(mats)[0])[0] == 0
+
+
+def _left_null_alone(mats, bound):
+    """The left-null screen's verdict on each one-off system of ``mats``,
+    solved on its own: kept when its top block is exactly singular, and
+    otherwise by _left_null_verdict on its own solution."""
+    verdicts = []
+    for top, rhs, singular in zip(*_top_blocks(mats), _singular_tops(mats)):
+        if singular:
+            verdicts.append(True)
+            continue
+        w = np.linalg.solve(top[None], rhs[None])[..., 0]
+        verdicts.append(bool(hog.mixed._left_null_verdict(w, bound)[0]))
+    return verdicts
+
+
 def _residual_passes(payoff, own, other, tol):
     """The residual half of the least-squares screen on one pair alone."""
-    consistent, _ = hog.mixed._may_be_consistent(
+    consistent, _ = _screen_masks(
         [(payoff, np.array([own]), np.array([other]))], tol)
     return bool(consistent[0])
 
@@ -701,22 +751,56 @@ def test_support_enumeration_screens_no_wide_shape_of_a_generic_game(
                for rows, cols in stacks)
 
 
-def test_support_enumeration_counts_are_pinned(caplog):
-    # The summary counts on seeded nondegenerate 6x6 games and on degenerate
-    # games whose wide shapes hold consistent pairs, as the enumeration gave
-    # them shape by shape: walking system sizes, and screening systems two
-    # or more equations over by their one-off subsystems, changes none.
+def _duplicated_move_game(seed, m0, m1, kinds):
+    """Continuous payoffs with the first player's row 1 equal to its row 0
+    and the second player's column 1 equal to its column 0, as in
+    _one_off_payoffs()["singular"]: the top block of a wide pair whose long
+    side holds both moves is exactly singular, and wide stacks also hold
+    pairs whose top block is not."""
+    a, b = np.random.default_rng(seed).uniform(-1, 1, (2, m0, m1))
+    a[1], b[:, 1] = a[0], b[:, 0]
+    return SimultaneousGame.from_tensors([m0, m1], [a.ravel(), b.ravel()],
+                                         kinds)
+
+
+def test_support_enumeration_counts_are_pinned(monkeypatch, caplog):
+    # The summary counts on seeded nondegenerate 6x6 games, on degenerate
+    # games whose wide shapes hold consistent pairs, and on games whose
+    # wide stacks mix exactly singular top blocks with regular ones, as the
+    # enumeration gave them shape by shape: walking system sizes, screening
+    # systems two or more equations over by their one-off subsystems, and
+    # keeping only the pair of a singular top block, not its whole stack,
+    # change none.
     games = [(_continuous_game(np.random.default_rng(seed), 6, 6), 1e-9)
              for seed in (1, 2, 3, 606)]
     rng = np.random.default_rng(1)
     games += [(g, tol) for g in (_degenerate_wide_game(rng, 5, True),
                                  _degenerate_wide_game(rng, 6, False))
               for tol in (1e-9, 1e-6)]
+    games += [(_duplicated_move_game(7, 5, 5, [max_quantifier()] * 2), 1e-9),
+              (_duplicated_move_game(10, 5, 6, [max_quantifier(),
+                                                min_quantifier()]), 1e-9)]
     caplog.set_level(logging.DEBUG, logger="hog.mixed")
-    counts = []
+    stacks = _recording_screen(monkeypatch)
+    counts, flats = [], []
     for g, tol in games:
+        stacks.clear()
         solve_support_enumeration_2p(g, tol)
         counts.append(_logged_counts(caplog))
+        # Per wide stack, whether some and whether all of its top blocks are
+        # singular.
+        flats.append(set())
+        for rows, cols in stacks:
+            if abs(rows.shape[1] - cols.shape[1]) >= 2:
+                own, other, payoff = ((rows, cols, g.payoffs[1])
+                                      if cols.shape[1] > rows.shape[1]
+                                      else (cols, rows, g.payoffs[0].T))
+                flat = _singular_tops(hog.mixed._indifference_systems(
+                    payoff, own, other[:, :own.shape[1] + 1]))
+                flats[-1].add((flat.any(), flat.all()))
+    # Every degenerate game has a wide stack with both kinds of top block.
+    assert ([(True, False) in flat for flat in flats]
+            == [False] * 4 + [True] * 6)
     # Enumerated, pruned by subsets, screened out, solved, certified and
     # pruned by dominance.
     assert counts == [[3969, 1474, 196, 10, 3, 2222],
@@ -726,7 +810,9 @@ def test_support_enumeration_counts_are_pinned(caplog):
                       [961, 0, 107, 460, 199, 305],
                       [961, 0, 107, 460, 199, 305],
                       [3969, 48, 620, 297, 58, 2693],
-                      [3969, 48, 620, 297, 58, 2693]]
+                      [3969, 48, 620, 297, 58, 2693],
+                      [961, 140, 52, 20, 1, 738],
+                      [1953, 241, 114, 40, 9, 1522]]
 
 
 def test_support_enumeration_solves_each_size_once(monkeypatch):
@@ -787,7 +873,7 @@ def test_support_enumeration_screens_two_off_systems_before_pinv(
             rows = [*range(mats.shape[2]), mats.shape[1] - 1]
             bound = hog.mixed._residual_bound(mats.shape[1])
             for system in mats:
-                assert hog.mixed._left_null_screen(system[None, rows], bound)[0]
+                assert _left_null_alone(system[None, rows], bound)[0]
         reached = sum(len(rows) for rows, cols in stacks
                       if abs(rows.shape[1] - cols.shape[1]) >= 2)
         assert 0 < sum(map(len, wide)) < reached
@@ -796,8 +882,8 @@ def test_support_enumeration_screens_two_off_systems_before_pinv(
 def test_size_stack_matches_each_system_alone(caplog):
     # One size's stack against each of its systems on its own: the square
     # pairs' probabilities are those of one solve per system (lstsq where
-    # singular), and each one-off pair's verdict is that of
-    # _left_null_screen on its system alone. The payoffs of
+    # singular), and each one-off pair's verdict is that of its left-null
+    # screen on its system alone. The payoffs of
     # test_one_off_screen_matches_qr_screen put exactly singular square
     # systems and top blocks into some stacks, and non-finite left null
     # vectors into others.
@@ -812,9 +898,8 @@ def test_size_stack_matches_each_system_alone(caplog):
                 p, q, ok, screened = hog.mixed._solve_size(
                     a, b, rows, cols, [(payoff, own, other)], 1e-9)
                 bound = hog.mixed._residual_bound(k + 2)
-                alone = [hog.mixed._left_null_screen(
-                    hog.mixed._indifference_systems(payoff, o[None], t[None]),
-                    bound)[0] for o, t in zip(own, other)]
+                alone = _left_null_alone(
+                    hog.mixed._indifference_systems(payoff, own, other), bound)
                 for n in np.flatnonzero(ok):
                     r, c = rows[n].tolist(), cols[n].tolist()
                     assert np.array_equal(
@@ -825,6 +910,37 @@ def test_size_stack_matches_each_system_alone(caplog):
             solved += np.count_nonzero(ok)
     assert solved
     assert "solving pair by pair" in caplog.text
+
+
+def test_wide_pairs_are_screened_against_the_full_systems_bound():
+    # A one-off system, own move 0 against other moves 0 and 1, whose
+    # least-squares residual lies halfway between ten times the bound of 3
+    # equations and ten times that of 4: screened as a one-off pair, against
+    # its own bound, it is dropped; as the one-off subsystem of the pair
+    # with other moves 0, 1 and 2, against that system's bound, it is kept.
+    lo, hi = (hog.mixed._LEFT_NULL_MARGIN * hog.mixed._residual_bound(rows)
+              for rows in (3, 4))
+    e_last = np.array([0.0, 0.0, 1.0])
+
+    def payoff(d):
+        return np.array([[0.0, d, 0.5]])
+
+    def residual(d):
+        mat = hog.mixed._indifference_systems(
+            payoff(d), np.array([[0]]), np.array([[0, 1]]))[0]
+        sol = np.linalg.lstsq(mat, e_last, rcond=None)[0]
+        return np.linalg.norm(mat @ sol - e_last)
+
+    below, above = 0.0, 1.0
+    for _ in range(100):
+        mid = (below + above) / 2
+        below, above = ((mid, above) if residual(mid) < (lo + hi) / 2
+                        else (below, mid))
+    assert lo < residual(below) < hi
+    one_off = (payoff(below), np.array([[0]]), np.array([[0, 1]]))
+    wide = (payoff(below), np.array([[0]]), np.array([[0, 1, 2]]))
+    assert _screened([one_off], 1e-9).tolist() == [False]
+    assert _screened([wide], 1e-9).tolist() == [True]
 
 
 def test_support_enumeration_logs_its_counts(monkeypatch, caplog):
@@ -1032,12 +1148,12 @@ def _qr_screen(mats, bound):
     return np.linalg.norm(res, axis=1) <= bound
 
 
-def _qr_screen_masks(monkeypatch, payoff, own, other, tol):
-    """The masks of the least-squares screen with every stack screened by
-    QR, then decided by the pseudo-inverse."""
-    with monkeypatch.context() as patch:
-        patch.setattr(hog.mixed, "_left_null_screen", _qr_screen)
-        return hog.mixed._may_be_consistent([(payoff, own, other)], tol)
+def _qr_screen_masks(payoff, own, other, tol):
+    """The masks of the least-squares screen on a stack of one-off pairs
+    screened by QR, then decided by the pseudo-inverse."""
+    mats = hog.mixed._indifference_systems(payoff, own, other)
+    return _decided(
+        mats, _qr_screen(mats, hog.mixed._residual_bound(mats.shape[1])), tol)
 
 
 def _one_off_payoffs():
@@ -1063,25 +1179,33 @@ def _one_off_payoffs():
             "huge": huge, "huge ties": huge_ties}
 
 
-def test_one_off_screen_matches_qr_screen(monkeypatch, caplog):
+def test_one_off_screen_matches_qr_screen():
     # The left-null-vector screen of one-off shapes against the QR screen it
     # replaces: the pseudo-inverse decides every pair either keeps, so the
-    # masks must agree, and every pair that lstsq solves must be kept.
+    # masks must agree, and every pair that lstsq solves must be kept. A
+    # pair whose own top block is exactly singular is kept, and every other
+    # pair of its stack gets the verdict of its system alone.
     kinds = _one_off_payoffs()
     subnormal = kinds["subnormal"]
-    caplog.set_level(logging.DEBUG, logger="hog.mixed")
-    accepted = set()
+    accepted, singular, cut = set(), set(), False
     for name, payoff in kinds.items():
-        caplog.clear()
         for own, other in _one_off_stacks(payoff):
+            mats = hog.mixed._indifference_systems(payoff, own, other)
+            bound = hog.mixed._residual_bound(mats.shape[1])
+            # Support enumeration screens huge payoffs under g.quiet(); tiny
+            # ones must not warn without it.
+            with quiet(name.startswith("huge")):
+                screened = _screened([(payoff, own, other)], 1e-9)
+                flat = _singular_tops(mats)
+                assert screened.tolist() == _left_null_alone(mats, bound)
+            assert screened[flat].all(), name
+            if flat.any():
+                singular.add(name)
+                cut |= not screened[~flat].all()
             for tol in (1e-9, 0.0):
-                # Support enumeration screens huge payoffs under g.quiet();
-                # tiny ones must not warn without it.
                 with quiet(name.startswith("huge")):
-                    consistent, keep = hog.mixed._may_be_consistent(
-                        [(payoff, own, other)], tol)
-                    want = _qr_screen_masks(monkeypatch, payoff, own, other,
-                                            tol)
+                    consistent, keep = _decided(mats, screened, tol)
+                    want = _qr_screen_masks(payoff, own, other, tol)
                     solved = [_reference_indifference_solve(payoff, o, t)
                               for o, t in zip(own.tolist(), other.tolist())]
                 assert np.array_equal(consistent, want[0]), name
@@ -1091,29 +1215,29 @@ def test_one_off_screen_matches_qr_screen(monkeypatch, caplog):
                         accepted.add(name)
                         assert consistent[n], (name, own[n], other[n])
                         assert keep[n] or (sol < -tol).any()
-        fell_back = "left to the pseudo-inverse" in caplog.text
-        assert fell_back == (name in ("ties", "singular", "huge ties")), name
+    # An exact tie makes some top blocks of its stacks singular, and those
+    # stacks still screen out pairs whose own top block is not.
+    assert singular == {"ties", "singular", "huge ties"}
+    assert cut
     # Ties make one-off systems consistent, as do payoffs far inside the
-    # absolute tolerance; an exact tie makes its stack's top block singular.
+    # absolute tolerance.
     assert accepted >= {"ties", "near", "singular", "tiny", "subnormal"}
     nan = False
     for own, other in _one_off_stacks(subnormal):
         mats = hog.mixed._indifference_systems(subnormal, own, other)
-        top = np.swapaxes(mats[:, :-1], 1, 2)
-        nan |= np.isnan(np.linalg.solve(top, -mats[:, -1, :, None])).any()
+        nan |= np.isnan(np.linalg.solve(*_top_blocks(mats))).any()
     assert nan
 
 
-def test_one_off_shapes_screened_together_match_each_alone(caplog):
+def test_one_off_shapes_screened_together_match_each_alone():
     # The shapes (k, k + 1) and (k + 1, k) build systems of one shape, so
     # support enumeration screens them in one stack. On the payoffs of
     # test_one_off_screen_matches_qr_screen, paired each with the next kind
-    # and with itself, each part's masks must be those of its stack screened
-    # alone, also where one part's singular top block makes the whole stack
-    # fall back to the pseudo-inverse.
+    # and with itself, each part's verdicts and masks must be those of its
+    # stack screened alone, also where the other part holds an exactly
+    # singular top block: that keeps its own pair and no other.
     kinds = _one_off_payoffs()
     names = list(kinds)
-    caplog.set_level(logging.DEBUG, logger="hog.mixed")
     crossed = False
     for first, second in [*zip(names, names[1:] + names[:1]),
                           *zip(names, names)]:
@@ -1121,25 +1245,25 @@ def test_one_off_shapes_screened_together_match_each_alone(caplog):
                 _one_off_stacks(kinds[first]), _one_off_stacks(kinds[second])):
             parts = [(kinds[first], own0, other0),
                      (kinds[second], own1, other1)]
-            for tol in (1e-9, 0.0):
-                with quiet("huge" in first + second):
-                    caplog.clear()
-                    together = hog.mixed._may_be_consistent(parts, tol)
-                    fell_back = "left to the pseudo-inverse" in caplog.text
-                    alone, fell_back_alone = [], []
-                    for part in parts:
-                        caplog.clear()
-                        alone.append(hog.mixed._may_be_consistent([part], tol))
-                        fell_back_alone.append(
-                            "left to the pseudo-inverse" in caplog.text)
-                # One part's singular top block sent the other's pairs to
-                # the pseudo-inverse too.
-                crossed |= fell_back and not all(fell_back_alone)
-                n = len(own0)
-                for mask, (first_mask, second_mask) in zip(
-                        together, zip(*alone)):
-                    assert np.array_equal(mask[:n], first_mask), first
-                    assert np.array_equal(mask[n:], second_mask), second
+            n = len(own0)
+            with quiet("huge" in first + second):
+                screened = _screened(parts, 1e-9)
+                assert screened.tolist() == [
+                    *_screened(parts[:1], 1e-9), *_screened(parts[1:], 1e-9)]
+                flat = [_singular_tops(hog.mixed._indifference_systems(*part))
+                        for part in parts]
+                for tol in (1e-9, 0.0):
+                    together = _screen_masks(parts, tol)
+                    alone = [_screen_masks([part], tol) for part in parts]
+                    for mask, (first_mask, second_mask) in zip(
+                            together, zip(*alone)):
+                        assert np.array_equal(mask[:n], first_mask), first
+                        assert np.array_equal(mask[n:], second_mask), second
+            # One part's singular top block shares the stack with the
+            # other's pairs, some of which are screened out.
+            for held, rest in ((0, slice(n, None)), (1, slice(None, n))):
+                crossed |= (flat[held].any() and not flat[1 - held].any()
+                            and not screened[rest].all())
     assert crossed
 
 
@@ -1242,7 +1366,7 @@ def test_listed_profiles_match_mixed_profile_bit_for_bit():
                 assert strat.tobytes() == ref_strat.tobytes()
 
 
-def test_one_off_screen_keeps_residuals_at_the_bound(monkeypatch):
+def test_one_off_screen_keeps_residuals_at_the_bound():
     # One-off systems whose least-squares residual sits just under the
     # screen's bound: a near-duplicated column, perturbed by the largest t
     # that the QR screen and the pseudo-inverse still pass, makes the top
@@ -1261,8 +1385,7 @@ def test_one_off_screen_keeps_residuals_at_the_bound(monkeypatch):
             return payoff
 
         def passes(t):
-            return _qr_screen_masks(monkeypatch, perturbed(t), own, other,
-                                    1e-9)[0][0]
+            return _qr_screen_masks(perturbed(t), own, other, 1e-9)[0][0]
 
         lo, hi = 0.0, 1.0
         assert passes(lo) and not passes(hi)
@@ -1271,9 +1394,8 @@ def test_one_off_screen_keeps_residuals_at_the_bound(monkeypatch):
                 lo = mid
             else:
                 hi = mid
-        consistent, keep = hog.mixed._may_be_consistent(
-            [(perturbed(lo), own, other)], 1e-9)
-        want = _qr_screen_masks(monkeypatch, perturbed(lo), own, other, 1e-9)
+        consistent, keep = _screen_masks([(perturbed(lo), own, other)], 1e-9)
+        want = _qr_screen_masks(perturbed(lo), own, other, 1e-9)
         assert consistent[0] and want[0][0]
         assert keep[0] == want[1][0]
 
