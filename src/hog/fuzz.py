@@ -10,18 +10,20 @@ before its payoffs are drawn.
 
 Every value is drawn by ``_draw``, which reads a seed's ``random.Random``
 exactly as one ``randint`` or ``choice`` call per value would, with one
-``getrandbits`` call per try. ``run_fuzz`` draws each family's games as
-plain values: move counts, integer payoffs in a float array, and each
-round's kind, an index into ``_SEQ_KINDS``. It certifies them in stacks of
-games of one shape, whose payoffs are one float array: one backward pass
-per stack of sequential games, then one walk of its deviation tables, at
-every history (optimality) or on each game's path (normal-form soundness),
-and one BBC pair and reply-robustness check per stack of stages. Each
-round of a stack takes one quantifier and one selection, as a round of one
-game does. Where its games drew several kinds, their kernels run each drawn
-kind's stock kernel on every row and keep, for each row, the answer of its
-own game's kind; stock kernels treat rows independently, so that answer is
-the one-game answer. A game object is built only when it is read: a failing
+``getrandbits`` call per try. ``run_fuzz`` first draws every requested
+family's games as plain values: move counts, payoffs as the drawn ints, and
+each round's kind, an index into ``_SEQ_KINDS``. It certifies them in
+stacks of games of one shape, whose payoffs are one float array; the seq
+and normal-form families share stacks. Each stack of sequential games has
+one backward pass, then one walk of its deviation tables, at every history
+of a seq game (optimality) and on a normal-form game's path (soundness in
+the normal form); each stack of stages has one BBC pair and
+reply-robustness check. Each round of a stack takes one quantifier and one
+selection, as a round of one game does. Where its games drew several kinds,
+their kernels run each drawn kind's stock kernel on every row and keep, for
+each row, the answer of its own game's kind; stock kernels treat rows
+independently, so that answer is the one-game answer. It then walks the
+families in order. A game object is built only when it is read: a failing
 game, which the one-game certifiers shrink, or a game of the result's
 corpus. The one-game certifiers run the same pass, walk and pairs on a
 stack of one.
@@ -89,7 +91,7 @@ def _draw_sequential(rng: random.Random, max_rounds: int, max_moves: int,
                      min_moves: int, payoff_range: tuple[int, int], kinds,
                      budget: int | None):
     """The values of random_sequential_game: move counts, row-major
-    payoffs (integers, as a float array) and each round's index in
+    payoffs (a list of ints) and each round's index in
     ``kinds``. Plays of more than PRINTED_DIGITS digits even at
     ``min_moves`` per round, which the budget error writes as a power of
     two, are refused, as ``10 ** PRINTED_DIGITS``, before their slow
@@ -97,11 +99,11 @@ def _draw_sequential(rng: random.Random, max_rounds: int, max_moves: int,
     n = _draw(rng, 1, max_rounds)
     if min_moves > 1 and n > PRINTED_DIGITS / math.log10(min_moves):
         check_budget(10 ** PRINTED_DIGITS, budget, "plays")
-    counts = tuple(_draw(rng, min_moves, max_moves) for _ in range(n))
+    counts = tuple(_draw(rng, min_moves, max_moves, n))
     plays = math.prod(counts)
     check_budget(plays, budget, "plays")
     lo, hi = payoff_range
-    payoffs = np.array(_draw(rng, lo, hi, plays), dtype=float)
+    payoffs = _draw(rng, lo, hi, plays)
     # rng.choice(kinds), once per round.
     return counts, payoffs, _draw(rng, 0, len(kinds) - 1, n)
 
@@ -130,14 +132,14 @@ def random_sequential_game(rng: random.Random, max_rounds: int = 4,
 
 def _draw_stage(rng: random.Random, max_moves: int, min_moves: int,
                 payoff_range: tuple[int, int], budget: int | None):
-    """The values of random_stage: move counts and row-major payoffs
-    (integers, as a float array)."""
+    """The values of random_stage: move counts and row-major payoffs (a
+    list of ints)."""
     counts = (_draw(rng, min_moves, max_moves),
               _draw(rng, min_moves, max_moves))
     profiles = counts[0] * counts[1]
     check_budget(profiles, budget, "profiles")
     lo, hi = payoff_range
-    return counts, np.array(_draw(rng, lo, hi, profiles), dtype=float)
+    return counts, _draw(rng, lo, hi, profiles)
 
 
 def _stage(counts: tuple[int, int], payoffs) -> SimultaneousGame:
@@ -301,11 +303,12 @@ _STACK_ENTRIES = 1 << 15
 
 
 def _certify_sequential_stack(payoffs: np.ndarray, counts: tuple[int, ...],
-                              drawn: list[tuple], on_path: bool) -> np.ndarray:
-    """certify_sequential (certify_normal_form if ``on_path``) on each drawn
-    game of a stack with these move counts, without budget checks: one
-    backward pass over all of them, then one walk of its deviation tables,
-    at every history or only on each game's path."""
+                              drawn: list[tuple],
+                              on_path: np.ndarray) -> np.ndarray:
+    """certify_sequential on each drawn game of a stack with these move
+    counts, certify_normal_form on those ``on_path`` marks, without budget
+    checks: one backward pass over all of them, then one walk of its
+    deviation tables, at every history or only on a game's path."""
     flat, stack = payoffs.reshape(-1), len(drawn)
     pairs = [_round_pair(kind) for kind in _SEQ_KINDS]
     kinds = np.array([values[2] for values in drawn])
@@ -344,10 +347,10 @@ def _stacked_round(column: np.ndarray, pairs: list[tuple]) -> tuple:
 
 
 def _certify_stage_stack(payoffs: np.ndarray, counts: tuple[int, int],
-                         drawn: list[tuple]) -> np.ndarray:
+                         drawn: list[tuple], on_path: np.ndarray) -> np.ndarray:
     """certify_stage on each drawn stage of a stack with these move counts,
     without budget checks: one BBC pair and one reply-robustness check over
-    all of them."""
+    all of them. No stage is read on a path."""
     q = payoffs.reshape(-1, *counts)
     pairs, _ = minimax._pairs(q, argmax_selection(), argmin_selection())
     return minimax._reply_robust(q, pairs, max_quantifier(), min_quantifier(),
@@ -371,18 +374,21 @@ def _normal_form_budget(counts: tuple[int, ...]):
 @dataclass(frozen=True)
 class _Family:
     # One game's values from the family's rng: its move counts, then its
-    # row-major payoffs as a float array, then what else builds the game.
+    # row-major payoffs as the drawn ints, then what else builds the game.
     draw: Callable
     # The game object of those values, built by the public constructors.
     build: Callable
-    # (payoffs of a stack with one row per game, the move counts, the
-    # games' values) -> each game's verdict.
+    # (payoffs of a stack with one float row per game, the move counts, the
+    # games' values, whether each game is read only on its path) -> each
+    # game's verdict. Families with one certify_stack share stacks.
     certify_stack: Callable
     # The (count, label) pairs that certifying a game of these move counts
     # checks against the budget, in order.
     planned: Callable
     certify: Callable
     shrink: Callable
+    # Whether certify_stack reads this family's games only on their path.
+    on_path: bool = False
 
 
 def _families(max_rounds: int, max_moves: int, payoff_range: tuple[int, int],
@@ -393,17 +399,15 @@ def _families(max_rounds: int, max_moves: int, payoff_range: tuple[int, int],
                     max_moves=max_moves, min_moves=2,
                     payoff_range=payoff_range, kinds=_SEQ_KINDS,
                     budget=budget),
-            _sequential, partial(_certify_sequential_stack, on_path=False),
-            _sequential_budget,
+            _sequential, _certify_sequential_stack, _sequential_budget,
             certify_sequential, shrink_sequential),
         "normal-form": _Family(
             partial(_draw_sequential, max_rounds=min(max_rounds, 3),
                     max_moves=max_moves, min_moves=2,
                     payoff_range=payoff_range, kinds=_SEQ_KINDS,
                     budget=budget),
-            _sequential, partial(_certify_sequential_stack, on_path=True),
-            _normal_form_budget,
-            certify_normal_form, shrink_sequential),
+            _sequential, _certify_sequential_stack, _normal_form_budget,
+            certify_normal_form, shrink_sequential, on_path=True),
         # Max/min stages enumerate no reply functions.
         "bbc": _Family(
             partial(_draw_stage, max_moves=max_moves, min_moves=2,
@@ -414,27 +418,35 @@ def _families(max_rounds: int, max_moves: int, payoff_range: tuple[int, int],
     }
 
 
-def _verdicts(family: _Family, drawn: list[tuple]) -> np.ndarray:
-    """Each drawn game's certification, stack by stack: games grouped by
-    move counts, in index order within a group, and cut into stacks of at
-    most ``_STACK_ENTRIES`` payoff entries. numpy's warnings are off on a
-    stack if a kernel may overflow on one of its games, as they are on that
-    game (every count is at least 2, so a stage's player axis decides
-    nothing)."""
-    groups = {}
-    for index, values in enumerate(drawn):
-        groups.setdefault(values[0], []).append(index)
+def _verdicts(sweeps: list[tuple[_Family, list[tuple]]]) -> list[np.ndarray]:
+    """Each drawn game's certification, for each (family, drawn values)
+    pair, stack by stack: the games of the families with one
+    ``certify_stack`` grouped by move counts, in order of pair and index
+    within a group, and cut into stacks of at most ``_STACK_ENTRIES``
+    payoff entries. numpy's warnings are off on a stack if a kernel may
+    overflow on one of its games, as they are on that game (every count is
+    at least 2, so a stage's player axis decides nothing)."""
+    drawn, on_path, groups = [], [], {}
+    for family, values_of in sweeps:
+        for values in values_of:
+            groups.setdefault((family.certify_stack, values[0]),
+                              []).append(len(drawn))
+            drawn.append(values)
+            on_path.append(family.on_path)
+    on_path = np.array(on_path, dtype=bool)
     ok = np.empty(len(drawn), dtype=bool)
-    for counts, indices in groups.items():
+    for (certify_stack, counts), indices in groups.items():
         size = max(1, _STACK_ENTRIES // math.prod(counts))
         for start in range(0, len(indices), size):
             stack = indices[start:start + size]
             games = [drawn[i] for i in stack]
-            payoffs = np.array([values[1] for values in games])
+            payoffs = np.array([values[1] for values in games], dtype=float)
             peak = float(np.abs(payoffs).max())
             with quiet(overflow_scale(peak, counts) != 1.0):
-                ok[stack] = family.certify_stack(payoffs, counts, games)
-    return ok
+                ok[stack] = certify_stack(payoffs, counts, games,
+                                          on_path[stack])
+    ends = np.cumsum([len(values_of) for _, values_of in sweeps])
+    return np.split(ok, ends[:-1])
 
 
 def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
@@ -443,13 +455,15 @@ def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
     """Certify ``count`` random games per family up to the first failure,
     which is shrunk before being recorded. Normal-form games have <= 3 rounds.
 
-    Each family draws its games' values first, up to the first game the
-    budget refuses, to draw or to certify. It certifies them in stacks of
-    games of one shape, then walks them in index order: it makes each
-    game's budget checks, records the game, and builds a failing one to
-    shrink it with the one-game certifier. A refusal is raised at the game
-    it refuses, after the games before it are recorded. The corpus builds
-    each recorded game when it is read.
+    Each family draws its games' values first, from its own rng, up to
+    the first game the budget refuses, to draw or to certify. The drawn
+    games of every family are certified in stacks of games of one shape
+    (see ``_verdicts``). Then each family, in order, walks its games in
+    index order: it makes each game's budget checks, records the game, and
+    builds a failing one to shrink it with the one-game certifier. A
+    refusal is raised at the game it refuses, after the games before it are
+    recorded, and an unknown family where the walk reaches it. The corpus
+    builds each recorded game when it is read.
 
     The seed must be >= 0: random.Random seeds with a seed's absolute
     value, so a negative seed would repeat the seq games of its positive
@@ -463,15 +477,16 @@ def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
         # Read HOG_BUDGET once per run, and only if a game is drawn.
         budget = resolve_budget(budget)
     plan = _families(max_rounds, max_moves, payoff_range, budget)
+    sweeps = []
     for name in families:
         if name not in plan:
-            raise ValueError(f"unknown family {name!r}")
+            break  # the walk raises there
         family = plan[name]
         # Hashing strings is salted per process; derive integer seeds.
         rng = random.Random(seed * 7919 + FAMILIES.index(name))
 
         @cache
-        def planned(counts):
+        def planned(counts, family=family):
             """A game's planned budget checks, and whether one is refused."""
             checks = family.planned(counts)
             return checks, any(n > budget for n, _ in checks)
@@ -486,9 +501,14 @@ def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
             over = planned(drawn[-1][0])[1]
             if over:
                 break
-        # A game whose certification the budget refuses is the last one
-        # drawn, and the walk raises at it before reading its verdict.
-        ok = _verdicts(family, drawn[:len(drawn) - over]).tolist()
+        sweeps.append((name, family, planned, drawn, refused, over))
+    # A game whose certification the budget refuses is the last one drawn,
+    # and the walk raises at it before reading its verdict.
+    verdicts = _verdicts([(family, drawn[:len(drawn) - over])
+                          for _, family, _, drawn, _, over in sweeps])
+    for (name, family, planned, drawn, refused, _), ok in zip(sweeps,
+                                                              verdicts):
+        ok = ok.tolist()
         for index, values in enumerate(drawn):
             for n, what in planned(values[0])[0]:
                 check_budget(n, budget, what)
@@ -501,4 +521,6 @@ def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
                 return result
         if refused is not None:
             raise refused
+    if len(sweeps) < len(families):
+        raise ValueError(f"unknown family {families[len(sweeps)]!r}")
     return result

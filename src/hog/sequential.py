@@ -15,11 +15,12 @@ gives the strategy's tables, and the play its root reaches is the optimal
 play. One walk tests a strategy's pass, rounds in order, one quantifier
 kernel call per round: at every history, which is optimality, or only at
 the strategy's on-path history, which is soundness in the normal form (see
-``normalform.check_soundness``). Pass and walk run on a stack of games with
-the same move counts, whose flat payoffs lie end to end: the rows of an
-index array go game by game, and each round takes one quantifier and one
-selection, whose kernels see the rows of every game of the stack at once.
-The public functions run them on a stack of one.
+``normalform.check_soundness``), each game of a stack as it is marked.
+Pass and walk run on a stack of games with the same move counts, whose
+flat payoffs lie end to end: the rows of an index array go game by game,
+and each round takes one quantifier and one selection, whose kernels see
+the rows of every game of the stack at once. The public functions run them
+on a stack of one.
 
 History tables are dense arrays in mixed-radix order over the preceding move
 sets, first round most significant. The outcome function is stored as one
@@ -181,20 +182,32 @@ def is_optimal_strategy(g: SequentialGame, strategy: Sequence[Sequence[int]],
 
 
 def _strategy_verdicts(flat: np.ndarray, quantifiers: Sequence[Quantifier],
-                       reached, tol: float, on_path: bool = False) -> np.ndarray:
+                       reached, tol: float,
+                       on_path: bool | np.ndarray = False) -> np.ndarray:
     """Whether each game of a stack passes is_optimal_strategy, given the
     ``_reached`` arrays of its strategy's pass: every history's deviation
-    table accepts the strategy's outcome there. If ``on_path``, only each
-    game's on-path history is tested, which is check_soundness; at round i
-    it is the prefix of the play that round 0 reaches. Rounds go in order
-    through ``_accepted``, each with one call of its one quantifier on
-    every game's tables, up to a round where every game has failed."""
+    table accepts the strategy's outcome there. A game that ``on_path``
+    marks (a bool, or one per game) is tested only at its on-path history,
+    which is check_soundness; at round i it is the prefix of the play that
+    round 0 reaches. Rounds go in order through ``_accepted``, each with one
+    call of its one quantifier on every game's tables, up to a round where
+    every game has failed. If every game of the stack is on its path, a
+    round tests each game's on-path row alone; in a stack that mixes the
+    two, an on-path game's on-path row stands in for each of its rows, so
+    that the round's one call also tests every history of the other
+    games."""
     plays = reached[0][1]  # one per game
     stack = len(plays)
+    on_path = np.broadcast_to(on_path, stack)
     ok = np.ones(stack, dtype=bool)
     for phi, (here, followed) in zip(quantifiers, reached):
-        if on_path:
+        if on_path.any():
             rows = plays // (len(flat) // len(here))
+            if not on_path.all():
+                per_game = len(here) // stack
+                rows = np.where(np.repeat(on_path, per_game),
+                                np.repeat(rows, per_game),
+                                np.arange(len(here)))
             here, followed = here[rows], followed[rows]
         ok &= _accepted(phi, stack, flat[here], flat[followed][:, None], tol)
         if not ok.any():

@@ -18,6 +18,7 @@ from hog.errors import BudgetExceededError, StructuralError
 from hog.fuzz import (FAMILIES, FuzzFailure, FuzzResult, certify_sequential,
                       random_sequential_game, random_stage, run_fuzz,
                       shrink_sequential, shrink_stage)
+from hog.gamefile import load_game
 from hog.sequential import SequentialGame
 from hog.simultaneous import PayoffArray
 from test_minimax import stage_from
@@ -363,6 +364,102 @@ def test_stacked_sweep_refuses_where_reference_refuses(monkeypatch):
             assert got[1].split()[3] == "profiles"
 
 
+def test_shared_stacks_sweep_matches_reference(monkeypatch):
+    # seq and normal-form games share stacks, but each family is walked in
+    # the order given, up to its first failure or refusal.
+    assert _assert_same_sweep(3, 50, ("normal-form", "seq"))[1] is True
+    # A duplicated family is drawn and walked twice.
+    got = _assert_same_sweep(3, 20, ("seq", "seq"))
+    assert got[0] == 40 and got[3][:20] == got[3][20:]
+    # An unknown family raises where the walk reaches it.
+    got = _assert_same_sweep(3, 20, ("seq", "bbc", "nope"))
+    assert got == (ValueError, "unknown family 'nope'")
+    assert _assert_same_sweep(3, 20, ("nope", "seq"))[0] is ValueError
+    monkeypatch.setattr(fuzz, "_round_pair", _attains_nothing)
+    # A failure before the unknown family is the result.
+    assert _assert_same_sweep(1, 20, ("seq", "nope"))[1] is False
+    # The first failure is a normal-form game's, after every seq game of
+    # the sweep passed.
+    got = _assert_same_sweep(15, 3, ("seq", "normal-form"),
+                             payoff_range=(0, 1))
+    assert got[0] > 3 and [f[:2] for f in got[2]] == [("normal-form", 1)]
+    # seq refuses, when a game is drawn or certified, before the walk
+    # reaches a normal-form game that fails.
+    for budget, what in ((40, "plays"), (70, "histories")):
+        got = _assert_same_sweep(0, 10, ("seq", "normal-form"),
+                                 budget=budget)
+        assert got[0] is BudgetExceededError and got[1].split()[3] == what
+        alone = _assert_same_sweep(0, 10, ("normal-form",), budget=budget)
+        assert alone[1] is False
+
+
+def test_shared_stacks_pass_once_per_shape(monkeypatch):
+    # One backward pass per move-count tuple drawn across seq and
+    # normal-form, not one per family and tuple.
+    inner, passes = sequential._optimal_moves, []
+
+    def counted(flat, counts, stack, selections):
+        passes.append(tuple(counts))
+        return inner(flat, counts, stack, selections)
+
+    monkeypatch.setattr(sequential, "_optimal_moves", counted)
+    for seed in (1, 2):
+        passes.clear()
+        result = run_fuzz(seed, 100, ("seq", "normal-form"), max_rounds=2)
+        assert result.ok and result.checked == 200
+        shapes = {game.move_counts for _, _, game in result.corpus}
+        assert sorted(passes) == sorted(shapes) and len(shapes) == 6
+
+
+def test_mixed_stacks_match_one_game_checks(games_dir):
+    # Stacks that mix games tested at every history with games tested only
+    # on their path: each verdict is is_optimal_strategy, or
+    # check_soundness, of its game alone. Strategies are optimal, random,
+    # and the threat game's, which is sound but not optimal; rounds of a
+    # stack drew up to four stock kinds.
+    rng = random.Random(41)
+    games = [_oracle_game(rng, ("max", "min", "average", "eps_ball"))
+             for _ in range(400)]
+    threat = load_game(games_dir / "threat_game.json").game
+    threat_strategy = tuple(map(tuple, json.loads(
+        (games_dir / "threat_strategy.json").read_text())["strategy"]))
+    assert normalform.check_soundness(threat, threat_strategy)
+    assert not sequential.is_optimal_strategy(threat, threat_strategy)
+    stacks = {}
+    for g in games + [threat] * 6:
+        stacks.setdefault(g.move_counts, []).append(g)
+    verdicts, mixed, several = set(), 0, 0
+    for counts, stack in stacks.items():
+        flat = np.concatenate([g.flat_payoffs() for g in stack])
+        quantifiers = tuple(map(_row_chosen,
+                                zip(*(g.quantifiers for g in stack))))
+        several += sum(phi not in stack[0].quantifiers for phi in quantifiers)
+        optimal = [sequential.compute_optimal_strategy(g) for g in stack]
+        randoms = [tuple(tuple(rng.randrange(m) for _ in range(
+            g.history_count(i))) for i, m in enumerate(counts))
+            for g in stack]
+        chosen = [threat_strategy if g is threat else t
+                  for g, t in zip(stack, randoms)]
+        on_path = np.array([k % 2 == 1 or g is threat
+                            for k, g in enumerate(stack)])
+        mixed += on_path.any() and not on_path.all()
+        for tables, tol in itertools.product((optimal, randoms, chosen),
+                                             (0.0, 1.0)):
+            moves = [np.concatenate([t[i] for t in tables])
+                     for i in range(len(counts))]
+            reached = sequential._reached(counts, len(stack),
+                                          lambda i, _: moves[i])
+            ok = sequential._strategy_verdicts(flat, quantifiers, reached,
+                                               tol, on_path)
+            want = [normalform.check_soundness(g, t, tol) if path
+                    else sequential.is_optimal_strategy(g, t, tol)
+                    for g, t, path in zip(stack, tables, on_path)]
+            assert ok.tolist() == want
+            verdicts.update(zip(on_path.tolist(), want))
+    assert verdicts == {(p, v) for p in (True, False) for v in (True, False)}
+    assert mixed > 20 and several > 20
+
+
 def _row_chosen(objs):
     """One quantifier or selection for a round of a stack whose games use
     ``objs``, one each: its kernel runs each distinct object's kernel on
@@ -440,17 +537,22 @@ def test_stacks_match_one_game_functions(monkeypatch):
 
     # The fuzz families, with a pair that does not attain in some games,
     # in stacks of at most 20 payoff entries: groups are cut, and games of
-    # more entries are stacks of one.
+    # more entries are stacks of one. Each family alone, then all at once,
+    # where seq and normal-form games share stacks.
     monkeypatch.setattr(fuzz, "_round_pair", _attains_nothing)
     monkeypatch.setattr(fuzz, "_STACK_ENTRIES", 20)
     plan = fuzz._families(3, 3, (-9, 9), 10**6)
+    sweeps, wants = [], []
     for name, family in plan.items():
         rng = random.Random(5)
         drawn = [family.draw(rng) for _ in range(300)]
         want = [family.certify(family.build(*values), None)
                 for values in drawn]
-        assert fuzz._verdicts(family, drawn).tolist() == want
+        assert fuzz._verdicts([(family, drawn)])[0].tolist() == want
         assert (name == "bbc") == all(want)
+        sweeps.append((family, drawn))
+        wants.append(want)
+    assert [ok.tolist() for ok in fuzz._verdicts(sweeps)] == wants
 
 
 def test_stage_stacks_match_one_stage_functions():
