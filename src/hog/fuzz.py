@@ -455,13 +455,13 @@ def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
     """Certify ``count`` random games per family up to the first failure,
     which is shrunk before being recorded. Normal-form games have <= 3 rounds.
 
-    Each family draws its games' values first, from its own rng, up to
-    the first game the budget refuses, to draw or to certify. The drawn
-    games of every family are certified in stacks of games of one shape
-    (see ``_verdicts``). Then each family, in order, walks its games in
-    index order: it makes each game's budget checks, records the game, and
-    builds a failing one to shrink it with the one-game certifier. A
-    refusal is raised at the game it refuses, after the games before it are
+    Each family draws its games' values first, from its own rng, and makes
+    each game's budget checks as it is drawn, up to the first game the
+    budget refuses, to draw or to certify. The drawn games of every family
+    are certified in stacks of games of one shape (see ``_verdicts``).
+    Then each family, in order, walks its games in index order: it records
+    each game and builds a failing one to shrink it with the one-game
+    certifier. A refusal is raised after the games drawn before it are
     recorded, and an unknown family where the walk reaches it. The corpus
     builds each recorded game when it is read.
 
@@ -485,33 +485,22 @@ def run_fuzz(seed: int, count: int, families=FAMILIES, max_rounds: int = 4,
         # Hashing strings is salted per process; derive integer seeds.
         rng = random.Random(seed * 7919 + FAMILIES.index(name))
 
-        @cache
-        def planned(counts, family=family):
-            """A game's planned budget checks, and whether one is refused."""
-            checks = family.planned(counts)
-            return checks, any(n > budget for n, _ in checks)
-
-        drawn, refused, over = [], None, False
+        planned = cache(family.planned)
+        drawn, refused = [], None
         for _ in range(count):
             try:
-                drawn.append(family.draw(rng))
+                values = family.draw(rng)
+                for n, what in planned(values[0]):
+                    check_budget(n, budget, what)
             except BudgetExceededError as exc:
                 refused = exc
                 break
-            over = planned(drawn[-1][0])[1]
-            if over:
-                break
-        sweeps.append((name, family, planned, drawn, refused, over))
-    # A game whose certification the budget refuses is the last one drawn,
-    # and the walk raises at it before reading its verdict.
-    verdicts = _verdicts([(family, drawn[:len(drawn) - over])
-                          for _, family, _, drawn, _, over in sweeps])
-    for (name, family, planned, drawn, refused, _), ok in zip(sweeps,
-                                                              verdicts):
+            drawn.append(values)
+        sweeps.append((name, family, drawn, refused))
+    verdicts = _verdicts([(family, drawn) for _, family, drawn, _ in sweeps])
+    for (name, family, drawn, refused), ok in zip(sweeps, verdicts):
         ok = ok.tolist()
         for index, values in enumerate(drawn):
-            for n, what in planned(values[0])[0]:
-                check_budget(n, budget, what)
             result.corpus.record(name, index, family.build, values)
             result.checked += 1
             if not ok[index]:

@@ -57,10 +57,11 @@ every column of C. Such a pair gives no profile that is_mixed_nash accepts
 only the long one. The dominance table is built once per call and side: for
 every support, indexed by its bitmask, the bitmask of the opponent's moves
 dominated given it, by one pass over the supports in which each support's
-table is its lower part's ANDed with one move's. The live pairs of a size's
-three shapes are selected by one broadcast per side; the support
+table is its lower part's ANDed with one move's. Every shape's live pairs
+are selected by _live_pairs, one broadcast per side tested; the support
 combinations and their bitmasks are read-only tables cached per (moves,
-size) across calls.
+size) across calls. Every shape then goes through the same step: its live
+pairs are counted, stacked by _size_stacks and settled stack by stack.
 
 All s x s systems of a size go into one stack, solved by one batched LU
 solve with a right-hand side per system (_solve_size): both players'
@@ -96,12 +97,12 @@ of such a subpair's long side is dominated given R, as it is not in
 the screen and passes it. The negative-probability half of the screen
 stays out of this test: the minimum-norm solution of a rank-deficient
 subsystem can be negative where the wider system has a nonnegative one.
-An enumerated wide shape goes through _solve_size in stacks with no square
-pair: each system is screened by the top block of its one-off subsystem,
-its first k + 1 payoff rows and the sum row, against the full system's
-bound, as the least-squares residual of a system is at least that of any
-subset of its rows. On a nondegenerate game no one-off system is
-consistent, so no wider shape is enumerated.
+An enumerated wide shape is stacked alone, with an empty square part: each
+system is screened by the top block of its one-off subsystem, its first
+k + 1 payoff rows and the sum row, against the full system's bound, as the
+least-squares residual of a system is at least that of any subset of its
+rows. On a nondegenerate game no one-off system is consistent, so no wider
+shape is enumerated.
 
 The candidates of every stack, pairs whose systems both solved with no
 negative probability, are collected for the pass and scattered into
@@ -379,18 +380,6 @@ def _left_null_verdict(w: np.ndarray, bound: float) -> np.ndarray:
     return ~(norms < (_LEFT_NULL_MARGIN * bound) ** -2 - 1.0)
 
 
-@functools.cache
-def _right_hand_sides(s: int) -> np.ndarray:
-    """The two right-hand sides of _solve_size's systems of size s, as
-    (2, s, 1): the last unit vector and (-1, ..., -1, -0.0)."""
-    rhs = np.zeros((2, s, 1))
-    rhs[0, -1] = 1.0
-    rhs[1] = -1.0
-    rhs[1, -1] = -0.0
-    rhs.setflags(write=False)
-    return rhs
-
-
 def _solve_size(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
                 cols: np.ndarray, parts, tol: float) -> tuple[np.ndarray, ...]:
     """One stack of s x s systems in one batched LU solve, each system with
@@ -428,7 +417,10 @@ def _solve_size(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
                                             other[:, None, :k + 1]]
         at += len(own)
     mats[square:, k] = -1.0
-    rhs = np.repeat(_right_hand_sides(k + 1), [square, tops], axis=0)
+    rhs = np.zeros((square + tops, k + 1, 1))
+    rhs[:square, -1] = 1.0
+    rhs[square:] = -1.0
+    rhs[square:, -1] = -0.0
     try:
         sols = np.linalg.solve(mats, rhs)[..., 0]
         singular = None
@@ -456,19 +448,6 @@ def _solve_size(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     bad[:, :-1] |= probs < -tol
     ok = ~bad.any(axis=1)
     return probs[:n], probs[n:], ok[:n] & ok[n:], screened
-
-
-def _stacked_systems(parts) -> np.ndarray:
-    """The indifference systems of ``parts``, (payoff, own, other) stacks as
-    _indifference_systems takes them, all of one shape, in one stack."""
-    _, own, other = parts[0]
-    mats = np.zeros((sum(len(part[1]) for part in parts), other.shape[1] + 1,
-                     own.shape[1] + 1))
-    at = 0
-    for payoff, own, other in parts:
-        _indifference_systems(payoff, own, other, mats[at:at + len(own)])
-        at += len(own)
-    return mats
 
 
 def _least_squares(mats: np.ndarray,
@@ -607,75 +586,51 @@ def _dedupe_sorted(profiles: list[MixedProfile], tol: float) -> list[MixedProfil
 
 def _live_pairs(m0: int, m1: int, k: int, l: int, beaten0,
                 beaten1) -> tuple[np.ndarray, np.ndarray]:
-    """The support pairs of a rectangular shape (k, l) that dominance does
-    not drop, in enumeration order (row support outer, column support
-    inner), as index arrays into the shape's row and column combinations,
-    selected by one broadcast that tests the long side only. ``beaten0``
-    and ``beaten1`` are the _dominated_moves tables of the two sides."""
+    """The support pairs of shape (k, l) that dominance does not drop, in
+    enumeration order (row support outer, column support inner), as index
+    arrays into the shape's row and column combinations, selected by one
+    broadcast per side tested: the long side, or both sides when k == l.
+    ``beaten0`` and ``beaten1`` are the _dominated_moves tables of the two
+    sides."""
     row_bits, col_bits = _supports(m0, k)[1], _supports(m1, l)[1]
-    if k < l:
-        return np.nonzero((beaten1[row_bits, None] & col_bits) == 0)
-    return np.nonzero((row_bits[:, None] & beaten0[col_bits]) == 0)
-
-
-@functools.cache
-def _size_bits(m: int, k: int) -> np.ndarray:
-    """The bitmasks of the supports of k moves out of m, then, if k < m,
-    those of k + 1 moves: one side's supports in the shapes of system size
-    k + 1. Read-only, cached as _supports is."""
-    bits = _supports(m, k)[1]
-    if k < m:
-        bits = np.concatenate([bits, _supports(m, k + 1)[1]])
-        bits.setflags(write=False)
-    return bits
-
-
-def _size_pairs(m0: int, m1: int, k: int, beaten0, beaten1):
-    """The support pairs of system size k + 1 that dominance does not drop,
-    as index arrays into each shape's row and column combinations, in
-    enumeration order, shape by shape: the square shape (k, k), then the
-    one-off shapes (k, k + 1) and (k + 1, k) that fit the game, as (shape,
-    rows, cols). One broadcast per side serves all three shapes: the column
-    side tests the row supports of k moves against the column supports of k
-    and k + 1 moves, and the row side the row supports of k and k + 1 moves
-    against the column supports of k moves. Square shapes test both sides,
-    rectangular shapes only the long one."""
-    rows, cols = _size_bits(m0, k), _size_bits(m1, k)
-    nr, nc = math.comb(m0, k), math.comb(m1, k)
-    col_side = (beaten1[rows[:nr], None] & cols) == 0
-    row_side = (rows[:, None] & beaten0[cols[:nc]]) == 0
-    square = col_side[:, :nc] & row_side[:nr]
-    pairs = [((k, k), *np.nonzero(square))]
-    if k < m1:
-        pairs.append(((k, k + 1), *np.nonzero(col_side[:, nc:])))
-    if k < m0:
-        pairs.append(((k + 1, k), *np.nonzero(row_side[nr:])))
-    return pairs
+    live = True
+    if k <= l:
+        live = (beaten1[row_bits, None] & col_bits) == 0
+    if k >= l:
+        live = live & ((row_bits[:, None] & beaten0[col_bits]) == 0)
+    return np.nonzero(live)
 
 
 def _size_stacks(m0: int, m1: int, pairs):
-    """The stacks of one system size s, from its _size_pairs. Square pairs
-    come first, two systems each, then one-off pairs, one system each; a
-    stack holds at most _STACK systems, or one square pair's two, and no
-    pair is split. Yields the stack's square pairs, as row and column
-    supports, and its one-off pairs, as (shape, row supports, column
-    supports) per shape."""
+    """The stacks of a list of shapes' live pairs, (shape, rows, cols) as
+    _live_pairs gives them: a system size's square shape, then its one-off
+    shapes, or one wide shape alone, whose square part is empty and of the
+    short side's width. Square pairs come first, two systems each, then the
+    others, one system each; a stack holds at most _STACK systems, or one
+    square pair's two, and no pair is split. Yields the stack's square
+    pairs, as row and column supports, and its other pairs, as (shape, row
+    supports, column supports) per shape."""
     def supports(shape, r, c):
         return _supports(m0, shape[0])[0][r], _supports(m1, shape[1])[0][c]
 
-    (shape, r, c), *one_off = pairs
-    total = sum(len(rows) for _, rows, _ in one_off)
+    (k, l), r, c = pairs[0]
+    if k == l:
+        pairs = pairs[1:]
+    else:
+        k, r, c = min(k, l), r[:0], c[:0]
+    total = sum(len(rows) for _, rows, _ in pairs)
     i = j = 0
     while i < len(r) or j < total:
         di = min(len(r) - i, max(1, _STACK // 2))
         dj = min(total - j, max(0, _STACK - 2 * di))
         pieces, at = [], 0
-        for one, rows, cols in one_off:
+        for shape, rows, cols in pairs:
             lo, hi = max(j - at, 0), min(j + dj - at, len(rows))
             if lo < hi:
-                pieces.append((one, *supports(one, rows[lo:hi], cols[lo:hi])))
+                pieces.append((shape,
+                               *supports(shape, rows[lo:hi], cols[lo:hi])))
             at += len(rows)
-        yield supports(shape, r[i:i + di], c[i:i + di]), pieces
+        yield supports((k, k), r[i:i + di], c[i:i + di]), pieces
         i, j = i + di, j + dj
 
 
@@ -754,9 +709,9 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
                 survivors.append((shape, s0[mask], s1[mask]))
         if not survivors:
             return
-        residual_ok, keep = _least_squares(
-            _stacked_systems([overdetermined(*piece) for piece in survivors]),
-            tol)
+        residual_ok, keep = _least_squares(np.concatenate(
+            [_indifference_systems(*overdetermined(*piece))
+             for piece in survivors]), tol)
         at = 0
         for shape, s0, s1 in survivors:
             part = slice(at, at + len(s0))
@@ -772,18 +727,26 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
                     ok_p & ok_q & ~(p < -tol).any(axis=1)
                     & ~(q < -tol).any(axis=1))
 
-    for k in range(1, min(m0, m1) + 1):
-        # System size k + 1: the square shape (k, k), and the one-off
-        # shapes (k, k + 1) and (k + 1, k), whose screens solve the
-        # transposed top blocks of their (k + 2) x (k + 1) systems.
-        pairs = _size_pairs(m0, m1, k, beaten0, beaten1)
-        for (k0, l0), rows, _ in pairs:
-            counts["dominated"] += (math.comb(m0, k0) * math.comb(m1, l0)
-                                    - len(rows))
+    def enumerate_shapes(shapes):
+        # Select each shape's live pairs, then settle them stack by stack.
+        pairs = []
+        for k, l in shapes:
+            r, c = _live_pairs(m0, m1, k, l, beaten0, beaten1)
+            counts["dominated"] += math.comb(m0, k) * math.comb(m1, l) - len(r)
+            pairs.append(((k, l), r, c))
         for (rows, cols), pieces in _size_stacks(m0, m1, pairs):
             settle(rows, cols, pieces)
+
+    for k in range(1, min(m0, m1) + 1):
+        # System size k + 1: the square shape (k, k), and the one-off
+        # shapes (k, k + 1) and (k + 1, k) that fit the game, whose screens
+        # solve the transposed top blocks of their (k + 2) x (k + 1)
+        # systems.
+        enumerate_shapes([(k0, l0) for k0, l0 in ((k, k), (k, k + 1),
+                                                  (k + 1, k))
+                          if k0 <= m0 and l0 <= m1])
     # The wider shapes, k outer and l inner, so that the shape one shorter
-    # on the long side is settled first, in stacks with no square pair.
+    # on the long side is settled first, each stacked alone.
     for k in range(1, m0 + 1):
         for l in range(1, m1 + 1):
             if abs(k - l) < 2:
@@ -791,14 +754,7 @@ def _certified_supports(g: SimultaneousGame, a: np.ndarray, b: np.ndarray,
             if ((k, l - 1) if l > k else (k - 1, l)) not in consistent:
                 counts["pruned"] += math.comb(m0, k) * math.comb(m1, l)
                 continue
-            r, c = _live_pairs(m0, m1, k, l, beaten0, beaten1)
-            counts["dominated"] += math.comb(m0, k) * math.comb(m1, l) - len(r)
-            row_sets, col_sets = _supports(m0, k)[0], _supports(m1, l)[0]
-            no_square = np.empty((0, min(k, l)), dtype=np.intp)
-            for at in range(0, len(r), _STACK):
-                settle(no_square, no_square,
-                       [((k, l), row_sets[r[at:at + _STACK]],
-                         col_sets[c[at:at + _STACK]])])
+            enumerate_shapes([(k, l)])
     # The regret screen in chunks, then certification in enumeration order:
     # shapes k outer, l inner.
     found: list[MixedProfile] = []

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -9,6 +10,10 @@ from functools import partial
 import numpy as np
 import pytest
 
+import hog.budget
+import hog.core
+import hog.mixed
+import hog.simultaneous
 from hog import fuzz, minimax, normalform, sequential
 from hog.budget import resolve_budget
 from hog.cli import _game_document, main
@@ -409,6 +414,43 @@ def test_shared_stacks_pass_once_per_shape(monkeypatch):
         assert result.ok and result.checked == 200
         shapes = {game.move_counts for _, _, game in result.corpus}
         assert sorted(passes) == sorted(shapes) and len(shapes) == 6
+
+
+def test_budget_checks_of_passing_sweeps_are_pinned(monkeypatch):
+    # Every check_budget call of seeded sweeps that end without a refusal,
+    # as (count, label) with its multiplicity. Pinned when the walk made
+    # each game's checks; they are now made when the game is drawn, once
+    # per game as before, so the calls are the same.
+    calls = collections.Counter()
+    check = hog.budget.check_budget
+
+    def counted(count, budget, what):
+        calls[what, count] += 1
+        return check(count, budget, what)
+
+    for module in (fuzz, minimax, normalform, sequential, hog.core,
+                   hog.mixed, hog.simultaneous):
+        monkeypatch.setattr(module, "check_budget", counted)
+    for seed, max_rounds in itertools.product((0, 1), (4, 2)):
+        assert run_fuzz(seed, 50, max_rounds=max_rounds).ok
+    by_label = {}
+    for (what, count), n in calls.items():
+        by_label.setdefault(what, {})[count] = n
+    assert by_label == {
+        "plays": {2: 120, 3: 124, 4: 64, 6: 119, 8: 10, 9: 57, 12: 40,
+                  16: 2, 18: 32, 24: 6, 27: 10, 36: 6, 54: 7, 81: 3},
+        "profiles": {4: 48, 6: 106, 9: 46},
+        "reply functions": {0: 200},
+        "histories": {2: 80, 3: 84, 6: 41, 8: 44, 9: 33, 12: 36, 14: 7,
+                      18: 8, 20: 6, 21: 9, 26: 8, 27: 10, 30: 6, 38: 1,
+                      39: 6, 42: 1, 44: 2, 45: 2, 54: 1, 57: 1, 63: 1,
+                      66: 3, 80: 4, 81: 1, 93: 2, 120: 3},
+        "optimality checks": {2: 40, 3: 44, 6: 18, 8: 22, 9: 13, 12: 15,
+                              14: 4, 18: 1, 20: 2, 21: 3, 26: 2, 27: 7,
+                              30: 5, 38: 1, 39: 2, 42: 1, 44: 2, 45: 2,
+                              54: 1, 57: 1, 63: 1, 66: 3, 80: 4, 81: 1,
+                              93: 2, 120: 3},
+    }
 
 
 def test_mixed_stacks_match_one_game_checks(games_dir):

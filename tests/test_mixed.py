@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import logging
@@ -571,8 +572,9 @@ def _screen_masks(parts, tol):
     """The masks of the least-squares screen on the pairs of ``parts`` in
     turn, as support enumeration computes them: the left-null screen, then
     the pseudo-inverse on the systems of the pairs it keeps."""
-    return _decided(hog.mixed._stacked_systems(parts), _screened(parts, tol),
-                    tol)
+    mats = np.concatenate([hog.mixed._indifference_systems(*part)
+                           for part in parts])
+    return _decided(mats, _screened(parts, tol), tol)
 
 
 def _top_blocks(mats):
@@ -1105,6 +1107,58 @@ def test_support_enumeration_prune_audit_can_fail(monkeypatch):
         got, want, dropped = _prune_audit(monkeypatch, g, 0.05)
     assert (0, ((1, 2), (0,)), True) in dropped
     assert len(got) == len(want) - 1
+
+
+def _dominated_in(payoff, own, other, margin):
+    """Whether some move of ``other`` is beaten by more than ``margin``,
+    against every move of ``own``, by another move of its side. ``payoff``
+    is the other side's, own moves by other moves."""
+    return any(all(payoff[i, d] - payoff[i, c] > margin for i in own)
+               for c in other for d in range(payoff.shape[1]) if d != c)
+
+
+def test_live_pairs_match_brute_force_dominance():
+    # For every shape (k, l), _live_pairs drops a pair just when a move of
+    # its long side, or of either side when k == l, is beaten by more than
+    # the margin by another move of that side against every move of the
+    # other support. Margins: none, the solver's, and one that drops
+    # nothing.
+    rng = np.random.default_rng(34)
+    dropped = collections.Counter()
+    for n in range(18):
+        m0, m1 = (int(v) for v in rng.integers(2, 7, 2))
+        if n % 3 == 0:
+            a, b = rng.uniform(-1, 1, (2, m0, m1))
+        else:
+            a, b = rng.integers(-1, 2, (2, m0, m1)).astype(float)
+        if n % 3 == 2:
+            a[1], b[:, 1] = a[0], b[:, 0]
+        g = SimultaneousGame.from_tensors([m0, m1], [a.ravel(), b.ravel()],
+                                          [max_quantifier()] * 2)
+        solver = hog.mixed._dominance_margin(
+            g, 1e-9, hog.mixed._screen_bound(g, 1e-9))
+        for margin in (0.0, solver, 10.0):
+            beaten0 = hog.mixed._dominated_moves(a.T, margin)
+            beaten1 = hog.mixed._dominated_moves(b, margin)
+            for k, l in itertools.product(range(1, m0 + 1),
+                                          range(1, m1 + 1)):
+                want = [
+                    (i, j)
+                    for i, rows in enumerate(itertools.combinations(
+                        range(m0), k))
+                    for j, cols in enumerate(itertools.combinations(
+                        range(m1), l))
+                    if not (k <= l and _dominated_in(b, rows, cols, margin)
+                            or k >= l and _dominated_in(a.T, cols, rows,
+                                                        margin))]
+                r, c = hog.mixed._live_pairs(m0, m1, k, l, beaten0,
+                                             beaten1)
+                assert list(zip(r.tolist(), c.tolist())) == want
+                dropped[margin > 1, (k > l) - (k < l)] += (
+                    math.comb(m0, k) * math.comb(m1, l) - len(want))
+    # Square, tall and wide shapes each drop pairs; the large margin none.
+    assert all(dropped[False, side] for side in (-1, 0, 1))
+    assert not any(dropped[True, side] for side in (-1, 0, 1))
 
 
 def test_support_enumeration_certifies_max_min_games():
